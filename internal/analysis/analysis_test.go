@@ -124,14 +124,19 @@ func TestDeterministicPath(t *testing.T) {
 		"patchdb/internal/nvd",
 		"patchdb/internal/corpus",
 		"patchdb/internal/checkpoint",
+		"patchdb/internal/core",
+		"patchdb/internal/ml",
+		"patchdb/internal/ml/tree",
+		"patchdb/internal/ml/neural",
 	}
 	no := []string{
 		"patchdb/cmd/patchdb-bench",
 		"patchdb/internal/telemetry",
 		"patchdb/internal/retry",
-		"patchdb/internal/ml/tree",
 		"patchdb/internal/experiments",
 		"patchdb/internal/corpusx",
+		"patchdb/internal/mlx",
+		"patchdb/internal/coredump",
 	}
 	for _, p := range yes {
 		if !deterministicPath(p) {

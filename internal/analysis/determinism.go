@@ -9,22 +9,28 @@ import (
 
 // deterministicPath reports whether an import path belongs to the packages
 // whose output must be a pure function of the configured seed: the builder's
-// root package, the core engines, the pipeline/crawl/corpus layers, and the
+// root package, the core engines, the pipeline/crawl/corpus layers, the
 // checkpoint journal (a resumed build must be bit-identical to one that
-// never crashed, so the journal can record no clocks or randomness). The
-// ML and experiments layers consume explicit seeds but are not build-output
-// paths, and cmd/ binaries legitimately read wall clocks for reporting.
+// never crashed, so the journal can record no clocks or randomness), and the
+// ML layer (Tables III, IV and VI are byte-identical at a fixed seed only
+// while every model draws from its own seeded generator in a fixed order).
+// The experiments layer and cmd/ binaries legitimately read wall clocks for
+// reporting.
 func deterministicPath(path string) bool {
 	switch path {
 	case "patchdb",
-		"patchdb/internal/core",
 		"patchdb/internal/pipeline",
 		"patchdb/internal/nvd",
 		"patchdb/internal/corpus",
 		"patchdb/internal/checkpoint":
 		return true
 	}
-	return strings.HasPrefix(path, "patchdb/internal/core/")
+	for _, tree := range []string{"patchdb/internal/core", "patchdb/internal/ml"} {
+		if path == tree || strings.HasPrefix(path, tree+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // clockExemptPath reports whether a package is sanctioned to read clocks
@@ -67,7 +73,7 @@ var globalRandConstructors = map[string]bool{
 var Determinism = &Analyzer{
 	Name:    "determinism",
 	Doc:     "wall clocks, global randomness (direct or transitive), and ordered map iteration are banned in deterministic build packages",
-	Version: 2,
+	Version: 3,
 	Run:     runDeterminism,
 }
 
@@ -117,8 +123,8 @@ func computeClockReach(pass *Pass) map[types.Object]string {
 	}
 	type funcInfo struct {
 		obj     types.Object
-		witness string             // "" until tainted
-		callees []*types.Func      // local call edges
+		witness string        // "" until tainted
+		callees []*types.Func // local call edges
 	}
 	infos := make(map[types.Object]*funcInfo)
 	var order []types.Object // declaration order, for deterministic fixed-point witnesses

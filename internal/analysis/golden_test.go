@@ -140,18 +140,20 @@ func runGoldenPkgs(t *testing.T, specs []goldenPkg, analyzers []*Analyzer) {
 }
 
 func TestDeterminismGolden(t *testing.T) {
-	runGolden(t, "internal/analysis/testdata/src/determinism/det",
-		"patchdb/internal/core/det", []*Analyzer{Determinism})
+	for _, path := range []string{"patchdb/internal/core/det", "patchdb/internal/ml/det"} {
+		runGolden(t, "internal/analysis/testdata/src/determinism/det", path, []*Analyzer{Determinism})
+	}
 }
 
-// TestDeterminismAllowlistedPackage loads the same violating source under a
-// package path outside the deterministic build set and expects silence:
-// benches, CLIs, and the ML layer may read clocks.
+// TestDeterminismAllowlistedPackage loads the same violating source under
+// package paths outside the deterministic set and expects silence: benches,
+// CLIs, and lookalike paths next to a covered tree may read clocks.
 func TestDeterminismAllowlistedPackage(t *testing.T) {
-	pkg := loadTestPkg(t, "internal/analysis/testdata/src/determinism/det",
-		"patchdb/internal/experiments/det")
-	if diags := Run([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
-		t.Errorf("allowlisted package reported %d diagnostics: %v", len(diags), diags)
+	for _, path := range []string{"patchdb/internal/experiments/det", "patchdb/internal/mlx/det"} {
+		pkg := loadTestPkg(t, "internal/analysis/testdata/src/determinism/det", path)
+		if diags := Run([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
+			t.Errorf("%s: allowlisted package reported %d diagnostics: %v", path, len(diags), diags)
+		}
 	}
 }
 

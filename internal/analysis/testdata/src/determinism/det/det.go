@@ -1,7 +1,7 @@
 // Package det is determinism-analyzer golden testdata. The harness loads it
-// under a deterministic import path (patchdb/internal/core/det), where every
-// `want` line must be reported, and again under a non-deterministic path,
-// where nothing may be.
+// under deterministic import paths (patchdb/internal/core/det and
+// patchdb/internal/ml/det), where every `want` line must be reported, and
+// again under non-deterministic paths, where nothing may be.
 package det
 
 import (

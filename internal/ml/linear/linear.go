@@ -338,17 +338,31 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 	n := len(xs)
 	alpha := make([]float64, n)
 	b := 0.0
+	// gram[i*n+k] = dot(xs[i], xs[k]), computed once. The matrix is
+	// symmetric bit for bit (products commute and each dot product sums in
+	// the same order), so f reads row i contiguously.
+	gram := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for k := i; k < n; k++ {
+			v := dot(xs[i], xs[k])
+			gram[i*n+k] = v
+			gram[k*n+i] = v
+		}
+	}
 	f := func(i int) float64 {
 		sum := b
-		for k := 0; k < n; k++ {
+		row := gram[i*n : (i+1)*n]
+		for k, g := range row {
 			if alpha[k] != 0 {
-				sum += alpha[k] * ys[k] * dot(xs[k], xs[i])
+				sum += alpha[k] * ys[k] * g
 			}
 		}
 		return sum
 	}
 	passes := 0
-	for passes < s.Passes {
+	// With fewer than two rows there is no second index to pair with, so
+	// the model keeps all alphas at zero.
+	for n >= 2 && passes < s.Passes {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - ys[i]
@@ -370,7 +384,8 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 				if lo == hi {
 					continue
 				}
-				eta := 2*dot(xs[i], xs[j]) - dot(xs[i], xs[i]) - dot(xs[j], xs[j])
+				kii, kij, kjj := gram[i*n+i], gram[i*n+j], gram[j*n+j]
+				eta := 2*kij - kii - kjj
 				if eta >= 0 {
 					continue
 				}
@@ -380,8 +395,8 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 					continue
 				}
 				alpha[i] = ai + ys[i]*ys[j]*(aj-alpha[j])
-				b1 := b - ei - ys[i]*(alpha[i]-ai)*dot(xs[i], xs[i]) - ys[j]*(alpha[j]-aj)*dot(xs[i], xs[j])
-				b2 := b - ej - ys[i]*(alpha[i]-ai)*dot(xs[i], xs[j]) - ys[j]*(alpha[j]-aj)*dot(xs[j], xs[j])
+				b1 := b - ei - ys[i]*(alpha[i]-ai)*kii - ys[j]*(alpha[j]-aj)*kij
+				b2 := b - ej - ys[i]*(alpha[i]-ai)*kij - ys[j]*(alpha[j]-aj)*kjj
 				switch {
 				case alpha[i] > 0 && alpha[i] < s.C:
 					b = b1

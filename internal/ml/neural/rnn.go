@@ -7,8 +7,10 @@
 package neural
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"patchdb/internal/ml"
 )
@@ -34,16 +36,10 @@ func BuildVocab(seqs [][]string, maxSize int) *Vocab {
 		words = append(words, w)
 	}
 	// Sort by frequency desc, then lexicographically for determinism.
-	for i := 1; i < len(words); i++ {
-		for j := i; j > 0; j-- {
-			a, b := words[j-1], words[j]
-			if freq[b] > freq[a] || (freq[b] == freq[a] && b < a) {
-				words[j-1], words[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	sort.Slice(words, func(i, j int) bool {
+		a, b := words[i], words[j]
+		return freq[a] > freq[b] || (freq[a] == freq[b] && a < b)
+	})
 	if maxSize > 0 && len(words) > maxSize {
 		words = words[:maxSize]
 	}
@@ -88,20 +84,48 @@ type RNN struct {
 
 	vocab *Vocab
 
-	emb  [][]float64 // vocab x embed
-	wxh  [][]float64 // hidden x embed
-	whh  [][]float64 // hidden x hidden
-	bh   []float64
-	wout []float64
-	bout float64
+	// Weights, row-major: emb is vocab x Embed, wxh is Hidden x Embed,
+	// whh is Hidden x Hidden.
+	emb, wxh, whh, bh, wout []float64
+	bout                    float64
 
 	// Adagrad accumulators, same shapes.
-	gEmb  [][]float64
-	gWxh  [][]float64
-	gWhh  [][]float64
-	gBh   []float64
-	gWout []float64
-	gBout float64
+	gEmb, gWxh, gWhh, gBh, gWout []float64
+	gBout                        float64
+
+	// proj is the vocab x Hidden table of bh[j] + Σ_k wxh[j][k]·emb[id][k],
+	// built at the end of each fit so ProbaTokens skips the input
+	// projection. ProbaTokens only reads the model, so concurrent calls
+	// are safe.
+	proj []float64
+
+	sc bptt
+}
+
+// bptt is step's scratch space, sized at the start of each fit and reused
+// by every step, so a warmed step allocates nothing.
+type bptt struct {
+	hs                     []float64 // (MaxLen+1) x Hidden states; row 0 is the zero initial state
+	dWxh, dWhh, dBh, dWout []float64
+	dh, nextDh             []float64
+	dEmb                   []float64 // vocab x Embed; only rows in touched are nonzero
+	seen                   []bool    // vocab; seen[id] iff id is in touched
+	touched                []int
+}
+
+func newBPTT(vocab, embed, hidden, maxLen int) bptt {
+	return bptt{
+		hs:      make([]float64, (maxLen+1)*hidden),
+		dWxh:    make([]float64, hidden*embed),
+		dWhh:    make([]float64, hidden*hidden),
+		dBh:     make([]float64, hidden),
+		dWout:   make([]float64, hidden),
+		dh:      make([]float64, hidden),
+		nextDh:  make([]float64, hidden),
+		dEmb:    make([]float64, vocab*embed),
+		seen:    make([]bool, vocab),
+		touched: make([]int, 0, min(vocab, maxLen)),
+	}
 }
 
 func (r *RNN) defaults() {
@@ -125,15 +149,12 @@ func (r *RNN) defaults() {
 	}
 }
 
-func newMatrix(rows, cols int, scale float64, rng *rand.Rand) [][]float64 {
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = make([]float64, cols)
-		for j := range m[i] {
-			m[i][j] = (rng.Float64()*2 - 1) * scale
-		}
+func randomVector(n int, scale float64, rng *rand.Rand) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = (rng.Float64()*2 - 1) * scale
 	}
-	return m
+	return v
 }
 
 // FitTokens trains the network on token sequences with labels.
@@ -147,23 +168,29 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 	if len(seqs) == 0 {
 		return ml.ErrEmptyDataset
 	}
+	if len(y) != len(seqs) {
+		return fmt.Errorf("neural: %d labels for %d sequences", len(y), len(seqs))
+	}
+	if sampleW != nil && len(sampleW) != len(seqs) {
+		return fmt.Errorf("neural: %d sample weights for %d sequences", len(sampleW), len(seqs))
+	}
 	r.defaults()
 	rng := rand.New(rand.NewSource(r.Seed + 101))
 	r.vocab = BuildVocab(seqs, 2000)
-	v := r.vocab.Size()
-	r.emb = newMatrix(v, r.Embed, 0.1, rng)
-	r.wxh = newMatrix(r.Hidden, r.Embed, 0.2, rng)
-	r.whh = newMatrix(r.Hidden, r.Hidden, 0.2, rng)
-	r.bh = make([]float64, r.Hidden)
-	r.wout = make([]float64, r.Hidden)
-	for j := range r.wout {
-		r.wout[j] = (rng.Float64()*2 - 1) * 0.2
-	}
-	r.gEmb = newMatrix(v, r.Embed, 0, rng)
-	r.gWxh = newMatrix(r.Hidden, r.Embed, 0, rng)
-	r.gWhh = newMatrix(r.Hidden, r.Hidden, 0, rng)
-	r.gBh = make([]float64, r.Hidden)
-	r.gWout = make([]float64, r.Hidden)
+	v, ne, nh := r.vocab.Size(), r.Embed, r.Hidden
+	r.emb = randomVector(v*ne, 0.1, rng)
+	r.wxh = randomVector(nh*ne, 0.2, rng)
+	r.whh = randomVector(nh*nh, 0.2, rng)
+	r.bh = make([]float64, nh)
+	r.wout = randomVector(nh, 0.2, rng)
+	// Scale 0 makes these accumulators zero yet still advances rng, which
+	// the training shuffle below reads next.
+	r.gEmb = randomVector(v*ne, 0, rng)
+	r.gWxh = randomVector(nh*ne, 0, rng)
+	r.gWhh = randomVector(nh*nh, 0, rng)
+	r.gBh = make([]float64, nh)
+	r.gWout = make([]float64, nh)
+	r.sc = newBPTT(v, ne, nh, r.MaxLen)
 
 	encoded := make([][]int, len(seqs))
 	pos := 0
@@ -199,7 +226,36 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 			r.step(encoded[i], float64(y[i]), w)
 		}
 	}
+	r.proj = make([]float64, v*nh)
+	for id := 0; id < v; id++ {
+		r.project(r.proj[id*nh:][:nh], r.emb[id*ne:][:ne])
+	}
 	return nil
+}
+
+// project sets dst[j] = bh[j] + Σ_k wxh[j][k]·e[k], summing left to right.
+func (r *RNN) project(dst, e []float64) {
+	for j := range dst {
+		sum := r.bh[j]
+		wx := r.wxh[j*len(e):][:len(e)]
+		for k, ek := range e {
+			sum += wx[k] * ek
+		}
+		dst[j] = sum
+	}
+}
+
+// recur sets h[j] = tanh(pre[j] + Σ_k whh[j][k]·prev[k]), continuing the
+// sum project started. h may alias pre.
+func (r *RNN) recur(h, pre, prev []float64) {
+	for j := range h {
+		sum := pre[j]
+		wh := r.whh[j*len(prev):][:len(prev)]
+		for k, pk := range prev {
+			sum += wh[k] * pk
+		}
+		h[j] = math.Tanh(sum)
+	}
 }
 
 // step runs one forward+BPTT pass and applies Adagrad updates. weight
@@ -208,112 +264,96 @@ func (r *RNN) step(ids []int, target, weight float64) {
 	if len(ids) == 0 {
 		return
 	}
+	sc := &r.sc
+	ne, nh := r.Embed, r.Hidden
 	tlen := len(ids)
-	hs := make([][]float64, tlen+1)
-	hs[0] = make([]float64, r.Hidden)
-	raw := make([][]float64, tlen) // pre-activation, for tanh'
+	hs := sc.hs[:(tlen+1)*nh]
+	clear(hs[:nh])
 	for t, id := range ids {
-		h := make([]float64, r.Hidden)
-		e := r.emb[id]
-		prev := hs[t]
-		for j := 0; j < r.Hidden; j++ {
-			sum := r.bh[j]
-			wx := r.wxh[j]
-			for k := 0; k < r.Embed; k++ {
-				sum += wx[k] * e[k]
-			}
-			wh := r.whh[j]
-			for k := 0; k < r.Hidden; k++ {
-				sum += wh[k] * prev[k]
-			}
-			h[j] = math.Tanh(sum)
-		}
-		raw[t] = h
-		hs[t+1] = h
+		h := hs[(t+1)*nh:][:nh]
+		r.project(h, r.emb[id*ne:][:ne])
+		r.recur(h, h, hs[t*nh:][:nh])
 	}
-	last := hs[tlen]
+	last := hs[tlen*nh:]
 	z := r.bout
-	for j := 0; j < r.Hidden; j++ {
+	for j := 0; j < nh; j++ {
 		z += r.wout[j] * last[j]
 	}
 	p := 1 / (1 + math.Exp(-z))
 	dz := (p - target) * weight // dL/dz for weighted BCE
 
 	// Output layer gradients.
-	dWout := make([]float64, r.Hidden)
-	dh := make([]float64, r.Hidden)
-	for j := 0; j < r.Hidden; j++ {
-		dWout[j] = dz * last[j]
+	dh, nextDh := sc.dh, sc.nextDh
+	for j := 0; j < nh; j++ {
+		sc.dWout[j] = dz * last[j]
 		dh[j] = dz * r.wout[j]
 	}
 
-	dWxh := make([][]float64, r.Hidden)
-	dWhh := make([][]float64, r.Hidden)
-	for j := range dWxh {
-		dWxh[j] = make([]float64, r.Embed)
-		dWhh[j] = make([]float64, r.Hidden)
-	}
-	dBh := make([]float64, r.Hidden)
-	dEmb := make(map[int][]float64)
-
+	clear(sc.dWxh)
+	clear(sc.dWhh)
+	clear(sc.dBh)
 	for t := tlen - 1; t >= 0; t-- {
-		h := hs[t+1]
-		prev := hs[t]
-		e := r.emb[ids[t]]
-		dRaw := make([]float64, r.Hidden)
-		for j := 0; j < r.Hidden; j++ {
-			dRaw[j] = dh[j] * (1 - h[j]*h[j])
+		h := hs[(t+1)*nh:][:nh]
+		prev := hs[t*nh:][:nh]
+		id := ids[t]
+		e := r.emb[id*ne:][:ne]
+		if !sc.seen[id] {
+			sc.seen[id] = true
+			sc.touched = append(sc.touched, id)
 		}
-		de, ok := dEmb[ids[t]]
-		if !ok {
-			de = make([]float64, r.Embed)
-			dEmb[ids[t]] = de
-		}
-		nextDh := make([]float64, r.Hidden)
-		for j := 0; j < r.Hidden; j++ {
-			g := dRaw[j]
-			dBh[j] += g
-			wx := dWxh[j]
-			for k := 0; k < r.Embed; k++ {
-				wx[k] += g * e[k]
-				de[k] += g * r.wxh[j][k]
+		de := sc.dEmb[id*ne:][:ne]
+		nextDh = nextDh[:nh]
+		clear(nextDh)
+		for j := 0; j < nh; j++ {
+			g := dh[j] * (1 - h[j]*h[j])
+			sc.dBh[j] += g
+			dwx := sc.dWxh[j*ne:][:ne]
+			wx := r.wxh[j*ne:][:ne]
+			for k := range dwx {
+				dwx[k] += g * e[k]
+				de[k] += g * wx[k]
 			}
-			wh := dWhh[j]
-			for k := 0; k < r.Hidden; k++ {
-				wh[k] += g * prev[k]
-				nextDh[k] += g * r.whh[j][k]
+			dwh := sc.dWhh[j*nh:][:nh]
+			wh := r.whh[j*nh:][:nh]
+			for k := range dwh {
+				dwh[k] += g * prev[k]
+				nextDh[k] += g * wh[k]
 			}
 		}
-		dh = nextDh
+		dh, nextDh = nextDh, dh
 	}
 
-	clip := func(g float64) float64 {
-		if g > r.Clip {
-			return r.Clip
-		}
-		if g < -r.Clip {
-			return -r.Clip
-		}
-		return g
-	}
-	adagrad := func(w, g []float64, acc []float64) {
-		for j := range w {
-			gj := clip(g[j])
-			acc[j] += gj * gj
-			w[j] -= r.LR * gj / (math.Sqrt(acc[j]) + 1e-8)
-		}
-	}
-	for j := 0; j < r.Hidden; j++ {
-		adagrad(r.wxh[j], dWxh[j], r.gWxh[j])
-		adagrad(r.whh[j], dWhh[j], r.gWhh[j])
-	}
-	adagrad(r.bh, dBh, r.gBh)
-	adagrad(r.wout, dWout, r.gWout)
-	gb := clip(dz)
+	r.adagrad(r.wxh, sc.dWxh, r.gWxh)
+	r.adagrad(r.whh, sc.dWhh, r.gWhh)
+	r.adagrad(r.bh, sc.dBh, r.gBh)
+	r.adagrad(r.wout, sc.dWout, r.gWout)
+	gb := r.clip(dz)
 	r.gBout += gb * gb
 	r.bout -= r.LR * gb / (math.Sqrt(r.gBout) + 1e-8)
-	for id, de := range dEmb {
-		adagrad(r.emb[id], de, r.gEmb[id])
+	for _, id := range sc.touched {
+		de := sc.dEmb[id*ne:][:ne]
+		r.adagrad(r.emb[id*ne:][:ne], de, r.gEmb[id*ne:][:ne])
+		clear(de)
+		sc.seen[id] = false
+	}
+	sc.touched = sc.touched[:0]
+}
+
+func (r *RNN) clip(g float64) float64 {
+	if g > r.Clip {
+		return r.Clip
+	}
+	if g < -r.Clip {
+		return -r.Clip
+	}
+	return g
+}
+
+func (r *RNN) adagrad(w, g, acc []float64) {
+	for j := range w {
+		gj := r.clip(g[j])
+		acc[j] += gj * gj
+		w[j] -= r.LR * gj / (math.Sqrt(acc[j]) + 1e-8)
 	}
 }
 
@@ -322,30 +362,19 @@ func (r *RNN) ProbaTokens(seq []string) float64 {
 	if r.vocab == nil {
 		return 0
 	}
-	ids := r.vocab.Encode(seq)
-	if len(ids) > r.MaxLen {
-		ids = ids[:r.MaxLen]
+	if len(seq) > r.MaxLen {
+		seq = seq[:r.MaxLen]
 	}
-	h := make([]float64, r.Hidden)
-	next := make([]float64, r.Hidden)
-	for _, id := range ids {
-		e := r.emb[id]
-		for j := 0; j < r.Hidden; j++ {
-			sum := r.bh[j]
-			wx := r.wxh[j]
-			for k := 0; k < r.Embed; k++ {
-				sum += wx[k] * e[k]
-			}
-			wh := r.whh[j]
-			for k := 0; k < r.Hidden; k++ {
-				sum += wh[k] * h[k]
-			}
-			next[j] = math.Tanh(sum)
-		}
+	nh := r.Hidden
+	buf := make([]float64, 2*nh)
+	h, next := buf[:nh], buf[nh:]
+	for _, w := range seq {
+		id := r.vocab.ID(w)
+		r.recur(next, r.proj[id*nh:][:nh], h)
 		h, next = next, h
 	}
 	z := r.bout
-	for j := 0; j < r.Hidden; j++ {
+	for j := 0; j < nh; j++ {
 		z += r.wout[j] * h[j]
 	}
 	return 1 / (1 + math.Exp(-z))
