@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-nearestlink bench-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race bench bench-nearestlink bench-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the tree, testdata included, is not
+# gofmt-formatted, and lists the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -12,6 +17,11 @@ test:
 # here (-copylocks, -loopclosure) are on by default in go vet.
 vet:
 	$(GO) vet ./...
+
+# vet-perfbench vets the benchmark module (perfbench/go.mod), which builds
+# against this checkout: removing or renaming a name it uses fails here.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./...
 
 # lint runs patchdb's custom analyzer suite (see internal/analysis and
 # cmd/patchdb-lint): determinism (no wall clocks / global rand — direct or
@@ -102,10 +112,11 @@ verify-obs:
 verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-resume race
 
 # ci is the fast merge gate mirrored by .github/workflows/ci.yml and
-# scripts/ci.sh: build, both static-analysis tiers, the plain test run, the
-# race-enabled observability-correlation and crash-safety suites, and the
+# scripts/ci.sh: build, the gofmt check, both static-analysis tiers (and
+# vet of the benchmark module), the plain test run, the race-enabled
+# observability-correlation and crash-safety suites, and the
 # fully-verified engine smoke sweep.
-ci: build vet lint test verify-obs verify-resume bench-smoke
+ci: build fmt vet vet-perfbench lint test verify-obs verify-resume bench-smoke
 
 clean:
 	$(GO) clean ./...

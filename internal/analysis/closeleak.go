@@ -77,7 +77,7 @@ func computeCloses(pass *Pass) map[types.Object]map[int]bool {
 		return nil
 	}
 	type forward struct {
-		callee *types.Func
+		callee              *types.Func
 		calleeIdx, paramIdx int
 	}
 	type funcInfo struct {

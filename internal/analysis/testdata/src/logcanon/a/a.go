@@ -11,12 +11,12 @@ import (
 )
 
 func narrate(n int) {
-	fmt.Println("processed", n)        // want `fmt\.Println bypasses the hub's structured logger`
-	fmt.Printf("processed %d\n", n)    // want `fmt\.Printf bypasses the hub's structured logger`
-	fmt.Print("done\n")                // want `fmt\.Print bypasses the hub's structured logger`
-	log.Println("processed", n)        // want `log\.Println bypasses the hub's structured logger`
-	log.Printf("processed %d\n", n)    // want `log\.Printf bypasses the hub's structured logger`
-	log.Print("done\n")                // want `log\.Print bypasses the hub's structured logger`
+	fmt.Println("processed", n)     // want `fmt\.Println bypasses the hub's structured logger`
+	fmt.Printf("processed %d\n", n) // want `fmt\.Printf bypasses the hub's structured logger`
+	fmt.Print("done\n")             // want `fmt\.Print bypasses the hub's structured logger`
+	log.Println("processed", n)     // want `log\.Println bypasses the hub's structured logger`
+	log.Printf("processed %d\n", n) // want `log\.Printf bypasses the hub's structured logger`
+	log.Print("done\n")             // want `log\.Print bypasses the hub's structured logger`
 }
 
 func die(err error) {

@@ -8,26 +8,35 @@ import (
 	"sync/atomic"
 )
 
-// Blocked, sharded candidate generation — the throughput core of Search.
+// Blocked, sharded candidate generation — the engine's one scan kernel.
 //
-// Phase 1 of Algorithm 1 needs each security row's lexicographic (best,
-// runner-up) over the whole wild pool. The per-row outward walk
-// (scanRowSorted2, retained for greedy-phase rescans) re-reads every wild
-// stripe once per row; this path restructures the work on two axes so each
-// stripe load is amortized and the grid parallelizes cleanly:
+// Algorithm 1 needs one search: the exact lexicographic (best, runner-up)
+// wild column of a security row over the columns still unused. Phase 1
+// runs it for every row over the whole pool; the greedy phase reruns it for
+// one row over the unused columns when a collision cannot be absorbed by
+// the cached runner-up (a rescan); KNNSelect is phase 1's best column. All
+// three go through the same sweep and the same rejection ladder
+// (scanRowTile).
+//
+// Phase 1 restructures the work on two axes so each stripe load is
+// amortized and the grid parallelizes cleanly:
 //
 //   - Seed-major blocking: security rows are grouped into blocks of
 //     defaultBlockRows consecutive scan-order (ascending-norm) rows. One
 //     pass over a wild column evaluates the whole block against it, so the
-//     column's stripe data (segment norms, quantized prefix, packed prefix,
-//     tail) is loaded once per block instead of once per row, and the
-//     block's own row data stays L1-resident across the pass.
+//     column's stripe data (segment norms, packed prefix, tail) is loaded
+//     once per block instead of once per row, and the block's own row data
+//     stays L1-resident across the pass.
 //   - Wild-pool sharding: the norm-sorted pool is cut into contiguous
 //     shards of defaultShardCols columns. A (block, shard) pair is one
 //     independent task; workers drain the task grid through an atomic
 //     cursor. Each task computes the block rows' (best, runner-up) over its
 //     shard only, and a deterministic merge folds the per-shard pairs into
 //     the global two-best per row.
+//
+// A rescan is a one-row task over the whole pool: its window starts as the
+// full pool, its bound as +Inf (see seedBound), and the used mask skips
+// the taken columns.
 //
 // Exactness of the merge: every rejection inside a task is strictly above
 // min(ub, d2_task) where ub (the seeded second-best bound) is ≥ the row's
@@ -41,12 +50,13 @@ import (
 // scan would keep.
 //
 // Determinism of the accounting: the task grid is a pure function of
-// (rows, cols, BlockRows, ShardCols) — never of Workers — each task's visit
+// (rows, cols, blockRows, shardCols) — never of Workers — each task's visit
 // order and pruning bounds are fixed (bounds start from the row's seeded
 // cap and tighten only within the task), and the int64 counters merge by
-// addition. Stats are therefore bit-identical at any worker count; BlockRows
-// and ShardCols may change counter values (they move pruning decisions
-// between stages) but never the links.
+// addition. Rescans run serially in the greedy phase's deterministic order.
+// Stats are therefore bit-identical at any worker count; blockRows and
+// shardCols may change counter values (they move pruning decisions between
+// stages) but never the links.
 
 // defaultBlockRows is the seed-major block height: how many consecutive
 // scan-order security rows share one pass over a wild column.
@@ -57,10 +67,9 @@ const defaultBlockRows = 16
 // still offers blocks×shards-way parallelism at bench shapes.
 const defaultShardCols = 131072
 
-// blockPlan is the per-search state of the blocked path: seed-major copies
-// of the row-side screen data (indexed by scan-order position t, contiguous
-// for a block), the quantized stripes of both sides, per-row seeded bounds
-// and norm windows, and the per-(row, shard) two-best result grid.
+// blockPlan is the per-search state of phase 1: per-row seeded bounds and
+// norm windows, and the per-(row, shard) two-best result grid. Rows are
+// indexed by scan-order position t.
 type blockPlan struct {
 	e         *engine
 	blockRows int
@@ -68,85 +77,17 @@ type blockPlan struct {
 	nblocks   int
 	nshards   int
 
-	qz   quantizer
-	qw   int     // quantized row width (pw + tw)
-	nsuf int     // suffix-norm checkpoints per row (quantSuffixCount(qw))
-	wldQ []uint8 // n×qw quantized wild rows, walk order, screen-order dims
-	// Suffix norms at each chunk boundary (‖dims ≥ 16(c+1)‖), used by the
-	// quantized screen's early-exit checkpoints.
-	ordSuf []float64 // m×nsuf
-	wldSuf []float64 // n×nsuf, walk order
-
-	// Seed-major row data (index t = position in e.secOrder).
-	ordN    []float64 // row norms
-	ordMid  []int     // binary-searched norm position in wldNS
-	ordUB   []float64 // seeded second-best upper bound (the pruning cap)
-	ordWS   []int     // global norm-window start (from ordUB)
-	ordWE   []int     // global norm-window end (exclusive)
-	ordPre  []float64 // m×pw screen-order prefixes
-	ordTail []float64 // m×tw screen-order tails
-	ordQ    []uint8   // m×qw quantized rows
-
-	// Fine-grained segment norms for the blocked ladder: blockSegPre even
-	// splits of the prefix and blockSegTail of the tail, per row. Four times
-	// the resolution of the engine-wide 4-segment stripes, so the O(1)
-	// segment test and the tail lower bound both reject far more before any
-	// per-dimension work (measured at 1000×100k: distance evaluations drop
-	// ~5.5x against the 4-segment test at ~2x the per-candidate cost).
-	ordSegs []float64 // m×blockSeg
-	wldSegs []float64 // n×blockSeg, walk order
+	ub     []float64 // seeded second-best upper bound (the pruning cap)
+	ws, we []int     // global norm window [ws, we) implied by ub
 
 	// Per-(t, shard) two-best results, written by exactly one task each.
 	d1, d2 []float64
 	j1, j2 []int
 }
 
-// The blocked path's segment-norm split: blockSegPre segments cover exactly
-// the screen prefix, blockSegTail exactly the tail, so the tail segments'
-// squared gaps are an admissible lower bound for the tail contribution on
-// its own.
-const (
-	blockSegPre  = 4
-	blockSegTail = 12
-	blockSeg     = blockSegPre + blockSegTail
-)
-
-// quantAutoDims is the screen width at which a nil Options.Quantize
-// resolves to on. The integer screen trades per-dimension float64 loads for
-// uint8 ones; with the blocked scan keeping its stripes cache-resident, the
-// float ladder wins outright up to a few hundred dimensions (measured: the
-// quantized screen costs ~95 cycles per rejection against ~50 for the
-// segment+prefix float path at d=60), and only rows wide enough to blow the
-// per-candidate cache budget flip the balance.
-const quantAutoDims = 256
-
-// quantizeEnabled resolves the tri-state Quantize option against the screen
-// width.
-func quantizeEnabled(q *bool, width int) bool {
-	if q != nil {
-		return *q
-	}
-	return width >= quantAutoDims
-}
-
-// fillEvenSegNorms writes the Euclidean norms of parts even contiguous
-// splits of row (the same deterministic ⌊len·s/parts⌋ boundaries on both
-// sides).
-func fillEvenSegNorms(dst, row []float64) {
-	parts := len(dst)
-	for s := 0; s < parts; s++ {
-		lo, hi := len(row)*s/parts, len(row)*(s+1)/parts
-		sum := 0.0
-		for _, v := range row[lo:hi] {
-			sum += v * v
-		}
-		dst[s] = math.Sqrt(sum)
-	}
-}
-
 func newBlockPlan(e *engine, o Options) *blockPlan {
 	m, n := e.sec.rows, len(e.wldNS)
-	p := &blockPlan{e: e, blockRows: o.BlockRows, shardCols: o.ShardCols}
+	p := &blockPlan{e: e, blockRows: o.blockRows, shardCols: o.shardCols}
 	if p.blockRows <= 0 {
 		p.blockRows = defaultBlockRows
 	}
@@ -155,55 +96,9 @@ func newBlockPlan(e *engine, o Options) *blockPlan {
 	}
 	p.nblocks = (m + p.blockRows - 1) / p.blockRows
 	p.nshards = (n + p.shardCols - 1) / p.shardCols
-
-	pw, tw := e.pw, e.tw
-	p.ordN = make([]float64, m)
-	p.ordMid = make([]int, m)
-	p.ordUB = make([]float64, m)
-	p.ordWS = make([]int, m)
-	p.ordWE = make([]int, m)
-	p.ordPre = make([]float64, m*pw)
-	p.ordTail = make([]float64, m*tw)
-	for t, i := range e.secOrder {
-		p.ordN[t] = e.secN[i]
-		p.ordMid[t] = sort.SearchFloat64s(e.wldNS, e.secN[i])
-		row := e.secS.Row(i)
-		copy(p.ordPre[t*pw:(t+1)*pw], row[:pw])
-		copy(p.ordTail[t*tw:(t+1)*tw], row[pw:])
-	}
-
-	p.qw = pw + tw
-	if quantizeEnabled(o.Quantize, p.qw) {
-		p.qz = newQuantizer(pw, tw, p.ordPre, p.ordTail, e.wldP, e.wldT)
-	}
-	if p.qz.ok {
-		qw := p.qw
-		p.nsuf = quantSuffixCount(qw)
-		p.ordQ = make([]uint8, m*qw)
-		p.ordSuf = make([]float64, m*p.nsuf)
-		for t := 0; t < m; t++ {
-			p.qz.quantizeRow(p.ordQ[t*qw:(t+1)*qw], p.ordPre[t*pw:(t+1)*pw], p.ordTail[t*tw:(t+1)*tw])
-			fillSuffixNorms(p.ordSuf[t*p.nsuf:(t+1)*p.nsuf], p.ordPre[t*pw:(t+1)*pw], p.ordTail[t*tw:(t+1)*tw])
-		}
-		p.wldQ = make([]uint8, n*qw)
-		p.wldSuf = make([]float64, n*p.nsuf)
-		for k := 0; k < n; k++ {
-			p.qz.quantizeRow(p.wldQ[k*qw:(k+1)*qw], e.wldP[k*pw:(k+1)*pw], e.wldT[k*tw:(k+1)*tw])
-			fillSuffixNorms(p.wldSuf[k*p.nsuf:(k+1)*p.nsuf], e.wldP[k*pw:(k+1)*pw], e.wldT[k*tw:(k+1)*tw])
-		}
-	}
-
-	p.ordSegs = make([]float64, m*blockSeg)
-	for t := 0; t < m; t++ {
-		fillEvenSegNorms(p.ordSegs[t*blockSeg:t*blockSeg+blockSegPre], p.ordPre[t*pw:(t+1)*pw])
-		fillEvenSegNorms(p.ordSegs[t*blockSeg+blockSegPre:(t+1)*blockSeg], p.ordTail[t*tw:(t+1)*tw])
-	}
-	p.wldSegs = make([]float64, n*blockSeg)
-	for k := 0; k < n; k++ {
-		fillEvenSegNorms(p.wldSegs[k*blockSeg:k*blockSeg+blockSegPre], e.wldP[k*pw:(k+1)*pw])
-		fillEvenSegNorms(p.wldSegs[k*blockSeg+blockSegPre:(k+1)*blockSeg], e.wldT[k*tw:(k+1)*tw])
-	}
-
+	p.ub = make([]float64, m)
+	p.ws = make([]int, m)
+	p.we = make([]int, m)
 	cells := m * p.nshards
 	p.d1 = make([]float64, cells)
 	p.d2 = make([]float64, cells)
@@ -212,40 +107,16 @@ func newBlockPlan(e *engine, o Options) *blockPlan {
 	return p
 }
 
-// fillSuffixNorms records, for one packed screen-order row (prefix then
-// tail), the Euclidean norm of the dimensions at and after each chunk
-// boundary 16(c+1) — the checkpoint data of the quantized screen.
-func fillSuffixNorms(dst []float64, pre, tail []float64) {
-	d := len(pre) + len(tail)
-	at := func(j int) float64 {
-		if j < len(pre) {
-			return pre[j]
-		}
-		return tail[j-len(pre)]
-	}
-	s2 := 0.0
-	for j := d - 1; j >= 0; j-- {
-		if (j+1)%quantChunk == 0 {
-			if c := (j+1)/quantChunk - 1; c < len(dst) {
-				dst[c] = math.Sqrt(s2)
-			}
-		}
-		v := at(j)
-		s2 += v * v
-	}
-}
-
-// seedRow runs the pre-phase for scan-order row t: the seeded bounds and
-// the global norm window they imply, plus the bulk accounting for every
+// seedRow runs the pre-phase for scan-order row t: the seeded bound and
+// the global norm window it implies, plus the bulk accounting for every
 // column outside the window (those are skipped by all of the row's tasks
 // without even an O(1) test).
 func (p *blockPlan) seedRow(t int, c *scanCounters) {
 	e := p.e
-	i := e.secOrder[t]
-	_, ub := e.seedBounds(i, c)
-	p.ordUB[t] = ub
-	ws, we := e.normWindow(p.ordN[t], p.ordMid[t], ub)
-	p.ordWS[t], p.ordWE[t] = ws, we
+	ub := e.seedBound(t, c)
+	p.ub[t] = ub
+	ws, we := e.normWindow(e.secN[t], e.secMid[t], ub)
+	p.ws[t], p.we[t] = ws, we
 	c.normPruned += int64(len(e.wldNS) - (we - ws))
 }
 
@@ -288,6 +159,14 @@ func newBlockScratch(block int) *blockScratch {
 		b:       make([]float64, block),
 		onRight: make([]bool, block), onLeft: make([]bool, block),
 	}
+}
+
+// start resets slot r for a scan over the window [ws, we) under bound b.
+func (s *blockScratch) start(r, ws, we int, b float64) {
+	s.ws[r], s.we[r] = ws, we
+	s.d1[r], s.j1[r] = inf, -1
+	s.d2[r], s.j2[r] = inf, -1
+	s.b[r] = b
 }
 
 // runBlocked executes the pre-phase and the task grid on o.Workers
@@ -387,7 +266,7 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 	anyWin := false
 	for r := 0; r < B; r++ {
 		t := t0 + r
-		ws, we := p.ordWS[t], p.ordWE[t]
+		ws, we := p.ws[t], p.we[t]
 		if ws < lo {
 			ws = lo
 		}
@@ -397,10 +276,7 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 		if we < ws {
 			ws, we = lo, lo
 		}
-		scr.ws[r], scr.we[r] = ws, we
-		scr.d1[r], scr.j1[r] = inf, -1
-		scr.d2[r], scr.j2[r] = inf, -1
-		scr.b[r] = p.ordUB[t]
+		scr.start(r, ws, we, p.ub[t])
 		if we > ws {
 			anyWin = true
 		}
@@ -408,15 +284,15 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 	if anyWin {
 		// Anchor at the block's median norm position so both sweeps walk
 		// outward through growing norm gaps for (almost) every row.
-		anchor := p.ordMid[t0+B/2]
+		anchor := e.secMid[t0+B/2]
 		if anchor < lo {
 			anchor = lo
 		}
 		if anchor > hi {
 			anchor = hi
 		}
-		p.sweep(c, scr, t0, B, anchor, hi, +1)
-		p.sweep(c, scr, t0, B, anchor-1, lo-1, -1)
+		e.sweep(c, scr, nil, t0, B, anchor, hi, +1)
+		e.sweep(c, scr, nil, t0, B, anchor-1, lo-1, -1)
 	}
 	base := t0*p.nshards + si
 	for r := 0; r < B; r++ {
@@ -426,24 +302,39 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 	}
 }
 
+// rescan recomputes security row i's lexicographic (best, runner-up) over
+// the columns not in used: a one-row task over the whole pool, swept
+// outward from the row's own norm position. There is no seeded cap, so the
+// bound starts at +Inf and tightens from the row's own confirmations; each
+// tightening still cuts the window edges in bulk. scr needs one slot.
+func (e *engine) rescan(i int, used []bool, c *scanCounters, scr *blockScratch) (d1 float64, j1 int, d2 float64, j2 int) {
+	t, n := e.rank[i], len(e.wldNS)
+	mid := e.secMid[t]
+	scr.start(0, 0, n, inf)
+	e.sweep(c, scr, used, t, 1, mid, n, +1)
+	e.sweep(c, scr, used, t, 1, mid-1, -1, -1)
+	return scr.d1[0], scr.j1[0], scr.d2[0], scr.j2[0]
+}
+
 // sweepTile is the column-tile width of a sweep. Rows of a block revisit the
 // same tile back to back, so one tile's hot stripes (norms, segment norms,
-// quantized rows) stay L1/L2-resident across the whole block while each row
+// packed prefixes) stay L1/L2-resident across the whole block while each row
 // still runs a branch-light row-major inner loop over the tile.
 const sweepTile = 256
 
 // sweep walks column tiles from start toward stop (exclusive) in direction
-// dir. Within a tile every still-active block row scans its in-window slice
-// of the tile row-major — all per-row state in locals — through the staged
-// rejection ladder. A row's window edge moves inward whenever its bound
-// tightens, pruning the remainder of the side in bulk; the row drops out
-// once its edge is reached, and the sweep ends when no rows remain.
-func (p *blockPlan) sweep(c *scanCounters, scr *blockScratch, t0, B, start, stop, dir int) {
+// dir for the B scan-order rows from t0 (scratch slots 0..B-1). Within a
+// tile every still-active row scans its in-window slice of the tile
+// row-major — all per-row state in locals — through the staged rejection
+// ladder, skipping the columns in used (nil in phase 1). A row's window
+// edge moves inward whenever its bound tightens, pruning the remainder of
+// the side in bulk; the row drops out once its edge is reached, and the
+// sweep ends when no rows remain.
+func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, t0, B, start, stop, dir int) {
 	on := scr.onRight
 	if dir < 0 {
 		on = scr.onLeft
 	}
-	e := p.e
 	active := 0
 	for r := 0; r < B; r++ {
 		// Refresh this direction's far edge against the row's current bound
@@ -451,7 +342,7 @@ func (p *blockPlan) sweep(c *scanCounters, scr *blockScratch, t0, B, start, stop
 		// opposite pass, and this side is still entirely unvisited, so the
 		// bulk accounting stays an exact partition of the task's window.
 		t := t0 + r
-		na, mid, b := p.ordN[t], p.ordMid[t], scr.b[r]
+		na, mid, b := e.secN[t], e.secMid[t], scr.b[r]
 		if dir > 0 {
 			if lo := max(mid, scr.ws[r]); lo < scr.we[r] {
 				weNew := e.windowRight(na, b, lo, scr.we[r])
@@ -514,7 +405,7 @@ func (p *blockPlan) sweep(c *scanCounters, scr *blockScratch, t0, B, start, stop
 			if ks >= ke {
 				continue
 			}
-			if !p.scanRowTile(c, scr, r, t0+r, ks, ke, dir) {
+			if !e.scanRowTile(c, scr, used, r, t0+r, ks, ke, dir) {
 				on[r] = false
 				active--
 			}
@@ -523,8 +414,26 @@ func (p *blockPlan) sweep(c *scanCounters, scr *blockScratch, t0, B, start, stop
 	}
 }
 
+// Why the out-of-order scans still reproduce the reference exactly: the
+// reference's ascending scan with strict-< updates computes the
+// lexicographically smallest (distance, column) pair — on equal distances
+// the earlier column wins — and, for the two-best variant, the two
+// lexicographically smallest pairs. A scan may therefore visit columns in
+// ANY order and produce identical results, provided (1) every update
+// comparison is lexicographic on (distance, original column index), and
+// (2) every rejection path — the bulk norm-window edges, the segment-norm
+// bound, the prefix + tail-segment check, and the tail screen — rejects
+// only candidates whose reference-order distance is guaranteed STRICTLY
+// above the current bound, so a tie that would win by index can never be
+// discarded. All four rejections here use strictly-greater comparisons on
+// conservatively shaded/slacked bounds, which proves exactly that.
+
 // scanRowTile runs scan-order row t (scratch slot r) over tile columns
 // [ks, ke) in direction dir, with every per-row value hoisted into locals.
+// It is the engine's only per-candidate rejection ladder; phase 1, rescans
+// and KNNSelect all reach it through sweep. The ladder stays written out in
+// this loop: Go does not inline a function of its size, and a per-candidate
+// call would cost more than the cheap stages it wraps.
 //
 // There is no per-candidate norm-gap test: the row's window edges carry the
 // norm bound instead. Each time a confirmation tightens the live bound, the
@@ -533,28 +442,22 @@ func (p *blockPlan) sweep(c *scanCounters, scr *blockScratch, t0, B, start, stop
 // tightening instead of O(1) per candidate, and tightenings are rare.
 // Candidates on the non-monotone stretch between the sweep anchor and the
 // row's own norm position are covered by the segment screen, whose bound
-// dominates the plain norm gap: the segment-norm vectors u, v satisfy
-// ‖u‖ = ‖a‖ and ‖v‖ = ‖b‖, so ‖u−v‖² ≥ (‖a‖−‖b‖)², and any candidate a
-// norm test could reject the segment test rejects too (the rejection is
-// merely attributed to the segment stage).
+// dominates the plain norm gap (see nseg): any candidate a norm test could
+// reject the segment test rejects too (the rejection is merely attributed
+// to the segment stage).
+//
+// Columns in used are skipped after the O(1) segment test, so the test's
+// loads are shared with the common reject path and only its survivors pay
+// for the mask lookup.
 //
 // It returns false when the row has no columns left on this side.
-func (p *blockPlan) scanRowTile(c *scanCounters, scr *blockScratch, r, t, ks, ke, dir int) bool {
-	e := p.e
-	pw, tw, qw := e.pw, e.tw, p.qw
-	na := p.ordN[t]
-	mid := p.ordMid[t]
-	seg := p.ordSegs[t*blockSeg : t*blockSeg+blockSeg : t*blockSeg+blockSeg]
-	pre := p.ordPre[t*pw : t*pw+pw : t*pw+pw]
-	tail := p.ordTail[t*tw : t*tw+tw : t*tw+tw]
-	var qrow []uint8
-	var qsuf []float64
-	nsuf := p.nsuf
-	quant := p.qz.ok
-	if quant {
-		qrow = p.ordQ[t*qw : t*qw+qw : t*qw+qw]
-		qsuf = p.ordSuf[t*nsuf : t*nsuf+nsuf : t*nsuf+nsuf]
-	}
+func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r, t, ks, ke, dir int) bool {
+	pw, tw := e.pw, e.tw
+	na := e.secN[t]
+	mid := e.secMid[t]
+	seg := e.secSegs[t*nseg : t*nseg+nseg : t*nseg+nseg]
+	rowS := e.secS.Row(t)
+	pre, tail := rowS[:pw:pw], rowS[pw:]
 	b := scr.b[r]
 	d1, j1, d2, j2 := scr.d1[r], scr.j1[r], scr.d2[r], scr.j2[r]
 
@@ -563,7 +466,7 @@ func (p *blockPlan) scanRowTile(c *scanCounters, scr *blockScratch, r, t, ks, ke
 		k, kend = ke-1, ks-1
 	}
 	for ; k != kend; k += dir {
-		sg := p.wldSegs[k*blockSeg : k*blockSeg+blockSeg : k*blockSeg+blockSeg]
+		sg := e.wldSegs[k*nseg : k*nseg+nseg : k*nseg+nseg]
 		g0 := seg[0] - sg[0]
 		g1 := seg[1] - sg[1]
 		g2 := seg[2] - sg[2]
@@ -589,8 +492,7 @@ func (p *blockPlan) scanRowTile(c *scanCounters, scr *blockScratch, r, t, ks, ke
 			c.normPruned++
 			continue
 		}
-		if quant && p.qz.reject(qrow, p.wldQ[k*qw:k*qw+qw:k*qw+qw], qsuf, p.wldSuf[k*nsuf:k*nsuf+nsuf:k*nsuf+nsuf], b) {
-			c.quantPruned++
+		if used != nil && used[e.orig[k]] {
 			continue
 		}
 		c.evals++

@@ -66,95 +66,18 @@ func dist2(a, b []float64) float64 {
 // reject a candidate the reference scan would have accepted.
 const screenSlack = 1 + 1e-12
 
-// screenDist2 computes the squared Euclidean distance with four independent
-// accumulators (breaking the serial FP-add dependency chain that limits
-// dist2 to ~1 dimension per add latency), checking the running sum against
-// bound·screenSlack after every 16-dimension block. The scan path now splits
-// this work across prefixDist2 + screenTailDist2 (stripe layout); this
-// single-call form is retained as the screen's specification and is
-// exercised directly by TestKernelEquivalence.
-//
-// It returns (sum, true) iff the full distance was evaluated and the
-// screened sum stayed within the slacked bound — the candidate MAY beat
-// bound (or tie it, which matters for index tie-breaks), and the caller
-// must confirm with the reference-order dist2 before any comparison.
-// (sum, false) is a guaranteed-exact rejection: the summands (a_j−b_j)² are
-// the same rounded non-negative terms dist2 adds, so a partial reordered
-// sum strictly above bound·screenSlack proves dist2's total is strictly
-// above bound — such a candidate can never displace the current best, nor
-// tie it. The comparisons are strictly-greater (not ≥) so a bound of 0
-// cannot silently reject an exact-duplicate candidate whose smaller column
-// index would win the reference tie-break.
-func screenDist2(a, b []float64, bound float64) (float64, bool) {
-	limit := bound * screenSlack
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+16 <= len(a); j += 16 {
-		x := a[j : j+16 : j+16]
-		y := b[j : j+16 : j+16]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		d4 := x[4] - y[4]
-		d5 := x[5] - y[5]
-		d6 := x[6] - y[6]
-		d7 := x[7] - y[7]
-		s0 += d4 * d4
-		s1 += d5 * d5
-		s2 += d6 * d6
-		s3 += d7 * d7
-		d8 := x[8] - y[8]
-		d9 := x[9] - y[9]
-		d10 := x[10] - y[10]
-		d11 := x[11] - y[11]
-		s0 += d8 * d8
-		s1 += d9 * d9
-		s2 += d10 * d10
-		s3 += d11 * d11
-		d12 := x[12] - y[12]
-		d13 := x[13] - y[13]
-		d14 := x[14] - y[14]
-		d15 := x[15] - y[15]
-		s0 += d12 * d12
-		s1 += d13 * d13
-		s2 += d14 * d14
-		s3 += d15 * d15
-		if s := (s0 + s1) + (s2 + s3); s > limit {
-			return s, false
-		}
-	}
-	for ; j+4 <= len(a); j += 4 {
-		x := a[j : j+4 : j+4]
-		y := b[j : j+4 : j+4]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; j < len(a); j++ {
-		d := a[j] - b[j]
-		s0 += d * d
-	}
-	sum := (s0 + s1) + (s2 + s3)
-	return sum, sum <= limit
-}
-
 // screenTailDist2 continues a screened evaluation over the packed tail
-// dimensions, starting from the already-computed prefix partial sum. It
-// reports whether the candidate survives: the combined sum is an any-order
-// summation of exactly the rounded non-negative terms dist2 adds over all
-// dimensions, so the screenDist2 rejection guarantee applies unchanged —
-// a strict excess over bound·screenSlack proves the reference-order total
-// strictly exceeds bound.
+// dimensions, starting from the already-computed prefix partial sum, with
+// four independent accumulators and a rejection checkpoint after every
+// 16-dimension block. It reports whether the candidate survives: the
+// combined sum is an any-order summation of exactly the rounded
+// non-negative terms dist2 adds over all dimensions, so a strict excess
+// over bound·screenSlack proves the reference-order total strictly exceeds
+// bound — such a candidate can never displace the current best, nor tie
+// it. The comparisons are strictly-greater (not ≥) so a bound of 0 cannot
+// silently reject an exact-duplicate candidate whose smaller column index
+// would win the reference tie-break. A survivor MAY beat or tie bound; the
+// caller confirms it with the reference-order dist2.
 func screenTailDist2(a, b []float64, prefix, bound float64) bool {
 	limit := bound * screenSlack
 	s0 := prefix
@@ -223,15 +146,7 @@ func screenTailDist2(a, b []float64, prefix, bound float64) bool {
 type scanCounters struct {
 	evals       int64 // evaluations started (survived every cheap bound)
 	normPruned  int64 // rejected by the norm window or segment-norm bound
-	quantPruned int64 // rejected by the quantized integer prefix bound
 	earlyExited int64 // aborted by the prefix or tail partial-distance screen
-}
-
-func (c *scanCounters) add(o scanCounters) {
-	c.evals += o.evals
-	c.normPruned += o.normPruned
-	c.quantPruned += o.quantPruned
-	c.earlyExited += o.earlyExited
 }
 
 // screenPrefix is the width of the packed prefix array: the first
@@ -245,167 +160,149 @@ func (c *scanCounters) add(o scanCounters) {
 // only prefix survivors touch the full row.
 const screenPrefix = 16
 
-// screenSegments is the granularity of the segment-norm lower bound: the
-// screen-order dimensions are split into this many contiguous segments and
-// each row stores the Euclidean norm of every segment. For rows a, b with
-// segment-norm vectors u, w the bound Σ_g(u_g−w_g)² = ‖u−w‖² satisfies
-// ‖u−w‖² ≥ (‖u‖−‖w‖)² — it always dominates the global norm bound — and
-// ‖u−w‖² ≤ ‖a−b‖² (reverse triangle inequality per segment), so it is a
-// valid O(1) filter that rejects candidates whose mass is distributed
-// differently across the feature space even when their total norms match —
-// exactly the candidates the norm window cannot separate. At 32 bytes per
-// candidate (packed, walk order) it costs a quarter of a prefix probe.
-const screenSegments = 4
+// The segment-norm split: segPre even splits of the screen prefix and
+// segTail of the tail, per row. For rows a, b with segment-norm vectors u,
+// w the bound Σ_g(u_g−w_g)² = ‖u−w‖² satisfies ‖u−w‖² ≤ ‖a−b‖² (reverse
+// triangle inequality per segment) and ‖u−w‖² ≥ (‖u‖−‖w‖)² = (‖a‖−‖b‖)²,
+// so it is a valid O(1) filter that always dominates the plain norm gap and
+// also rejects candidates whose mass sits in different feature regions even
+// when their total norms match. Because the tail segments cover exactly the
+// tail dimensions, their squared gaps alone lower-bound the tail's
+// contribution — the bound the prefix screen folds in.
+const (
+	segPre  = 4
+	segTail = 12
+	nseg    = segPre + segTail
+)
 
-// engine bundles the weighted flat matrices, their precomputed row norms,
-// and a search-ready layout of the problem:
+// engine bundles the weighted flat matrices and a search-ready layout of
+// the problem:
 //
-//   - secS holds the security rows with dimensions permuted by descending
-//     wild-pool variance (screen order). The screening kernels may sum
-//     squared terms in any order (their slack covers reordering error), so
-//     high-spread dimensions first makes the partial sum cross the
-//     rejection bound as early as possible.
+//   - Dimensions are permuted by descending wild-pool variance (screen
+//     order). The screening kernels may sum squared terms in any order
+//     (their slack covers reordering error), so high-spread dimensions first
+//     makes the partial sum cross the rejection bound as early as possible.
 //   - The wild pool is stored sorted by ascending row norm (wldNS; orig
 //     maps a sorted position back to the original wild index), split into
 //     packed screen-order stripes that match the access pattern of the
-//     staged rejection: wldG (segment norms, 32 B/candidate), wldP (the
-//     first pw screen-order dimensions, see screenPrefix), and wldT (the
-//     remaining tw dimensions, touched only by prefix survivors). The scan
-//     walks each security row's norm neighborhood outward from a binary-
-//     searched start, so every column outside the current bound's norm
-//     window is skipped in bulk without even an O(1) per-column test, and
-//     each surviving stage reads only the stripe it needs — sequentially,
-//     because stripes are packed in walk order.
-//   - secOrder lists security rows by ascending norm — the processing order
-//     of the scan phase. Consecutive rows then walk strongly overlapping
-//     norm windows, so the window's stripe data stays cache-resident from
-//     one row to the next.
+//     staged rejection: wldSegs (nseg segment norms, 128 B/candidate), wldP
+//     (the first pw screen-order dimensions, see screenPrefix), and wldT
+//     (the remaining tw dimensions, touched only by prefix survivors). A
+//     scan walks each security row's norm neighborhood outward from its
+//     binary-searched position, so every column outside the current bound's
+//     norm window is skipped in bulk, and each surviving stage reads only
+//     the stripe it needs — sequentially, because stripes are packed in walk
+//     order.
+//   - The security rows are mirrored in scan order (ascending norm, index
+//     t): secS holds the screen-order rows and secSegs their segment norms,
+//     so the rows of one block are contiguous, and consecutive rows walk
+//     strongly overlapping norm windows.
 //
 // Reference-order confirmation always reads the original matrices.
 type engine struct {
-	sec, wld   *Matrix
-	secN, wldN []float64 // Euclidean norms of the weighted rows
-	secS       *Matrix   // screen-order copy of sec
-	secG       []float64 // m×screenSegments segment norms of secS rows
-	wldNS      []float64 // sorted wild row norms, ascending
-	orig       []int     // sorted position -> original wild index
-	wldG       []float64 // n×screenSegments packed segment norms, walk order
-	wldP       []float64 // n×pw packed screen-order prefixes, walk order
-	wldT       []float64 // n×tw packed screen-order tails, walk order
-	pw, tw     int       // stripe widths: pw+tw = cols
-	secOrder   []int     // security rows by (norm, index) — scan order
+	sec, wld *Matrix
+	secOrder []int     // scan order: security rows by (norm, index)
+	rank     []int     // original security row -> scan-order position
+	secN     []float64 // security row norms, scan order
+	secMid   []int     // each scan-order row's norm position in wldNS
+	secS     *Matrix   // screen-order security rows, scan order
+	secSegs  []float64 // m×nseg segment norms of secS rows
+	wldNS    []float64 // sorted wild row norms, ascending
+	orig     []int     // sorted position -> original wild index
+	wldSegs  []float64 // n×nseg packed segment norms, walk order
+	wldP     []float64 // n×pw packed screen-order prefixes, walk order
+	wldT     []float64 // n×tw packed screen-order tails, walk order
+	pw, tw   int       // stripe widths: pw+tw = cols
 }
 
 func newEngine(sec, wld *Matrix) *engine {
 	perm := screenPerm(wld)
-	wldN := rowNorms(wld)
-	n, cols := wld.rows, wld.cols
-
-	// Order wild columns by (norm, original index) — deterministic, so every
-	// Stats counter is a pure function of the input.
-	orig := make([]int, n)
-	for j := range orig {
-		orig[j] = j
-	}
-	sort.Slice(orig, func(a, b int) bool {
-		if wldN[orig[a]] != wldN[orig[b]] {
-			return wldN[orig[a]] < wldN[orig[b]]
-		}
-		return orig[a] < orig[b]
-	})
 	pw := screenPrefix
-	if cols < pw {
-		pw = cols
+	if wld.cols < pw {
+		pw = wld.cols
 	}
-	tw := cols - pw
-	wldNS := make([]float64, n)
-	wldG := make([]float64, n*screenSegments)
-	wldP := make([]float64, n*pw)
-	wldT := make([]float64, n*tw)
-	scratch := make([]float64, cols)
-	for k, j := range orig {
-		src := wld.Row(j)
-		for t, p := range perm {
-			scratch[t] = src[p]
-		}
-		copy(wldP[k*pw:(k+1)*pw], scratch[:pw])
-		copy(wldT[k*tw:(k+1)*tw], scratch[pw:])
-		segmentNorms(scratch, wldG[k*screenSegments:(k+1)*screenSegments], pw)
-		wldNS[k] = wldN[j]
-	}
+	e := &engine{sec: sec, wld: wld, pw: pw, tw: wld.cols - pw}
 
+	// Order both sides by (norm, original index) — deterministic, so every
+	// Stats counter is a pure function of the input.
+	wldN := rowNorms(wld)
+	e.orig = normOrder(wldN)
 	secN := rowNorms(sec)
-	secOrder := make([]int, sec.rows)
-	for i := range secOrder {
-		secOrder[i] = i
-	}
-	sort.Slice(secOrder, func(a, b int) bool {
-		if secN[secOrder[a]] != secN[secOrder[b]] {
-			return secN[secOrder[a]] < secN[secOrder[b]]
-		}
-		return secOrder[a] < secOrder[b]
-	})
+	e.secOrder = normOrder(secN)
 
-	e := &engine{
-		sec: sec, wld: wld,
-		secN: secN, wldN: wldN,
-		secS:  permuteCols(sec, perm),
-		wldNS: wldNS, orig: orig,
-		wldG: wldG, wldP: wldP, wldT: wldT,
-		pw: pw, tw: tw,
-		secOrder: secOrder,
+	n, m := wld.rows, sec.rows
+	e.wldNS = make([]float64, n)
+	e.wldSegs = make([]float64, n*nseg)
+	e.wldP = make([]float64, n*pw)
+	e.wldT = make([]float64, n*e.tw)
+	row := make([]float64, wld.cols)
+	for k, j := range e.orig {
+		permute(row, wld.Row(j), perm)
+		pre := e.wldP[k*pw : (k+1)*pw]
+		tail := e.wldT[k*e.tw : (k+1)*e.tw]
+		copy(pre, row[:pw])
+		copy(tail, row[pw:])
+		fillSegNorms(e.wldSegs[k*nseg:(k+1)*nseg], pre, tail)
+		e.wldNS[k] = wldN[j]
 	}
-	e.secG = make([]float64, sec.rows*screenSegments)
-	for i := 0; i < sec.rows; i++ {
-		segmentNorms(e.secS.Row(i), e.secG[i*screenSegments:(i+1)*screenSegments], pw)
+
+	e.rank = make([]int, m)
+	e.secN = make([]float64, m)
+	e.secMid = make([]int, m)
+	e.secS = NewMatrix(m, sec.cols)
+	e.secSegs = make([]float64, m*nseg)
+	for t, i := range e.secOrder {
+		e.rank[i] = t
+		e.secN[t] = secN[i]
+		e.secMid[t] = sort.SearchFloat64s(e.wldNS, secN[i])
+		rowS := e.secS.Row(t)
+		permute(rowS, sec.Row(i), perm)
+		fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
 	}
 	return e
 }
 
-// segmentNorms fills out with the screenSegments per-segment Euclidean
-// norms of one screen-order row. Segment 0 covers exactly the prefix
-// dimensions [0, pw); the remaining segments split the tail evenly. The
-// alignment lets the scan reuse the tail segments (1..3) after the prefix
-// sum is known: dist² = partial_prefix + dist²_tail ≥ p + Σ_{g≥1} gap²_g,
-// a second rejection that costs one multiply-add on already-loaded data
-// instead of a tail-stripe read.
-func segmentNorms(row, out []float64, pw int) {
-	out[0] = math.Sqrt(dot(row[:pw], row[:pw]))
-	tail := row[pw:]
-	tcols := len(tail)
-	for g := 1; g < screenSegments; g++ {
-		lo := (g - 1) * tcols / (screenSegments - 1)
-		hi := g * tcols / (screenSegments - 1)
-		seg := tail[lo:hi]
-		out[g] = math.Sqrt(dot(seg, seg))
+// normOrder returns the row indices sorted by (norm, index).
+func normOrder(norms []float64) []int {
+	order := make([]int, len(norms))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if norms[order[a]] != norms[order[b]] {
+			return norms[order[a]] < norms[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
+// permute writes src with its dimensions reordered by perm into dst.
+func permute(dst, src []float64, perm []int) {
+	for k, j := range perm {
+		dst[k] = src[j]
 	}
 }
 
-// prefixDist2 is the first-stage screen: the squared distance restricted to
-// the packed prefix dimensions, summed with independent accumulators. Its
-// terms are a subset of the non-negative terms dist2 adds, so (up to the
-// reordering error screenSlack covers) it is a lower bound of the full
-// reference-order distance and may reject — never accept — candidates.
-func prefixDist2(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+4 <= len(a); j += 4 {
-		x := a[j : j+4 : j+4]
-		y := b[j : j+4 : j+4]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+// fillSegNorms writes the nseg segment norms of one screen-order row: the
+// Euclidean norms of segPre even contiguous splits of its prefix, then of
+// segTail even splits of its tail (the same deterministic ⌊len·s/parts⌋
+// boundaries on both sides of every comparison).
+func fillSegNorms(dst, pre, tail []float64) {
+	fillEvenSegNorms(dst[:segPre], pre)
+	fillEvenSegNorms(dst[segPre:nseg], tail)
+}
+
+func fillEvenSegNorms(dst, row []float64) {
+	parts := len(dst)
+	for s := 0; s < parts; s++ {
+		lo, hi := len(row)*s/parts, len(row)*(s+1)/parts
+		sum := 0.0
+		for _, v := range row[lo:hi] {
+			sum += v * v
+		}
+		dst[s] = math.Sqrt(sum)
 	}
-	for ; j < len(a); j++ {
-		d := a[j] - b[j]
-		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
 }
 
 // prefixScreen evaluates the prefix partial distance with a rejection
@@ -416,7 +313,10 @@ func prefixDist2(a, b []float64) float64 {
 // rounded value, and the final accumulator combination is monotone in each
 // part) — so a midway rejection coincides with the decision the full prefix
 // sum would have produced. Only wasted arithmetic is skipped; the rejected
-// set, and with it every Stats counter, is unchanged.
+// set, and with it every Stats counter, is unchanged. Its terms are a
+// subset of the non-negative terms dist2 adds, so (up to the reordering
+// error screenSlack covers) the partial sum lower-bounds the full
+// reference-order distance and may reject — never accept — candidates.
 func prefixScreen(a, b []float64, add, limit float64) (pd float64, live bool) {
 	var s0, s1, s2, s3 float64
 	j := 0
@@ -496,37 +396,26 @@ func screenPerm(wld *Matrix) []int {
 	return perm
 }
 
-// permuteCols copies m with its columns reordered by perm.
-func permuteCols(m *Matrix, perm []int) *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		for k, j := range perm {
-			dst[k] = src[j]
-		}
-	}
-	return out
-}
-
-// seedSpan is the per-side width of the bound-seeding sample: before its
-// outward walk, every security row evaluates the exact distance to its
-// 2·seedSpan nearest-norm wild rows. The smallest and second-smallest
-// sampled distances are upper bounds on the row's final best and second-best
-// (order statistics over a subset can only be ≥ those over the full set), so
-// the walk prunes against min(current, seeded) from its very first step —
-// before its own visits have tightened the running second-best.
+// seedSpan is the per-side width of the bound-seeding sample: before phase
+// 1 scans it, every security row evaluates the exact distance to its
+// 2·seedSpan nearest-norm wild rows. The second-smallest sampled distance
+// is an upper bound on the row's final second-best (order statistics over a
+// subset can only be ≥ those over the full set), so the scan prunes against
+// min(current, seeded) from its very first step — before its own visits
+// have tightened the running second-best.
 const seedSpan = 64
 
-// seedBounds samples the 2·seedSpan nearest-norm wild rows of security row i
-// and returns the smallest and second-smallest exact distances — valid upper
-// bounds for the row's final (best, second-best). The values are used only
-// as pruning bounds, never recorded as candidates, so the walk's
+// seedBound samples the 2·seedSpan nearest-norm wild rows of scan-order row
+// t and returns the second-smallest exact distance — a valid upper bound for
+// the row's final second-best over the whole pool. The value is used only
+// as a pruning bound, never recorded as a candidate, so the scan's
 // lexicographic state is built exclusively from its own confirmed visits.
-func (e *engine) seedBounds(i int, c *scanCounters) (float64, float64) {
-	row := e.sec.Row(i)
+// Rescans cannot use it: a sampled column may be taken, and a taken
+// column's distance is no upper bound on the free columns' second-best.
+func (e *engine) seedBound(t int, c *scanCounters) float64 {
+	row := e.sec.Row(e.secOrder[t])
 	n := len(e.wldNS)
-	lo := sort.SearchFloat64s(e.wldNS, e.secN[i]) - seedSpan
+	lo := e.secMid[t] - seedSpan
 	if lo < 0 {
 		lo = 0
 	}
@@ -547,222 +436,5 @@ func (e *engine) seedBounds(i int, c *scanCounters) (float64, float64) {
 			b2 = sum
 		}
 	}
-	return b1, b2
-}
-
-// Why the out-of-order scans below still reproduce the reference exactly:
-// the reference's ascending scan with strict-< updates computes the
-// lexicographically smallest (distance, column) pair — on equal distances
-// the earlier column wins — and, for the two-best variant, the two
-// lexicographically smallest pairs. A scan may therefore visit columns in
-// ANY order and produce identical results, provided (1) every update
-// comparison is lexicographic on (distance, original column index), and
-// (2) every rejection path — the bulk norm-window break, the segment-norm
-// bound, the prefix + tail-segment check, and the tail screen — rejects
-// only candidates whose reference-order distance is guaranteed STRICTLY
-// above the current bound, so a tie that would win by index can never be
-// discarded. All four rejections here use strictly-greater comparisons on
-// conservatively shaded/slacked bounds, which proves exactly that.
-
-// scanRowSorted2 computes security row i's lexicographic (best, second-best)
-// over the entire wild pool in one outward walk from the row's binary-
-// searched norm position. The pruning bound at every step is min(d2, ub) —
-// the eviction threshold for the (best, second) pair, capped by the row's
-// seeded upper bound. Pruning against ub is exact for the same reason
-// pruning against d2 is: both are ≥ the row's FINAL second-best at all
-// times, so a strictly-greater rejection can only drop candidates outside
-// the final two-best. Because the walk starts at the nearest-norm
-// candidates — the likeliest true matches — d2 collapses to near-final
-// within the first few visits, and once a side's norm gap alone proves
-// every remaining column of that side is strictly worse than the bound,
-// the whole remainder is skipped in bulk. Surviving columns pass the
-// segment-norm bound, the packed prefix screen, and the tail screen, and
-// only then pay for the reference-order dist2 — so every distance that
-// reaches a comparison is bit-identical to the reference's.
-func (e *engine) scanRowSorted2(i int, used []bool, c *scanCounters) (d1 float64, j1 int, d2 float64, j2 int) {
-	row := e.sec.Row(i)
-	rowS := e.secS.Row(i)
-	pre := rowS[:e.pw]
-	seg := e.secG[i*screenSegments : (i+1)*screenSegments : (i+1)*screenSegments]
-	na := e.secN[i]
-	n := len(e.wldNS)
-	// Rescans (used != nil) cannot use the seeded cap: the sampled columns
-	// may be taken, and a taken column's distance is no upper bound on the
-	// remaining pool's second-best.
-	ub := inf
-	if used == nil {
-		_, ub = e.seedBounds(i, c)
-	}
-	d1, d2 = inf, inf
-	j1, j2 = -1, -1
-	mid := sort.SearchFloat64s(e.wldNS, na)
-	// Right side: norms ≥ na, norm gap grows with k.
-	for k := mid; k < n; k++ {
-		b := d2
-		if ub < b {
-			b = ub
-		}
-		diff := e.wldNS[k] - na
-		if diff*diff*normBoundShade > b {
-			c.normPruned += int64(n - k)
-			break
-		}
-		if used != nil && used[e.orig[k]] {
-			continue
-		}
-		sg := e.wldG[k*screenSegments : (k+1)*screenSegments : (k+1)*screenSegments]
-		g0 := seg[0] - sg[0]
-		g1 := seg[1] - sg[1]
-		g2 := seg[2] - sg[2]
-		g3 := seg[3] - sg[3]
-		tailLb := (g1*g1 + g2*g2) + g3*g3
-		if (g0*g0+tailLb)*normBoundShade > b {
-			c.normPruned++
-			continue
-		}
-		c.evals++
-		p := prefixDist2(pre, e.wldP[k*e.pw:(k+1)*e.pw])
-		if p+tailLb*normBoundShade > b*screenSlack {
-			c.earlyExited++
-			continue
-		}
-		d1, j1, d2, j2 = e.confirm2(k, row, rowS, p, c, d1, j1, d2, j2, b)
-	}
-	// Left side: norms < na, norm gap grows as k decreases.
-	for k := mid - 1; k >= 0; k-- {
-		b := d2
-		if ub < b {
-			b = ub
-		}
-		diff := na - e.wldNS[k]
-		if diff*diff*normBoundShade > b {
-			c.normPruned += int64(k + 1)
-			break
-		}
-		if used != nil && used[e.orig[k]] {
-			continue
-		}
-		sg := e.wldG[k*screenSegments : (k+1)*screenSegments : (k+1)*screenSegments]
-		g0 := seg[0] - sg[0]
-		g1 := seg[1] - sg[1]
-		g2 := seg[2] - sg[2]
-		g3 := seg[3] - sg[3]
-		tailLb := (g1*g1 + g2*g2) + g3*g3
-		if (g0*g0+tailLb)*normBoundShade > b {
-			c.normPruned++
-			continue
-		}
-		c.evals++
-		p := prefixDist2(pre, e.wldP[k*e.pw:(k+1)*e.pw])
-		if p+tailLb*normBoundShade > b*screenSlack {
-			c.earlyExited++
-			continue
-		}
-		d1, j1, d2, j2 = e.confirm2(k, row, rowS, p, c, d1, j1, d2, j2, b)
-	}
-	return d1, j1, d2, j2
-}
-
-// confirm2 runs one prefix-surviving candidate through the tail screen
-// (continuing from the prefix sum, against bound — min of the current
-// second-best and the seeded cap) and, if it survives, the reference-order
-// confirmation and lexicographic two-best update.
-func (e *engine) confirm2(k int, row, rowS []float64, p float64, c *scanCounters, d1 float64, j1 int, d2 float64, j2 int, bound float64) (float64, int, float64, int) {
-	if !screenTailDist2(rowS[e.pw:], e.wldT[k*e.tw:(k+1)*e.tw], p, bound) {
-		c.earlyExited++
-		return d1, j1, d2, j2
-	}
-	j := e.orig[k]
-	sum := dist2(row, e.wld.Row(j))
-	if sum < d1 || (sum == d1 && j < j1) {
-		d2, j2 = d1, j1
-		d1, j1 = sum, j
-	} else if sum < d2 || (sum == d2 && j < j2) {
-		d2, j2 = sum, j
-	}
-	return d1, j1, d2, j2
-}
-
-// scanRowSortedBest is the single-best variant used by KNNSelect: it prunes
-// against min(best, ub) — the best distance directly (a tighter bound than
-// second-best), capped by the seeded best-distance upper bound.
-func (e *engine) scanRowSortedBest(i int, c *scanCounters) (best float64, bestJ int) {
-	row := e.sec.Row(i)
-	rowS := e.secS.Row(i)
-	pre := rowS[:e.pw]
-	seg := e.secG[i*screenSegments : (i+1)*screenSegments : (i+1)*screenSegments]
-	na := e.secN[i]
-	n := len(e.wldNS)
-	ub, _ := e.seedBounds(i, c)
-	best, bestJ = inf, -1
-	mid := sort.SearchFloat64s(e.wldNS, na)
-	for k := mid; k < n; k++ {
-		b := best
-		if ub < b {
-			b = ub
-		}
-		diff := e.wldNS[k] - na
-		if diff*diff*normBoundShade > b {
-			c.normPruned += int64(n - k)
-			break
-		}
-		sg := e.wldG[k*screenSegments : (k+1)*screenSegments : (k+1)*screenSegments]
-		g0 := seg[0] - sg[0]
-		g1 := seg[1] - sg[1]
-		g2 := seg[2] - sg[2]
-		g3 := seg[3] - sg[3]
-		tailLb := (g1*g1 + g2*g2) + g3*g3
-		if (g0*g0+tailLb)*normBoundShade > b {
-			c.normPruned++
-			continue
-		}
-		c.evals++
-		p := prefixDist2(pre, e.wldP[k*e.pw:(k+1)*e.pw])
-		if p+tailLb*normBoundShade > b*screenSlack {
-			c.earlyExited++
-			continue
-		}
-		best, bestJ = e.confirmBest(k, row, rowS, p, c, best, bestJ, b)
-	}
-	for k := mid - 1; k >= 0; k-- {
-		b := best
-		if ub < b {
-			b = ub
-		}
-		diff := na - e.wldNS[k]
-		if diff*diff*normBoundShade > b {
-			c.normPruned += int64(k + 1)
-			break
-		}
-		sg := e.wldG[k*screenSegments : (k+1)*screenSegments : (k+1)*screenSegments]
-		g0 := seg[0] - sg[0]
-		g1 := seg[1] - sg[1]
-		g2 := seg[2] - sg[2]
-		g3 := seg[3] - sg[3]
-		tailLb := (g1*g1 + g2*g2) + g3*g3
-		if (g0*g0+tailLb)*normBoundShade > b {
-			c.normPruned++
-			continue
-		}
-		c.evals++
-		p := prefixDist2(pre, e.wldP[k*e.pw:(k+1)*e.pw])
-		if p+tailLb*normBoundShade > b*screenSlack {
-			c.earlyExited++
-			continue
-		}
-		best, bestJ = e.confirmBest(k, row, rowS, p, c, best, bestJ, b)
-	}
-	return best, bestJ
-}
-
-func (e *engine) confirmBest(k int, row, rowS []float64, p float64, c *scanCounters, best float64, bestJ int, bound float64) (float64, int) {
-	if !screenTailDist2(rowS[e.pw:], e.wldT[k*e.tw:(k+1)*e.tw], p, bound) {
-		c.earlyExited++
-		return best, bestJ
-	}
-	j := e.orig[k]
-	if sum := dist2(row, e.wld.Row(j)); sum < best || (sum == best && j < bestJ) {
-		best, bestJ = sum, j
-	}
-	return best, bestJ
+	return b2
 }

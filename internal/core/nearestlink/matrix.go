@@ -48,17 +48,21 @@ func MatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// flatten copies pre-validated rows into flat storage (internal fast path;
-// callers must have run validateDims).
-func flatten(rows [][]float64) *Matrix {
+// flatten copies pre-validated rows of set s into flat storage (internal
+// fast path; callers must have run validateDims), rejecting non-finite
+// values on the way.
+func flatten(s int, rows [][]float64) (*Matrix, error) {
 	if len(rows) == 0 {
-		return &Matrix{}
+		return &Matrix{}, nil
 	}
 	m := NewMatrix(len(rows), len(rows[0]))
 	for i, r := range rows {
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
+		if err := checkFinite(s, i, r); err != nil {
+			return nil, err
+		}
+		copy(m.Row(i), r)
 	}
-	return m
+	return m, nil
 }
 
 // Rows returns the row count.
@@ -115,8 +119,9 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // weightsFlat computes the max-abs weights w_j = 1/max|a_j| over the rows
-// of all provided matrices (they must share a column count).
-func weightsFlat(sets ...*Matrix) []float64 {
+// of all provided matrices (they must share a column count), rejecting
+// non-finite values on the way.
+func weightsFlat(sets ...*Matrix) ([]float64, error) {
 	dim := 0
 	for _, s := range sets {
 		if s != nil && s.rows > 0 {
@@ -125,12 +130,15 @@ func weightsFlat(sets ...*Matrix) []float64 {
 		}
 	}
 	w := make([]float64, dim)
-	for _, s := range sets {
-		if s == nil {
+	for s, set := range sets {
+		if set == nil {
 			continue
 		}
-		for i := 0; i < s.rows; i++ {
-			row := s.Row(i)
+		for i := 0; i < set.rows; i++ {
+			row := set.Row(i)
+			if err := checkFinite(s, i, row); err != nil {
+				return nil, err
+			}
 			for j, v := range row {
 				if v < 0 {
 					v = -v
@@ -148,7 +156,7 @@ func weightsFlat(sets ...*Matrix) []float64 {
 			w[j] = 1 / w[j]
 		}
 	}
-	return w
+	return w, nil
 }
 
 // applyWeights scales every row of m by w in place.

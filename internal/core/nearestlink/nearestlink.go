@@ -45,28 +45,6 @@ type Link struct {
 type Options struct {
 	// Workers bounds parallelism (default: GOMAXPROCS).
 	Workers int
-	// BlockRows is the seed-major block height of the scan phase: how many
-	// consecutive ascending-norm security rows share each pass over a wild
-	// column (default defaultBlockRows). Affects throughput and the Stats
-	// pruning counters, never the links.
-	BlockRows int
-	// ShardCols is the wild-pool shard width of the scan phase in
-	// norm-sorted columns (default defaultShardCols). Like BlockRows it
-	// moves cost between pruning stages but never changes the links, and —
-	// unlike Workers — it is part of the deterministic counter contract:
-	// Stats at a fixed (BlockRows, ShardCols) are identical at any worker
-	// count.
-	ShardCols int
-	// Quantize controls the uint8-quantized integer pre-screen of the
-	// blocked scan. nil (the default) resolves by screen width: the integer
-	// screen pays for itself when each candidate's float stripes are wide
-	// enough that the 8x-smaller quantized rows change the memory picture
-	// (>= quantAutoDims dimensions); at bench-scale widths the measured
-	// float ladder is strictly faster, so auto leaves it off. &true forces
-	// it on, &false off. Like BlockRows and ShardCols this moves rejections
-	// between stages (QuantPruned vs the float screens) but never changes
-	// the links.
-	Quantize *bool
 	// DisableNormalization skips the max-abs weighting (ablation only; the
 	// paper always normalizes).
 	DisableNormalization bool
@@ -76,6 +54,15 @@ type Options struct {
 	// Registry, when non-nil, receives the engine counters and search
 	// latency of every call (see the Metric* names in this package).
 	Registry *telemetry.Registry
+
+	// blockRows (default defaultBlockRows) and shardCols (default
+	// defaultShardCols) shape phase 1's task grid: how many consecutive
+	// scan-order security rows share a pass over a wild column, and how
+	// many norm-sorted columns one task covers. They move cost between
+	// pruning stages, and with it the Stats counters, but never the links;
+	// Stats at a fixed pair are identical at any worker count. Only tests
+	// set them, to get multi-cell grids at small shapes.
+	blockRows, shardCols int
 }
 
 func (o *Options) resolved() Options {
@@ -101,14 +88,11 @@ type Stats struct {
 	// bound — the bulk norm-window skip (counted per column skipped) or the
 	// per-candidate segment-norm bound — before any row data was touched.
 	NormPruned int64
-	// QuantPruned counts candidates rejected by the uint8-quantized integer
-	// prefix bound — after the norm bounds, before any float64 row data.
-	QuantPruned int64
 	// EarlyExited counts evaluations aborted by a partial-distance bound —
 	// the packed-prefix screen or the tail screen — before reaching the
 	// last dimension.
 	EarlyExited int64
-	// PrunedFraction is (NormPruned+QuantPruned+EarlyExited) / candidates
+	// PrunedFraction is (NormPruned+EarlyExited) / candidates
 	// considered: the fraction of candidate pairs that never paid for a
 	// full d-dimensional evaluation.
 	PrunedFraction float64
@@ -117,8 +101,9 @@ type Stats struct {
 	// SecondBestHits counts column collisions resolved from the cached
 	// runner-up column without rescanning the row.
 	SecondBestHits int
-	// Rescans counts full row rescans on column collisions (Algorithm 1
-	// lines 10-15) that the runner-up cache could not absorb.
+	// Rescans counts row rescans over the unused columns on column
+	// collisions (Algorithm 1 lines 10-15) that the runner-up cache could
+	// not absorb.
 	Rescans int
 	// Duration is the wall-clock time of the search.
 	Duration time.Duration
@@ -128,13 +113,12 @@ type Stats struct {
 func (s *Stats) addScan(c scanCounters) {
 	s.DistanceEvals += c.evals
 	s.NormPruned += c.normPruned
-	s.QuantPruned += c.quantPruned
 	s.EarlyExited += c.earlyExited
 }
 
 func (s *Stats) finish(start time.Time) {
-	if considered := s.NormPruned + s.QuantPruned + s.DistanceEvals; considered > 0 {
-		s.PrunedFraction = float64(s.NormPruned+s.QuantPruned+s.EarlyExited) / float64(considered)
+	if considered := s.NormPruned + s.DistanceEvals; considered > 0 {
+		s.PrunedFraction = float64(s.NormPruned+s.EarlyExited) / float64(considered)
 	}
 	//lint:ignore determinism Stats.Duration is telemetry-only; link selection never reads it
 	s.Duration = time.Since(start)
@@ -146,7 +130,6 @@ type Totals struct {
 	Searches       int
 	DistanceEvals  int64
 	NormPruned     int64
-	QuantPruned    int64
 	EarlyExited    int64
 	HeapPops       int
 	SecondBestHits int
@@ -159,7 +142,6 @@ func (t *Totals) Add(s Stats) {
 	t.Searches++
 	t.DistanceEvals += s.DistanceEvals
 	t.NormPruned += s.NormPruned
-	t.QuantPruned += s.QuantPruned
 	t.EarlyExited += s.EarlyExited
 	t.HeapPops += s.HeapPops
 	t.SecondBestHits += s.SecondBestHits
@@ -173,7 +155,6 @@ func (t *Totals) Merge(o Totals) {
 	t.Searches += o.Searches
 	t.DistanceEvals += o.DistanceEvals
 	t.NormPruned += o.NormPruned
-	t.QuantPruned += o.QuantPruned
 	t.EarlyExited += o.EarlyExited
 	t.HeapPops += o.HeapPops
 	t.SecondBestHits += o.SecondBestHits
@@ -184,11 +165,11 @@ func (t *Totals) Merge(o Totals) {
 // PrunedFraction is the aggregate fraction of candidate pairs rejected
 // before a full-dimensional evaluation.
 func (t Totals) PrunedFraction() float64 {
-	considered := t.NormPruned + t.QuantPruned + t.DistanceEvals
+	considered := t.NormPruned + t.DistanceEvals
 	if considered == 0 {
 		return 0
 	}
-	return float64(t.NormPruned+t.QuantPruned+t.EarlyExited) / float64(considered)
+	return float64(t.NormPruned+t.EarlyExited) / float64(considered)
 }
 
 // String renders the totals as a one-line engine summary.
@@ -208,17 +189,31 @@ var ErrNoSecurityPatches = errors.New("nearestlink: empty security set")
 // rows do not all share one dimensionality.
 var ErrDimensionMismatch = errors.New("nearestlink: feature dimension mismatch")
 
+// ErrNonFinite is returned (wrapped, with set, row and column detail) when
+// a feature value is NaN or ±Inf. Such a value has no place in the distance
+// order: a NaN distance never wins a comparison, so its row would get no
+// column, and an infinite value zeroes its dimension's max-abs weight,
+// turning Inf·0 into NaN.
+var ErrNonFinite = errors.New("nearestlink: non-finite feature value")
+
+// setName names the s-th set of a (security, wild) argument list in error
+// detail.
+func setName(s int) string {
+	switch s {
+	case 0:
+		return "security"
+	case 1:
+		return "wild"
+	}
+	return "set"
+}
+
 // validateDims checks that every row of every set has the dimensionality of
 // the first row seen. Without this check, the distance kernels index past
 // the end of short rows and panic.
 func validateDims(sets ...[][]float64) error {
 	dim := -1
-	names := []string{"security", "wild"}
 	for s, set := range sets {
-		name := "set"
-		if s < len(names) {
-			name = names[s]
-		}
 		for i, row := range set {
 			if dim == -1 {
 				dim = len(row)
@@ -226,7 +221,32 @@ func validateDims(sets ...[][]float64) error {
 			}
 			if len(row) != dim {
 				return fmt.Errorf("%w: %s row %d has %d features, want %d",
-					ErrDimensionMismatch, name, i, len(row), dim)
+					ErrDimensionMismatch, setName(s), i, len(row), dim)
+			}
+		}
+	}
+	return nil
+}
+
+// checkFinite returns a wrapped ErrNonFinite naming the first NaN or ±Inf
+// in row i of set s. Entry points call it from a pass they already make
+// over every value — flattening or weighting — and checkFiniteSets covers
+// the ones that make none.
+func checkFinite(s, i int, row []float64) error {
+	for j, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s row %d column %d is %v", ErrNonFinite, setName(s), i, j, v)
+		}
+	}
+	return nil
+}
+
+// checkFiniteSets runs checkFinite over every row of every set.
+func checkFiniteSets(sets ...[][]float64) error {
+	for s, set := range sets {
+		for i, row := range set {
+			if err := checkFinite(s, i, row); err != nil {
+				return err
 			}
 		}
 	}
@@ -235,7 +255,8 @@ func validateDims(sets ...[][]float64) error {
 
 // Weights computes the per-dimension max-abs weights w_j = 1/max|a_j| over
 // all provided rows (paper Sec. III-B-2). Ragged rows return a wrapped
-// ErrDimensionMismatch instead of indexing past the end of short rows.
+// ErrDimensionMismatch instead of indexing past the end of short rows, and
+// NaN or ±Inf values a wrapped ErrNonFinite.
 func Weights(sets ...[][]float64) ([]float64, error) {
 	if err := validateDims(sets...); err != nil {
 		return nil, err
@@ -248,8 +269,11 @@ func Weights(sets ...[][]float64) ([]float64, error) {
 		}
 	}
 	w := make([]float64, dim)
-	for _, s := range sets {
-		for _, row := range s {
+	for s, set := range sets {
+		for i, row := range set {
+			if err := checkFinite(s, i, row); err != nil {
+				return nil, err
+			}
 			for j, v := range row {
 				if a := math.Abs(v); a > w[j] {
 					w[j] = a
@@ -277,41 +301,95 @@ func canceled(ctx context.Context) error {
 // (greedily) minimized. It returns exactly min(M, N) links, identical to
 // ReferenceSearch's for any input and worker count. ctx is checked between
 // row chunks of the scan phase and periodically during assignment;
-// cancellation aborts the search with a wrapped context error.
+// cancellation aborts the search with a wrapped context error. Ragged rows
+// return a wrapped ErrDimensionMismatch, NaN or ±Inf values a wrapped
+// ErrNonFinite.
 func Search(ctx context.Context, security, wild [][]float64, opts *Options) ([]Link, error) {
-	if len(security) == 0 {
-		return nil, ErrNoSecurityPatches
-	}
-	if len(wild) == 0 {
-		return nil, ErrNoWildPatches
-	}
-	if err := validateDims(security, wild); err != nil {
+	sec, wld, err := flattenPair(security, wild)
+	if err != nil {
 		return nil, err
 	}
 	// The flat copies are owned by the search, so weighting can run in
 	// place without a second copy.
-	return searchFlat(ctx, flatten(security), flatten(wild), opts, true)
+	return searchFlat(ctx, sec, wld, opts, true)
 }
 
 // SearchMatrix is Search over pre-flattened matrices. The inputs are not
 // mutated: with normalization enabled the engine weights a private copy.
 func SearchMatrix(ctx context.Context, security, wild *Matrix, opts *Options) ([]Link, error) {
-	if security == nil || security.rows == 0 {
-		return nil, ErrNoSecurityPatches
-	}
-	if wild == nil || wild.rows == 0 {
-		return nil, ErrNoWildPatches
-	}
-	if security.cols != wild.cols {
-		return nil, fmt.Errorf("%w: security rows have %d features, wild rows %d",
-			ErrDimensionMismatch, security.cols, wild.cols)
+	if err := checkMatrixPair(security, wild); err != nil {
+		return nil, err
 	}
 	return searchFlat(ctx, security, wild, opts, false)
 }
 
-// searchFlat is the engine core. owned reports whether sec/wld are private
-// to this call (weighting may mutate them) or caller-visible (weighting
-// must copy).
+// flattenPair validates and flattens the [][]float64 inputs of Search and
+// KNNSelect; the copy is also the pass that rejects non-finite values.
+func flattenPair(security, wild [][]float64) (*Matrix, *Matrix, error) {
+	if len(security) == 0 {
+		return nil, nil, ErrNoSecurityPatches
+	}
+	if len(wild) == 0 {
+		return nil, nil, ErrNoWildPatches
+	}
+	if err := validateDims(security, wild); err != nil {
+		return nil, nil, err
+	}
+	sec, err := flatten(0, security)
+	if err != nil {
+		return nil, nil, err
+	}
+	wld, err := flatten(1, wild)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sec, wld, nil
+}
+
+// checkMatrixPair validates the shapes of SearchMatrix and KNNSelectMatrix
+// inputs; their values are checked by prepare.
+func checkMatrixPair(security, wild *Matrix) error {
+	if security == nil || security.rows == 0 {
+		return ErrNoSecurityPatches
+	}
+	if wild == nil || wild.rows == 0 {
+		return ErrNoWildPatches
+	}
+	if security.cols != wild.cols {
+		return fmt.Errorf("%w: security rows have %d features, wild rows %d",
+			ErrDimensionMismatch, security.cols, wild.cols)
+	}
+	return nil
+}
+
+// prepare weights the inputs and builds the engine. owned reports whether
+// sec/wld are private copies made by flattening — which already rejected
+// non-finite values, and which weighting may mutate — or caller-visible
+// matrices that weighting must copy and that still need the check: the
+// weighting pass makes it, and with normalization disabled a pass of its
+// own does.
+func prepare(sec, wld *Matrix, o Options, owned bool) (*engine, error) {
+	if !o.DisableNormalization {
+		w, err := weightsFlat(sec, wld)
+		if err != nil {
+			return nil, err
+		}
+		if owned {
+			applyWeights(sec, w)
+			applyWeights(wld, w)
+		} else {
+			sec = weightedClone(sec, w)
+			wld = weightedClone(wld, w)
+		}
+	} else if !owned {
+		if err := checkFiniteSets(sec.RowSlices(), wld.RowSlices()); err != nil {
+			return nil, err
+		}
+	}
+	return newEngine(sec, wld), nil
+}
+
+// searchFlat is the engine core.
 func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) ([]Link, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -320,35 +398,26 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 	//lint:ignore determinism search wall-clock feeds Stats.Duration (telemetry) only
 	start := time.Now()
 	stats := Stats{SecurityRows: sec.rows, WildCols: wld.rows}
-
-	if !o.DisableNormalization {
-		w := weightsFlat(sec, wld)
-		if owned {
-			applyWeights(sec, w)
-			applyWeights(wld, w)
-		} else {
-			sec = weightedClone(sec, w)
-			wld = weightedClone(wld, w)
-		}
+	e, err := prepare(sec, wld, o, owned)
+	if err != nil {
+		return nil, err
 	}
-	e := newEngine(sec, wld)
 	m, n := sec.rows, wld.rows
 
 	// Phase 1 — initial per-row (best, runner-up) minima (Algorithm 1
-	// lines 2-3) through the blocked, sharded candidate generator: seeded
-	// norm windows, then a task grid of (seed-row block × wild shard) cells
-	// whose per-shard two-bests merge into the global pairs (see block.go
-	// for the layout and the exactness argument). Visiting order does not
-	// matter for correctness: updates are lexicographic on (distance,
-	// original column) and all rejections are strictly conservative, so the
-	// result is identical to the reference's ascending scan (see kernel.go).
+	// lines 2-3) through the blocked, sharded scan kernel: seeded norm
+	// windows, then a task grid of (seed-row block × wild shard) cells whose
+	// per-shard two-bests merge into the global pairs (see block.go for the
+	// layout and the exactness argument). Visiting order does not matter for
+	// correctness: updates are lexicographic on (distance, original column)
+	// and all rejections are strictly conservative, so the result is
+	// identical to the reference's ascending scan.
 	u := make([]float64, m)
 	v := make([]int, m)
 	u2 := make([]float64, m)
 	v2 := make([]int, m)
 	sv := make([]bool, m) // runner-up cache valid
-	plan := newBlockPlan(e, o)
-	if err := plan.runBlocked(ctx, o, &stats, u, v, u2, v2); err != nil {
+	if err := newBlockPlan(e, o).runBlocked(ctx, o, &stats, u, v, u2, v2); err != nil {
 		return nil, err
 	}
 	for i := 0; i < m; i++ {
@@ -362,7 +431,8 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 	// when its column is still free (provably equal to a fresh rescan:
 	// only the contested best column could have beaten it, and used
 	// columns only shrink the candidate set); otherwise the row is
-	// rescanned over unused columns.
+	// rescanned over the unused columns as a one-row task of the same
+	// kernel.
 	used := make([]bool, n)
 	total := m
 	if n < m {
@@ -371,6 +441,7 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 	links := make([]Link, 0, total)
 	h := heapifyRowHeap(u)
 	var rescanCounters scanCounters
+	rescanScratch := newBlockScratch(1)
 	assigned := 0
 	for assigned < total && h.len() > 0 {
 		stats.HeapPops++
@@ -392,9 +463,9 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 			h.push(u[i], i)
 			continue
 		}
-		// Full rescan over the unused columns, refreshing the runner-up.
+		// Rescan over the unused columns, refreshing the runner-up.
 		stats.Rescans++
-		d1, j1, d2, j2 := e.scanRowSorted2(i, used, &rescanCounters)
+		d1, j1, d2, j2 := e.rescan(i, used, &rescanCounters, rescanScratch)
 		if j1 < 0 {
 			continue // no free column left for this row
 		}
@@ -461,33 +532,23 @@ func TotalDistance(links []Link) float64 {
 
 // KNNSelect is the contrast the paper draws in Sec. III-B-3: plain 1-nearest
 // -neighbor selection where a wild patch may be chosen by multiple verified
-// patches. It returns the set of distinct selected columns (size <= M),
-// used by the KNN-vs-nearest-link ablation. ctx is checked between row
-// chunks; cancellation aborts with a wrapped context error.
+// patches. It returns the set of distinct selected columns (size <= M) in
+// security-row order, used by the KNN-vs-nearest-link ablation. Each row's
+// choice is its first-index argmin over the whole pool — phase 1's best
+// column. ctx is checked between row chunks; cancellation aborts with a
+// wrapped context error.
 func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) ([]int, error) {
-	if len(security) == 0 {
-		return nil, ErrNoSecurityPatches
-	}
-	if len(wild) == 0 {
-		return nil, ErrNoWildPatches
-	}
-	if err := validateDims(security, wild); err != nil {
+	sec, wld, err := flattenPair(security, wild)
+	if err != nil {
 		return nil, err
 	}
-	return knnFlat(ctx, flatten(security), flatten(wild), opts, true)
+	return knnFlat(ctx, sec, wld, opts, true)
 }
 
 // KNNSelectMatrix is KNNSelect over pre-flattened matrices.
 func KNNSelectMatrix(ctx context.Context, security, wild *Matrix, opts *Options) ([]int, error) {
-	if security == nil || security.rows == 0 {
-		return nil, ErrNoSecurityPatches
-	}
-	if wild == nil || wild.rows == 0 {
-		return nil, ErrNoWildPatches
-	}
-	if security.cols != wild.cols {
-		return nil, fmt.Errorf("%w: security rows have %d features, wild rows %d",
-			ErrDimensionMismatch, security.cols, wild.cols)
+	if err := checkMatrixPair(security, wild); err != nil {
+		return nil, err
 	}
 	return knnFlat(ctx, security, wild, opts, false)
 }
@@ -500,24 +561,16 @@ func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) (
 	//lint:ignore determinism KNN wall-clock feeds Stats.Duration (telemetry) only
 	start := time.Now()
 	stats := Stats{SecurityRows: sec.rows, WildCols: wld.rows}
-	if !o.DisableNormalization {
-		w := weightsFlat(sec, wld)
-		if owned {
-			applyWeights(sec, w)
-			applyWeights(wld, w)
-		} else {
-			sec = weightedClone(sec, w)
-			wld = weightedClone(wld, w)
-		}
+	e, err := prepare(sec, wld, o, owned)
+	if err != nil {
+		return nil, err
 	}
-	e := newEngine(sec, wld)
 	m := sec.rows
-	best := make([]float64, m)
+	u := make([]float64, m)
 	choice := make([]int, m)
-	if err := e.parallelRows(ctx, o.Workers, m, &stats, func(t int, c *scanCounters) {
-		i := e.secOrder[t]
-		best[i], choice[i] = e.scanRowSortedBest(i, c)
-	}); err != nil {
+	u2 := make([]float64, m)
+	v2 := make([]int, m)
+	if err := newBlockPlan(e, o).runBlocked(ctx, o, &stats, u, choice, u2, v2); err != nil {
 		return nil, err
 	}
 	seen := make(map[int]bool, m)
@@ -537,7 +590,8 @@ func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) (
 }
 
 // DistanceMatrix materializes the full weighted distance matrix (tests and
-// small inputs only). Ragged rows return a wrapped ErrDimensionMismatch.
+// small inputs only). Ragged rows return a wrapped ErrDimensionMismatch,
+// NaN or ±Inf values a wrapped ErrNonFinite.
 func DistanceMatrix(security, wild [][]float64, normalize bool) ([][]float64, error) {
 	if err := validateDims(security, wild); err != nil {
 		return nil, err
@@ -550,6 +604,8 @@ func DistanceMatrix(security, wild [][]float64, normalize bool) ([][]float64, er
 		}
 		sec = weightedRows(security, w)
 		wld = weightedRows(wild, w)
+	} else if err := checkFiniteSets(security, wild); err != nil {
+		return nil, err
 	}
 	d := make([][]float64, len(sec))
 	for i, row := range sec {

@@ -322,21 +322,26 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestStatsDeterministicAcrossWorkers pins the deterministic-counter
-// contract of the blocked scan: at a fixed (BlockRows, ShardCols) the task
+// contract of the blocked scan: at a fixed (blockRows, shardCols) the task
 // grid, every task's visit order, and every pruning bound are independent of
-// the worker count, so the full Stats accounting — not just the links — must
-// be bit-identical at workers 1, 2, and 8. Duration is wall-clock telemetry
-// and is excluded.
+// the worker count, and rescans run serially in the greedy order, so the
+// full Stats accounting — not just the links — must be bit-identical at
+// workers 1, 2, and 8. Duration is wall-clock telemetry and is excluded.
 func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	sec := randRows(rng, 45, 12)
-	wild := randRows(rng, 700, 12)
-	on := true
-	for _, quant := range []*bool{nil, &on} {
-		// BlockRows 8 and ShardCols 128 give a 6x6 task grid at this shape,
+	// A generic instance, and a tie-heavy one whose greedy phase rescans.
+	instances := []struct {
+		name      string
+		sec, wild [][]float64
+	}{
+		{"gaussian", randRows(rng, 45, 12), randRows(rng, 700, 12)},
+		{"duplicates", genDuplicates(rng, 45, 12), genDuplicates(rng, 700, 12)},
+	}
+	for _, in := range instances {
+		// blockRows 8 and shardCols 128 give a 6x6 task grid at this shape,
 		// so the counters really do merge across many concurrently scanned
 		// cells.
-		base := Options{BlockRows: 8, ShardCols: 128, Quantize: quant}
+		base := Options{blockRows: 8, shardCols: 128}
 		var want Stats
 		var wantLinks []Link
 		for wi, workers := range []int{1, 2, 8} {
@@ -344,29 +349,27 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 			o.Workers = workers
 			var st Stats
 			o.Stats = &st
-			links, err := Search(bg, sec, wild, &o)
+			links, err := Search(bg, in.sec, in.wild, &o)
 			if err != nil {
-				t.Fatalf("quant=%v w=%d: %v", quant != nil, workers, err)
+				t.Fatalf("%s w=%d: %v", in.name, workers, err)
 			}
 			st.Duration = 0
 			if wi == 0 {
 				want, wantLinks = st, links
-				if quant != nil && st.QuantPruned == 0 {
-					t.Error("forced-on quantizer pruned nothing; counter contract untested")
+				if in.name == "duplicates" && st.Rescans == 0 {
+					t.Errorf("%s: no rescans; the rescan counters are untested", in.name)
 				}
 				continue
 			}
 			if st != want {
-				t.Errorf("quant=%v w=%d: stats diverge:\n got %+v\nwant %+v",
-					quant != nil, workers, st, want)
+				t.Errorf("%s w=%d: stats diverge:\n got %+v\nwant %+v", in.name, workers, st, want)
 			}
 			if len(links) != len(wantLinks) {
-				t.Fatalf("quant=%v w=%d: %d links, want %d", quant != nil, workers, len(links), len(wantLinks))
+				t.Fatalf("%s w=%d: %d links, want %d", in.name, workers, len(links), len(wantLinks))
 			}
 			for k := range links {
 				if links[k] != wantLinks[k] {
-					t.Fatalf("quant=%v w=%d: link %d = %+v, want %+v",
-						quant != nil, workers, k, links[k], wantLinks[k])
+					t.Fatalf("%s w=%d: link %d = %+v, want %+v", in.name, workers, k, links[k], wantLinks[k])
 				}
 			}
 		}
@@ -374,7 +377,7 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestLinksInvariantAcrossBlockAndShard pins the other half of the contract:
-// BlockRows and ShardCols move pruning decisions between stages (the
+// blockRows and shardCols move pruning decisions between stages (the
 // counters may change) but may never change the links. Every combination —
 // including degenerate single-row blocks and shards smaller than one sweep
 // tile — must reproduce the reference assignment bit-for-bit.
@@ -389,7 +392,7 @@ func TestLinksInvariantAcrossBlockAndShard(t *testing.T) {
 	for _, blockRows := range []int{1, 3, 16, 64} {
 		for _, shardCols := range []int{32, 100, 1000} {
 			got, err := Search(bg, sec, wild,
-				&Options{Workers: 4, BlockRows: blockRows, ShardCols: shardCols})
+				&Options{Workers: 4, blockRows: blockRows, shardCols: shardCols})
 			if err != nil {
 				t.Fatalf("block=%d shard=%d: %v", blockRows, shardCols, err)
 			}
@@ -496,48 +499,214 @@ func TestGreedyClosestPairAlwaysLinked(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalence pins the exactness contract of the fast kernels:
-// screening may never reject a candidate the reference-order dist2 would
-// accept (its rejection must be conservative under the reordering error of
-// float64 summation), and the shaded norm bound must never exceed the true
-// squared distance.
+// TestKernelEquivalence pins the exactness contract of the screens the scan
+// kernel runs: the 16-segment norm bound, and the prefix screen (with the
+// tail segments' bound folded in) followed by the tail screen. They read
+// screen-order (permuted) dimensions, and none of them may reject a pair
+// against a bound that its reference-order dist2 meets or ties — their
+// rejections must be conservative under the reordering error of float64
+// summation. The shaded norm bound must never exceed the true squared
+// distance either.
 func TestKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		d := 1 + rng.Intn(100)
 		a, b := make([]float64, d), make([]float64, d)
 		for j := range a {
-			a[j] = rng.NormFloat64() * 10
-			b[j] = rng.NormFloat64() * 10
+			if trial%2 == 0 {
+				a[j] = rng.NormFloat64() * 10
+				b[j] = rng.NormFloat64() * 10
+			} else {
+				// Binary-exact grid values: exact ties and zero gaps abound.
+				a[j] = 0.5 * float64(rng.Intn(4))
+				b[j] = 0.5 * float64(rng.Intn(4))
+			}
 		}
 		want := dist2(a, b)
-		got, maybe := screenDist2(a, b, inf)
-		if !maybe {
-			t.Fatalf("trial %d: screen rejected against an infinite bound", trial)
-		}
-		if rel := math.Abs(got-want) / math.Max(want, 1); rel > 1e-13 {
-			t.Fatalf("trial %d: screen sum %v vs dist2 %v (rel err %v)", trial, got, want, rel)
-		}
-		// No false rejection: any bound the reference-order value beats must
-		// survive screening.
-		for _, bound := range []float64{want * 1.000001, want + 1, want * 4} {
-			if want >= bound {
-				continue
+
+		// Screen order, split into prefix and tail as the engine does.
+		perm := rng.Perm(d)
+		sa, sb := make([]float64, d), make([]float64, d)
+		permute(sa, a, perm)
+		permute(sb, b, perm)
+		pw := min(screenPrefix, d)
+		ua, ub := make([]float64, nseg), make([]float64, nseg)
+		fillSegNorms(ua, sa[:pw], sa[pw:])
+		fillSegNorms(ub, sb[:pw], sb[pw:])
+		segLb, tailLb := 0.0, 0.0
+		for g := range ua {
+			gap := ua[g] - ub[g]
+			segLb += gap * gap
+			if g >= segPre {
+				tailLb += gap * gap
 			}
-			if _, maybe := screenDist2(a, b, bound); !maybe {
-				t.Fatalf("trial %d: screen rejected dist %v against bound %v", trial, want, bound)
+		}
+
+		// survives runs the kernel's ladder against bound: the segment
+		// bound, then the prefix screen with the tail bound, then the tail
+		// screen.
+		survives := func(bound float64) bool {
+			if segLb*normBoundShade > bound {
+				return false
+			}
+			pd, ok := prefixScreen(sa[:pw], sb[:pw], tailLb*normBoundShade, bound*screenSlack)
+			return ok && screenTailDist2(sa[pw:], sb[pw:], pd, bound)
+		}
+		// No false rejection: any bound the reference-order value meets or
+		// ties must survive every stage.
+		for _, bound := range []float64{want, want * 1.000001, want + 1, want * 4, inf} {
+			if !survives(bound) {
+				t.Fatalf("trial %d: ladder rejected dist %v against bound %v", trial, want, bound)
 			}
 		}
 		// True rejection against a bound clearly below the distance.
-		if want > 0 {
-			if _, maybe := screenDist2(a, b, want/2); maybe {
-				t.Fatalf("trial %d: bound %v not honored", trial, want/2)
-			}
+		if want > 0 && survives(want/2) {
+			t.Fatalf("trial %d: bound %v not honored for dist %v", trial, want/2, want)
 		}
 		na, nb := math.Sqrt(dot(a, a)), math.Sqrt(dot(b, b))
 		diff := na - nb
 		if lb := diff * diff * normBoundShade; lb > want {
 			t.Fatalf("trial %d: norm bound %v exceeds true distance %v", trial, lb, want)
+		}
+		if lb := segLb * normBoundShade; lb > want {
+			t.Fatalf("trial %d: segment bound %v exceeds true distance %v", trial, lb, want)
+		}
+	}
+}
+
+// TestNonFiniteRejected pins the input contract for NaN and ±Inf features:
+// every entry point returns a wrapped ErrNonFinite naming the set, row and
+// column, with normalization on and off, instead of panicking (the engine)
+// or silently dropping links (the reference).
+func TestNonFiniteRejected(t *testing.T) {
+	type entry struct {
+		name string
+		run  func(sec, wild [][]float64, o *Options) error
+	}
+	matrices := func(sec, wild [][]float64) (*Matrix, *Matrix) {
+		sm, err := MatrixFromRows(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm, err := MatrixFromRows(wild)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sm, wm
+	}
+	entries := []entry{
+		{"Search", func(sec, wild [][]float64, o *Options) error {
+			_, err := Search(bg, sec, wild, o)
+			return err
+		}},
+		{"SearchMatrix", func(sec, wild [][]float64, o *Options) error {
+			sm, wm := matrices(sec, wild)
+			_, err := SearchMatrix(bg, sm, wm, o)
+			return err
+		}},
+		{"KNNSelect", func(sec, wild [][]float64, o *Options) error {
+			_, err := KNNSelect(bg, sec, wild, o)
+			return err
+		}},
+		{"KNNSelectMatrix", func(sec, wild [][]float64, o *Options) error {
+			sm, wm := matrices(sec, wild)
+			_, err := KNNSelectMatrix(bg, sm, wm, o)
+			return err
+		}},
+		{"ReferenceSearch", func(sec, wild [][]float64, o *Options) error {
+			_, err := ReferenceSearch(sec, wild, o)
+			return err
+		}},
+		{"Weights", func(sec, wild [][]float64, _ *Options) error {
+			_, err := Weights(sec, wild)
+			return err
+		}},
+		{"DistanceMatrix", func(sec, wild [][]float64, o *Options) error {
+			_, err := DistanceMatrix(sec, wild, !o.DisableNormalization)
+			return err
+		}},
+	}
+	bad := []struct {
+		name string
+		v    float64
+	}{{"NaN", math.NaN()}, {"+Inf", math.Inf(1)}, {"-Inf", math.Inf(-1)}}
+	for _, e := range entries {
+		for _, b := range bad {
+			for set, setName := range []string{"security", "wild"} {
+				for _, disableNorm := range []bool{false, true} {
+					rng := rand.New(rand.NewSource(5))
+					sec, wild := randRows(rng, 6, 4), randRows(rng, 30, 4)
+					rows := sec
+					if set == 1 {
+						rows = wild
+					}
+					rows[3][2] = b.v
+					name := fmt.Sprintf("%s/%s/%s/norm=%v", e.name, b.name, setName, !disableNorm)
+					err := e.run(sec, wild, &Options{DisableNormalization: disableNorm})
+					if !errors.Is(err, ErrNonFinite) {
+						t.Errorf("%s: err = %v, want ErrNonFinite", name, err)
+						continue
+					}
+					if want := setName + " row 3 column 2"; !strings.Contains(err.Error(), want) {
+						t.Errorf("%s: error %q lacks %q", name, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKNNSelectMatchesBruteForce pins which columns KNNSelect picks: every
+// security row's first-index argmin of the reference-order distance over
+// the whole weighted pool, deduplicated in row order. Tie-heavy generators,
+// several seeds, two worker counts and multi-cell task grids cover the
+// blocked kernel's merge and tie-break paths.
+func TestKNNSelectMatchesBruteForce(t *testing.T) {
+	gens := []struct {
+		name string
+		fn   func(*rand.Rand, int, int) [][]float64
+	}{
+		{"gaussian", genGaussian},
+		{"grid", genGrid},
+		{"duplicates", genDuplicates},
+	}
+	for _, g := range gens {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			sec := g.fn(rng, 37, 9)
+			wild := g.fn(rng, 500, 9)
+			w, err := Weights(sec, wild)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, ww := weightedRows(sec, w), weightedRows(wild, w)
+			var want []int
+			seen := map[int]bool{}
+			for _, row := range ws {
+				best, bestJ := inf, -1
+				for j, col := range ww {
+					if d := dist2(row, col); d < best {
+						best, bestJ = d, j
+					}
+				}
+				if !seen[bestJ] {
+					seen[bestJ] = true
+					want = append(want, bestJ)
+				}
+			}
+			for _, workers := range []int{1, 3} {
+				for _, grid := range [][2]int{{0, 0}, {4, 64}, {1, 37}} {
+					o := &Options{Workers: workers, blockRows: grid[0], shardCols: grid[1]}
+					got, err := KNNSelect(bg, sec, wild, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s/seed=%d/w=%d/grid=%v", g.name, seed, workers, grid)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: KNNSelect = %v, brute force %v", name, got, want)
+					}
+				}
+			}
 		}
 	}
 }

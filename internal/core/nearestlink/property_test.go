@@ -66,6 +66,10 @@ func TestSearchMatchesReference(t *testing.T) {
 		{40, 25, 5}, // N < M again, multi-dim
 		{30, 300, 16},
 	}
+	// The comparison must reach the greedy phase's rescan path: at least one
+	// tie-heavy instance has to resolve collisions both from the runner-up
+	// cache and by rescanning.
+	rescanned := false
 	for _, g := range gens {
 		for si, sh := range shapes {
 			for _, disableNorm := range []bool{false, true} {
@@ -80,15 +84,22 @@ func TestSearchMatchesReference(t *testing.T) {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
 				for _, workers := range []int{1, 2, 8} {
+					var st Stats
 					got, err := Search(context.Background(), sec, wild,
-						&Options{DisableNormalization: disableNorm, Workers: workers})
+						&Options{DisableNormalization: disableNorm, Workers: workers, Stats: &st})
 					if err != nil {
 						t.Fatalf("%s w=%d: engine: %v", name, workers, err)
 					}
 					assertLinksIdentical(t, name, workers, want, got)
+					if g.name != "gaussian" && st.Rescans > 0 && st.SecondBestHits > 0 {
+						rescanned = true
+					}
 				}
 			}
 		}
+	}
+	if !rescanned {
+		t.Error("no tie-heavy instance both rescanned and hit the runner-up cache; the rescan path went untested")
 	}
 }
 
@@ -115,167 +126,6 @@ func TestSearchMatrixMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertLinksIdentical(t, "matrix", 2, want, got)
-}
-
-// TestQuantScreenAdmissibleAtBucketBoundaries fuzzes the quantized
-// pre-screen exactly where its affine bucket map is most fragile: values
-// sitting on (and one ULP either side of) quantization bucket boundaries,
-// where float rounding decides which bucket a value lands in. Whatever side
-// the rounding picks, the screen must stay admissible — reject() against a
-// pair's own exact squared distance must never fire, whether that distance
-// is summed in screen order or in a permuted (reference-like) order.
-func TestQuantScreenAdmissibleAtBucketBoundaries(t *testing.T) {
-	const pw, tw = 16, 44
-	d := pw + tw
-	rng := rand.New(rand.NewSource(90))
-
-	// Fit the quantizer from bulk data, exactly as the engine does.
-	fit := func(rows int) (p, tl []float64) {
-		p = make([]float64, rows*pw)
-		tl = make([]float64, rows*tw)
-		for i := range p {
-			p[i] = 100 * rng.Float64()
-		}
-		for i := range tl {
-			tl[i] = 100 * rng.Float64()
-		}
-		return p, tl
-	}
-	secP, secT := fit(64)
-	wldP, wldT := fit(512)
-	qz := newQuantizer(pw, tw, secP, secT, wldP, wldT)
-	if !qz.ok {
-		t.Fatal("quantizer self-disabled on non-degenerate data")
-	}
-
-	// boundaryValue picks, for dimension j, a value at bucket edge
-	// lo_j + k·step (k random), then nudges it 0 or ±1 ULP.
-	boundaryValue := func(j int) float64 {
-		inv := qz.inv[j/quantChunk]
-		if inv == 0 { // chunk self-disabled: no buckets to straddle
-			return qz.lo[j]
-		}
-		v := qz.lo[j] + float64(rng.Intn(256))/inv
-		switch rng.Intn(3) {
-		case 0:
-			return math.Nextafter(v, math.Inf(1))
-		case 1:
-			return math.Nextafter(v, math.Inf(-1))
-		}
-		return v
-	}
-
-	nsuf := quantSuffixCount(d)
-	perm := rng.Perm(d)
-	for trial := 0; trial < 500; trial++ {
-		a, b := make([]float64, d), make([]float64, d)
-		for j := 0; j < d; j++ {
-			a[j], b[j] = boundaryValue(j), boundaryValue(j)
-			if rng.Intn(4) == 0 {
-				b[j] = a[j] // exact collisions: bucket gap 0 or ±1 only
-			}
-		}
-		qa, qb := make([]uint8, d), make([]uint8, d)
-		qz.quantizeRow(qa, a[:pw], a[pw:])
-		qz.quantizeRow(qb, b[:pw], b[pw:])
-		sufA, sufB := make([]float64, nsuf), make([]float64, nsuf)
-		fillSuffixNorms(sufA, a[:pw], a[pw:])
-		fillSuffixNorms(sufB, b[:pw], b[pw:])
-
-		// The engine's bound is a reference-order dist2 sum; the screen runs
-		// over screen-order stripes. Check admissibility against both the
-		// in-order sum and a fixed permuted sum standing in for the
-		// reference's dimension order.
-		pa, pb := make([]float64, d), make([]float64, d)
-		for j, pj := range perm {
-			pa[j], pb[j] = a[pj], b[pj]
-		}
-		for _, exact := range []float64{dist2(a, b), dist2(pa, pb)} {
-			if qz.reject(qa, qb, sufA, sufB, exact) {
-				t.Fatalf("trial %d: screen rejected a boundary pair against its own distance² %g",
-					trial, exact)
-			}
-		}
-	}
-
-	// Sanity that the screen is not vacuously permissive: a pair separated by
-	// the full bucket range in every dimension has integer lower bound
-	// Σ step²·254² > 0 and must be rejected against half its own bound.
-	lo, hi := make([]float64, d), make([]float64, d)
-	lb := 0.0
-	for j := 0; j < d; j++ {
-		lo[j], hi[j] = qz.lo[j], qz.lo[j]
-		if inv := qz.inv[j/quantChunk]; inv != 0 {
-			step := 1 / inv
-			hi[j] += 255 * step
-			lb += step * step * 254 * 254
-		}
-	}
-	ql, qh := make([]uint8, d), make([]uint8, d)
-	qz.quantizeRow(ql, lo[:pw], lo[pw:])
-	qz.quantizeRow(qh, hi[:pw], hi[pw:])
-	sufL, sufH := make([]float64, nsuf), make([]float64, nsuf)
-	fillSuffixNorms(sufL, lo[:pw], lo[pw:])
-	fillSuffixNorms(sufH, hi[:pw], hi[pw:])
-	if !qz.reject(ql, qh, sufL, sufH, lb/2) {
-		t.Fatal("screen failed to reject a maximally separated pair against half its integer lower bound")
-	}
-}
-
-// TestQuantScreenEndToEndAdmissible runs the engine-level form of the same
-// property: with the quantized screen forced on over real stripes (built
-// through newEngine/newBlockPlan), a sampled pair may never be rejected
-// against its own reference-order distance.
-func TestQuantScreenEndToEndAdmissible(t *testing.T) {
-	gens := map[string]func(*rand.Rand, int, int) [][]float64{
-		"gaussian":   genGaussian,
-		"grid":       genGrid,
-		"duplicates": genDuplicates,
-	}
-	for name, gen := range gens {
-		rng := rand.New(rand.NewSource(21))
-		sec := gen(rng, 40, 24)
-		wild := gen(rng, 600, 24)
-		checked, err := VerifyQuantBound(sec, wild, nil, 5000, 13)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		// grid/duplicates instances can be degenerate enough to disable the
-		// quantizer; gaussian never is.
-		if name == "gaussian" && checked != 5000 {
-			t.Errorf("%s: checked %d pairs, want 5000", name, checked)
-		}
-	}
-}
-
-// TestSearchQuantizeForcedMatchesReference pins the gating contract of
-// Options.Quantize: forcing the quantized screen on or off moves rejections
-// between stages but never changes the links. The forced-on runs also
-// guarantee every seed row's screened candidate set kept its exact argmin —
-// otherwise some link would diverge from the reference's full scan.
-func TestSearchQuantizeForcedMatchesReference(t *testing.T) {
-	on, off := true, false
-	rng := rand.New(rand.NewSource(55))
-	type shape struct{ m, n, d int }
-	for _, sh := range []shape{{15, 200, 4}, {30, 400, 16}, {25, 800, 33}} {
-		sec := genGrid(rng, sh.m, sh.d) // binary-exact values: bucket-edge heavy
-		wild := genGrid(rng, sh.n, sh.d)
-		want, err := ReferenceSearch(sec, wild, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []*bool{&on, &off, nil} {
-			for _, workers := range []int{1, 2, 8} {
-				got, err := Search(context.Background(), sec, wild,
-					&Options{Workers: workers, Quantize: q})
-				if err != nil {
-					t.Fatalf("%dx%dx%d w=%d: %v", sh.m, sh.n, sh.d, workers, err)
-				}
-				name := fmt.Sprintf("%dx%dx%d/quant=%v", sh.m, sh.n, sh.d, q != nil && *q)
-				assertLinksIdentical(t, name, workers, want, got)
-			}
-		}
-	}
 }
 
 func assertLinksIdentical(t *testing.T, name string, workers int, want, got []Link) {

@@ -35,6 +35,8 @@ func ReferenceSearch(security, wild [][]float64, opts *Options) ([]Link, error) 
 		}
 		sec = weightedRows(security, w)
 		wld = weightedRows(wild, w)
+	} else if err := checkFiniteSets(security, wild); err != nil {
+		return nil, err
 	}
 
 	m := len(sec)

@@ -14,9 +14,6 @@ const (
 	MetricDistanceEvals = "nearestlink_distance_evals_total"
 	// MetricNormPruned counts candidates rejected by an O(1) norm bound.
 	MetricNormPruned = "nearestlink_norm_pruned_total"
-	// MetricQuantPruned counts candidates rejected by the quantized integer
-	// prefix bound.
-	MetricQuantPruned = "nearestlink_quant_pruned_total"
 	// MetricEarlyExited counts evaluations aborted by a partial-distance
 	// screen.
 	MetricEarlyExited = "nearestlink_early_exited_total"
@@ -40,7 +37,6 @@ func (s Stats) Publish(r *telemetry.Registry) {
 	r.Counter(MetricSearches).Inc()
 	r.Counter(MetricDistanceEvals).Add(float64(s.DistanceEvals))
 	r.Counter(MetricNormPruned).Add(float64(s.NormPruned))
-	r.Counter(MetricQuantPruned).Add(float64(s.QuantPruned))
 	r.Counter(MetricEarlyExited).Add(float64(s.EarlyExited))
 	r.Counter(MetricHeapPops).Add(float64(s.HeapPops))
 	r.Counter(MetricSecondBestHits).Add(float64(s.SecondBestHits))

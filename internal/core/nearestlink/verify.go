@@ -50,6 +50,8 @@ func VerifySampled(security, wild [][]float64, links []Link, opts *Options, samp
 		}
 		sec = weightedRows(security, w)
 		wld = weightedRows(wild, w)
+	} else if err := checkFiniteSets(security, wild); err != nil {
+		return 0, err
 	}
 	m, n := len(sec), len(wld)
 
@@ -134,54 +136,6 @@ func VerifySampled(security, wild [][]float64, links []Link, opts *Options, samp
 	}
 	wg.Wait()
 	return len(checks), firstErr
-}
-
-// VerifyQuantBound spot-checks the quantized pre-screen's admissibility
-// contract on real data. It rebuilds the engine's quantized stripes for the
-// given inputs with the screen forced on, samples (security, wild) pairs
-// deterministically, and asserts for each that the screen does not reject
-// the pair against the pair's OWN reference-order squared distance — the
-// exact property the screen's exactness argument rests on: a bound the true
-// distance meets must survive the integer lower bound and every suffix-norm
-// checkpoint (see the quantizer type comment in quant.go).
-//
-// It returns the number of pairs checked (0 when the quantizer self-disables
-// on degenerate data) and the first violation found, if any.
-func VerifyQuantBound(security, wild [][]float64, opts *Options, sample int, seed int64) (int, error) {
-	if len(security) == 0 || len(wild) == 0 || sample <= 0 {
-		return 0, nil
-	}
-	if err := validateDims(security, wild); err != nil {
-		return 0, err
-	}
-	o := opts.resolved()
-	sec, wld := flatten(security), flatten(wild)
-	if !o.DisableNormalization {
-		w := weightsFlat(sec, wld)
-		applyWeights(sec, w)
-		applyWeights(wld, w)
-	}
-	e := newEngine(sec, wld)
-	force := true
-	o.Quantize = &force
-	p := newBlockPlan(e, o)
-	if !p.qz.ok {
-		return 0, nil
-	}
-	m, n, qw, nsuf := sec.rows, wld.rows, p.qw, p.nsuf
-	rng := rand.New(rand.NewSource(seed))
-	for checked := 0; checked < sample; checked++ {
-		t, k := rng.Intn(m), rng.Intn(n)
-		i, j := e.secOrder[t], e.orig[k]
-		exact := dist2(e.sec.Row(i), e.wld.Row(j))
-		if p.qz.reject(p.ordQ[t*qw:(t+1)*qw], p.wldQ[k*qw:(k+1)*qw],
-			p.ordSuf[t*nsuf:(t+1)*nsuf], p.wldSuf[k*nsuf:(k+1)*nsuf], exact) {
-			return checked, fmt.Errorf(
-				"quant screen rejected security row %d vs wild column %d against its own distance² %g (inadmissible bound)",
-				i, j, exact)
-		}
-	}
-	return sample, nil
 }
 
 // verifyOneLink brute-force scans one security row over the columns unused

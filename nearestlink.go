@@ -46,7 +46,7 @@ func MatrixFromRows(rows [][]float64) (*Matrix, error) {
 // weighted Euclidean link distance. Feature weighting (max-abs
 // normalization) is applied internally. ctx is checked between scan chunks
 // and during assignment; cancellation aborts the search with a wrapped
-// context error.
+// context error. Ragged rows and NaN or ±Inf features return wrapped errors.
 func NearestLink(ctx context.Context, security, wild [][]float64, opts *NearestLinkOptions) ([]Link, error) {
 	return nearestlink.Search(ctx, security, wild, opts)
 }
@@ -58,8 +58,8 @@ func NearestLinkMatrix(ctx context.Context, security, wild *Matrix, opts *Neares
 }
 
 // FeatureWeights computes the per-dimension max-abs weights w_j = 1/max|a_j|
-// used to normalize the feature space (Sec. III-B-2). Ragged rows return a
-// wrapped error instead of panicking.
+// used to normalize the feature space (Sec. III-B-2). Ragged rows and NaN
+// or ±Inf values return a wrapped error instead of panicking.
 func FeatureWeights(sets ...[][]float64) ([]float64, error) {
 	return nearestlink.Weights(sets...)
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # scripts/ci.sh — the merge gate as one script, for environments without
 # GitHub Actions. Mirrors .github/workflows/ci.yml and `make ci`: build,
-# stock vet, the custom patchdb-lint suite, the test run, the race-enabled
+# the gofmt check, stock vet (of the program and of the perfbench benchmark
+# module), the custom patchdb-lint suite, the test run, the race-enabled
 # crash-safety suite, and the fully-verified nearest-link engine smoke
 # sweep. Exits non-zero on the first failure.
 set -eu
@@ -13,8 +14,19 @@ GO="${GO:-go}"
 echo "==> build"
 "$GO" build ./...
 
+echo "==> gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "ci: gofmt -l lists unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "==> vet"
 "$GO" vet ./...
+
+echo "==> vet (perfbench module)"
+(cd perfbench && "$GO" vet ./...)
 
 # The lint suite runs twice against one cache directory: the cold run also
 # writes the SARIF log CI uploads, the warm run proves the incremental
