@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet vet-perfbench lint race bench bench-nearestlink bench-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,18 @@ lint:
 # needs more than go test's default 10m package timeout.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# fuzz-smoke runs each fuzz target of the decoders of outside bytes for a
+# fixed 10s, one target at a time (go test fuzzes one target per run),
+# starting from its seed corpus (f.Add seeds plus testdata/fuzz): unified
+# diffs (diff FuzzParse), C source structure (cast FuzzParse), the diff
+# compute/apply round trip (FuzzComputeApply) and the C lexer (FuzzLex). A
+# crasher fails the target and is saved under its testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/diff/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cast/
+	$(GO) test -run '^$$' -fuzz '^FuzzComputeApply$$' -fuzztime 10s ./internal/diff/
+	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/ctoken/
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .
@@ -114,9 +126,9 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 # ci is the fast merge gate mirrored by .github/workflows/ci.yml and
 # scripts/ci.sh: build, the gofmt check, both static-analysis tiers (and
 # vet of the benchmark module), the plain test run, the race-enabled
-# observability-correlation and crash-safety suites, and the
-# fully-verified engine smoke sweep.
-ci: build fmt vet vet-perfbench lint test verify-obs verify-resume bench-smoke
+# observability-correlation and crash-safety suites, the fully-verified
+# engine smoke sweep, and the bounded fuzz run of the decoders.
+ci: build fmt vet vet-perfbench lint test verify-obs verify-resume bench-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

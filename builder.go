@@ -28,6 +28,7 @@ type Stage = pipeline.Stage
 // The pipeline stages reported through BuilderConfig.Progress and
 // BuildReport.Stages.
 const (
+	StageGenerate   = pipeline.StageGenerate
 	StageCrawl      = pipeline.StageCrawl
 	StageExtract    = pipeline.StageExtract
 	StageSearch     = pipeline.StageSearch
@@ -262,13 +263,20 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 		}
 	}
 
+	// Every stage is timed by the span that traces it: its End reading is
+	// the duration the stage accounting records.
+	_, genSpan := telemetry.Start(ctx, "generate")
 	gen := corpus.NewGenerator(corpus.Config{Seed: cfg.Seed})
 	nvdCommits := gen.GenerateNVD(cfg.NVDSize)
 	nonSec := gen.GenerateNonSecurity(cfg.NonSecuritySize)
+	generated := len(nvdCommits) + len(nonSec)
 	pools := make([][]*corpus.LabeledCommit, len(cfg.WildPools))
 	for i, n := range cfg.WildPools {
 		pools[i] = gen.GenerateWild(n)
+		generated += len(pools[i])
 	}
+	genSpan.SetAttr("items", generated)
+	metrics.Observe(StageGenerate, genSpan.End(), generated)
 
 	// Ground-truth labels for the verification oracle.
 	labels := make(map[string]bool)
@@ -339,8 +347,9 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 		if jr == nil {
 			return nil
 		}
-		stop := metrics.Timer(StageCheckpoint)
-		err := jr.Write(ctx, stage, buildState{
+		ckptCtx, ckptSpan := telemetry.Start(ctx, "checkpoint")
+		ckptSpan.SetAttr("stage", stage)
+		err := jr.Write(ckptCtx, stage, buildState{
 			Stage:              stage,
 			Dataset:            ds,
 			Crawl:              report.Crawl,
@@ -352,7 +361,7 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			HumanVerifications: verifier.Inspected(),
 			NextRound:          round,
 		})
-		stop(1)
+		metrics.Observe(StageCheckpoint, ckptSpan.End(), 1)
 		if err != nil {
 			return fmt.Errorf("build: checkpoint stage %q: %w", stage, err)
 		}
@@ -405,12 +414,15 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 					cfg.Progress(StageCrawl, done, total)
 				}
 			}
-			stopCrawl := metrics.Timer(StageCrawl)
+			// The crawler parents its own nvd.crawl span under build;
+			// this one times the stage.
+			_, crawlSpan := telemetry.Start(ctx, "crawl")
 			crawled, report.Crawl, err = crawler.Crawl(ctx)
+			elapsed := crawlSpan.End()
 			if err != nil {
 				return fmt.Errorf("crawl: %w", err)
 			}
-			stopCrawl(report.Crawl.Downloaded)
+			metrics.Observe(StageCrawl, elapsed, report.Crawl.Downloaded)
 			// Graceful degradation: quarantined downloads within the
 			// threshold are a warning (Degraded); beyond it the build fails
 			// rather than silently shipping a hollowed-out dataset.
@@ -449,16 +461,15 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 	} else {
 		// NVD-based dataset from the crawled patches; feature extraction
 		// runs on the worker pool, record assembly stays in feed order.
-		stopExtract := metrics.Timer(StageExtract)
 		_, seedSpan := telemetry.Start(ctx, "extract.seed")
 		seedSpan.SetAttr("items", len(crawled))
 		crawledFeatures, err := mapConcurrently(ctx, len(crawled), cfg.Workers, extractNotify,
 			func(i int) []float64 { return features.Extract(crawled[i].Patch, 0) })
-		seedSpan.End()
+		elapsed := seedSpan.End()
 		if err != nil {
 			return nil, nil, fmt.Errorf("build: extract nvd features: %w", err)
 		}
-		stopExtract(len(crawled))
+		metrics.Observe(StageExtract, elapsed, len(crawled))
 		seedFeatures = make([][]float64, 0, len(crawled))
 		for i, cp := range crawled {
 			lc, ok := byHash[cp.Hash]
@@ -501,26 +512,25 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("build: canceled before pool %d: %w", i+1, err)
 		}
-		stopExtract := metrics.Timer(StageExtract)
 		_, poolSpan := telemetry.Start(ctx, "extract.pool")
 		poolSpan.SetAttr("pool", i+1)
 		poolSpan.SetAttr("items", len(pool))
 		poolFeatures, err := mapConcurrently(ctx, len(pool), cfg.Workers, extractNotify,
 			func(j int) []float64 { return features.Extract(pool[j].Commit.Patch(), 0) })
-		poolSpan.End()
+		elapsed := poolSpan.End()
 		if err != nil {
 			return nil, nil, fmt.Errorf("build: extract pool %d features: %w", i+1, err)
 		}
-		stopExtract(len(pool))
+		metrics.Observe(StageExtract, elapsed, len(pool))
 		items := make([]augment.Item, len(pool))
 		for j, lc := range pool {
 			items[j] = augment.Item{ID: lc.Commit.Hash, Features: poolFeatures[j]}
 		}
 
-		stopAugment := metrics.Timer(StageAugment)
-		_, augSpan := telemetry.Start(ctx, "augment.pool")
+		// The rounds' nearestlink.search spans nest under the pool's span.
+		augCtx, augSpan := telemetry.Start(ctx, "augment.pool")
 		augSpan.SetAttr("pool", i+1)
-		res, err := augment.Run(ctx, seedFeatures, items, verifier, round, augment.Config{
+		res, err := augment.Run(augCtx, seedFeatures, items, verifier, round, augment.Config{
 			MaxRounds:      cfg.RoundsPerPool[i],
 			RatioThreshold: cfg.RatioThreshold,
 			Workers:        cfg.Workers,
@@ -531,10 +541,9 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			return nil, nil, fmt.Errorf("build: %w", err)
 		}
 		augSpan.SetAttr("rounds", len(res.Rounds))
-		augSpan.End()
-		stopAugment(len(res.Rounds))
+		metrics.Observe(StageAugment, augSpan.End(), len(res.Rounds))
 		for _, r := range res.Rounds {
-			metrics.Observe(StageSearch, r.SearchTime, r.SearchRange)
+			metrics.Observe(StageSearch, r.Search.Duration, r.SearchRange)
 		}
 		// The run's engine totals are snapshotted once by augment.Run after
 		// its final round, so the build report cannot under-count rescans.
@@ -569,7 +578,6 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 	} else if cfg.SyntheticPerPatch > 0 {
 		synthTotal := len(ds.NVD) + len(ds.Wild) + len(ds.NonSecurity)
 		synthNotify := pipeline.NewNotifier(StageSynthesize, synthTotal, cfg.Progress)
-		stopSynth := metrics.Timer(StageSynthesize)
 		_, synthSpan := telemetry.Start(ctx, "synthesize")
 		defer synthSpan.End()
 		ov := &oversample.Oversampler{MaxPerPatch: cfg.SyntheticPerPatch, Rand: rng}
@@ -606,9 +614,8 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 		if err := synthesize(ds.NonSecurity, false); err != nil {
 			return nil, nil, err
 		}
-		stopSynth(len(ds.Synthetic))
 		synthSpan.SetAttr("items", len(ds.Synthetic))
-		synthSpan.End()
+		metrics.Observe(StageSynthesize, synthSpan.End(), len(ds.Synthetic))
 		if err := writeCkpt(ckptStageOversample); err != nil {
 			return nil, nil, err
 		}
@@ -629,13 +636,7 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 // snapshot, and the trace buffer.
 func buildRunReport(hub *telemetry.Hub, report *BuildReport) *telemetry.RunReport {
 	rr := telemetry.NewRunReport("patchdb.Build", hub)
-	for _, st := range report.Stages {
-		rr.Stages = append(rr.Stages, telemetry.StageReport{
-			Stage:      string(st.Stage),
-			DurationNS: st.Duration.Nanoseconds(),
-			Items:      st.Items,
-		})
-	}
+	rr.Stages = pipeline.StageReports(report.Stages)
 	rr.Crawl = &telemetry.CrawlReport{
 		Entries:         report.Crawl.Entries,
 		WithPatchRefs:   report.Crawl.WithPatchRefs,

@@ -82,42 +82,46 @@ func run() error {
 	selected := func(id string) bool { return len(want) == 0 || want[id] }
 
 	fmt.Printf("PatchDB experiment harness — scale %s (seed %d)\n\n", scale.Name, scale.Seed)
-	start := time.Now()
+	// The run, the corpus and every experiment are timed by the spans that
+	// trace them on hub, so -trace-out shows one span per table.
+	ctx, runSpan := hub.Tracer.Start(context.Background(), "bench")
+	_, corpusSpan := hub.Tracer.Start(ctx, "bench.corpus")
 	lab := experiments.NewLab(scale)
 	fmt.Printf("corpus: %d NVD + %d non-security + %d/%d/%d wild commits (%.1fs)\n\n",
 		len(lab.NVD), len(lab.NonSec), len(lab.SetI), len(lab.SetII), len(lab.SetIII),
-		time.Since(start).Seconds())
+		corpusSpan.End().Seconds())
 
 	type experiment struct {
 		id  string
-		run func() (fmt.Stringer, error)
+		run func(context.Context) (fmt.Stringer, error)
 	}
 	all := []experiment{
-		{"II", func() (fmt.Stringer, error) { return lab.RunTableII() }},
-		{"III", func() (fmt.Stringer, error) { return lab.RunTableIII() }},
-		{"IV", func() (fmt.Stringer, error) { return lab.RunTableIV() }},
-		{"V", func() (fmt.Stringer, error) { return lab.RunTableV() }},
-		{"F6", func() (fmt.Stringer, error) { return lab.RunFigure6() }},
-		{"VI", func() (fmt.Stringer, error) { return lab.RunTableVI() }},
-		{"VII", func() (fmt.Stringer, error) { return lab.RunTableVII() }},
-		{"BUILD", func() (fmt.Stringer, error) { return runBuild(scale, *workers, hub, *telOut) }},
-		{"CHAOS", func() (fmt.Stringer, error) { return runChaos(scale.NVDSeed, scale.Seed, *workers) }},
-		{"NEARESTLINK", func() (fmt.Stringer, error) { return runNearestLink(scale, *workers, *smoke) }},
-		{"SERVE", func() (fmt.Stringer, error) { return runServe(scale, *workers) }},
+		{"II", func(context.Context) (fmt.Stringer, error) { return lab.RunTableII() }},
+		{"III", func(context.Context) (fmt.Stringer, error) { return lab.RunTableIII() }},
+		{"IV", func(context.Context) (fmt.Stringer, error) { return lab.RunTableIV() }},
+		{"V", func(context.Context) (fmt.Stringer, error) { return lab.RunTableV() }},
+		{"F6", func(context.Context) (fmt.Stringer, error) { return lab.RunFigure6() }},
+		{"VI", func(context.Context) (fmt.Stringer, error) { return lab.RunTableVI() }},
+		{"VII", func(context.Context) (fmt.Stringer, error) { return lab.RunTableVII() }},
+		{"BUILD", func(ctx context.Context) (fmt.Stringer, error) { return runBuild(ctx, scale, *workers, hub, *telOut) }},
+		{"CHAOS", func(context.Context) (fmt.Stringer, error) { return runChaos(scale.NVDSeed, scale.Seed, *workers) }},
+		{"NEARESTLINK", func(context.Context) (fmt.Stringer, error) { return runNearestLink(scale, *workers, *smoke) }},
+		{"SERVE", func(context.Context) (fmt.Stringer, error) { return runServe(scale, *workers) }},
 	}
 	for _, e := range all {
 		if !selected(e.id) {
 			continue
 		}
-		t0 := time.Now()
-		res, err := e.run()
+		expCtx, span := hub.Tracer.Start(ctx, "bench."+e.id)
+		res, err := e.run(expCtx)
+		took := span.End()
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.id, err)
 		}
 		fmt.Println(res)
-		fmt.Printf("[%s took %.1fs]\n\n", e.id, time.Since(t0).Seconds())
+		fmt.Printf("[%s took %.1fs]\n\n", e.id, took.Seconds())
 	}
-	fmt.Printf("total: %.1fs\n", time.Since(start).Seconds())
+	fmt.Printf("total: %.1fs\n", runSpan.End().Seconds())
 	if *traceOut != "" {
 		if err := hub.Tracer.WriteChromeTraceFile(*traceOut); err != nil {
 			return err
@@ -138,7 +142,7 @@ func (b buildResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("BUILD: end-to-end construction pipeline\n")
 	for _, r := range b.report.Rounds {
-		fmt.Fprintf(&sb, "  %s (search %s)\n", r, r.SearchTime.Round(time.Millisecond))
+		fmt.Fprintf(&sb, "  %s (search %s)\n", r, r.Search.Duration.Round(time.Millisecond))
 	}
 	if b.report.Search.Searches > 0 {
 		fmt.Fprintf(&sb, "  nearest-link engine: %s\n", b.report.Search)
@@ -155,12 +159,13 @@ func (b buildResult) String() string {
 
 // runBuild executes the full concurrent pipeline at the scale's sizes,
 // rendering live per-stage progress on stderr. The build publishes into hub
-// (so a -serve-metrics endpoint sees it live) and, when telemetryOut is
-// non-empty, writes its RunReport artifact there.
-func runBuild(scale experiments.Scale, workers int, hub *patchdb.TelemetryHub, telemetryOut string) (fmt.Stringer, error) {
+// (so a -serve-metrics endpoint sees it live), parents its spans under the
+// span in ctx, and, when telemetryOut is non-empty, writes its RunReport
+// artifact there.
+func runBuild(ctx context.Context, scale experiments.Scale, workers int, hub *patchdb.TelemetryHub, telemetryOut string) (fmt.Stringer, error) {
 	var mu sync.Mutex
 	lastPct := map[patchdb.Stage]int{}
-	ds, report, err := patchdb.Build(context.Background(), patchdb.BuilderConfig{
+	ds, report, err := patchdb.Build(ctx, patchdb.BuilderConfig{
 		Seed:            scale.Seed,
 		NVDSize:         scale.NVDSeed,
 		NonSecuritySize: scale.NonSecSeed,

@@ -10,12 +10,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"patchdb"
+	"patchdb/internal/pipeline"
 )
 
 func main() {
@@ -33,9 +35,15 @@ func run() error {
 	flag.Parse()
 
 	hub := patchdb.NewTelemetryHub()
-	metrics := patchdb.NewStageMetrics(hub)
+	metrics := pipeline.NewMetrics(hub.Registry)
+	// phase opens the span on hub that times one phase; stop records the
+	// span's reading and the phase's item count.
+	phase := func(name string) (stop func(items int)) {
+		_, span := hub.Tracer.Start(context.Background(), "stats."+name)
+		return func(items int) { metrics.Observe(pipeline.Stage(name), span.End(), items) }
+	}
 
-	stop := metrics.Timer("load")
+	stop := phase("load")
 	ds, err := patchdb.LoadDatasetFile(*in)
 	if err != nil {
 		return err
@@ -62,7 +70,7 @@ func run() error {
 	}
 
 	// Cross-check with the rule-based categorizer.
-	stop = metrics.Timer("categorize")
+	stop = phase("categorize")
 	agree, parsed := 0, 0
 	for _, r := range sec {
 		p, err := r.Patch()
@@ -81,7 +89,7 @@ func run() error {
 	}
 
 	if *patterns {
-		stop = metrics.Timer("mine-patterns")
+		stop = phase("mine-patterns")
 		templates, err := patchdb.MineDatasetFixPatterns(ds,
 			patchdb.FixPatternMiner{MinSupport: *minSupport, TopK: 3})
 		if err != nil {
@@ -94,13 +102,7 @@ func run() error {
 
 	if *telOut != "" {
 		rr := patchdb.NewRunReport("patchdb-stats", hub)
-		for _, st := range metrics.Snapshot() {
-			rr.Stages = append(rr.Stages, patchdb.RunReportStage{
-				Stage:      string(st.Stage),
-				DurationNS: st.Duration.Nanoseconds(),
-				Items:      st.Items,
-			})
-		}
+		rr.Stages = pipeline.StageReports(metrics.Snapshot())
 		if err := rr.WriteFile(*telOut); err != nil {
 			return err
 		}

@@ -40,12 +40,15 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
+
+	"patchdb/internal/telemetry"
 )
 
 // Analyzer is one named invariant check.
@@ -250,10 +253,10 @@ type UnitResult struct {
 
 // RunUnit executes the analyzers over one package unit with the given
 // imported facts, applies lint:ignore suppression, and returns the
-// surviving diagnostics (sorted), exported facts, and per-analyzer timing.
-// Malformed directives are reported under the "lintdirective" check and
-// cannot be suppressed.
-func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, clock func() int64) UnitResult {
+// surviving diagnostics (sorted), exported facts, and, when timed, the
+// per-analyzer timing. Malformed directives are reported under the
+// "lintdirective" check and cannot be suppressed.
+func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, timed bool) UnitResult {
 	var raw []Diagnostic
 	var malformed []Diagnostic
 	directives := make(map[string][]*ignoreDirective) // filename -> directives
@@ -266,6 +269,8 @@ func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, clock func(
 
 	exports := NewFactSet()
 	nanos := make(map[string]int64, len(analyzers))
+	// A span on a nil tracer measures without recording anywhere.
+	var untraced *telemetry.Tracer
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:   a,
@@ -275,13 +280,10 @@ func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, clock func(
 			exports:    exports,
 			directives: directives,
 		}
-		var start int64
-		if clock != nil {
-			start = clock()
-		}
+		_, span := untraced.Start(context.Background(), a.Name)
 		a.Run(pass)
-		if clock != nil {
-			nanos[a.Name] += clock() - start
+		if timed {
+			nanos[a.Name] += int64(span.End())
 		}
 	}
 
@@ -324,7 +326,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := NewFactSet()
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		res := RunUnit(pkg, analyzers, facts, nil)
+		res := RunUnit(pkg, analyzers, facts, false)
 		facts.Merge(res.Facts)
 		out = append(out, res.Diagnostics...)
 	}

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"patchdb/internal/atomicio"
 	"patchdb/internal/telemetry"
@@ -186,7 +185,7 @@ func (d *Driver) runUnit(u *unit, sig string) error {
 	for _, dep := range trans {
 		imported.Merge(dep.facts)
 	}
-	res := RunUnit(pkg, d.Analyzers, imported, func() int64 { return time.Now().UnixNano() })
+	res := RunUnit(pkg, d.Analyzers, imported, true)
 	u.diags = res.Diagnostics
 	u.facts = res.Facts
 	u.factsHash = res.Facts.Hash()

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"patchdb/internal/core/nearestlink"
 	"patchdb/internal/telemetry"
@@ -63,10 +62,9 @@ type Round struct {
 	Candidates  int
 	Verified    int // candidates verified as security patches
 	Ratio       float64
-	// SearchTime is the wall-clock cost of the round's nearest link search.
-	SearchTime time.Duration
 	// Search is the round's full nearest-link engine accounting (distance
-	// evaluations, pruned fraction, heap activity).
+	// evaluations, pruned fraction, heap activity, and the search's
+	// wall-clock Duration).
 	Search nearestlink.Stats
 }
 
@@ -138,7 +136,6 @@ func Run(ctx context.Context, seed [][]float64, pool []Item, verifier Verifier, 
 			Round:       startRound + round,
 			SearchRange: len(active),
 			Candidates:  len(links),
-			SearchTime:  searchStats.Duration,
 			Search:      searchStats,
 		}
 		selected := make(map[int]bool, len(links))

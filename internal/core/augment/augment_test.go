@@ -275,8 +275,8 @@ func TestRunRecordsSearchTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds[0].SearchTime <= 0 {
-		t.Errorf("search time = %v, want > 0", res.Rounds[0].SearchTime)
+	if d := res.Rounds[0].Search.Duration; d <= 0 {
+		t.Errorf("search time = %v, want > 0", d)
 	}
 }
 

@@ -259,8 +259,23 @@ func newEngine(sec, wld *Matrix) *engine {
 		permute(rowS, sec.Row(i), perm)
 		fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
 	}
+	// Both norm orders are ascending, so their last entries are the maxima.
+	if e.wldNS[n-1] > maxBoundNorm || e.secN[m-1] > maxBoundNorm {
+		clear(e.wldNS)
+		clear(e.secN)
+		clear(e.wldSegs)
+		clear(e.secSegs)
+	}
 	return e
 }
+
+// maxBoundNorm is the largest row norm the norm-window and segment bounds
+// are used at. Up to it no squared gap overflows, so the shading argument
+// holds. Past it a norm can overflow to +Inf while the distance it bounds
+// is finite (possible only without normalization), so newEngine zeroes
+// every norm and segment norm and only the partial-distance screens reject
+// (DESIGN.md §5.2).
+var maxBoundNorm = math.Sqrt(math.MaxFloat64) / 2
 
 // normOrder returns the row indices sorted by (norm, index).
 func normOrder(norms []float64) []int {

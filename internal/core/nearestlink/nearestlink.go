@@ -105,7 +105,8 @@ type Stats struct {
 	// collisions (Algorithm 1 lines 10-15) that the runner-up cache could
 	// not absorb.
 	Rescans int
-	// Duration is the wall-clock time of the search.
+	// Duration is the wall-clock time of the search: the End reading of
+	// the call's nearestlink.search or nearestlink.knn span.
 	Duration time.Duration
 }
 
@@ -116,12 +117,14 @@ func (s *Stats) addScan(c scanCounters) {
 	s.EarlyExited += c.earlyExited
 }
 
-func (s *Stats) finish(start time.Time) {
+// finish derives the pruned fraction, attaches the counters to the span
+// that traces the call, and ends it: Duration is the span's reading.
+func (s *Stats) finish(span *telemetry.Span) {
 	if considered := s.NormPruned + s.DistanceEvals; considered > 0 {
 		s.PrunedFraction = float64(s.NormPruned+s.EarlyExited) / float64(considered)
 	}
-	//lint:ignore determinism Stats.Duration is telemetry-only; link selection never reads it
-	s.Duration = time.Since(start)
+	s.annotate(span)
+	s.Duration = span.End()
 }
 
 // Totals aggregates Stats across many searches (e.g. all augmentation
@@ -395,8 +398,8 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 		ctx = context.Background()
 	}
 	o := opts.resolved()
-	//lint:ignore determinism search wall-clock feeds Stats.Duration (telemetry) only
-	start := time.Now()
+	_, span := telemetry.Start(ctx, "nearestlink.search")
+	defer span.End()
 	stats := Stats{SecurityRows: sec.rows, WildCols: wld.rows}
 	e, err := prepare(sec, wld, o, owned)
 	if err != nil {
@@ -450,6 +453,9 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 		}
 		d, i := h.pop()
 		j := v[i]
+		if j < 0 {
+			continue // every distance overflowed: no link, as in the reference
+		}
 		if !used[j] {
 			used[j] = true
 			links = append(links, Link{Security: i, Wild: j, Distance: math.Sqrt(d)})
@@ -475,7 +481,7 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 		h.push(d1, i)
 	}
 	stats.addScan(rescanCounters)
-	stats.finish(start)
+	stats.finish(span)
 	stats.Publish(o.Registry)
 	if o.Stats != nil {
 		*o.Stats = stats
@@ -558,8 +564,8 @@ func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) (
 		ctx = context.Background()
 	}
 	o := opts.resolved()
-	//lint:ignore determinism KNN wall-clock feeds Stats.Duration (telemetry) only
-	start := time.Now()
+	_, span := telemetry.Start(ctx, "nearestlink.knn")
+	defer span.End()
 	stats := Stats{SecurityRows: sec.rows, WildCols: wld.rows}
 	e, err := prepare(sec, wld, o, owned)
 	if err != nil {
@@ -581,7 +587,7 @@ func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) (
 			out = append(out, j)
 		}
 	}
-	stats.finish(start)
+	stats.finish(span)
 	stats.Publish(o.Registry)
 	if o.Stats != nil {
 		*o.Stats = stats

@@ -721,3 +721,108 @@ func randRows(rng *rand.Rand, n, d int) [][]float64 {
 	}
 	return out
 }
+
+// overflowCases are finite inputs whose squared distances, norms or segment
+// norms overflow to +Inf when searched without normalization.
+func overflowCases() []struct {
+	name      string
+	sec, wild [][]float64
+} {
+	rng := rand.New(rand.NewSource(11))
+	scaled := func(n, d int, scales ...float64) [][]float64 {
+		rows := randRows(rng, n, d)
+		for i, row := range rows {
+			for j := range row {
+				row[j] *= scales[i%len(scales)]
+			}
+		}
+		return rows
+	}
+	return []struct {
+		name      string
+		sec, wild [][]float64
+	}{
+		// Every distance is +Inf: no row has a column to take.
+		{"all-overflow", [][]float64{{1e200}}, [][]float64{{-1e200}}},
+		{"all-overflow-many", scaled(4, 3, 1e200), scaled(6, 3, -1e200, 1e201)},
+		// Row 0 overflows against every column; rows 1 and 2 link.
+		{"mixed-rows", [][]float64{{1e200, 0}, {1, 1}, {2, 2}},
+			[][]float64{{-1e200, 0}, {1.5, 1}, {0, 0}, {3, 3}}},
+		// The security norm overflows, the distances do not: a +Inf norm
+		// gap must not reject the finite-norm columns.
+		{"overflowed-norm", [][]float64{{1e154, 1e154}},
+			[][]float64{{1e154, 0.8e154}, {1e154, 0.7e154}}},
+		// Wide, multi-scale rows: norms and segment norms overflow on both
+		// sides, collisions force rescans, and the pool outgrows the
+		// seeded-bound sample.
+		{"mixed-scales", scaled(40, 20, 1, 1e153, 1e155, 1e200),
+			scaled(400, 20, 1, 1e153, 1e154, 1e155, -1e200)},
+	}
+}
+
+// TestOverflowDistances pins the contract for finite features whose
+// squared distances overflow: a row with no finite distance gets no link,
+// and every link is bit-identical to ReferenceSearch, for Search and
+// SearchMatrix at several worker counts and task grids. KNNSelect picks
+// each row's first-index finite argmin, or nothing for a row without one.
+func TestOverflowDistances(t *testing.T) {
+	for _, c := range overflowCases() {
+		for _, disableNorm := range []bool{true, false} {
+			want, err := ReferenceSearch(c.sec, c.wild, &Options{DisableNormalization: disableNorm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm, err := MatrixFromRows(c.sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wm, err := MatrixFromRows(c.wild)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				for _, grid := range [][2]int{{0, 0}, {4, 64}, {1, 7}} {
+					name := fmt.Sprintf("%s/norm=%v/w=%d/grid=%v", c.name, !disableNorm, workers, grid)
+					o := func() *Options {
+						return &Options{Workers: workers, DisableNormalization: disableNorm,
+							blockRows: grid[0], shardCols: grid[1]}
+					}
+					got, err := Search(bg, c.sec, c.wild, o())
+					if err != nil {
+						t.Fatalf("%s: Search: %v", name, err)
+					}
+					assertLinksIdentical(t, name+"/Search", workers, want, got)
+					got, err = SearchMatrix(bg, sm, wm, o())
+					if err != nil {
+						t.Fatalf("%s: SearchMatrix: %v", name, err)
+					}
+					assertLinksIdentical(t, name+"/SearchMatrix", workers, want, got)
+				}
+			}
+			if !disableNorm {
+				continue
+			}
+			var knn []int
+			seen := map[int]bool{}
+			for _, row := range c.sec {
+				best, bestJ := inf, -1
+				for j, col := range c.wild {
+					if d := dist2(row, col); d < best {
+						best, bestJ = d, j
+					}
+				}
+				if bestJ >= 0 && !seen[bestJ] {
+					seen[bestJ] = true
+					knn = append(knn, bestJ)
+				}
+			}
+			got, err := KNNSelect(bg, c.sec, c.wild, &Options{DisableNormalization: true, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(knn) {
+				t.Errorf("%s: KNNSelect = %v, brute force %v", c.name, got, knn)
+			}
+		}
+	}
+}

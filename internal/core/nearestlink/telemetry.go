@@ -43,3 +43,17 @@ func (s Stats) Publish(r *telemetry.Registry) {
 	r.Counter(MetricRescans).Add(float64(s.Rescans))
 	r.Histogram(MetricSearchSeconds, nil).Observe(s.Duration.Seconds())
 }
+
+// annotate attaches the search's counters to the span that traces it, so
+// a trace explains the search time it records.
+func (s Stats) annotate(span *telemetry.Span) {
+	span.SetAttr("security_rows", s.SecurityRows)
+	span.SetAttr("wild_cols", s.WildCols)
+	span.SetAttr("distance_evals", s.DistanceEvals)
+	span.SetAttr("norm_pruned", s.NormPruned)
+	span.SetAttr("early_exited", s.EarlyExited)
+	span.SetAttr("pruned_fraction", s.PrunedFraction)
+	span.SetAttr("heap_pops", s.HeapPops)
+	span.SetAttr("second_best_hits", s.SecondBestHits)
+	span.SetAttr("rescans", s.Rescans)
+}

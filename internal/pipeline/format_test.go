@@ -50,9 +50,9 @@ func TestFormatStatsShortNamesKeepHistoricalWidth(t *testing.T) {
 	}
 }
 
-// TestMetricsSharedRegistry checks the adapter contract: Observe lands in
-// the backing registry's labeled counters, so a /metrics scrape and
-// Snapshot read the same numbers.
+// TestMetricsSharedRegistry checks the publishing contract: Observe lands in
+// the registry's labeled counters, so a /metrics scrape and Snapshot report
+// the same numbers for a registry with one writer.
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
@@ -81,5 +81,24 @@ func TestMetricsSharedRegistry(t *testing.T) {
 	if len(stats) != 3 || stats[0].Stage != StageSearch ||
 		stats[1].Stage != "aa-custom" || stats[2].Stage != "zz-custom" {
 		t.Errorf("ordering with custom stages = %+v", stats)
+	}
+}
+
+// TestMetricsSnapshotIsLocal checks that two Metrics publishing into one
+// registry each snapshot only their own observations, while the registry's
+// stage counters hold the sum.
+func TestMetricsSnapshotIsLocal(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	a, b := NewMetrics(reg), NewMetrics(reg)
+	a.Observe(StageCrawl, 3*time.Millisecond, 20)
+	b.Observe(StageCrawl, 5*time.Millisecond, 20)
+	for name, m := range map[string]*Metrics{"a": a, "b": b} {
+		if st := m.Snapshot(); len(st) != 1 || st[0].Items != 20 {
+			t.Errorf("%s snapshot = %+v, want 20 crawl items", name, st)
+		}
+	}
+	label := telemetry.L("stage", string(StageCrawl))
+	if got := reg.Counter(MetricStageItems, label).Value(); got != 40 {
+		t.Errorf("registry items counter = %v, want 40", got)
 	}
 }

@@ -4,15 +4,15 @@
 // a live view of a run. Everything here is safe for concurrent use; the
 // builder's worker pools report into one shared Metrics.
 //
-// Since the telemetry layer landed, Metrics is a thin adapter over a
-// telemetry.Registry: every Observe lands in the registry's stage counters
-// (MetricStageItems, MetricStageDurationNS), so a /metrics scrape and the
-// StageStat snapshot read the same backing store.
+// Metrics reads no clock: each stage duration it accumulates is the End
+// reading of the telemetry span that traces the stage, and each observation
+// is also published to a telemetry.Registry's stage counters for /metrics.
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,6 +25,9 @@ type Stage string
 
 // The stages of a Build, in execution order.
 const (
+	// StageGenerate covers generating the simulated world: the corpus of
+	// repositories and labeled commits the build crawls and searches.
+	StageGenerate Stage = "generate"
 	// StageCrawl covers the NVD feed fetch and patch downloads.
 	StageCrawl Stage = "crawl"
 	// StageExtract covers per-commit feature extraction over the wild pools
@@ -52,13 +55,16 @@ const (
 
 // stageOrder fixes the rendering order of known stages; unknown stages sort
 // after them, alphabetically.
-var stageOrder = map[Stage]int{
-	StageCrawl:      0,
-	StageExtract:    1,
-	StageSearch:     2,
-	StageAugment:    3,
-	StageSynthesize: 4,
-	StageCheckpoint: 5,
+var stageOrder = []Stage{StageGenerate, StageCrawl, StageExtract, StageSearch,
+	StageAugment, StageSynthesize, StageCheckpoint}
+
+// stageRank is a stage's position in stageOrder, or len(stageOrder) for an
+// unknown stage.
+func stageRank(s Stage) int {
+	if i := slices.Index(stageOrder, s); i >= 0 {
+		return i
+	}
+	return len(stageOrder)
 }
 
 // Progress observes pipeline advancement: done items out of total for a
@@ -112,34 +118,23 @@ type StageStat struct {
 	Items int
 }
 
-// Metrics accumulates per-stage timings and counters, backed by a
-// telemetry.Registry. The zero value is ready to use (it lazily creates a
-// private registry); NewMetrics binds to a shared registry so stage
-// counters show up on that registry's /metrics endpoint. A nil *Metrics
-// ignores all observations.
+// Metrics accumulates per-stage timings and item counts locally and
+// publishes every observation into a telemetry.Registry's stage counters
+// (MetricStageItems, MetricStageDurationNS). Snapshot reads the local
+// accumulation only, so several runs sharing one registry each report their
+// own stages while /metrics shows their sum. The zero value accumulates
+// without publishing. A nil *Metrics ignores all observations.
 type Metrics struct {
-	mu  sync.Mutex
 	reg *telemetry.Registry
+
+	mu     sync.Mutex
+	stages []StageStat // first-observation order
 }
 
-// NewMetrics creates a Metrics writing into reg (nil reg behaves like the
-// zero value: a private registry).
+// NewMetrics creates a Metrics publishing into reg (nil reg publishes
+// nowhere).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{reg: reg}
-}
-
-// Registry returns the backing registry, creating a private one on first
-// use of a zero-value Metrics.
-func (m *Metrics) Registry() *telemetry.Registry {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.reg == nil {
-		m.reg = telemetry.NewRegistry()
-	}
-	return m.reg
 }
 
 // Observe adds elapsed time and an item count to a stage.
@@ -147,80 +142,41 @@ func (m *Metrics) Observe(stage Stage, d time.Duration, items int) {
 	if m == nil {
 		return
 	}
-	reg := m.Registry()
-	label := telemetry.L("stage", string(stage))
-	reg.Counter(MetricStageItems, label).Add(float64(items))
-	reg.Counter(MetricStageDurationNS, label).Add(float64(d.Nanoseconds()))
-}
-
-// Timer starts timing a stage; the returned stop function records the
-// elapsed time along with the given item count. Typical use:
-//
-//	stop := metrics.Timer(pipeline.StageExtract)
-//	... do work ...
-//	stop(len(items))
-func (m *Metrics) Timer(stage Stage) func(items int) {
-	//lint:ignore determinism stage timing is telemetry-only; durations never feed dataset output
-	start := time.Now()
-	return func(items int) {
-		//lint:ignore determinism stage timing is telemetry-only; durations never feed dataset output
-		m.Observe(stage, time.Since(start), items)
+	m.mu.Lock()
+	i := slices.IndexFunc(m.stages, func(st StageStat) bool { return st.Stage == stage })
+	if i < 0 {
+		i = len(m.stages)
+		m.stages = append(m.stages, StageStat{Stage: stage})
 	}
+	m.stages[i].Duration += d
+	m.stages[i].Items += items
+	m.mu.Unlock()
+	label := telemetry.L("stage", string(stage))
+	m.reg.Counter(MetricStageItems, label).Add(float64(items))
+	m.reg.Counter(MetricStageDurationNS, label).Add(float64(d.Nanoseconds()))
 }
 
-// Snapshot returns the accumulated stats in pipeline order, read back from
-// the backing registry's stage counters.
+// Snapshot returns the accumulated stats in pipeline order.
 func (m *Metrics) Snapshot() []StageStat {
 	if m == nil {
 		return nil
 	}
-	byStage := make(map[Stage]*StageStat)
-	for _, p := range m.Registry().Snapshot() {
-		if p.Name != MetricStageItems && p.Name != MetricStageDurationNS {
-			continue
-		}
-		var stage Stage
-		for _, l := range p.Labels {
-			if l.Key == "stage" {
-				stage = Stage(l.Value)
-			}
-		}
-		st, ok := byStage[stage]
-		if !ok {
-			st = &StageStat{Stage: stage}
-			byStage[stage] = st
-		}
-		switch p.Name {
-		case MetricStageItems:
-			st.Items = int(p.Value)
-		case MetricStageDurationNS:
-			st.Duration = time.Duration(int64(p.Value))
-		}
-	}
-	out := make([]StageStat, 0, len(byStage))
-	for _, st := range byStage {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		oi, iKnown := stageOrder[out[i].Stage]
-		oj, jKnown := stageOrder[out[j].Stage]
-		switch {
-		case iKnown && jKnown:
-			return oi < oj
-		case iKnown:
-			return true
-		case jKnown:
-			return false
-		default:
-			return out[i].Stage < out[j].Stage
-		}
+	m.mu.Lock()
+	out := slices.Clone(m.stages)
+	m.mu.Unlock()
+	slices.SortFunc(out, func(a, b StageStat) int {
+		return cmp.Or(cmp.Compare(stageRank(a.Stage), stageRank(b.Stage)), cmp.Compare(a.Stage, b.Stage))
 	})
 	return out
 }
 
-// String renders the snapshot as an aligned table, one stage per line.
-func (m *Metrics) String() string {
-	return FormatStats(m.Snapshot())
+// StageReports converts stage stats into a RunReport's stage entries.
+func StageReports(stats []StageStat) []telemetry.StageReport {
+	out := make([]telemetry.StageReport, len(stats))
+	for i, st := range stats {
+		out[i] = telemetry.StageReport{Stage: string(st.Stage), DurationNS: st.Duration.Nanoseconds(), Items: st.Items}
+	}
+	return out
 }
 
 // FormatStats renders stage stats as an aligned table, one stage per line.

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,19 +22,6 @@ func TestMetricsAccumulate(t *testing.T) {
 	}
 	if stats[1].Items != 150 || stats[1].Duration != 15*time.Millisecond {
 		t.Errorf("extract stat = %+v", stats[1])
-	}
-}
-
-func TestMetricsTimer(t *testing.T) {
-	var m Metrics
-	stop := m.Timer(StageSynthesize)
-	stop(3)
-	stats := m.Snapshot()
-	if len(stats) != 1 || stats[0].Items != 3 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats[0].Duration < 0 {
-		t.Errorf("negative duration %v", stats[0].Duration)
 	}
 }
 
@@ -99,16 +85,5 @@ func TestNotifierCounts(t *testing.T) {
 	// must report completion.
 	if last.done != 4 || last.total != 4 {
 		t.Errorf("final call = %+v", last)
-	}
-}
-
-func TestMetricsString(t *testing.T) {
-	var m Metrics
-	if s := m.String(); s != "(no stage metrics)" {
-		t.Errorf("empty string = %q", s)
-	}
-	m.Observe(StageAugment, 2*time.Second, 5)
-	if s := m.String(); !strings.Contains(s, "augment") || !strings.Contains(s, "5") {
-		t.Errorf("rendered = %q", s)
 	}
 }

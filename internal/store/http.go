@@ -210,15 +210,16 @@ func (s *api) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", id)
 		ctx := telemetry.WithTraceID(r.Context(), id)
+		// The span is the request's stopwatch: elapsed is its End reading.
+		// The deferred End covers a re-raised abort panic.
 		ctx, span := s.tracer.Start(ctx, "serve."+endpoint)
 		defer span.End()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
 		inner.ServeHTTP(sw, r.WithContext(ctx))
-		elapsed := time.Since(start)
+		span.SetAttr("status", sw.status)
+		elapsed := span.End()
 		hist.ObserveExemplar(elapsed.Seconds(), id)
 		s.slos.RecordRequest(sw.status, elapsed)
-		span.SetAttr("status", sw.status)
 		s.reg.Counter(MetricRequests,
 			telemetry.L("endpoint", endpoint),
 			telemetry.L("code", strconv.Itoa(sw.status))).Inc()

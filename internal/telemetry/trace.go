@@ -53,8 +53,11 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{cap: capacity}
 }
 
-// Span is one in-flight traced operation. A nil *Span ignores SetAttr and
-// End, so callers never guard the Start return.
+// Span is one in-flight traced operation and the program's stopwatch: End
+// returns the duration it records, and every duration the program reports
+// is the End reading of the span that traces the same interval. A span
+// started on a nil tracer still measures time but records nothing. A nil
+// *Span ignores SetAttr and End.
 type Span struct {
 	tracer *Tracer
 	id     uint64
@@ -63,9 +66,10 @@ type Span struct {
 	name   string
 	start  time.Time
 
-	mu    sync.Mutex
-	attrs map[string]any
-	ended bool
+	mu      sync.Mutex
+	attrs   map[string]any
+	ended   bool
+	elapsed time.Duration
 }
 
 type spanKey struct{}
@@ -95,10 +99,11 @@ func TraceIDFromContext(ctx context.Context) string {
 
 // Start begins a span under t, linking it to the span already in ctx (if
 // any) as its parent, and returns a context carrying the new span. The span
-// inherits its correlation ID from the parent span, or from WithTraceID.
+// inherits its correlation ID from the parent span, or from WithTraceID. On
+// a nil tracer the span only measures time, and ctx is returned unchanged.
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
-		return ctx, nil
+		return ctx, &Span{name: name, start: time.Now()}
 	}
 	var parent uint64
 	var trace string
@@ -136,9 +141,10 @@ func (s *Span) TraceID() string {
 }
 
 // SetAttr attaches one attribute to the span. Values should be
-// JSON-encodable (strings, numbers, bools).
+// JSON-encodable (strings, numbers, bools). A span on a nil tracer keeps
+// none, since nothing will record them.
 func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
+	if s == nil || s.tracer == nil {
 		return
 	}
 	s.mu.Lock()
@@ -152,18 +158,20 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs[key] = value
 }
 
-// End finishes the span and records it in the tracer's buffer. End is
-// idempotent: only the first call records.
-func (s *Span) End() {
+// End finishes the span, records it in the tracer's buffer, and returns
+// its duration. End is idempotent: only the first call records, and every
+// call returns the duration the first one measured.
+func (s *Span) End() time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
-		return
+		return s.elapsed
 	}
 	s.ended = true
+	s.elapsed = time.Since(s.start)
 	attrs := s.attrs
 	s.mu.Unlock()
 	s.tracer.record(SpanRecord{
@@ -172,13 +180,18 @@ func (s *Span) End() {
 		Trace:      s.trace,
 		Name:       s.name,
 		Start:      s.start,
-		DurationNS: int64(time.Since(s.start)),
+		DurationNS: int64(s.elapsed),
 		Attrs:      attrs,
 	})
+	return s.elapsed
 }
 
-// record appends one finished span, evicting the oldest when full.
+// record appends one finished span, evicting the oldest when full. A nil
+// tracer records nothing.
 func (t *Tracer) record(rec SpanRecord) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.spans) < t.cap {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 // TestSpanParentChildOrdering builds a small span tree, exports it to JSONL,
@@ -111,5 +112,37 @@ func TestHubFromContextFallback(t *testing.T) {
 	s.End()
 	if n := len(h.Tracer.Snapshot()); n != 1 {
 		t.Errorf("hub tracer buffered %d spans, want 1", n)
+	}
+}
+
+// TestSpanEndReturnsRecordedDuration pins the stopwatch contract: End
+// returns exactly the duration it records, later calls return the same
+// reading, and a span on a nil tracer still measures without recording.
+func TestSpanEndReturnsRecordedDuration(t *testing.T) {
+	tr := NewTracer(4)
+	_, s := tr.Start(context.Background(), "op")
+	d := s.End()
+	if again := s.End(); again != d {
+		t.Errorf("second End = %v, want the first reading %v", again, d)
+	}
+	recs := tr.Snapshot()
+	if len(recs) != 1 || recs[0].DurationNS != int64(d) {
+		t.Fatalf("recorded %+v, want one span of %d ns", recs, int64(d))
+	}
+
+	var none *Tracer
+	ctx := context.Background()
+	got, s := none.Start(ctx, "untraced")
+	if got != ctx {
+		t.Error("nil tracer Start must return ctx unchanged")
+	}
+	s.SetAttr("k", "v")
+	time.Sleep(time.Millisecond)
+	if d := s.End(); d <= 0 {
+		t.Errorf("untraced span measured %v, want > 0", d)
+	}
+	var nilSpan *Span
+	if d := nilSpan.End(); d != 0 {
+		t.Errorf("nil span End = %v, want 0", d)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"patchdb/internal/core/nearestlink"
 )
 
 const listing1 = `commit b84c2cab55948a5ee70860779b2640913e3ee1ed
@@ -111,6 +113,37 @@ func TestNearestLinkFacade(t *testing.T) {
 	totals.Add(stats)
 	if totals.Searches != 1 || totals.String() == "" {
 		t.Fatalf("totals = %+v", totals)
+	}
+}
+
+// TestNearestLinkFacadeOverflow checks the facade on finite features whose
+// squared distances or norms overflow without normalization: a row with no
+// finite distance gets no link, and the links match ReferenceSearch.
+func TestNearestLinkFacadeOverflow(t *testing.T) {
+	cases := []struct {
+		name      string
+		sec, wild [][]float64
+		links     int
+	}{
+		{"all-overflow", [][]float64{{1e200}}, [][]float64{{-1e200}}, 0},
+		{"mixed-rows", [][]float64{{1e200, 0}, {1, 1}, {2, 2}},
+			[][]float64{{-1e200, 0}, {1.5, 1}, {0, 0}, {3, 3}}, 2},
+		{"overflowed-norm", [][]float64{{1e154, 1e154}},
+			[][]float64{{1e154, 0.8e154}, {1e154, 0.7e154}}, 1},
+	}
+	for _, c := range cases {
+		opts := &NearestLinkOptions{DisableNormalization: true}
+		want, err := nearestlink.ReferenceSearch(c.sec, c.wild, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NearestLink(context.Background(), c.sec, c.wild, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(got) != c.links || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: links = %v, reference %v, want %d links", c.name, got, want, c.links)
+		}
 	}
 }
 
@@ -295,7 +328,6 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 			a, b := rep1.Rounds[i], repN.Rounds[i]
 			// Wall-clock may differ; every engine counter (evals, pruned,
 			// heap pops, rescans) must not.
-			a.SearchTime, b.SearchTime = 0, 0
 			a.Search.Duration, b.Search.Duration = 0, 0
 			if a != b {
 				t.Fatalf("workers=%d: round %d accounting differs: %+v vs %+v", workers, i, b, a)

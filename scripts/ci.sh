@@ -3,8 +3,9 @@
 # GitHub Actions. Mirrors .github/workflows/ci.yml and `make ci`: build,
 # the gofmt check, stock vet (of the program and of the perfbench benchmark
 # module), the custom patchdb-lint suite, the test run, the race-enabled
-# crash-safety suite, and the fully-verified nearest-link engine smoke
-# sweep. Exits non-zero on the first failure.
+# crash-safety suite, the fully-verified nearest-link engine smoke sweep,
+# and the bounded fuzz run of the decoders. Exits non-zero on the first
+# failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,5 +79,12 @@ echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
+
+# go test fuzzes one target per run, so the four targets run one at a time.
+echo "==> fuzz-smoke (diff, cast and lexer decoders, 10s per target)"
+"$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/diff/
+"$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/cast/
+"$GO" test -run '^$' -fuzz '^FuzzComputeApply$' -fuzztime 10s ./internal/diff/
+"$GO" test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/ctoken/
 
 echo "ci: ok"

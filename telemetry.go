@@ -3,7 +3,6 @@ package patchdb
 import (
 	"context"
 
-	"patchdb/internal/pipeline"
 	"patchdb/internal/telemetry"
 )
 
@@ -54,19 +53,4 @@ func ServeTelemetry(addr string, hub *TelemetryHub) (*TelemetryServer, error) {
 // snapshot and span buffer; callers append their stage accounting.
 func NewRunReport(tool string, hub *TelemetryHub) *RunReport {
 	return telemetry.NewRunReport(tool, hub)
-}
-
-// StageMetrics accumulates per-stage timings and item counts (the same
-// adapter the builder uses internally). Stage names outside the builtin
-// pipeline stages are allowed; they render after the known stages.
-type StageMetrics = pipeline.Metrics
-
-// NewStageMetrics creates stage metrics backed by hub's registry, so stage
-// counters appear on the hub's /metrics endpoint and in its RunReports.
-// A nil hub gives the metrics a private registry.
-func NewStageMetrics(hub *TelemetryHub) *StageMetrics {
-	if hub == nil {
-		return pipeline.NewMetrics(nil)
-	}
-	return pipeline.NewMetrics(hub.Registry)
 }

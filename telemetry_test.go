@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -268,5 +270,159 @@ func TestServeTelemetryDuringBuild(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics output missing %q", want)
 		}
+	}
+}
+
+// stageSpans names the spans whose End readings make up each stage's
+// duration: a stage's time is the sum over its spans, read from one clock.
+var stageSpans = map[Stage][]string{
+	StageGenerate:   {"generate"},
+	StageCrawl:      {"crawl"},
+	StageExtract:    {"extract.seed", "extract.pool"},
+	StageSearch:     {"nearestlink.search"},
+	StageAugment:    {"augment.pool"},
+	StageSynthesize: {"synthesize"},
+	StageCheckpoint: {"checkpoint"},
+}
+
+// TestBuildStageTimesAreSpanTimes is the one-clock contract: every stage
+// duration in the RunReport written to TelemetryOut, and the search total,
+// equal exactly the summed durations of the spans that trace them.
+func TestBuildStageTimesAreSpanTimes(t *testing.T) {
+	hub := NewTelemetryHub()
+	cfg := telemetryTestConfig()
+	cfg.Telemetry = hub
+	cfg.CheckpointDir = t.TempDir()
+	cfg.TelemetryOut = filepath.Join(t.TempDir(), "run-report.json")
+	if _, _, err := Build(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := hub.Tracer.Dropped(); n != 0 {
+		t.Fatalf("tracer dropped %d spans; the sums would be partial", n)
+	}
+	data, err := os.ReadFile(cfg.TelemetryOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr RunReport
+	if err := json.Unmarshal(data, &rr); err != nil {
+		t.Fatal(err)
+	}
+	spanNS := map[string]int64{}
+	for _, sp := range rr.Spans {
+		spanNS[sp.Name] += sp.DurationNS
+	}
+	if len(rr.Stages) != len(stageSpans) {
+		t.Errorf("run report has %d stages, want %d: %+v", len(rr.Stages), len(stageSpans), rr.Stages)
+	}
+	for _, st := range rr.Stages {
+		names, ok := stageSpans[Stage(st.Stage)]
+		if !ok {
+			t.Errorf("stage %q has no span mapping", st.Stage)
+			continue
+		}
+		var sum int64
+		for _, name := range names {
+			sum += spanNS[name]
+		}
+		if st.DurationNS <= 0 || st.DurationNS != sum {
+			t.Errorf("stage %q: duration %d ns, its spans %v sum to %d ns", st.Stage, st.DurationNS, names, sum)
+		}
+	}
+	if rr.Search == nil || rr.Search.DurationNS != spanNS["nearestlink.search"] {
+		t.Errorf("search duration = %+v, nearestlink.search spans sum to %d ns", rr.Search, spanNS["nearestlink.search"])
+	}
+}
+
+// TestBuildSharedHubStagesAreLocal runs two identical builds on one hub:
+// each report's stage item counts are its own build's, and the hub's stage
+// counters hold their sum.
+func TestBuildSharedHubStagesAreLocal(t *testing.T) {
+	hub := NewTelemetryHub()
+	cfg := telemetryTestConfig()
+	cfg.Telemetry = hub
+	var reports [2]*BuildReport
+	for i := range reports {
+		_, report, err := Build(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = report
+	}
+	a, b := reports[0].Stages, reports[1].Stages
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("stage lists differ: %+v vs %+v", a, b)
+	}
+	for i := range a {
+		if a[i].Stage != b[i].Stage || a[i].Items != b[i].Items {
+			t.Errorf("stage %d: first build %s/%d items, second %s/%d", i, a[i].Stage, a[i].Items, b[i].Stage, b[i].Items)
+		}
+		label := telemetry.L("stage", string(a[i].Stage))
+		if got := hub.Registry.Counter("patchdb_stage_items_total", label).Value(); got != float64(a[i].Items+b[i].Items) {
+			t.Errorf("hub %s items counter = %v, want %d", a[i].Stage, got, a[i].Items+b[i].Items)
+		}
+	}
+}
+
+// TestBuildStageTimesWithoutTracer checks that a hub with no tracer still
+// yields stage and search durations: a span started on a nil tracer
+// measures time without recording.
+func TestBuildStageTimesWithoutTracer(t *testing.T) {
+	cfg := telemetryTestConfig()
+	cfg.Telemetry = &telemetry.Hub{Registry: telemetry.NewRegistry()}
+	_, report, err := Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Stages) == 0 || len(report.Run.Spans) != 0 {
+		t.Fatalf("stages = %+v, spans = %d", report.Stages, len(report.Run.Spans))
+	}
+	for _, st := range report.Stages {
+		if st.Duration <= 0 {
+			t.Errorf("stage %s duration = %v, want > 0", st.Stage, st.Duration)
+		}
+	}
+	if report.Search.Duration <= 0 {
+		t.Errorf("search duration = %v, want > 0", report.Search.Duration)
+	}
+}
+
+// TestBuildSpanTreeInvariantAcrossWorkers checks that the span tree has the
+// same names and parent structure at any worker count: the multiset of
+// root-to-span name paths is identical at Workers 1 and 8.
+func TestBuildSpanTreeInvariantAcrossWorkers(t *testing.T) {
+	paths := func(workers int) []string {
+		t.Helper()
+		hub := NewTelemetryHub()
+		cfg := telemetryTestConfig()
+		cfg.Workers = workers
+		cfg.Telemetry = hub
+		_, report, err := Build(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if n := hub.Tracer.Dropped(); n != 0 {
+			t.Fatalf("workers=%d: tracer dropped %d spans", workers, n)
+		}
+		path := map[uint64]string{}
+		var out []string
+		for _, sp := range report.Run.Spans { // parents sort before children
+			p := sp.Name
+			if sp.Parent != 0 {
+				parent, ok := path[sp.Parent]
+				if !ok {
+					t.Fatalf("workers=%d: span %s has unknown parent %d", workers, sp.Name, sp.Parent)
+				}
+				p = parent + "/" + sp.Name
+			}
+			path[sp.ID] = p
+			out = append(out, p)
+		}
+		sort.Strings(out)
+		return out
+	}
+	p1, p8 := paths(1), paths(8)
+	if !reflect.DeepEqual(p1, p8) {
+		t.Errorf("span trees differ:\n  workers=1: %v\n  workers=8: %v", p1, p8)
 	}
 }
