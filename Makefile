@@ -50,13 +50,15 @@ race:
 # fixed 10s, one target at a time (go test fuzzes one target per run),
 # starting from its seed corpus (f.Add seeds plus testdata/fuzz): unified
 # diffs (diff FuzzParse), C source structure (cast FuzzParse), the diff
-# compute/apply round trip (FuzzComputeApply) and the C lexer (FuzzLex). A
-# crasher fails the target and is saved under its testdata/fuzz.
+# compute/apply round trip against the reference Myers (FuzzComputeApply),
+# the C lexer (FuzzLex) and dataset JSON (FuzzLoadDataset). A crasher fails
+# the target and is saved under its testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/diff/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cast/
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeApply$$' -fuzztime 10s ./internal/diff/
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/ctoken/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadDataset$$' -fuzztime 10s .
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .

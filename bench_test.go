@@ -280,6 +280,7 @@ func benchPatch(b *testing.B) *diff.Patch {
 // BenchmarkFeatureExtraction measures the 60-feature extractor on one
 // generated security patch.
 func BenchmarkFeatureExtraction(b *testing.B) {
+	b.ReportAllocs()
 	p := benchPatch(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -472,6 +473,7 @@ func BenchmarkNearestLinkReferenceLarge(b *testing.B) {
 
 // BenchmarkDiffCompute measures Myers diff on generated file pairs.
 func BenchmarkDiffCompute(b *testing.B) {
+	b.ReportAllocs()
 	gen := corpus.NewGenerator(corpus.Config{Seed: 6})
 	lc := gen.GenerateNVD(1)[0]
 	var path, before, after string
@@ -498,6 +500,7 @@ func BenchmarkPatchParse(b *testing.B) {
 
 // BenchmarkOversample measures full variant synthesis for one patch.
 func BenchmarkOversample(b *testing.B) {
+	b.ReportAllocs()
 	gen := corpus.NewGenerator(corpus.Config{Seed: 7})
 	lc := gen.SecurityCommitOfPattern(corpus.PatternBoundCheck)
 	ov := &Oversampler{}
@@ -554,6 +557,7 @@ func BenchmarkRNNTrainEpoch(b *testing.B) {
 
 // BenchmarkCorpusGeneration measures synthetic commit generation.
 func BenchmarkCorpusGeneration(b *testing.B) {
+	b.ReportAllocs()
 	gen := corpus.NewGenerator(corpus.Config{Seed: 10})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@ package cast
 
 import (
 	"fmt"
+	"sync"
 
 	"patchdb/internal/ctoken"
 )
@@ -116,11 +117,21 @@ type parser struct {
 	pos  int
 }
 
+// tokPool recycles the parser's token buffers: no node keeps a token, so
+// the buffer is free again once Parse returns.
+var tokPool = sync.Pool{New: func() any { return new([]ctoken.Token) }}
+
 // Parse parses source text into a File. It is tolerant: constructs outside
 // the supported subset are consumed as generic statements; it only fails on
 // structurally unbalanced input.
 func Parse(src string) (*File, error) {
-	p := &parser{src: src, toks: ctoken.Lex(src, 1)}
+	buf := tokPool.Get().(*[]ctoken.Token)
+	p := &parser{src: src, toks: ctoken.LexAppend((*buf)[:0], src, 1)}
+	defer func() {
+		clear(p.toks) // keep no reference to src in the pool
+		*buf = p.toks[:0]
+		tokPool.Put(buf)
+	}()
 	f := &File{}
 	for !p.eof() {
 		if fn, ok := p.tryFuncDef(); ok {

@@ -77,7 +77,23 @@ type fnAnchors struct {
 	calleeName string
 }
 
-func (f *srcFile) text() string { return strings.Join(f.lines, "\n") + "\n" }
+// text joins the lines, each ending in a newline, into one allocation.
+func (f *srcFile) text() string {
+	if len(f.lines) == 0 {
+		return "\n"
+	}
+	n := 0
+	for _, l := range f.lines {
+		n += len(l) + 1
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, l := range f.lines {
+		b.WriteString(l)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
 // clone returns a deep copy so before/after versions do not alias.
 func (f *srcFile) clone() *srcFile {
@@ -127,7 +143,7 @@ func ident(rng *rand.Rand, a, b []string) string {
 // and a primary function rich in anchors. The id keeps paths unique per
 // repository.
 func genFile(rng *rand.Rand, id int) *srcFile {
-	f := &srcFile{}
+	f := &srcFile{lines: make([]string, 0, 64)} // a generated file has fewer than 64 lines
 	noun := pick(rng, nouns)
 	structVar := pick(rng, structNames)
 	fnName := ident(rng, verbs, nouns)

@@ -205,17 +205,19 @@ func (g *Generator) securityCommitOfPattern(p Pattern) *LabeledCommit {
 	repo := g.repos[g.rng.Intn(len(g.repos))]
 	g.fileID++
 	before := genFile(g.rng, g.fileID)
-	repo.SeedFile(before.path, before.text())
+	beforeText := before.text()
+	repo.SeedFile(before.path, beforeText)
 	after := applySecurityPattern(before, p, g.rng)
 	g.jitter(after)
+	afterText := after.text()
 	// An editor can occasionally no-op when its anchor is missing; a commit
 	// must change something, so fall back to a guaranteed-effective edit.
-	if after.text() == before.text() {
-		after = applySecurityPattern(before, PatternNullCheck, g.rng)
+	if afterText == beforeText {
+		afterText = applySecurityPattern(before, PatternNullCheck, g.rng).text()
 	}
 	msg := g.securityMessage(p, before.fn.name)
 	c := repo.Commit(pick(g.rng, authorNames), g.nextDate(), msg,
-		map[string]string{before.path: after.text()})
+		map[string]string{before.path: afterText})
 	return &LabeledCommit{Commit: c, Security: true, Pattern: p}
 }
 
@@ -252,15 +254,17 @@ func (g *Generator) nonSecurityCommitOfClass(cls NonSecClass) *LabeledCommit {
 	repo := g.repos[g.rng.Intn(len(g.repos))]
 	g.fileID++
 	before := genFile(g.rng, g.fileID)
-	repo.SeedFile(before.path, before.text())
+	beforeText := before.text()
+	repo.SeedFile(before.path, beforeText)
 	after := applyNonSecurity(before, cls, g.rng)
 	g.jitter(after)
-	if after.text() == before.text() {
-		after = applyNonSecurity(before, NonSecCleanup, g.rng)
+	afterText := after.text()
+	if afterText == beforeText {
+		afterText = applyNonSecurity(before, NonSecCleanup, g.rng).text()
 	}
 	msg := g.nonSecurityMessage(cls, before.fn.name)
 	c := repo.Commit(pick(g.rng, authorNames), g.nextDate(), msg,
-		map[string]string{before.path: after.text()})
+		map[string]string{before.path: afterText})
 	return &LabeledCommit{Commit: c, NonSec: cls}
 }
 

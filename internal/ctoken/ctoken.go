@@ -135,7 +135,19 @@ func IsFunctionCall(tok Token) bool { return tok.Kind == Identifier && tok.Call 
 // preprocessor directives are skipped (a directive consumes its whole line);
 // the lexer never fails: unknown bytes become Punct tokens.
 func Lex(src string, startLine int) []Token {
-	var toks []Token
+	// C source averages 3.5-4 bytes per token, so len/3 rarely regrows.
+	toks := LexAppend(make([]Token, 0, len(src)/3+1), src, startLine)
+	if len(toks) == 0 {
+		return nil
+	}
+	return toks
+}
+
+// LexAppend appends the tokens of src to toks and returns the extended
+// slice, as Lex does into a fresh one. A caller lexing many lines can pass
+// the previous result truncated to [:0] and allocate nothing once the
+// buffer has grown. Token texts slice src.
+func LexAppend(toks []Token, src string, startLine int) []Token {
 	line := startLine
 	i := 0
 	lineStart := 0
@@ -314,13 +326,4 @@ func AbstractOne(t Token) string {
 	default:
 		return t.Text
 	}
-}
-
-// Texts returns the raw text of each token.
-func Texts(toks []Token) []string {
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Text
-	}
-	return out
 }

@@ -267,3 +267,18 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+func TestLexAppendMatchesLex(t *testing.T) {
+	srcs := []string{
+		"",
+		"   ",
+		"int x = 42;",
+		"if (p->len >= sizeof(buf)) return -EINVAL;",
+		"for (i = 0; i < n; i++) {\n\tmemcpy(dst + i, \"s\\\"q\", 1); /* c */\n}\n",
+		"#define MAX(a, b) \\\n ((a) > (b))\nx <<= 2; // tail",
+		"'\\'' 1.5e-3 0x7f ~a ^ b",
+	}
+	for _, src := range srcs {
+		checkLexAppend(t, src, Lex(src, 1))
+	}
+}

@@ -3,6 +3,7 @@ package diff
 import (
 	"sort"
 	"strings"
+	"sync"
 )
 
 // editOp is one element of an edit script.
@@ -11,13 +12,37 @@ type editOp struct {
 	text string
 }
 
+// scratch holds the per-call buffers of Compute: the split lines, the
+// Myers trace and the edit scripts. Nothing in it escapes a call (the hunks
+// get their own lines), so the buffers are recycled through scratchPool
+// instead of being allocated for every file of every commit.
+type scratch struct {
+	oldLines, newLines []string
+	trace              []int
+	ops, script        []editOp
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release drops the scratch's string references, so a pooled buffer keeps
+// no file text alive, and returns it to the pool.
+func (sc *scratch) release() {
+	clear(sc.oldLines)
+	clear(sc.newLines)
+	clear(sc.ops)
+	clear(sc.script)
+	scratchPool.Put(sc)
+}
+
 // Compute builds the per-file diff between two versions of a file using the
 // Myers O(ND) algorithm, grouped into hunks with the given number of context
 // lines. It returns nil if the versions are identical.
 func Compute(path string, oldText, newText string, contextLines int) *FileDiff {
-	oldLines := splitLines(oldText)
-	newLines := splitLines(newText)
-	script := myers(oldLines, newLines)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	sc.oldLines = appendLines(sc.oldLines[:0], oldText)
+	sc.newLines = appendLines(sc.newLines[:0], newText)
+	script := sc.myers(sc.oldLines, sc.newLines)
 	changed := false
 	for _, op := range script {
 		if op.kind != Context {
@@ -59,74 +84,76 @@ func ComputePatch(commit, message string, oldFiles, newFiles map[string]string, 
 	return p
 }
 
-func splitLines(text string) []string {
-	if text == "" {
-		return nil
+func splitLines(text string) []string { return appendLines(nil, text) }
+
+// appendLines appends the lines of text to dst. A trailing newline does not
+// start one more (empty) line, so the count matches the visible lines.
+func appendLines(dst []string, text string) []string {
+	for text != "" {
+		i := strings.IndexByte(text, '\n')
+		if i < 0 {
+			return append(dst, text)
+		}
+		dst = append(dst, text[:i])
+		text = text[i+1:]
 	}
-	lines := strings.Split(text, "\n")
-	// A trailing newline produces one empty trailing element; drop it so the
-	// line count matches the visible lines.
-	if len(lines) > 0 && lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	return lines
+	return dst
 }
 
 // myers computes a line-level edit script using the greedy Myers algorithm.
-func myers(a, b []string) []editOp {
+// The script lives in the scratch and is valid until its release.
+//
+// Row d of the trace holds the furthest x reached on the diagonals
+// k = -d, -d+2, ..., d by step d, at trace[d(d+1)/2 + (k+d)/2]. Step d reads
+// only row d-1, and so does the backtrack, so the trace is O(D²) ints
+// rather than a copy of the whole V array per step.
+func (sc *scratch) myers(a, b []string) []editOp {
 	n, m := len(a), len(b)
 	if n == 0 && m == 0 {
 		return nil
 	}
-	max := n + m
-	// v[k+max] = furthest x on diagonal k
-	v := make([]int, 2*max+2)
-	var trace [][]int
-	var found bool
-	var dFound int
-	for d := 0; d <= max; d++ {
-		snapshot := make([]int, len(v))
-		copy(snapshot, v)
-		trace = append(trace, snapshot)
+	trace := sc.trace[:0]
+	dFound := -1
+	for d := 0; dFound < 0; d++ {
+		prev := trace[len(trace)-d:] // row d-1; empty at d = 0
 		for k := -d; k <= d; k += 2 {
+			// Diagonal k-1 is prev[i-1] and k+1 is prev[i].
+			i := (k + d) / 2
 			var x int
-			if k == -d || (k != d && v[k-1+max] < v[k+1+max]) {
-				x = v[k+1+max]
-			} else {
-				x = v[k-1+max] + 1
+			switch {
+			case d == 0:
+				x = 0
+			case k == -d || (k != d && prev[i-1] < prev[i]):
+				x = prev[i]
+			default:
+				x = prev[i-1] + 1
 			}
 			y := x - k
 			for x < n && y < m && a[x] == b[y] {
 				x++
 				y++
 			}
-			v[k+max] = x
+			trace = append(trace, x)
 			if x >= n && y >= m {
-				found = true
 				dFound = d
 				break
 			}
 		}
-		if found {
-			snapshot := make([]int, len(v))
-			copy(snapshot, v)
-			trace = append(trace, snapshot)
-			break
-		}
 	}
+	sc.trace = trace
 	// Backtrack.
-	var ops []editOp
+	ops := sc.ops[:0]
 	x, y := n, m
 	for d := dFound; d > 0; d-- {
-		vPrev := trace[d]
+		prev := trace[(d-1)*d/2 : d*(d+1)/2]
 		k := x - y
-		var prevK int
-		if k == -d || (k != d && vPrev[k-1+max] < vPrev[k+1+max]) {
-			prevK = k + 1
+		i := (k + d) / 2
+		var prevK, prevX int
+		if k == -d || (k != d && prev[i-1] < prev[i]) {
+			prevK, prevX = k+1, prev[i]
 		} else {
-			prevK = k - 1
+			prevK, prevX = k-1, prev[i-1]
 		}
-		prevX := vPrev[prevK+max]
 		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			x--
@@ -155,33 +182,34 @@ func myers(a, b []string) []editOp {
 		ops = append(ops, editOp{kind: Removed, text: a[x]})
 	}
 	reverseOps(ops)
-	return normalizeScript(ops)
+	sc.ops = ops
+	sc.script = normalizeScript(sc.script[:0], ops)
+	return sc.script
 }
 
-// normalizeScript reorders each change region so removals precede additions,
-// matching git's unified diff convention.
-func normalizeScript(ops []editOp) []editOp {
-	out := make([]editOp, 0, len(ops))
-	i := 0
-	for i < len(ops) {
+// normalizeScript appends ops to dst with each change region reordered so
+// removals precede additions, matching git's unified diff convention.
+func normalizeScript(dst, ops []editOp) []editOp {
+	for i := 0; i < len(ops); {
 		if ops[i].kind == Context {
-			out = append(out, ops[i])
+			dst = append(dst, ops[i])
 			i++
 			continue
 		}
-		var removed, added []editOp
-		for i < len(ops) && ops[i].kind != Context {
-			if ops[i].kind == Removed {
-				removed = append(removed, ops[i])
-			} else {
-				added = append(added, ops[i])
-			}
-			i++
+		j := i
+		for j < len(ops) && ops[j].kind != Context {
+			j++
 		}
-		out = append(out, removed...)
-		out = append(out, added...)
+		for _, kind := range [2]LineKind{Removed, Added} {
+			for _, op := range ops[i:j] {
+				if op.kind == kind {
+					dst = append(dst, op)
+				}
+			}
+		}
+		i = j
 	}
-	return out
+	return dst
 }
 
 func reverseOps(ops []editOp) {
@@ -190,71 +218,54 @@ func reverseOps(ops []editOp) {
 	}
 }
 
+// changeSpan returns the next change region of script at or after from,
+// with regions whose context gap is <= 2*contextLines merged into one.
+// start is len(script) when no change is left.
+func changeSpan(script []editOp, from, contextLines int) (start, end int) {
+	start = from
+	for start < len(script) && script[start].kind == Context {
+		start++
+	}
+	end = start
+	for end < len(script) {
+		for end < len(script) && script[end].kind != Context {
+			end++
+		}
+		next := end
+		for next < len(script) && script[next].kind == Context {
+			next++
+		}
+		if next == len(script) || next-end > 2*contextLines {
+			break
+		}
+		end = next
+	}
+	return start, end
+}
+
 // groupHunks slices an edit script into hunks separated by more than
 // 2*contextLines of unchanged lines.
 func groupHunks(script []editOp, contextLines int) []*Hunk {
-	type region struct{ start, end int } // change region indices in script
-	var regions []region
-	for i := 0; i < len(script); i++ {
-		if script[i].kind == Context {
-			continue
+	var hunks []*Hunk
+	oldAt, newAt, pos := 0, 0, 0 // old/new lines consumed before script[pos]
+	for start, end := changeSpan(script, 0, contextLines); start < len(script); start, end = changeSpan(script, end, contextLines) {
+		lo := max(start-contextLines, 0)
+		hi := min(end+contextLines, len(script))
+		for ; pos < lo; pos++ {
+			switch script[pos].kind {
+			case Context:
+				oldAt++
+				newAt++
+			case Removed:
+				oldAt++
+			case Added:
+				newAt++
+			}
 		}
-		start := i
-		for i < len(script) && script[i].kind != Context {
-			i++
-		}
-		regions = append(regions, region{start, i})
-	}
-	if len(regions) == 0 {
-		return nil
-	}
-	// Merge regions whose context gap is <= 2*contextLines.
-	var merged []region
-	cur := regions[0]
-	for _, r := range regions[1:] {
-		if r.start-cur.end <= 2*contextLines {
-			cur.end = r.end
-		} else {
-			merged = append(merged, cur)
-			cur = r
-		}
-	}
-	merged = append(merged, cur)
-
-	// Precompute old/new line numbers before each script index.
-	oldAt := make([]int, len(script)+1) // old lines consumed before index i
-	newAt := make([]int, len(script)+1)
-	for i, op := range script {
-		oldAt[i+1] = oldAt[i]
-		newAt[i+1] = newAt[i]
-		switch op.kind {
-		case Context:
-			oldAt[i+1]++
-			newAt[i+1]++
-		case Removed:
-			oldAt[i+1]++
-		case Added:
-			newAt[i+1]++
-		}
-	}
-
-	hunks := make([]*Hunk, 0, len(merged))
-	for _, r := range merged {
-		lo := r.start - contextLines
-		if lo < 0 {
-			lo = 0
-		}
-		hi := r.end + contextLines
-		if hi > len(script) {
-			hi = len(script)
-		}
-		h := &Hunk{
-			OldStart: oldAt[lo] + 1,
-			NewStart: newAt[lo] + 1,
-		}
-		for i := lo; i < hi; i++ {
-			h.Lines = append(h.Lines, Line{Kind: script[i].kind, Text: script[i].text})
-			switch script[i].kind {
+		h := &Hunk{OldStart: oldAt + 1, NewStart: newAt + 1, Lines: make([]Line, hi-lo)}
+		for i, op := range script[lo:hi] {
+			h.Lines[i] = Line{Kind: op.kind, Text: op.text}
+			switch op.kind {
 			case Context:
 				h.OldLines++
 				h.NewLines++

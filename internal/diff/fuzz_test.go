@@ -31,15 +31,17 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzComputeApply asserts the diff/apply round trip on arbitrary file
-// pairs.
+// pairs, and that Compute matches the reference implementation.
 func FuzzComputeApply(f *testing.F) {
 	f.Add("a\nb\nc\n", "a\nX\nc\n")
 	f.Add("", "new\n")
 	f.Add("only\n", "")
 	f.Add("same\n", "same\n")
+	f.Add("a\nb\na\n", "a\n")
 	f.Fuzz(func(t *testing.T, oldText, newText string) {
 		oldText = normalizeFuzz(oldText)
 		newText = normalizeFuzz(newText)
+		checkAgainstRef(t, oldText, newText)
 		fd := Compute("f.c", oldText, newText, 3)
 		if fd == nil {
 			return

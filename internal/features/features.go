@@ -7,6 +7,7 @@ package features
 
 import (
 	"strings"
+	"sync"
 
 	"patchdb/internal/ctoken"
 	"patchdb/internal/diff"
@@ -92,6 +93,27 @@ func (c counters) write(v []float64, base int) {
 	v[base+3] = float64(c.added - c.removed)
 }
 
+// scratch is Extract's working memory, recycled through scratchPool: one
+// lexer buffer for every changed line, one set of per-hunk token lists for
+// every hunk, and the per-hunk Levenshtein distances.
+type scratch struct {
+	toks                                       []ctoken.Token
+	addedRaw, removedRaw, addedAbs, removedAbs []string
+	levRaw, levAbs                             []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release drops the scratch's references into the patch text, so a pooled
+// buffer keeps no patch alive, and returns it to the pool.
+func (sc *scratch) release() {
+	clear(sc.toks[:cap(sc.toks)])
+	for _, s := range [...][]string{sc.addedRaw, sc.removedRaw, sc.addedAbs, sc.removedAbs} {
+		clear(s[:cap(s)])
+	}
+	scratchPool.Put(sc)
+}
+
 // Extract computes the 60-dimensional feature vector for a patch. totalFiles
 // is the number of files in the commit before non-C/C++ stripping (used by
 // feature 58, "% of affected files"); pass 0 if unknown and the stripped
@@ -103,7 +125,9 @@ func Extract(p *diff.Patch, totalFiles int) []float64 {
 	funcsSeen := make(map[string]bool)
 	var funcDefsAdded, funcDefsRemoved int
 
-	var levRaw, levAbs []float64
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	sc.levRaw, sc.levAbs = sc.levRaw[:0], sc.levAbs[:0]
 	var sameRaw, sameAbs int
 	hunkCount := 0
 
@@ -113,13 +137,14 @@ func Extract(p *diff.Patch, totalFiles int) []float64 {
 			if h.Section != "" {
 				funcsSeen[f.NewPath+"::"+sectionFuncName(h.Section)] = true
 			}
-			var addedToksRaw, removedToksRaw []string
-			var addedToksAbs, removedToksAbs []string
+			sc.addedRaw, sc.removedRaw = sc.addedRaw[:0], sc.removedRaw[:0]
+			sc.addedAbs, sc.removedAbs = sc.addedAbs[:0], sc.removedAbs[:0]
 			for _, ln := range h.Lines {
 				if ln.Kind == diff.Context {
 					continue
 				}
-				toks := ctoken.LexLine(ln.Text)
+				sc.toks = ctoken.LexAppend(sc.toks[:0], ln.Text, 1)
+				toks := sc.toks
 				added := ln.Kind == diff.Added
 				bump(&lines, added, 1)
 				bump(&chars, added, len(ln.Text))
@@ -130,7 +155,13 @@ func Extract(p *diff.Patch, totalFiles int) []float64 {
 						funcDefsRemoved++
 					}
 				}
+				raw, abs := &sc.removedRaw, &sc.removedAbs
+				if added {
+					raw, abs = &sc.addedRaw, &sc.addedAbs
+				}
 				for _, t := range toks {
+					*raw = append(*raw, t.Text)
+					*abs = append(*abs, ctoken.AbstractOne(t))
 					switch {
 					case ctoken.IsIfKeyword(t):
 						bump(&ifs, added, 1)
@@ -157,20 +188,11 @@ func Extract(p *diff.Patch, totalFiles int) []float64 {
 						}
 					}
 				}
-				raw := ctoken.Texts(toks)
-				abs := ctoken.Abstract(toks)
-				if added {
-					addedToksRaw = append(addedToksRaw, raw...)
-					addedToksAbs = append(addedToksAbs, abs...)
-				} else {
-					removedToksRaw = append(removedToksRaw, raw...)
-					removedToksAbs = append(removedToksAbs, abs...)
-				}
 			}
-			dRaw := lev.Distance(removedToksRaw, addedToksRaw)
-			dAbs := lev.Distance(removedToksAbs, addedToksAbs)
-			levRaw = append(levRaw, float64(dRaw))
-			levAbs = append(levAbs, float64(dAbs))
+			dRaw := lev.Distance(sc.removedRaw, sc.addedRaw)
+			dAbs := lev.Distance(sc.removedAbs, sc.addedAbs)
+			sc.levRaw = append(sc.levRaw, float64(dRaw))
+			sc.levAbs = append(sc.levAbs, float64(dAbs))
 			if dRaw == 0 {
 				sameRaw++
 			}
@@ -196,9 +218,9 @@ func Extract(p *diff.Patch, totalFiles int) []float64 {
 	v[IdxFuncsTotal] = float64(len(funcsSeen))
 	v[IdxFuncsNet] = float64(funcDefsAdded - funcDefsRemoved)
 
-	mean, lo, hi := stats(levRaw)
+	mean, lo, hi := stats(sc.levRaw)
 	v[IdxLevMeanRaw], v[IdxLevMeanRaw+1], v[IdxLevMeanRaw+2] = mean, lo, hi
-	mean, lo, hi = stats(levAbs)
+	mean, lo, hi = stats(sc.levAbs)
 	v[IdxLevMeanAbs], v[IdxLevMeanAbs+1], v[IdxLevMeanAbs+2] = mean, lo, hi
 	v[IdxSameHunksRaw] = float64(sameRaw)
 	v[IdxSameHunksAbs] = float64(sameAbs)

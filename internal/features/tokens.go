@@ -23,15 +23,16 @@ const (
 // projects.
 func TokenSequence(p *diff.Patch) []string {
 	var seq []string
+	var toks []ctoken.Token // one lexer buffer for every line
 	for _, h := range p.HunkList() {
 		seq = append(seq, TokHunk)
-		seq = appendLines(seq, h, diff.Removed, TokRemoved)
-		seq = appendLines(seq, h, diff.Added, TokAdded)
+		seq, toks = appendLines(seq, toks, h, diff.Removed, TokRemoved)
+		seq, toks = appendLines(seq, toks, h, diff.Added, TokAdded)
 	}
 	return seq
 }
 
-func appendLines(seq []string, h *diff.Hunk, kind diff.LineKind, marker string) []string {
+func appendLines(seq []string, toks []ctoken.Token, h *diff.Hunk, kind diff.LineKind, marker string) ([]string, []ctoken.Token) {
 	first := true
 	for _, ln := range h.Lines {
 		if ln.Kind != kind {
@@ -41,7 +42,10 @@ func appendLines(seq []string, h *diff.Hunk, kind diff.LineKind, marker string) 
 			seq = append(seq, marker)
 			first = false
 		}
-		seq = append(seq, ctoken.Abstract(ctoken.LexLine(ln.Text))...)
+		toks = ctoken.LexAppend(toks[:0], ln.Text, 1)
+		for _, t := range toks {
+			seq = append(seq, ctoken.AbstractOne(t))
+		}
 	}
-	return seq
+	return seq, toks
 }

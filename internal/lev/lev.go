@@ -13,8 +13,14 @@ func Distance(a, b []string) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	// The two rows live on the stack when the shorter side is a hunk's
+	// worth of tokens.
+	var stack [2 * 64]int
+	rows := stack[:]
+	if 2*(len(b)+1) > len(rows) {
+		rows = make([]int, 2*(len(b)+1))
+	}
+	prev, cur := rows[:len(b)+1], rows[len(b)+1:2*(len(b)+1)]
 	for j := range prev {
 		prev[j] = j
 	}
