@@ -10,56 +10,59 @@ import (
 
 // Blocked, sharded candidate generation — the engine's one scan kernel.
 //
-// Algorithm 1 needs one search: the exact lexicographic (best, runner-up)
-// wild column of a security row over the columns still unused. Phase 1
-// runs it for every row over the whole pool; the greedy phase reruns it for
-// one row over the unused columns when a collision cannot be absorbed by
-// the cached runner-up (a rescan); KNNSelect is phase 1's best column. All
-// three go through the same sweep and the same rejection ladder
-// (scanRowTile).
+// Algorithm 1 needs one search: the exact lexicographically smallest
+// (distance, column) pairs of a security row over the columns still unused.
+// The kernel keeps a list of the depth smallest per row (a candidate list).
+// Phase 1 runs it for every row over the whole pool at depth 2; deepening
+// reruns it at depth listDepth for the rows certain to use up their phase-1
+// list (deepRows); the greedy phase reruns it at depth listDepth for one
+// row over the unused columns when a collision uses up a full list (a
+// rescan);
+// KNNSelect is phase 1's best column. All of them go through the same sweep
+// and the same rejection ladder (scanRowTile).
 //
-// Phase 1 restructures the work on two axes so each stripe load is
-// amortized and the grid parallelizes cleanly:
+// A scan over many rows restructures the work on two axes so each stripe
+// load is amortized and the grid parallelizes cleanly:
 //
-//   - Seed-major blocking: security rows are grouped into blocks of
-//     defaultBlockRows consecutive scan-order (ascending-norm) rows. One
-//     pass over a wild column evaluates the whole block against it, so the
+//   - Seed-major blocking: the plan's security rows, in scan (ascending-
+//     norm) order, are grouped into blocks of defaultBlockRows. One pass
+//     over a wild column evaluates the whole block against it, so the
 //     column's stripe data (segment norms, packed prefix, tail) is loaded
 //     once per block instead of once per row, and the block's own row data
 //     stays L1-resident across the pass.
 //   - Wild-pool sharding: the norm-sorted pool is cut into contiguous
 //     shards of defaultShardCols columns. A (block, shard) pair is one
 //     independent task; workers drain the task grid through an atomic
-//     cursor. Each task computes the block rows' (best, runner-up) over its
-//     shard only, and a deterministic merge folds the per-shard pairs into
-//     the global two-best per row.
+//     cursor. Each task computes the block rows' lists over its shard only,
+//     and a deterministic merge folds the per-shard lists into the global
+//     list per row.
 //
 // A rescan is a one-row task over the whole pool: its window starts as the
-// full pool, its bound as +Inf (see seedBound), and the used mask skips
+// full pool, its bound as +Inf (see seedBounds), and the used mask skips
 // the taken columns.
 //
 // Exactness of the merge: every rejection inside a task is strictly above
-// min(ub, d2_task) where ub (the seeded second-best bound) is ≥ the row's
-// FINAL global second-best and d2_task, a running second-best over a subset
-// of columns, likewise — so no candidate of the row's true global two-best
-// is ever rejected in any shard. Both survive to reference-order
-// confirmation in their own shards, each ranks in its shard's top two (at
-// most one global candidate can out-rank it anywhere), and the
-// lexicographic merge over all per-shard pairs therefore reproduces exactly
-// the two smallest (distance, column) pairs the reference's full ascending
-// scan would keep.
+// min(ub, dK_task) where ub (the seeded bound) is ≥ the row's FINAL global
+// depth-th best and dK_task, a running depth-th best over a subset of
+// columns, likewise — so no member of the row's true global list is ever
+// rejected in any shard. Each survives to reference-order confirmation in
+// its own shard and ranks in its shard's top depth (only global members can
+// out-rank it there), and the lexicographic merge over all per-shard lists
+// therefore reproduces exactly the depth smallest (distance, column) pairs
+// the reference's full ascending scan would order.
 //
-// Determinism of the accounting: the task grid is a pure function of
-// (rows, cols, blockRows, shardCols) — never of Workers — each task's visit
-// order and pruning bounds are fixed (bounds start from the row's seeded
-// cap and tighten only within the task), and the int64 counters merge by
-// addition. Rescans run serially in the greedy phase's deterministic order.
-// Stats are therefore bit-identical at any worker count; blockRows and
-// shardCols may change counter values (they move pruning decisions between
-// stages) but never the links.
+// Determinism of the accounting: a plan's task grid is a pure function of
+// (its rows, cols, blockRows, shardCols) — never of Workers — each task's
+// visit order and pruning bounds are fixed (bounds start from the row's
+// seeded cap and tighten only within the task), and the int64 counters
+// merge by addition. Phase 1's results, and with them the rows deepening
+// scans, do not depend on Workers either; rescans run serially in the
+// greedy phase's deterministic order. Stats are therefore bit-identical at
+// any worker count; blockRows and shardCols may change counter values
+// (they move pruning decisions between stages) but never the links.
 
 // defaultBlockRows is the seed-major block height: how many consecutive
-// scan-order security rows share one pass over a wild column.
+// scan-order security rows of a plan share one pass over a wild column.
 const defaultBlockRows = 16
 
 // defaultShardCols is the wild-pool shard width in norm-sorted columns.
@@ -67,27 +70,84 @@ const defaultBlockRows = 16
 // still offers blocks×shards-way parallelism at bench shapes.
 const defaultShardCols = 131072
 
-// blockPlan is the per-search state of phase 1: per-row seeded bounds and
-// norm windows, and the per-(row, shard) two-best result grid. Rows are
-// indexed by scan-order position t.
+// listDepth is the candidate-list depth of deepening and rescans: how many
+// of a row's smallest (distance, column) pairs the greedy phase can fall
+// back on before it has to rescan the row. Deeper lists absorb more
+// collisions, at the price of a looser pruning bound (the depth-th best
+// instead of the second) while they are filled.
+const listDepth = 8
+
+// insertPair inserts (d, j) into the lexicographically sorted list
+// ld[:n], lj[:n] of capacity len(ld) when it ranks among the len(ld)
+// smallest pairs, and returns the new length. A +Inf distance never enters,
+// as it never wins the reference's strict-< scan.
+func insertPair(ld []float64, lj []int, n int, d float64, j int) int {
+	if d == inf {
+		return n
+	}
+	k := n
+	for k > 0 && (d < ld[k-1] || (d == ld[k-1] && j < lj[k-1])) {
+		k--
+	}
+	if k == len(ld) {
+		return n
+	}
+	if n < len(ld) {
+		n++
+	}
+	copy(ld[k+1:n], ld[k:n-1])
+	copy(lj[k+1:n], lj[k:n-1])
+	ld[k], lj[k] = d, j
+	return n
+}
+
+// candidates holds every security row's candidate list: its
+// lexicographically smallest (distance, column) pairs over the columns that
+// were free when the list was filled, best first, indexed by original row.
+type candidates struct {
+	d     []float64 // row i's entries at [i*listDepth, i*listDepth+n[i])
+	j     []int
+	n     []int // entries held
+	depth []int // entries asked for; fewer held means none is left out
+	pos   []int // greedy cursor: the first entry not known to be taken
+}
+
+func newCandidates(m int) *candidates {
+	return &candidates{
+		d: make([]float64, m*listDepth), j: make([]int, m*listDepth),
+		n: make([]int, m), depth: make([]int, m), pos: make([]int, m),
+	}
+}
+
+// blockPlan is one blocked scan: per-row seeded bounds and norm windows,
+// and the per-(row, shard) list grid. Plan rows are indexed by their
+// position pi in rows.
 type blockPlan struct {
 	e         *engine
+	rows      []int // scan-order positions, ascending
+	depth     int   // list entries kept per row
 	blockRows int
 	shardCols int
 	nblocks   int
 	nshards   int
 
-	ub     []float64 // seeded second-best upper bound (the pruning cap)
+	ub     []float64 // seeded bound on each row's final depth-th best
 	ws, we []int     // global norm window [ws, we) implied by ub
 
-	// Per-(t, shard) two-best results, written by exactly one task each.
-	d1, d2 []float64
-	j1, j2 []int
+	// Per-(pi, shard) lists, written by exactly one task each: cell
+	// pi*nshards+s holds cn[cell] entries from cell*depth.
+	cd []float64
+	cj []int
+	cn []int
 }
 
-func newBlockPlan(e *engine, o Options) *blockPlan {
-	m, n := e.sec.rows, len(e.wldNS)
-	p := &blockPlan{e: e, blockRows: o.blockRows, shardCols: o.shardCols}
+// newBlockPlan plans a scan of the scan-order rows at depth under the
+// seeded bounds ub (one per row), and counts the columns outside each
+// row's norm window as norm-pruned: every task skips them without even an
+// O(1) test.
+func newBlockPlan(e *engine, o Options, rows []int, depth int, ub []float64, stats *Stats) *blockPlan {
+	m, n := len(rows), len(e.wldNS)
+	p := &blockPlan{e: e, rows: rows, depth: depth, blockRows: o.blockRows, shardCols: o.shardCols, ub: ub}
 	if p.blockRows <= 0 {
 		p.blockRows = defaultBlockRows
 	}
@@ -96,35 +156,25 @@ func newBlockPlan(e *engine, o Options) *blockPlan {
 	}
 	p.nblocks = (m + p.blockRows - 1) / p.blockRows
 	p.nshards = (n + p.shardCols - 1) / p.shardCols
-	p.ub = make([]float64, m)
 	p.ws = make([]int, m)
 	p.we = make([]int, m)
+	for pi, t := range rows {
+		ws, we := e.normWindow(e.secN[t], e.secMid[t], ub[pi])
+		p.ws[pi], p.we[pi] = ws, we
+		stats.NormPruned += int64(n - (we - ws))
+	}
 	cells := m * p.nshards
-	p.d1 = make([]float64, cells)
-	p.d2 = make([]float64, cells)
-	p.j1 = make([]int, cells)
-	p.j2 = make([]int, cells)
+	p.cd = make([]float64, cells*depth)
+	p.cj = make([]int, cells*depth)
+	p.cn = make([]int, cells)
 	return p
-}
-
-// seedRow runs the pre-phase for scan-order row t: the seeded bound and
-// the global norm window it implies, plus the bulk accounting for every
-// column outside the window (those are skipped by all of the row's tasks
-// without even an O(1) test).
-func (p *blockPlan) seedRow(t int, c *scanCounters) {
-	e := p.e
-	ub := e.seedBound(t, c)
-	p.ub[t] = ub
-	ws, we := e.normWindow(e.secN[t], e.secMid[t], ub)
-	p.ws[t], p.we[t] = ws, we
-	c.normPruned += int64(len(e.wldNS) - (we - ws))
 }
 
 // normWindow returns the half-open column range [ws, we) that survives the
 // bulk norm-window test at bound b: exactly the sorted positions whose
-// shaded norm gap does not prove them strictly worse than b. The true best
-// and runner-up always lie inside (their distances are ≤ √b, and the norm
-// gap lower-bounds the distance).
+// shaded norm gap does not prove them strictly worse than b. Every list
+// member always lies inside (its distance is ≤ √b, and the norm gap
+// lower-bounds the distance).
 func (e *engine) normWindow(na float64, mid int, b float64) (ws, we int) {
 	n := len(e.wldNS)
 	if math.IsInf(b, 1) {
@@ -142,20 +192,23 @@ func (e *engine) normWindow(na float64, mid int, b float64) (ws, we int) {
 }
 
 // blockScratch is one worker's reusable per-task state, sized to the block
-// height once per worker.
+// height and list depth once per worker.
 type blockScratch struct {
+	depth           int
 	ws, we          []int // row windows clamped to the task's shard
-	d1, d2          []float64
-	j1, j2          []int
-	b               []float64 // live pruning bound: min(seeded cap, running d2)
+	d               []float64
+	j               []int // slot r's list at [r*depth, r*depth+n[r])
+	n               []int
+	b               []float64 // live pruning bound: min(seeded cap, running depth-th best)
 	onRight, onLeft []bool
 }
 
-func newBlockScratch(block int) *blockScratch {
+func newBlockScratch(block, depth int) *blockScratch {
 	return &blockScratch{
-		ws: make([]int, block), we: make([]int, block),
-		d1: make([]float64, block), d2: make([]float64, block),
-		j1: make([]int, block), j2: make([]int, block),
+		depth: depth,
+		ws:    make([]int, block), we: make([]int, block),
+		d: make([]float64, block*depth), j: make([]int, block*depth),
+		n:       make([]int, block),
 		b:       make([]float64, block),
 		onRight: make([]bool, block), onLeft: make([]bool, block),
 	}
@@ -164,21 +217,13 @@ func newBlockScratch(block int) *blockScratch {
 // start resets slot r for a scan over the window [ws, we) under bound b.
 func (s *blockScratch) start(r, ws, we int, b float64) {
 	s.ws[r], s.we[r] = ws, we
-	s.d1[r], s.j1[r] = inf, -1
-	s.d2[r], s.j2[r] = inf, -1
+	s.n[r] = 0
 	s.b[r] = b
 }
 
-// runBlocked executes the pre-phase and the task grid on o.Workers
-// goroutines, then merges the per-shard pairs into u/v (best) and u2/v2
-// (runner-up), indexed by original security row.
-func (p *blockPlan) runBlocked(ctx context.Context, o Options, stats *Stats, u []float64, v []int, u2 []float64, v2 []int) error {
-	e := p.e
-	m := e.sec.rows
-	if err := e.parallelRows(ctx, o.Workers, m, stats, p.seedRow); err != nil {
-		return err
-	}
-
+// run executes the task grid on o.Workers goroutines, then merges each
+// row's per-shard lists into its candidate list.
+func (p *blockPlan) run(ctx context.Context, o Options, stats *Stats, cands *candidates) error {
 	tasks := p.nblocks * p.nshards
 	workers := o.Workers
 	if workers > tasks {
@@ -194,7 +239,7 @@ func (p *blockPlan) runBlocked(ctx context.Context, o Options, stats *Stats, u [
 		go func() {
 			defer wg.Done()
 			var c scanCounters
-			scr := newBlockScratch(p.blockRows)
+			scr := newBlockScratch(p.blockRows, p.depth)
 			for {
 				task := int(atomic.AddInt64(&next, 1)) - 1
 				if task >= tasks || ctx.Err() != nil {
@@ -212,34 +257,19 @@ func (p *blockPlan) runBlocked(ctx context.Context, o Options, stats *Stats, u [
 		return canceled(ctx)
 	}
 
-	// Deterministic merge, ascending shard order: the global two-best is the
-	// lexicographic top two over the union of every shard's reported pairs.
-	for t := 0; t < m; t++ {
-		d1, j1, d2, j2 := inf, -1, inf, -1
-		base := t * p.nshards
-		for s := 0; s < p.nshards; s++ {
-			for pass := 0; pass < 2; pass++ {
-				var d float64
-				var j int
-				if pass == 0 {
-					d, j = p.d1[base+s], p.j1[base+s]
-				} else {
-					d, j = p.d2[base+s], p.j2[base+s]
-				}
-				if j < 0 {
-					continue
-				}
-				if d < d1 || (d == d1 && j < j1) {
-					d2, j2 = d1, j1
-					d1, j1 = d, j
-				} else if d < d2 || (d == d2 && j < j2) {
-					d2, j2 = d, j
-				}
+	// Deterministic merge, ascending shard order: the global list is the
+	// lexicographic top depth over the union of every shard's lists.
+	for pi, t := range p.rows {
+		i := p.e.secOrder[t]
+		ld := cands.d[i*listDepth : i*listDepth+p.depth]
+		lj := cands.j[i*listDepth : i*listDepth+p.depth]
+		n := 0
+		for cell := pi * p.nshards; cell < (pi+1)*p.nshards; cell++ {
+			for k := cell * p.depth; k < cell*p.depth+p.cn[cell]; k++ {
+				n = insertPair(ld, lj, n, p.cd[k], p.cj[k])
 			}
 		}
-		i := e.secOrder[t]
-		u[i], v[i] = d1, j1
-		u2[i], v2[i] = d2, j2
+		cands.n[i], cands.depth[i], cands.pos[i] = n, p.depth, 0
 	}
 	return nil
 }
@@ -256,17 +286,16 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 	if n := len(e.wldNS); hi > n {
 		hi = n
 	}
-	t0 := bi * p.blockRows
-	t1 := t0 + p.blockRows
-	if m := e.sec.rows; t1 > m {
-		t1 = m
+	p0 := bi * p.blockRows
+	p1 := p0 + p.blockRows
+	if m := len(p.rows); p1 > m {
+		p1 = m
 	}
-	B := t1 - t0
+	rows := p.rows[p0:p1]
 
 	anyWin := false
-	for r := 0; r < B; r++ {
-		t := t0 + r
-		ws, we := p.ws[t], p.we[t]
+	for r := range rows {
+		ws, we := p.ws[p0+r], p.we[p0+r]
 		if ws < lo {
 			ws = lo
 		}
@@ -276,7 +305,7 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 		if we < ws {
 			ws, we = lo, lo
 		}
-		scr.start(r, ws, we, p.ub[t])
+		scr.start(r, ws, we, p.ub[p0+r])
 		if we > ws {
 			anyWin = true
 		}
@@ -284,36 +313,40 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
 	if anyWin {
 		// Anchor at the block's median norm position so both sweeps walk
 		// outward through growing norm gaps for (almost) every row.
-		anchor := e.secMid[t0+B/2]
+		anchor := e.secMid[rows[len(rows)/2]]
 		if anchor < lo {
 			anchor = lo
 		}
 		if anchor > hi {
 			anchor = hi
 		}
-		e.sweep(c, scr, nil, t0, B, anchor, hi, +1)
-		e.sweep(c, scr, nil, t0, B, anchor-1, lo-1, -1)
+		e.sweep(c, scr, nil, rows, anchor, hi, +1)
+		e.sweep(c, scr, nil, rows, anchor-1, lo-1, -1)
 	}
-	base := t0*p.nshards + si
-	for r := 0; r < B; r++ {
-		cell := base + r*p.nshards
-		p.d1[cell], p.j1[cell] = scr.d1[r], scr.j1[r]
-		p.d2[cell], p.j2[cell] = scr.d2[r], scr.j2[r]
+	for r := range rows {
+		cell := (p0+r)*p.nshards + si
+		p.cn[cell] = scr.n[r]
+		copy(p.cd[cell*p.depth:(cell+1)*p.depth], scr.d[r*p.depth:(r+1)*p.depth])
+		copy(p.cj[cell*p.depth:(cell+1)*p.depth], scr.j[r*p.depth:(r+1)*p.depth])
 	}
 }
 
-// rescan recomputes security row i's lexicographic (best, runner-up) over
-// the columns not in used: a one-row task over the whole pool, swept
-// outward from the row's own norm position. There is no seeded cap, so the
-// bound starts at +Inf and tightens from the row's own confirmations; each
-// tightening still cuts the window edges in bulk. scr needs one slot.
-func (e *engine) rescan(i int, used []bool, c *scanCounters, scr *blockScratch) (d1 float64, j1 int, d2 float64, j2 int) {
+// rescan refills security row i's candidate list to listDepth over the
+// columns not in used: a one-row task over the whole pool, swept outward
+// from the row's own norm position. There is no seeded cap, so the bound
+// starts at +Inf and tightens from the row's own confirmations; each
+// tightening still cuts the window edges in bulk. scr needs one slot of
+// depth listDepth.
+func (e *engine) rescan(i int, used []bool, c *scanCounters, scr *blockScratch, cands *candidates) {
 	t, n := e.rank[i], len(e.wldNS)
+	rows := []int{t}
 	mid := e.secMid[t]
 	scr.start(0, 0, n, inf)
-	e.sweep(c, scr, used, t, 1, mid, n, +1)
-	e.sweep(c, scr, used, t, 1, mid-1, -1, -1)
-	return scr.d1[0], scr.j1[0], scr.d2[0], scr.j2[0]
+	e.sweep(c, scr, used, rows, mid, n, +1)
+	e.sweep(c, scr, used, rows, mid-1, -1, -1)
+	copy(cands.d[i*listDepth:(i+1)*listDepth], scr.d[:listDepth])
+	copy(cands.j[i*listDepth:(i+1)*listDepth], scr.j[:listDepth])
+	cands.n[i], cands.depth[i], cands.pos[i] = scr.n[0], listDepth, 0
 }
 
 // sweepTile is the column-tile width of a sweep. Rows of a block revisit the
@@ -323,25 +356,24 @@ func (e *engine) rescan(i int, used []bool, c *scanCounters, scr *blockScratch) 
 const sweepTile = 256
 
 // sweep walks column tiles from start toward stop (exclusive) in direction
-// dir for the B scan-order rows from t0 (scratch slots 0..B-1). Within a
+// dir for the scan-order rows (scratch slot r scans rows[r]). Within a
 // tile every still-active row scans its in-window slice of the tile
 // row-major — all per-row state in locals — through the staged rejection
 // ladder, skipping the columns in used (nil in phase 1). A row's window
 // edge moves inward whenever its bound tightens, pruning the remainder of
 // the side in bulk; the row drops out once its edge is reached, and the
 // sweep ends when no rows remain.
-func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, t0, B, start, stop, dir int) {
+func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, rows []int, start, stop, dir int) {
 	on := scr.onRight
 	if dir < 0 {
 		on = scr.onLeft
 	}
 	active := 0
-	for r := 0; r < B; r++ {
+	for r, t := range rows {
 		// Refresh this direction's far edge against the row's current bound
 		// before the pass starts: the bound may have tightened during the
 		// opposite pass, and this side is still entirely unvisited, so the
 		// bulk accounting stays an exact partition of the task's window.
-		t := t0 + r
 		na, mid, b := e.secN[t], e.secMid[t], scr.b[r]
 		if dir > 0 {
 			if lo := max(mid, scr.ws[r]); lo < scr.we[r] {
@@ -381,7 +413,7 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, t0, B, s
 			}
 			next = klo - 1
 		}
-		for r := 0; r < B; r++ {
+		for r, t := range rows {
 			if !on[r] {
 				continue
 			}
@@ -405,7 +437,7 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, t0, B, s
 			if ks >= ke {
 				continue
 			}
-			if !e.scanRowTile(c, scr, used, r, t0+r, ks, ke, dir) {
+			if !e.scanRowTile(c, scr, used, r, t, ks, ke, dir) {
 				on[r] = false
 				active--
 			}
@@ -417,7 +449,7 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, t0, B, s
 // Why the out-of-order scans still reproduce the reference exactly: the
 // reference's ascending scan with strict-< updates computes the
 // lexicographically smallest (distance, column) pair — on equal distances
-// the earlier column wins — and, for the two-best variant, the two
+// the earlier column wins — and, for a candidate list of depth k, the k
 // lexicographically smallest pairs. A scan may therefore visit columns in
 // ANY order and produce identical results, provided (1) every update
 // comparison is lexicographic on (distance, original column index), and
@@ -430,8 +462,8 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, t0, B, s
 
 // scanRowTile runs scan-order row t (scratch slot r) over tile columns
 // [ks, ke) in direction dir, with every per-row value hoisted into locals.
-// It is the engine's only per-candidate rejection ladder; phase 1, rescans
-// and KNNSelect all reach it through sweep. The ladder stays written out in
+// It is the engine's only per-candidate rejection ladder; phase 1,
+// deepening, rescans and KNNSelect all reach it through sweep. The ladder stays written out in
 // this loop: Go does not inline a function of its size, and a per-candidate
 // call would cost more than the cheap stages it wraps.
 //
@@ -459,7 +491,10 @@ func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r,
 	rowS := e.secS.Row(t)
 	pre, tail := rowS[:pw:pw], rowS[pw:]
 	b := scr.b[r]
-	d1, j1, d2, j2 := scr.d1[r], scr.j1[r], scr.d2[r], scr.j2[r]
+	depth := scr.depth
+	ld := scr.d[r*depth : (r+1)*depth : (r+1)*depth]
+	lj := scr.j[r*depth : (r+1)*depth : (r+1)*depth]
+	ln := scr.n[r]
 
 	k, kend := ks, ke
 	if dir < 0 {
@@ -507,14 +542,9 @@ func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r,
 		}
 		j := e.orig[k]
 		sum := dist2(e.sec.Row(e.secOrder[t]), e.wld.Row(j))
-		if sum < d1 || (sum == d1 && j < j1) {
-			d2, j2 = d1, j1
-			d1, j1 = sum, j
-		} else if sum < d2 || (sum == d2 && j < j2) {
-			d2, j2 = sum, j
-		}
-		if d2 < b {
-			b = d2
+		ln = insertPair(ld, lj, ln, sum, j)
+		if ln == depth && ld[depth-1] < b {
+			b = ld[depth-1]
 			// The bound just tightened: re-derive this side's outward edge
 			// over the monotone (past-mid) stretch of the sorted norms,
 			// count the newly excluded columns in bulk, and stop the tile
@@ -543,7 +573,7 @@ func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r,
 		}
 	}
 	scr.b[r] = b
-	scr.d1[r], scr.j1[r], scr.d2[r], scr.j2[r] = d1, j1, d2, j2
+	scr.n[r] = ln
 	if dir > 0 {
 		return scr.we[r] > ke
 	}

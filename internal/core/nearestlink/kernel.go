@@ -2,6 +2,7 @@ package nearestlink
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -215,7 +216,7 @@ type engine struct {
 	pw, tw   int       // stripe widths: pw+tw = cols
 }
 
-func newEngine(sec, wld *Matrix) *engine {
+func newEngine(sec, wld *Matrix, secN, wldN []float64, workers int, buf *buffers) *engine {
 	perm := screenPerm(wld)
 	pw := screenPrefix
 	if wld.cols < pw {
@@ -225,40 +226,45 @@ func newEngine(sec, wld *Matrix) *engine {
 
 	// Order both sides by (norm, original index) — deterministic, so every
 	// Stats counter is a pure function of the input.
-	wldN := rowNorms(wld)
 	e.orig = normOrder(wldN)
-	secN := rowNorms(sec)
 	e.secOrder = normOrder(secN)
 
 	n, m := wld.rows, sec.rows
-	e.wldNS = make([]float64, n)
-	e.wldSegs = make([]float64, n*nseg)
-	e.wldP = make([]float64, n*pw)
-	e.wldT = make([]float64, n*e.tw)
-	row := make([]float64, wld.cols)
-	for k, j := range e.orig {
-		permute(row, wld.Row(j), perm)
-		pre := e.wldP[k*pw : (k+1)*pw]
-		tail := e.wldT[k*e.tw : (k+1)*e.tw]
-		copy(pre, row[:pw])
-		copy(tail, row[pw:])
-		fillSegNorms(e.wldSegs[k*nseg:(k+1)*nseg], pre, tail)
-		e.wldNS[k] = wldN[j]
-	}
+	buf.stripes = take(buf.stripes, n*(1+nseg+pw+e.tw))
+	st := buf.stripes
+	e.wldNS, st = st[:n:n], st[n:]
+	e.wldSegs, st = st[:n*nseg:n*nseg], st[n*nseg:]
+	e.wldP, e.wldT = st[:n*pw:n*pw], st[n*pw:]
+	forChunks(workers, n, func(_, lo, hi int) {
+		row := make([]float64, wld.cols)
+		for k := lo; k < hi; k++ {
+			j := e.orig[k]
+			permute(row, wld.Row(j), perm)
+			pre := e.wldP[k*pw : (k+1)*pw]
+			tail := e.wldT[k*e.tw : (k+1)*e.tw]
+			copy(pre, row[:pw])
+			copy(tail, row[pw:])
+			fillSegNorms(e.wldSegs[k*nseg:(k+1)*nseg], pre, tail)
+			e.wldNS[k] = wldN[j]
+		}
+	})
 
 	e.rank = make([]int, m)
 	e.secN = make([]float64, m)
 	e.secMid = make([]int, m)
 	e.secS = NewMatrix(m, sec.cols)
 	e.secSegs = make([]float64, m*nseg)
-	for t, i := range e.secOrder {
-		e.rank[i] = t
-		e.secN[t] = secN[i]
-		e.secMid[t] = sort.SearchFloat64s(e.wldNS, secN[i])
-		rowS := e.secS.Row(t)
-		permute(rowS, sec.Row(i), perm)
-		fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
-	}
+	forChunks(workers, m, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			i := e.secOrder[t]
+			e.rank[i] = t
+			e.secN[t] = secN[i]
+			e.secMid[t] = sort.SearchFloat64s(e.wldNS, secN[i])
+			rowS := e.secS.Row(t)
+			permute(rowS, sec.Row(i), perm)
+			fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
+		}
+	})
 	// Both norm orders are ascending, so their last entries are the maxima.
 	if e.wldNS[n-1] > maxBoundNorm || e.secN[m-1] > maxBoundNorm {
 		clear(e.wldNS)
@@ -277,18 +283,32 @@ func newEngine(sec, wld *Matrix) *engine {
 // (DESIGN.md §5.2).
 var maxBoundNorm = math.Sqrt(math.MaxFloat64) / 2
 
-// normOrder returns the row indices sorted by (norm, index).
+// normOrder returns the row indices sorted by (norm, index). Norms are
+// finite or +Inf, never NaN, so this is a total order and any sort yields
+// the same permutation; sorting packed keys keeps the comparisons off the
+// norms slice.
 func normOrder(norms []float64) []int {
-	order := make([]int, len(norms))
-	for i := range order {
-		order[i] = i
+	type key struct {
+		norm float64
+		i    int
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if norms[order[a]] != norms[order[b]] {
-			return norms[order[a]] < norms[order[b]]
+	keys := make([]key, len(norms))
+	for i, nv := range norms {
+		keys[i] = key{nv, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.norm < b.norm:
+			return -1
+		case a.norm > b.norm:
+			return 1
 		}
-		return order[a] < order[b]
+		return a.i - b.i
 	})
+	order := make([]int, len(norms))
+	for k, key := range keys {
+		order[k] = key.i
+	}
 	return order
 }
 
@@ -413,21 +433,23 @@ func screenPerm(wld *Matrix) []int {
 
 // seedSpan is the per-side width of the bound-seeding sample: before phase
 // 1 scans it, every security row evaluates the exact distance to its
-// 2·seedSpan nearest-norm wild rows. The second-smallest sampled distance
-// is an upper bound on the row's final second-best (order statistics over a
-// subset can only be ≥ those over the full set), so the scan prunes against
-// min(current, seeded) from its very first step — before its own visits
-// have tightened the running second-best.
+// 2·seedSpan nearest-norm wild rows. The k-th smallest sampled distance is
+// an upper bound on the row's final k-th best (order statistics over a
+// subset can only be ≥ those over the full set), so a scan that keeps k
+// candidates prunes against min(current, seeded) from its very first step —
+// before its own visits have tightened the running k-th best.
 const seedSpan = 64
 
-// seedBound samples the 2·seedSpan nearest-norm wild rows of scan-order row
-// t and returns the second-smallest exact distance — a valid upper bound for
-// the row's final second-best over the whole pool. The value is used only
-// as a pruning bound, never recorded as a candidate, so the scan's
-// lexicographic state is built exclusively from its own confirmed visits.
-// Rescans cannot use it: a sampled column may be taken, and a taken
-// column's distance is no upper bound on the free columns' second-best.
-func (e *engine) seedBound(t int, c *scanCounters) float64 {
+// seedBounds samples the 2·seedSpan nearest-norm wild rows of scan-order
+// row t and returns the second- and the listDepth-th-smallest exact
+// distances — valid upper bounds for the row's final second and
+// listDepth-th best over the whole pool, the caps of phase 1 and of
+// deepening. The values are used only as pruning bounds, never recorded as
+// candidates, so a scan's lexicographic state is built exclusively from its
+// own confirmed visits. Rescans cannot use them: a sampled column may be
+// taken, and a taken column's distance is no upper bound on the free
+// columns' order statistics.
+func (e *engine) seedBounds(t int, c *scanCounters) (ub2, ubK float64) {
 	row := e.sec.Row(e.secOrder[t])
 	n := len(e.wldNS)
 	lo := e.secMid[t] - seedSpan
@@ -441,15 +463,22 @@ func (e *engine) seedBound(t int, c *scanCounters) float64 {
 			lo = 0
 		}
 	}
-	b1, b2 := inf, inf
+	// best holds the listDepth smallest sampled distances, ascending.
+	var best [listDepth]float64
+	for k := range best {
+		best[k] = inf
+	}
 	for k := lo; k < hi; k++ {
 		c.evals++
 		sum := dist2(row, e.wld.Row(e.orig[k]))
-		if sum < b1 {
-			b1, b2 = sum, b1
-		} else if sum < b2 {
-			b2 = sum
+		if sum >= best[listDepth-1] {
+			continue
 		}
+		p := listDepth - 1
+		for ; p > 0 && sum < best[p-1]; p-- {
+			best[p] = best[p-1]
+		}
+		best[p] = sum
 	}
-	return b2
+	return best[1], best[listDepth-1]
 }

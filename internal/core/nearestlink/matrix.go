@@ -3,6 +3,7 @@ package nearestlink
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Matrix is a flat, row-major feature matrix: rows*cols float64 values in
@@ -48,21 +49,69 @@ func MatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// flatten copies pre-validated rows of set s into flat storage (internal
-// fast path; callers must have run validateDims), rejecting non-finite
-// values on the way.
-func flatten(s int, rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return &Matrix{}, nil
+// buffers holds a search's largest arrays, the flattened inputs and the
+// wild stripes, for the next search to reuse. An augmentation run searches
+// a nearly unchanged pool once per round; fresh multi-megabyte arrays would
+// be zeroed and page-faulted in every time, and set-up's row chunks would
+// serialize on those faults. Every element handed out is written before it
+// is read.
+type buffers struct {
+	flat    []float64 // flattened security rows, then wild rows
+	stripes []float64 // the engine's wild stripes, end to end
+}
+
+var searchBuffers = sync.Pool{New: func() any { return new(buffers) }}
+
+// take returns s resized to n, reallocating only when it is too short.
+func take(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
 	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if err := checkFinite(s, i, r); err != nil {
-			return nil, err
+	return s[:n]
+}
+
+// flatten copies the pre-validated (callers must have run validateDims)
+// security and wild rows into flat storage in b on fixed row chunks over
+// workers. The copy is the pass that rejects non-finite values.
+func (b *buffers) flatten(workers int, security, wild [][]float64) (sec, wld *Matrix, err error) {
+	d := len(security[0])
+	m := len(security) * d
+	b.flat = take(b.flat, m+len(wild)*d)
+	sec = &Matrix{rows: len(security), cols: d, stride: d, data: b.flat[:m:m]}
+	wld = &Matrix{rows: len(wild), cols: d, stride: d, data: b.flat[m:]}
+	if err := copyFinite(workers, 0, security, sec); err != nil {
+		return nil, nil, err
+	}
+	if err := copyFinite(workers, 1, wild, wld); err != nil {
+		return nil, nil, err
+	}
+	return sec, wld, nil
+}
+
+// copyFinite copies rows of set s into dst (when non-nil) on fixed row
+// chunks over workers, and returns a wrapped ErrNonFinite naming the first
+// NaN or ±Inf: each chunk stops at its own first one, and the lowest chunk
+// with one reports, so the error names the lowest (row, column) at any
+// worker count.
+func copyFinite(workers, s int, rows [][]float64, dst *Matrix) error {
+	errs := make([]error, chunkCount(workers, len(rows)))
+	forChunks(workers, len(rows), func(c, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := checkFinite(s, i, rows[i]); err != nil {
+				errs[c] = err
+				return
+			}
+			if dst != nil {
+				copy(dst.Row(i), rows[i])
+			}
 		}
-		copy(m.Row(i), r)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return m, nil
+	return nil
 }
 
 // Rows returns the row count.
@@ -104,8 +153,7 @@ func (m *Matrix) RowSlices() [][]float64 {
 
 // Clone returns a deep copy. Densely packed matrices (stride == cols, the
 // layout every constructor here produces) clone with one bulk copy instead
-// of a per-row loop — this sits on the SearchMatrix hot path, where
-// normalization clones the full wild pool before weighting it.
+// of a per-row loop.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	if m.stride == m.cols {
@@ -119,33 +167,31 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // weightsFlat computes the max-abs weights w_j = 1/max|a_j| over the rows
-// of all provided matrices (they must share a column count), rejecting
-// non-finite values on the way.
-func weightsFlat(sets ...*Matrix) ([]float64, error) {
-	dim := 0
-	for _, s := range sets {
-		if s != nil && s.rows > 0 {
-			dim = s.cols
-			break
-		}
-	}
+// of all provided matrices (they must share a column count, and their
+// values must be finite). Each fixed row chunk over workers takes its own
+// maxima, and the chunk maxima merge by max, which is exact in any order.
+func weightsFlat(workers int, sets ...*Matrix) []float64 {
+	dim := sets[0].cols
 	w := make([]float64, dim)
-	for s, set := range sets {
-		if set == nil {
-			continue
-		}
-		for i := 0; i < set.rows; i++ {
-			row := set.Row(i)
-			if err := checkFinite(s, i, row); err != nil {
-				return nil, err
+	for _, set := range sets {
+		part := make([][]float64, chunkCount(workers, set.rows))
+		forChunks(workers, set.rows, func(c, lo, hi int) {
+			pw := make([]float64, dim)
+			for i := lo; i < hi; i++ {
+				for j, v := range set.Row(i) {
+					if v < 0 {
+						v = -v
+					}
+					if v > pw[j] {
+						pw[j] = v
+					}
+				}
 			}
-			for j, v := range row {
-				if v < 0 {
-					v = -v
-				}
-				if v > w[j] {
-					w[j] = v
-				}
+			part[c] = pw
+		})
+		for _, pw := range part {
+			for j, v := range pw {
+				w[j] = max(w[j], v)
 			}
 		}
 	}
@@ -156,34 +202,25 @@ func weightsFlat(sets ...*Matrix) ([]float64, error) {
 			w[j] = 1 / w[j]
 		}
 	}
-	return w, nil
+	return w
 }
 
-// applyWeights scales every row of m by w in place.
-func applyWeights(m *Matrix, w []float64) {
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= w[j]
-		}
-	}
-}
-
-// weightedClone returns a copy of m with every row scaled by w.
-func weightedClone(m *Matrix, w []float64) *Matrix {
-	c := m.Clone()
-	applyWeights(c, w)
-	return c
-}
-
-// rowNorms returns the Euclidean norm ‖x‖ of every row, computed with the
-// blocked dot kernel. The norms feed the engine's O(1) candidate rejection
-// bound (‖a‖−‖b‖)² ≤ ‖a−b‖².
-func rowNorms(m *Matrix) []float64 {
+// weighNorms scales every row of m by w in place (w nil leaves m as it
+// is) and returns the Euclidean norm ‖x‖ of every resulting row, computed
+// with the blocked dot kernel, on fixed row chunks over workers. The norms
+// feed the engine's O(1) candidate rejection bound (‖a‖−‖b‖)² ≤ ‖a−b‖².
+func weighNorms(workers int, m *Matrix, w []float64) []float64 {
 	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		out[i] = math.Sqrt(dot(row, row))
-	}
+	forChunks(workers, m.rows, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := m.Row(i)
+			if w != nil {
+				for j := range row {
+					row[j] *= w[j]
+				}
+			}
+			out[i] = math.Sqrt(dot(row, row))
+		}
+	})
 	return out
 }

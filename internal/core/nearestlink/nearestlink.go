@@ -9,7 +9,8 @@
 // flat row-major matrices instead of pointer-chased rows, norm-decomposed
 // pruned distance evaluation that rejects most candidates after O(1) work or
 // a few dimensions, and a heap-driven greedy assignment that resolves column
-// collisions from a cached runner-up instead of an O(N) rescan. Despite the
+// collisions from the cached candidate list — each row's smallest
+// (distance, column) pairs — instead of an O(N) rescan. Despite the
 // pruning, the produced links are bit-identical to the straightforward
 // transcription of Algorithm 1 retained in ReferenceSearch — see DESIGN.md
 // §5.2 for the exactness argument. Memory stays O(M+N); the full M×N
@@ -23,7 +24,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"patchdb/internal/telemetry"
@@ -99,11 +99,13 @@ type Stats struct {
 	// HeapPops counts greedy-phase heap extractions.
 	HeapPops int
 	// SecondBestHits counts column collisions resolved from the cached
-	// runner-up column without rescanning the row.
+	// candidate list without rescanning the row: by a later entry whose
+	// column is free, or, for a list that held every column with a finite
+	// distance, by finding that none is left.
 	SecondBestHits int
 	// Rescans counts row rescans over the unused columns on column
-	// collisions (Algorithm 1 lines 10-15) that the runner-up cache could
-	// not absorb.
+	// collisions (Algorithm 1 lines 10-15) that used up a full candidate
+	// list.
 	Rescans int
 	// Duration is the wall-clock time of the search: the End reading of
 	// the call's nearestlink.search or nearestlink.knn span.
@@ -303,184 +305,150 @@ func canceled(ctx context.Context) error {
 // selects one distinct wild patch so that the total link distance is
 // (greedily) minimized. It returns exactly min(M, N) links, identical to
 // ReferenceSearch's for any input and worker count. ctx is checked between
-// row chunks of the scan phase and periodically during assignment;
-// cancellation aborts the search with a wrapped context error. Ragged rows
-// return a wrapped ErrDimensionMismatch, NaN or ±Inf values a wrapped
-// ErrNonFinite.
+// scan tasks and periodically during assignment; cancellation aborts the
+// search with a wrapped context error. Ragged rows return a wrapped
+// ErrDimensionMismatch, NaN or ±Inf values a wrapped ErrNonFinite.
 func Search(ctx context.Context, security, wild [][]float64, opts *Options) ([]Link, error) {
-	sec, wld, err := flattenPair(security, wild)
-	if err != nil {
-		return nil, err
-	}
-	// The flat copies are owned by the search, so weighting can run in
-	// place without a second copy.
-	return searchFlat(ctx, sec, wld, opts, true)
+	return search(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
+		return prepareRows(security, wild, o, buf)
+	})
 }
 
 // SearchMatrix is Search over pre-flattened matrices. The inputs are not
 // mutated: with normalization enabled the engine weights a private copy.
 func SearchMatrix(ctx context.Context, security, wild *Matrix, opts *Options) ([]Link, error) {
-	if err := checkMatrixPair(security, wild); err != nil {
-		return nil, err
-	}
-	return searchFlat(ctx, security, wild, opts, false)
+	return search(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
+		return prepareMatrix(security, wild, o, buf)
+	})
 }
 
-// flattenPair validates and flattens the [][]float64 inputs of Search and
-// KNNSelect; the copy is also the pass that rejects non-finite values.
-func flattenPair(security, wild [][]float64) (*Matrix, *Matrix, error) {
+// prepareRows validates and flattens the [][]float64 inputs of Search and
+// KNNSelect into buf and builds the engine. The copy is the pass that
+// rejects non-finite values, and weighting runs in place on it.
+func prepareRows(security, wild [][]float64, o Options, buf *buffers) (*engine, error) {
 	if len(security) == 0 {
-		return nil, nil, ErrNoSecurityPatches
+		return nil, ErrNoSecurityPatches
 	}
 	if len(wild) == 0 {
-		return nil, nil, ErrNoWildPatches
+		return nil, ErrNoWildPatches
 	}
 	if err := validateDims(security, wild); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sec, err := flatten(0, security)
+	sec, wld, err := buf.flatten(o.Workers, security, wild)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	wld, err := flatten(1, wild)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sec, wld, nil
+	return weighEngine(sec, wld, o, buf), nil
 }
 
-// checkMatrixPair validates the shapes of SearchMatrix and KNNSelectMatrix
-// inputs; their values are checked by prepare.
-func checkMatrixPair(security, wild *Matrix) error {
+// prepareMatrix validates the inputs of SearchMatrix and KNNSelectMatrix
+// and builds the engine. With normalization enabled, the private copy in
+// buf that weighting needs is the pass that rejects non-finite values;
+// without it the engine only reads the inputs, and a check-only pass runs
+// instead.
+func prepareMatrix(security, wild *Matrix, o Options, buf *buffers) (*engine, error) {
 	if security == nil || security.rows == 0 {
-		return ErrNoSecurityPatches
+		return nil, ErrNoSecurityPatches
 	}
 	if wild == nil || wild.rows == 0 {
-		return ErrNoWildPatches
+		return nil, ErrNoWildPatches
 	}
 	if security.cols != wild.cols {
-		return fmt.Errorf("%w: security rows have %d features, wild rows %d",
+		return nil, fmt.Errorf("%w: security rows have %d features, wild rows %d",
 			ErrDimensionMismatch, security.cols, wild.cols)
 	}
-	return nil
-}
-
-// prepare weights the inputs and builds the engine. owned reports whether
-// sec/wld are private copies made by flattening — which already rejected
-// non-finite values, and which weighting may mutate — or caller-visible
-// matrices that weighting must copy and that still need the check: the
-// weighting pass makes it, and with normalization disabled a pass of its
-// own does.
-func prepare(sec, wld *Matrix, o Options, owned bool) (*engine, error) {
-	if !o.DisableNormalization {
-		w, err := weightsFlat(sec, wld)
-		if err != nil {
+	if o.DisableNormalization {
+		if err := copyFinite(o.Workers, 0, security.RowSlices(), nil); err != nil {
 			return nil, err
 		}
-		if owned {
-			applyWeights(sec, w)
-			applyWeights(wld, w)
-		} else {
-			sec = weightedClone(sec, w)
-			wld = weightedClone(wld, w)
-		}
-	} else if !owned {
-		if err := checkFiniteSets(sec.RowSlices(), wld.RowSlices()); err != nil {
+		if err := copyFinite(o.Workers, 1, wild.RowSlices(), nil); err != nil {
 			return nil, err
 		}
+		return weighEngine(security, wild, o, buf), nil
 	}
-	return newEngine(sec, wld), nil
+	sec, wld, err := buf.flatten(o.Workers, security.RowSlices(), wild.RowSlices())
+	if err != nil {
+		return nil, err
+	}
+	return weighEngine(sec, wld, o, buf), nil
 }
 
-// searchFlat is the engine core.
-func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) ([]Link, error) {
+// weighEngine weights finite inputs in place — unless normalization is
+// disabled, when it leaves them untouched — and builds the engine, its
+// stripes in buf.
+func weighEngine(sec, wld *Matrix, o Options, buf *buffers) *engine {
+	var w []float64
+	if !o.DisableNormalization {
+		w = weightsFlat(o.Workers, sec, wld)
+	}
+	secN := weighNorms(o.Workers, sec, w)
+	wldN := weighNorms(o.Workers, wld, w)
+	return newEngine(sec, wld, secN, wldN, o.Workers, buf)
+}
+
+// search is the engine core. Its span nearestlink.search has one child per
+// phase: prepare, scan, deepen and greedy.
+func search(ctx context.Context, opts *Options, load func(Options, *buffers) (*engine, error)) ([]Link, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o := opts.resolved()
-	_, span := telemetry.Start(ctx, "nearestlink.search")
+	ctx, span := telemetry.Start(ctx, "nearestlink.search")
 	defer span.End()
-	stats := Stats{SecurityRows: sec.rows, WildCols: wld.rows}
-	e, err := prepare(sec, wld, o, owned)
+	buf := searchBuffers.Get().(*buffers)
+	defer searchBuffers.Put(buf)
+	_, phase := telemetry.Start(ctx, "nearestlink.prepare")
+	e, err := load(o, buf)
+	phase.End()
 	if err != nil {
 		return nil, err
 	}
-	m, n := sec.rows, wld.rows
+	m, n := e.sec.rows, e.wld.rows
+	stats := Stats{SecurityRows: m, WildCols: n}
 
-	// Phase 1 — initial per-row (best, runner-up) minima (Algorithm 1
-	// lines 2-3) through the blocked, sharded scan kernel: seeded norm
-	// windows, then a task grid of (seed-row block × wild shard) cells whose
-	// per-shard two-bests merge into the global pairs (see block.go for the
-	// layout and the exactness argument). Visiting order does not matter for
+	// Phase 1 — each row's best and runner-up (Algorithm 1 lines 2-3)
+	// through the blocked, sharded scan kernel (see block.go for the layout
+	// and the exactness argument). Visiting order does not matter for
 	// correctness: updates are lexicographic on (distance, original column)
 	// and all rejections are strictly conservative, so the result is
 	// identical to the reference's ascending scan.
-	u := make([]float64, m)
-	v := make([]int, m)
-	u2 := make([]float64, m)
-	v2 := make([]int, m)
-	sv := make([]bool, m) // runner-up cache valid
-	if err := newBlockPlan(e, o).runBlocked(ctx, o, &stats, u, v, u2, v2); err != nil {
+	_, phase = telemetry.Start(ctx, "nearestlink.scan")
+	cands, ubK, err := e.scan(ctx, o, &stats)
+	phase.End()
+	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < m; i++ {
-		sv[i] = v2[i] >= 0
+
+	// Deepening — a row whose best and runner-up columns are both certain
+	// to be taken by rows that pop before it reaches them would use up its
+	// phase-1 list and rescan. Only those rows get their lists filled to
+	// listDepth now, by a second blocked scan; the others keep phase 1's
+	// tighter two-best.
+	_, phase = telemetry.Start(ctx, "nearestlink.deepen")
+	err = e.deepen(ctx, o, &stats, cands, ubK)
+	phase.End()
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2 — heap-driven greedy assignment (Algorithm 1 lines 5-17).
 	// Every pending row keeps exactly one live heap entry keyed by its
-	// current u, so a pop is the exact argmin the reference loop rescans
-	// O(M) rows for. A collision is resolved from the cached runner-up
-	// when its column is still free (provably equal to a fresh rescan:
-	// only the contested best column could have beaten it, and used
-	// columns only shrink the candidate set); otherwise the row is
-	// rescanned over the unused columns as a one-row task of the same
-	// kernel.
-	used := make([]bool, n)
-	total := m
-	if n < m {
-		total = n
+	// current list head, so a pop is the exact argmin the reference loop
+	// rescans O(M) rows for. A collision moves the row to the first entry
+	// of its list whose column is still free. That entry is exactly what a
+	// fresh rescan would find: the list is the top of a free set that only
+	// shrinks afterwards, so no free column can rank between its entries.
+	// A list used up with fewer entries than it asked for held every
+	// column with a finite distance, so the row gets no link; only a full
+	// list used up is rescanned, as a one-row task of the same kernel that
+	// refills it to listDepth.
+	_, phase = telemetry.Start(ctx, "nearestlink.greedy")
+	links, err := e.greedy(ctx, &stats, cands)
+	phase.End()
+	if err != nil {
+		return nil, err
 	}
-	links := make([]Link, 0, total)
-	h := heapifyRowHeap(u)
-	var rescanCounters scanCounters
-	rescanScratch := newBlockScratch(1)
-	assigned := 0
-	for assigned < total && h.len() > 0 {
-		stats.HeapPops++
-		if stats.HeapPops&1023 == 0 && ctx.Err() != nil {
-			return nil, canceled(ctx)
-		}
-		d, i := h.pop()
-		j := v[i]
-		if j < 0 {
-			continue // every distance overflowed: no link, as in the reference
-		}
-		if !used[j] {
-			used[j] = true
-			links = append(links, Link{Security: i, Wild: j, Distance: math.Sqrt(d)})
-			assigned++
-			continue
-		}
-		if sv[i] && !used[v2[i]] {
-			// Column collision absorbed by the cached second-best.
-			stats.SecondBestHits++
-			u[i], v[i], sv[i] = u2[i], v2[i], false
-			h.push(u[i], i)
-			continue
-		}
-		// Rescan over the unused columns, refreshing the runner-up.
-		stats.Rescans++
-		d1, j1, d2, j2 := e.rescan(i, used, &rescanCounters, rescanScratch)
-		if j1 < 0 {
-			continue // no free column left for this row
-		}
-		u[i], v[i] = d1, j1
-		u2[i], v2[i] = d2, j2
-		sv[i] = j2 >= 0
-		h.push(d1, i)
-	}
-	stats.addScan(rescanCounters)
 	stats.finish(span)
 	stats.Publish(o.Registry)
 	if o.Stats != nil {
@@ -489,42 +457,187 @@ func searchFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool
 	return links, nil
 }
 
-// parallelRows runs fn(i) for every row on o.Workers goroutines, checking
-// ctx between row chunks and merging per-worker scan counters into stats.
-func (e *engine) parallelRows(ctx context.Context, workers, m int, stats *Stats, fn func(i int, c *scanCounters)) error {
-	if workers > m {
-		workers = m
+// scan seeds every row's pruning bounds and runs phase 1 at depth 2. It
+// returns the candidate lists and each scan-order row's seeded bound on its
+// listDepth-th best, for deepening.
+func (e *engine) scan(ctx context.Context, o Options, stats *Stats) (*candidates, []float64, error) {
+	m := e.sec.rows
+	ub2 := make([]float64, m)
+	ubK := make([]float64, m)
+	counters := make([]scanCounters, chunkCount(o.Workers, m))
+	forChunks(o.Workers, m, func(c, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			ub2[t], ubK[t] = e.seedBounds(t, &counters[c])
+		}
+	})
+	for _, c := range counters {
+		stats.addScan(c)
 	}
-	var (
-		next int64
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
+	if ctx.Err() != nil {
+		return nil, nil, canceled(ctx)
+	}
+	rows := make([]int, m)
+	for t := range rows {
+		rows[t] = t
+	}
+	cands := newCandidates(m)
+	if err := newBlockPlan(e, o, rows, 2, ub2, stats).run(ctx, o, stats, cands); err != nil {
+		return nil, nil, err
+	}
+	return cands, ubK, nil
+}
+
+// deepen refills to listDepth the lists of deepRows, by a second blocked
+// scan over just those rows seeded with their listDepth-th sampled
+// distances.
+func (e *engine) deepen(ctx context.Context, o Options, stats *Stats, cands *candidates, ubK []float64) error {
+	rows := deepRows(e, cands)
+	if len(rows) == 0 {
+		return nil
+	}
+	ub := make([]float64, len(rows))
+	for pi, t := range rows {
+		ub[pi] = ubK[t]
+	}
+	return newBlockPlan(e, o, rows, listDepth, ub, stats).run(ctx, o, stats, cands)
+}
+
+// deepRows returns, in scan order, the rows whose full phase-1 list is
+// certain to be used up in the greedy phase, so that each would otherwise
+// rescan. Pops come in non-decreasing (key, row) order, so a column is
+// certain to be taken before key (d, i) when some row c reaches it as its
+// list head with a smaller (key, row): c either takes the column or finds
+// it taken. That holds for every row's best column at its phase-1 key, and
+// for the runner-up of a row whose best is itself certain to be taken.
+// Rows that may still keep an entry are left at depth 2, whose bound is
+// much tighter than a listDepth-th best in sparse pools.
+func deepRows(e *engine, cands *candidates) []int {
+	// by[j] is 1 + the row of the smallest claim on column j (0: none), at
+	// distance byD[j].
+	by := make([]int, e.wld.rows)
+	byD := make([]float64, e.wld.rows)
+	claim := func(i, k int) {
+		j, d := cands.j[i*listDepth+k], cands.d[i*listDepth+k]
+		if c := by[j] - 1; c < 0 || d < byD[j] || (d == byD[j] && i < c) {
+			by[j], byD[j] = i+1, d
+		}
+	}
+	// taken reports whether entry k of row i is certain to be taken by
+	// another row before row i reaches it. A row's own claims sit exactly
+	// at its keys, so they never count.
+	taken := func(i, k int) bool {
+		j, d := cands.j[i*listDepth+k], cands.d[i*listDepth+k]
+		c := by[j] - 1
+		return c >= 0 && (byD[j] < d || (byD[j] == d && c < i))
+	}
+	for i, n := range cands.n {
+		if n > 0 {
+			claim(i, 0)
+		}
+	}
+	var second []int
+	for i, n := range cands.n {
+		if n == 2 && taken(i, 0) {
+			second = append(second, i)
+		}
+	}
+	for _, i := range second {
+		claim(i, 1)
+	}
+	var rows []int
+	for t, i := range e.secOrder {
+		if cands.n[i] == 2 && taken(i, 0) && taken(i, 1) {
+			rows = append(rows, t)
+		}
+	}
+	return rows
+}
+
+// greedy runs the heap-driven assignment over the candidate lists.
+func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([]Link, error) {
+	m, n := e.sec.rows, e.wld.rows
+	used := make([]bool, n)
+	total := min(m, n)
+	links := make([]Link, 0, total)
+	u := make([]float64, m)
+	for i := range u {
+		u[i] = inf
+		if cands.n[i] > 0 {
+			u[i] = cands.d[i*listDepth]
+		}
+	}
+	h := heapifyRowHeap(u)
+	var rescanCounters scanCounters
+	var rescanScratch *blockScratch
+	for len(links) < total && h.len() > 0 {
+		stats.HeapPops++
+		if stats.HeapPops&1023 == 0 && ctx.Err() != nil {
+			return nil, canceled(ctx)
+		}
+		d, i := h.pop()
+		base, p := i*listDepth, cands.pos[i]
+		if p == cands.n[i] {
+			continue // every distance overflowed: no link, as in the reference
+		}
+		if j := cands.j[base+p]; !used[j] {
+			used[j] = true
+			links = append(links, Link{Security: i, Wild: j, Distance: math.Sqrt(d)})
+			continue
+		}
+		for p++; p < cands.n[i] && used[cands.j[base+p]]; p++ {
+		}
+		cands.pos[i] = p
+		if p < cands.n[i] {
+			// Collision resolved by the row's next free list entry.
+			stats.SecondBestHits++
+			h.push(cands.d[base+p], i)
+			continue
+		}
+		if cands.n[i] < cands.depth[i] {
+			// The list held every column with a finite distance, and all
+			// are taken: no free column is left for this row.
+			stats.SecondBestHits++
+			continue
+		}
+		// A full list used up: rescan over the unused columns.
+		stats.Rescans++
+		if rescanScratch == nil {
+			rescanScratch = newBlockScratch(1, listDepth)
+		}
+		e.rescan(i, used, &rescanCounters, rescanScratch, cands)
+		if cands.n[i] == 0 {
+			continue // no free column left for this row
+		}
+		h.push(cands.d[base], i)
+	}
+	stats.addScan(rescanCounters)
+	return links, nil
+}
+
+// chunkCount is the number of fixed row chunks forChunks cuts n rows into
+// for workers: one per worker, at most one per row, at least one.
+func chunkCount(workers, n int) int {
+	return max(1, min(workers, n))
+}
+
+// forChunks cuts [0, n) into chunkCount(workers, n) contiguous chunks and
+// runs fn(c, lo, hi) for chunk c, each on its own goroutine, returning when
+// all are done. The engine's per-row set-up passes run through it: their
+// chunk results are either disjoint writes or merged exactly (a max, the
+// lowest-indexed error, integer counters), so they do not depend on the
+// worker count.
+func forChunks(workers, n int, fn func(c, lo, hi int)) {
+	chunks := chunkCount(workers, n)
+	var wg sync.WaitGroup
+	for c := 1; c < chunks; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var c scanCounters
-			for {
-				// Each chunk is one security row (an O(N·d) unit of work);
-				// ctx is checked before every chunk so cancellation
-				// propagates promptly even mid-scan.
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= m || ctx.Err() != nil {
-					break
-				}
-				fn(i, &c)
-			}
-			mu.Lock()
-			stats.addScan(c)
-			mu.Unlock()
+			fn(c, c*n/chunks, (c+1)*n/chunks)
 		}()
 	}
+	fn(0, 0, n/chunks)
 	wg.Wait()
-	if ctx.Err() != nil {
-		return canceled(ctx)
-	}
-	return nil
 }
 
 // TotalDistance sums link distances (the optimization objective).
@@ -541,48 +654,53 @@ func TotalDistance(links []Link) float64 {
 // patches. It returns the set of distinct selected columns (size <= M) in
 // security-row order, used by the KNN-vs-nearest-link ablation. Each row's
 // choice is its first-index argmin over the whole pool — phase 1's best
-// column. ctx is checked between row chunks; cancellation aborts with a
+// column. ctx is checked between scan tasks; cancellation aborts with a
 // wrapped context error.
 func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) ([]int, error) {
-	sec, wld, err := flattenPair(security, wild)
-	if err != nil {
-		return nil, err
-	}
-	return knnFlat(ctx, sec, wld, opts, true)
+	return knn(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
+		return prepareRows(security, wild, o, buf)
+	})
 }
 
 // KNNSelectMatrix is KNNSelect over pre-flattened matrices.
 func KNNSelectMatrix(ctx context.Context, security, wild *Matrix, opts *Options) ([]int, error) {
-	if err := checkMatrixPair(security, wild); err != nil {
-		return nil, err
-	}
-	return knnFlat(ctx, security, wild, opts, false)
+	return knn(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
+		return prepareMatrix(security, wild, o, buf)
+	})
 }
 
-func knnFlat(ctx context.Context, sec, wld *Matrix, opts *Options, owned bool) ([]int, error) {
+// knn is the KNNSelect core. Its span nearestlink.knn has the children
+// prepare and scan.
+func knn(ctx context.Context, opts *Options, load func(Options, *buffers) (*engine, error)) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o := opts.resolved()
-	_, span := telemetry.Start(ctx, "nearestlink.knn")
+	ctx, span := telemetry.Start(ctx, "nearestlink.knn")
 	defer span.End()
-	stats := Stats{SecurityRows: sec.rows, WildCols: wld.rows}
-	e, err := prepare(sec, wld, o, owned)
+	buf := searchBuffers.Get().(*buffers)
+	defer searchBuffers.Put(buf)
+	_, phase := telemetry.Start(ctx, "nearestlink.prepare")
+	e, err := load(o, buf)
+	phase.End()
 	if err != nil {
 		return nil, err
 	}
-	m := sec.rows
-	u := make([]float64, m)
-	choice := make([]int, m)
-	u2 := make([]float64, m)
-	v2 := make([]int, m)
-	if err := newBlockPlan(e, o).runBlocked(ctx, o, &stats, u, choice, u2, v2); err != nil {
+	m := e.sec.rows
+	stats := Stats{SecurityRows: m, WildCols: e.wld.rows}
+	_, phase = telemetry.Start(ctx, "nearestlink.scan")
+	cands, _, err := e.scan(ctx, o, &stats)
+	phase.End()
+	if err != nil {
 		return nil, err
 	}
 	seen := make(map[int]bool, m)
 	var out []int
-	for _, j := range choice {
-		if j >= 0 && !seen[j] {
+	for i := 0; i < m; i++ {
+		if cands.n[i] == 0 {
+			continue
+		}
+		if j := cands.j[i*listDepth]; !seen[j] {
 			seen[j] = true
 			out = append(out, j)
 		}

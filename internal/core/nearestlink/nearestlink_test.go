@@ -323,13 +323,15 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 
 // TestStatsDeterministicAcrossWorkers pins the deterministic-counter
 // contract of the blocked scan: at a fixed (blockRows, shardCols) the task
-// grid, every task's visit order, and every pruning bound are independent of
-// the worker count, and rescans run serially in the greedy order, so the
-// full Stats accounting — not just the links — must be bit-identical at
-// workers 1, 2, and 8. Duration is wall-clock telemetry and is excluded.
+// grid, every task's visit order, every pruning bound and the set of rows
+// deepening scans are independent of the worker count, and rescans run
+// serially in the greedy order, so the full Stats accounting — not just
+// the links — must be bit-identical at workers 1, 2, and 8. Duration is
+// wall-clock telemetry and is excluded.
 func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	// A generic instance, and a tie-heavy one whose greedy phase rescans.
+	// A generic instance, and a tie-heavy one that deepens rows and whose
+	// greedy phase rescans.
 	instances := []struct {
 		name      string
 		sec, wild [][]float64
@@ -358,6 +360,9 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 				want, wantLinks = st, links
 				if in.name == "duplicates" && st.Rescans == 0 {
 					t.Errorf("%s: no rescans; the rescan counters are untested", in.name)
+				}
+				if in.name == "duplicates" && deepenedRows(t, in.sec, in.wild, base) == 0 {
+					t.Errorf("%s: no row deepened; the deepening counters are untested", in.name)
 				}
 				continue
 			}
@@ -650,6 +655,51 @@ func TestNonFiniteRejected(t *testing.T) {
 					if want := setName + " row 3 column 2"; !strings.Contains(err.Error(), want) {
 						t.Errorf("%s: error %q lacks %q", name, err, want)
 					}
+				}
+			}
+		}
+	}
+
+	// Non-finite values spread over several row chunks: the parallel
+	// passes must still name the lowest (set, row, column), with the same
+	// error text at any worker count.
+	spread := []struct {
+		name string
+		bad  func(sec, wild [][]float64)
+		want string
+	}{
+		{"wild", func(sec, wild [][]float64) {
+			wild[50][2] = math.Inf(-1)
+			wild[31][0] = math.NaN()
+			wild[9][4] = math.Inf(1)
+			wild[9][3] = math.NaN()
+		}, "wild row 9 column 3"},
+		{"security-first", func(sec, wild [][]float64) {
+			wild[2][1] = math.NaN()
+			sec[37][0] = math.Inf(1)
+			sec[33][1] = math.NaN()
+		}, "security row 33 column 1"},
+	}
+	for _, e := range entries {
+		for _, c := range spread {
+			for _, disableNorm := range []bool{false, true} {
+				name := fmt.Sprintf("%s/spread-%s/norm=%v", e.name, c.name, !disableNorm)
+				var texts []string
+				for _, workers := range []int{1, 8} {
+					rng := rand.New(rand.NewSource(7))
+					sec, wild := randRows(rng, 40, 5), randRows(rng, 64, 5)
+					c.bad(sec, wild)
+					err := e.run(sec, wild, &Options{DisableNormalization: disableNorm, Workers: workers})
+					if !errors.Is(err, ErrNonFinite) {
+						t.Fatalf("%s w=%d: err = %v, want ErrNonFinite", name, workers, err)
+					}
+					if !strings.Contains(err.Error(), c.want) {
+						t.Errorf("%s w=%d: error %q lacks %q", name, workers, err, c.want)
+					}
+					texts = append(texts, err.Error())
+				}
+				if texts[0] != texts[1] {
+					t.Errorf("%s: error text differs across workers: %q vs %q", name, texts[0], texts[1])
 				}
 			}
 		}

@@ -67,8 +67,8 @@ func TestSearchMatchesReference(t *testing.T) {
 		{30, 300, 16},
 	}
 	// The comparison must reach the greedy phase's rescan path: at least one
-	// tie-heavy instance has to resolve collisions both from the runner-up
-	// cache and by rescanning.
+	// tie-heavy instance has to resolve collisions both from the cached
+	// candidate list and by rescanning.
 	rescanned := false
 	for _, g := range gens {
 		for si, sh := range shapes {
@@ -99,7 +99,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		}
 	}
 	if !rescanned {
-		t.Error("no tie-heavy instance both rescanned and hit the runner-up cache; the rescan path went untested")
+		t.Error("no tie-heavy instance both rescanned and hit the candidate list; the rescan path went untested")
 	}
 }
 

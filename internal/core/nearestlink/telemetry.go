@@ -19,8 +19,8 @@ const (
 	MetricEarlyExited = "nearestlink_early_exited_total"
 	// MetricHeapPops counts greedy-phase heap extractions.
 	MetricHeapPops = "nearestlink_heap_pops_total"
-	// MetricSecondBestHits counts collisions absorbed by the runner-up
-	// cache.
+	// MetricSecondBestHits counts collisions resolved from the cached
+	// candidate list.
 	MetricSecondBestHits = "nearestlink_second_best_hits_total"
 	// MetricRescans counts full row rescans on column collisions.
 	MetricRescans = "nearestlink_rescans_total"

@@ -9,6 +9,7 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -110,7 +111,7 @@ func (f *srcFile) insert(i int, text ...string) {
 	if i > len(f.lines) {
 		i = len(f.lines)
 	}
-	f.lines = append(f.lines[:i], append(append([]string{}, text...), f.lines[i:]...)...)
+	f.lines = slices.Insert(f.lines, i, text...)
 }
 
 // find returns the index of the first line at or after from satisfying pred,
