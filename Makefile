@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-serve verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -51,14 +51,17 @@ race:
 # starting from its seed corpus (f.Add seeds plus testdata/fuzz): unified
 # diffs (diff FuzzParse), C source structure (cast FuzzParse), the diff
 # compute/apply round trip against the reference Myers (FuzzComputeApply),
-# the C lexer (FuzzLex) and dataset JSON (FuzzLoadDataset). A crasher fails
-# the target and is saved under its testdata/fuzz.
+# the C lexer (FuzzLex), dataset JSON (FuzzLoadDataset) and the store's
+# /v1/patches query string, checked against a brute-force model of the scan
+# (FuzzQuery). A crasher fails the target and is saved under its
+# testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/diff/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cast/
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeApply$$' -fuzztime 10s ./internal/diff/
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/ctoken/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadDataset$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 10s ./internal/store/
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .
@@ -78,11 +81,19 @@ bench-nearestlink:
 bench-smoke:
 	$(GO) run ./cmd/patchdb-bench -only NEARESTLINK -smoke
 
-# bench-serve drives the patchdb-serve query API over real loopback HTTP at
-# 1/4/16 store shards, cold vs. warm snapshot, and writes BENCH_serve.json
-# (p50/p99 latency, QPS) — the perf trajectory for the serving layer.
-bench-serve:
-	$(GO) run ./cmd/patchdb-bench -only SERVE
+# bench-ledger runs the end-to-end benchmark (perfbench, see BENCHMARK.json)
+# once per workload at seed 1 for 15s, untraced, and writes each run's two
+# output lines (the record line with the machine's provenance, then the
+# result line) to BENCH_perfbench.json, one JSON object per line. Each run
+# is 15s of ops plus three set-ups, about 25s on a 2-vCPU machine. Not part
+# of ci: the numbers depend on the machine, not on correctness.
+bench-ledger:
+	@rm -f BENCH_perfbench.json.tmp
+	@for w in build link train serve; do \
+		echo "==> perfbench $$w" >&2; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 >>BENCH_perfbench.json.tmp || { rm -f BENCH_perfbench.json.tmp; exit 1; }; \
+	done
+	@mv BENCH_perfbench.json.tmp BENCH_perfbench.json
 
 # verify-chaos runs the fault-injection suite under the race detector: the
 # injected fault classes, the retry/breaker machinery, and the end-to-end
@@ -98,9 +109,10 @@ verify-telemetry:
 
 # verify-serve runs the serving-layer suite under the race detector: the
 # snapshot-swap isolation test (readers during reload see old-or-new, never
-# a mix), shard invariance, cursor pagination, and the HTTP handlers.
+# a mix), List/Get/CVE against a brute-force model, cursor pagination, the
+# HTTP handlers, and concurrent loopback clients during reloads.
 verify-serve:
-	$(GO) test -race -count=1 ./internal/store/ ./internal/experiments/servebench/
+	$(GO) test -race -count=1 ./internal/store/
 
 # verify-resume runs the crash-safety suite under the race detector: the
 # checkpoint journal and atomic-write primitives, the crawled-patch

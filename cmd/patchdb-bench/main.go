@@ -12,7 +12,6 @@
 //	patchdb-bench -only CHAOS     # crawl resilience under injected faults
 //	patchdb-bench -only NEARESTLINK  # search engine sweep -> BENCH_nearestlink.json
 //	patchdb-bench -only NEARESTLINK -smoke  # tiny fully-verified sweep, no artifact (CI gate)
-//	patchdb-bench -only SERVE     # query API load generation -> BENCH_serve.json
 //	patchdb-bench -only BUILD -serve-metrics 127.0.0.1:9090  # scrape /metrics live
 //	patchdb-bench -only BUILD -telemetry-out report.json     # write the RunReport
 package main
@@ -40,7 +39,7 @@ func main() {
 func run() error {
 	var (
 		scaleName = flag.String("scale", "default", "experiment scale: small, default, or paper")
-		only      = flag.String("only", "", "comma-separated experiment ids (II,III,IV,V,VI,VII,F6,BUILD,CHAOS,NEARESTLINK,SERVE); empty = all")
+		only      = flag.String("only", "", "comma-separated experiment ids (II,III,IV,V,VI,VII,F6,BUILD,CHAOS,NEARESTLINK); empty = all")
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "BUILD/CHAOS/NEARESTLINK experiment worker-pool size (0 = GOMAXPROCS; NEARESTLINK sweeps 1/4/8 when 0)")
 		smoke     = flag.Bool("smoke", false, "NEARESTLINK only: run a tiny fully-verified shape and skip the artifact write (CI gate)")
@@ -106,7 +105,6 @@ func run() error {
 		{"BUILD", func(ctx context.Context) (fmt.Stringer, error) { return runBuild(ctx, scale, *workers, hub, *telOut) }},
 		{"CHAOS", func(context.Context) (fmt.Stringer, error) { return runChaos(scale.NVDSeed, scale.Seed, *workers) }},
 		{"NEARESTLINK", func(context.Context) (fmt.Stringer, error) { return runNearestLink(scale, *workers, *smoke) }},
-		{"SERVE", func(context.Context) (fmt.Stringer, error) { return runServe(scale, *workers) }},
 	}
 	for _, e := range all {
 		if !selected(e.id) {

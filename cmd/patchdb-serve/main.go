@@ -1,12 +1,11 @@
 // Command patchdb-serve exposes a built PatchDB dataset over a versioned
-// HTTP/JSON query API, backed by an immutable sharded in-memory store with
-// atomic snapshot swap: rebuilding the dataset and reloading it (SIGHUP or
+// HTTP/JSON query API, backed by an immutable in-memory store with atomic
+// snapshot swap: rebuilding the dataset and reloading it (SIGHUP or
 // POST /reload) never blocks readers.
 //
 // Usage:
 //
 //	patchdb-serve -in patchdb.json -addr 127.0.0.1:8080
-//	patchdb-serve -in patchdb.json -shards 16      # wider point-lookup sharding
 //	curl localhost:8080/v1/stats
 //	curl localhost:8080/v1/patch/<commit-hash>
 //	curl 'localhost:8080/v1/patches?source=wild&security=true&limit=5'
@@ -48,24 +47,20 @@ func main() {
 
 func run() error {
 	var (
-		in     = flag.String("in", "patchdb.json", "dataset JSON path (reread on reload)")
-		addr   = flag.String("addr", "127.0.0.1:8080", "listen address")
-		shards = flag.Int("shards", store.DefaultShards, "store shard count (e.g. 1, 4, 16)")
+		in   = flag.String("in", "patchdb.json", "dataset JSON path (reread on reload)")
+		addr = flag.String("addr", "127.0.0.1:8080", "listen address")
 	)
 	flag.Parse()
-	if *shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", *shards)
-	}
 
 	hub := patchdb.NewTelemetryHub()
-	st := store.New(*shards, hub)
+	st := store.New(0, hub)
 	sn, err := st.LoadFile(*in)
 	if err != nil {
 		return err
 	}
 	stats := sn.Stats()
-	fmt.Printf("loaded %s: %d records (nvd=%d wild=%d non-security=%d synthetic=%d), %d shards, version %d\n",
-		*in, sn.Records(), stats.NVD, stats.Wild, stats.NonSecurity, stats.Synthetic, *shards, sn.Version)
+	fmt.Printf("loaded %s: %d records (nvd=%d wild=%d non-security=%d synthetic=%d), version %d\n",
+		*in, sn.Records(), stats.NVD, stats.Wild, stats.NonSecurity, stats.Synthetic, sn.Version)
 	if d := sn.Duplicates(); d > 0 {
 		fmt.Printf("warning: %d duplicate record ids dropped (first occurrence wins)\n", d)
 	}

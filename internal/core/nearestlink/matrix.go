@@ -132,14 +132,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.data[off : off+m.cols : off+m.cols]
 }
 
-// SetRow copies vals into the i-th row.
-func (m *Matrix) SetRow(i int, vals []float64) {
-	if len(vals) != m.cols {
-		panic(fmt.Sprintf("nearestlink: SetRow: %d values into %d columns", len(vals), m.cols))
-	}
-	copy(m.Row(i), vals)
-}
-
 // RowSlices returns the rows as a [][]float64 of views into the flat
 // backing array — one header allocation, zero data copies. It lets flat
 // matrices feed APIs that still speak [][]float64 (the ml classifiers).
@@ -149,21 +141,6 @@ func (m *Matrix) RowSlices() [][]float64 {
 		out[i] = m.Row(i)
 	}
 	return out
-}
-
-// Clone returns a deep copy. Densely packed matrices (stride == cols, the
-// layout every constructor here produces) clone with one bulk copy instead
-// of a per-row loop.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
-	if m.stride == m.cols {
-		copy(c.data, m.data)
-		return c
-	}
-	for i := 0; i < m.rows; i++ {
-		copy(c.Row(i), m.Row(i))
-	}
-	return c
 }
 
 // weightsFlat computes the max-abs weights w_j = 1/max|a_j| over the rows

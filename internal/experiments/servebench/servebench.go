@@ -1,26 +1,16 @@
-// Package servebench is the SERVE experiment: a load-generation harness
-// that measures the patchdb-serve query API (internal/store) over real
-// loopback HTTP. It lives outside internal/experiments proper because it
-// depends on the root patchdb package (for Dataset/Record), which the
-// root package's own benchmarks would turn into an import cycle through
-// internal/experiments.
+// Package servebench generates the dataset the serving layer is measured
+// on: the perfbench benchmark's serve workload loads it into
+// internal/store and queries it over loopback HTTP. It lives outside
+// internal/experiments proper because it depends on the root patchdb
+// package (for Dataset/Record), which the root package's own benchmarks
+// would turn into an import cycle through internal/experiments.
 package servebench
 
 import (
-	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"sort"
-	"sync"
-	"time"
-
 	"patchdb"
 	"patchdb/internal/corpus"
 	"patchdb/internal/diff"
 	"patchdb/internal/experiments"
-	"patchdb/internal/store"
-	"patchdb/internal/telemetry"
 )
 
 // ServeDataset assembles a serving-bench dataset from generated populations
@@ -55,183 +45,4 @@ func ServeDataset(s experiments.Scale) *patchdb.Dataset {
 		}
 	}
 	return ds
-}
-
-// ServeBenchRow is one (shard count, cache phase) measurement of the SERVE
-// load-generation harness.
-type ServeBenchRow struct {
-	Shards int `json:"shards"`
-	// Phase is "cold" (first pass over a freshly loaded snapshot) or
-	// "warm" (identical request sequence repeated).
-	Phase    string  `json:"phase"`
-	Requests int     `json:"requests"`
-	Errors   int     `json:"errors"`
-	QPS      float64 `json:"qps"`
-	P50NS    int64   `json:"p50_ns"`
-	P99NS    int64   `json:"p99_ns"`
-}
-
-// ServeBench is the SERVE experiment outcome.
-type ServeBench struct {
-	Records int `json:"records"`
-	Workers int `json:"workers"`
-	// ExemplarCapture records that the measured handler ran with full
-	// request correlation on — per-request IDs, spans, SLO accounting, and
-	// histogram exemplars — so the p50/p99 numbers price that overhead in.
-	ExemplarCapture bool            `json:"exemplar_capture"`
-	Rows            []ServeBenchRow `json:"rows"`
-}
-
-// serveRequestMix builds the deterministic request sequence the harness
-// replays in every phase: point lookups (including misses), CVE lookups,
-// filtered paginated scans, and stats/distribution calls, roughly in the
-// proportions an automated "is this commit a security patch?" consumer
-// produces.
-func serveRequestMix(rng *rand.Rand, ds *patchdb.Dataset, n int) []string {
-	var ids, cves []string
-	for _, c := range [][]patchdb.Record{ds.NVD, ds.Wild, ds.NonSecurity, ds.Synthetic} {
-		for _, r := range c {
-			ids = append(ids, r.ID)
-			if r.CVE != "" {
-				cves = append(cves, r.CVE)
-			}
-		}
-	}
-	paths := make([]string, n)
-	for i := range paths {
-		switch p := rng.Float64(); {
-		case p < 0.60: // point lookup, hit
-			paths[i] = "/v1/patch/" + ids[rng.Intn(len(ids))]
-		case p < 0.70: // point lookup, miss (404 is a served answer, not an error)
-			paths[i] = fmt.Sprintf("/v1/patch/unknown-%d", rng.Intn(1<<30))
-		case p < 0.80: // CVE lookup
-			paths[i] = "/v1/cve/" + cves[rng.Intn(len(cves))]
-		case p < 0.90: // filtered scan page
-			src := []string{"nvd", "wild"}[rng.Intn(2)]
-			paths[i] = fmt.Sprintf("/v1/patches?source=%s&security=true&limit=%d", src, 10+rng.Intn(40))
-		case p < 0.95: // deep paginated scan page
-			paths[i] = "/v1/patches?cursor=" + ids[rng.Intn(len(ids))] + "&limit=50"
-		case p < 0.98:
-			paths[i] = "/v1/stats"
-		default:
-			paths[i] = "/v1/distribution"
-		}
-	}
-	return paths
-}
-
-// runServePhase replays paths against base over workers concurrent clients
-// and reduces the per-request latencies into one row.
-func runServePhase(base string, client *http.Client, paths []string, workers int, shards int, phase string) ServeBenchRow {
-	lat := make([]time.Duration, len(paths))
-	errs := make([]int, workers)
-	var wg sync.WaitGroup
-	chunk := (len(paths) + workers - 1) / workers
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(paths) {
-			hi = len(paths)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				t0 := time.Now()
-				resp, err := client.Get(base + paths[i])
-				if err != nil {
-					errs[w]++
-					continue
-				}
-				_, copyErr := io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat[i] = time.Since(t0)
-				if copyErr != nil || resp.StatusCode >= 500 {
-					errs[w]++
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	row := ServeBenchRow{Shards: shards, Phase: phase, Requests: len(paths)}
-	for _, e := range errs {
-		row.Errors += e
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	if len(lat) > 0 {
-		row.P50NS = lat[len(lat)/2].Nanoseconds()
-		row.P99NS = lat[len(lat)*99/100].Nanoseconds()
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		row.QPS = float64(len(paths)) / secs
-	}
-	return row
-}
-
-// RunServeBench measures the serving layer end to end over real loopback
-// HTTP: for each shard count it loads a fresh store, replays the same
-// deterministic request mix cold (first pass over the new snapshot) and
-// warm (identical repeat), and reports p50/p99 latency, QPS, and error
-// counts. workers <= 0 means 8 concurrent clients; requests <= 0 picks a
-// scale-appropriate per-phase request count.
-func RunServeBench(s experiments.Scale, workers, requests int, shardCounts []int) (*ServeBench, error) {
-	if workers <= 0 {
-		workers = 8
-	}
-	if requests <= 0 {
-		requests = 4000
-		if s.SetI <= 2000 {
-			requests = 800
-		}
-	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 4, 16}
-	}
-
-	ds := ServeDataset(s)
-	stats := ds.Stats()
-	out := &ServeBench{
-		Records:         stats.NVD + stats.Wild + stats.NonSecurity + stats.Synthetic,
-		Workers:         workers,
-		ExemplarCapture: true,
-	}
-	paths := serveRequestMix(rand.New(rand.NewSource(s.Seed)), ds, requests)
-
-	for _, shards := range shardCounts {
-		// A real hub (not nil) so the bench measures the serving path with
-		// exemplar capture, spans, and SLO accounting enabled — the numbers
-		// must price in the observability the production handler carries.
-		hub := telemetry.NewHub()
-		hub.SetLogger(nil) // ring only; keep bench stderr clean
-		st := store.New(shards, hub)
-		st.Load(ds)
-		srv, err := store.Serve("127.0.0.1:0", store.NewHandler(st, hub, nil))
-		if err != nil {
-			return nil, fmt.Errorf("serve bench (%d shards): %w", shards, err)
-		}
-		client := &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        workers,
-			MaxIdleConnsPerHost: workers,
-		}}
-		for _, phase := range []string{"cold", "warm"} {
-			row := runServePhase(srv.URL, client, paths, workers, shards, phase)
-			if row.Errors > 0 {
-				srv.Close()
-				return nil, fmt.Errorf("serve bench (%d shards, %s): %d/%d requests failed",
-					shards, phase, row.Errors, row.Requests)
-			}
-			out.Rows = append(out.Rows, row)
-		}
-		client.CloseIdleConnections()
-		if err := srv.Close(); err != nil {
-			return nil, fmt.Errorf("serve bench (%d shards): %w", shards, err)
-		}
-	}
-	return out, nil
 }

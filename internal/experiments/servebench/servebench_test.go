@@ -26,28 +26,3 @@ func TestServeDataset(t *testing.T) {
 		}
 	}
 }
-
-// TestRunServeBench drives the full load harness end to end at a miniature
-// scale: real loopback HTTP, two shard counts, cold+warm phases, zero
-// request errors.
-func TestRunServeBench(t *testing.T) {
-	s := experiments.Scale{Name: "tiny", Seed: 3, NVDSeed: 15, NonSecSeed: 25, SetI: 80}
-	bench, err := RunServeBench(s, 4, 60, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bench.Records == 0 || bench.Workers != 4 {
-		t.Fatalf("header = %+v", bench)
-	}
-	if len(bench.Rows) != 4 { // 2 shard counts x cold/warm
-		t.Fatalf("rows = %d, want 4", len(bench.Rows))
-	}
-	for _, row := range bench.Rows {
-		if row.Errors != 0 {
-			t.Errorf("%d shards %s: %d request errors", row.Shards, row.Phase, row.Errors)
-		}
-		if row.Requests != 60 || row.QPS <= 0 || row.P50NS <= 0 || row.P99NS < row.P50NS {
-			t.Errorf("implausible row %+v", row)
-		}
-	}
-}

@@ -94,16 +94,17 @@ func NewNotifier(stage Stage, total int, p Progress) *Notifier {
 	return n
 }
 
-// Done records n more completed items and forwards the new count.
+// Done records n more completed items and forwards the new count. The
+// callback runs under the notifier's lock, so counts reach it in order and
+// the last call reports the final count; it must not call Done itself.
 func (n *Notifier) Done(delta int) {
 	if n == nil || n.progress == nil {
 		return
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.done += delta
-	done := n.done
-	n.mu.Unlock()
-	n.progress(n.stage, done, n.total)
+	n.progress(n.stage, n.done, n.total)
 }
 
 // StageStat is one stage's accumulated accounting.

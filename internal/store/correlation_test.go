@@ -21,7 +21,7 @@ func correlatedAPI(t *testing.T, slowBy time.Duration) (*telemetry.Hub, http.Han
 	t.Helper()
 	hub := telemetry.NewHub()
 	hub.SetLogger(newRingLogger(hub.Logs))
-	st := New(4, hub)
+	st := New(0, hub)
 	st.Load(testDataset(20, "v1"))
 	seq := 0
 	reload := func() (*Snapshot, error) {
@@ -220,7 +220,7 @@ func TestDebugEndpoints(t *testing.T) {
 func TestSlowRequestThresholdDisabled(t *testing.T) {
 	hub := telemetry.NewHub()
 	hub.SetLogger(newRingLogger(hub.Logs))
-	st := New(4, hub)
+	st := New(0, hub)
 	st.Load(testDataset(5, "v1"))
 	h := NewHandler(st, hub, nil, WithSlowRequestThreshold(-1))
 	rr := httptest.NewRecorder()

@@ -28,7 +28,7 @@ func counterValue(hub *telemetry.Hub, name string) float64 {
 // panic counter, and leaves the server able to answer the next request.
 func TestHandlerPanicRecovery(t *testing.T) {
 	hub := telemetry.NewHub()
-	st := New(4, hub)
+	st := New(0, hub)
 	s := &api{store: st, reg: hub.Registry, tracer: hub.Tracer, timeout: DefaultRequestTimeout}
 	h := s.instrument("boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
@@ -55,7 +55,7 @@ func TestHandlerPanicRecovery(t *testing.T) {
 // connection is left to the server to tear down.
 func TestHandlerPanicAfterWrite(t *testing.T) {
 	hub := telemetry.NewHub()
-	st := New(4, hub)
+	st := New(0, hub)
 	s := &api{store: st, reg: hub.Registry, tracer: hub.Tracer}
 	h := s.instrument("late", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -75,7 +75,7 @@ func TestHandlerPanicAfterWrite(t *testing.T) {
 // request counter under code 503.
 func TestHandlerRequestDeadline(t *testing.T) {
 	hub := telemetry.NewHub()
-	st := New(4, hub)
+	st := New(0, hub)
 	s := &api{store: st, reg: hub.Registry, tracer: hub.Tracer, timeout: 20 * time.Millisecond}
 	h := s.instrument("slow", func(w http.ResponseWriter, r *http.Request) {
 		// TimeoutHandler cancels the request context at the deadline.
@@ -109,7 +109,7 @@ func TestHandlerRequestDeadline(t *testing.T) {
 // load clears it.
 func TestHealthzReloadHealth(t *testing.T) {
 	hub := telemetry.NewHub()
-	st := New(4, hub)
+	st := New(0, hub)
 	st.Load(testDataset(10, "v1"))
 	h := NewHandler(st, hub, nil)
 

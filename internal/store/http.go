@@ -83,7 +83,7 @@ func WithClock(now func() time.Time) HandlerOption {
 //	GET  /v1/patches        filtered scan with cursor pagination
 //	                        (?source= &security= &pattern= &repo=
 //	                         &cursor= &limit=)
-//	GET  /v1/stats          component sizes, version, shard count
+//	GET  /v1/stats          component sizes, record count, version
 //	GET  /v1/distribution   Table V pattern distribution
 //	POST /reload            swap in a fresh snapshot via the reload hook
 //	GET  /healthz           liveness
@@ -319,26 +319,27 @@ func (s *api) handleCVE(w http.ResponseWriter, r *http.Request) {
 // parseQuery maps the /v1/patches URL parameters onto a Query, reporting
 // the first malformed parameter.
 func parseQuery(r *http.Request) (Query, error) {
+	params := r.URL.Query()
 	q := Query{
-		Source: r.URL.Query().Get("source"),
-		Repo:   r.URL.Query().Get("repo"),
-		Cursor: r.URL.Query().Get("cursor"),
+		Source: params.Get("source"),
+		Repo:   params.Get("repo"),
+		Cursor: params.Get("cursor"),
 	}
-	if v := r.URL.Query().Get("security"); v != "" {
+	if v := params.Get("security"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
 			return q, fmt.Errorf("security=%q is not a boolean", v)
 		}
 		q.Security = &b
 	}
-	if v := r.URL.Query().Get("pattern"); v != "" {
+	if v := params.Get("pattern"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			return q, fmt.Errorf("pattern=%q is not a pattern class number", v)
 		}
 		q.Pattern = patchdb.Pattern(n)
 	}
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := params.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			return q, fmt.Errorf("limit=%q is not an integer", v)
@@ -372,7 +373,6 @@ type statsResponse struct {
 	Records    int    `json:"records"`
 	Duplicates int    `json:"duplicates,omitempty"`
 	Version    uint64 `json:"version"`
-	Shards     int    `json:"shards"`
 }
 
 func (s *api) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -382,7 +382,6 @@ func (s *api) handleStats(w http.ResponseWriter, r *http.Request) {
 		Records:    sn.Records(),
 		Duplicates: sn.Duplicates(),
 		Version:    sn.Version,
-		Shards:     sn.Shards,
 	})
 }
 

@@ -3,10 +3,12 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"patchdb/internal/telemetry"
@@ -14,7 +16,7 @@ import (
 
 func testAPI(t *testing.T, hub *telemetry.Hub, reload func() (*Snapshot, error)) (*Store, http.Handler) {
 	t.Helper()
-	st := New(4, hub)
+	st := New(0, hub)
 	st.Load(testDataset(60, "v1"))
 	return st, NewHandler(st, hub, reload)
 }
@@ -51,7 +53,7 @@ func TestHandlerStatusTable(t *testing.T) {
 		{"GET", "/v1/patches?limit=nope", http.StatusBadRequest, "not an integer"},
 		{"GET", "/v1/patches?limit=100000", http.StatusBadRequest, "out of range"},
 		{"GET", "/v1/patches?source=bitbucket", http.StatusBadRequest, "unknown source"},
-		{"GET", "/v1/stats", http.StatusOK, `"shards": 4`},
+		{"GET", "/v1/stats", http.StatusOK, `"records": 60`},
 		{"GET", "/v1/distribution", http.StatusOK, `"distribution"`},
 		{"GET", "/healthz", http.StatusOK, `"ok"`},
 		{"POST", "/reload", http.StatusNotImplemented, "no reload source"},
@@ -177,7 +179,7 @@ func TestHandlerTelemetry(t *testing.T) {
 // TestServeLifecycle exercises the real listener: bind, query over TCP,
 // graceful Close.
 func TestServeLifecycle(t *testing.T) {
-	st := New(2, nil)
+	st := New(0, nil)
 	st.Load(testDataset(10, "v1"))
 	srv, err := Serve("127.0.0.1:0", NewHandler(st, nil, nil))
 	if err != nil {
@@ -201,5 +203,88 @@ func TestServeLifecycle(t *testing.T) {
 	var nilSrv *Server
 	if err := nilSrv.Close(); err != nil {
 		t.Errorf("nil close: %v", err)
+	}
+}
+
+// TestServeConcurrentClientsDuringReload drives the real listener the way
+// a consumer fleet does: 4 clients replay a mixed request set over
+// loopback while another goroutine posts /reload 20 times. Each client
+// replays the whole set at least once and keeps going until every reload
+// has finished, so the reloads overlap its requests. Every request must
+// get an answer, and none may be a 5xx.
+func TestServeConcurrentClientsDuringReload(t *testing.T) {
+	const clients, reloads = 4, 20
+	ds := testDataset(120, "v1")
+	st := New(0, nil)
+	st.Load(ds)
+	srv, err := Serve("127.0.0.1:0", NewHandler(st, nil, func() (*Snapshot, error) { return st.Load(ds), nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients + 1}}
+	defer client.CloseIdleConnections()
+	paths := []string{
+		"/v1/patch/commit-0004", "/v1/patch/unknown",
+		"/v1/cve/CVE-2020-00002", "/v1/cve/CVE-1999-00000",
+		"/v1/patches?source=nvd&security=true&limit=5", "/v1/patches?cursor=commit-0050&limit=50",
+		"/v1/patches?security=maybe", "/v1/stats", "/v1/distribution", "/healthz",
+	}
+	// do sends one request and reports a transport error or a 5xx.
+	do := func(method, path string) error {
+		req, err := http.NewRequest(method, srv.URL+path, nil)
+		if err != nil {
+			return err
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return err
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode >= 500 {
+			return fmt.Errorf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+		return nil
+	}
+
+	reloaded := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(reloaded)
+		for i := 0; i < reloads; i++ {
+			if err := do(http.MethodPost, "/reload"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if i >= len(paths) {
+					select {
+					case <-reloaded:
+						return
+					default:
+					}
+				}
+				if err := do(http.MethodGet, paths[(c+i)%len(paths)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if v := st.Snapshot().Version; v != 1+reloads {
+		t.Errorf("version after the replay = %d, want %d", v, 1+reloads)
 	}
 }

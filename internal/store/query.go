@@ -83,25 +83,20 @@ type Page struct {
 }
 
 // List scans the ID-sorted record spine with q's filters, returning up to
-// q.Limit records after q.Cursor. Results are independent of the shard
-// count, and a cursor stays valid across snapshot reloads: it names a
-// position in ID order, not an offset.
+// q.Limit records after q.Cursor. A cursor stays valid across snapshot
+// reloads: it names a position in ID order, not an offset.
 func (sn *Snapshot) List(q Query) (Page, error) {
 	if err := q.validate(); err != nil {
 		return Page{}, err
 	}
 	start := 0
 	if q.Cursor != "" {
-		// First ID strictly greater than the cursor.
-		start = sort.SearchStrings(sn.ids, q.Cursor)
-		if start < len(sn.ids) && sn.ids[start] == q.Cursor {
-			start++
-		}
+		// First record with an ID strictly greater than the cursor.
+		start = sort.Search(len(sn.spine), func(i int) bool { return sn.spine[i].ID > q.Cursor })
 	}
 	page := Page{Records: []patchdb.Record{}, Version: sn.Version}
-	for _, id := range sn.ids[start:] {
-		r, ok := sn.Get(id)
-		if !ok || !q.matches(&r) {
+	for _, r := range sn.spine[start:] {
+		if !q.matches(r) {
 			continue
 		}
 		if len(page.Records) == q.Limit {
@@ -110,7 +105,7 @@ func (sn *Snapshot) List(q Query) (Page, error) {
 			page.NextCursor = page.Records[len(page.Records)-1].ID
 			return page, nil
 		}
-		page.Records = append(page.Records, r)
+		page.Records = append(page.Records, *r)
 	}
 	return page, nil
 }

@@ -1,23 +1,21 @@
-// Package store is PatchDB's serving layer: an immutable, sharded in-memory
-// patch store holding versioned snapshots of a built dataset, designed so a
+// Package store is PatchDB's serving layer: an immutable in-memory patch
+// store holding versioned snapshots of a built dataset, designed so a
 // rebuild never blocks a reader. A Store owns one atomic pointer to the
 // current Snapshot; Load constructs a complete replacement snapshot off to
 // the side and swaps it in with a single atomic store, so every query runs
 // against exactly one consistent version — old or new, never a mix.
 //
-// Records are sharded by the FNV-1a hash of their ID (the commit hash), so
-// point lookups touch one shard map and snapshot construction fans out
-// across shards. Scan queries walk a globally ID-sorted spine, which makes
-// results invariant under the shard count and keeps cursor pagination
-// stable across reloads: the cursor is the last record ID of the previous
-// page, and a reload of the same dataset resumes the scan at exactly the
-// same position.
+// A snapshot holds one map from record ID (the commit hash) to record for
+// point lookups, a CVE index, and a spine of every record sorted by ID.
+// Scan queries walk the spine, which keeps cursor pagination stable across
+// reloads: the cursor is the last record ID of the previous page, and a
+// reload of the same dataset resumes the scan at exactly the same position.
 package store
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,16 +29,16 @@ import (
 // of them.
 const MetricReloadFailures = "patchdb_store_reload_failures_total"
 
-// DefaultShards is the shard count used when a Store is created with a
-// non-positive one.
+// DefaultShards is unused by the store, which is not sharded. It is kept,
+// with its value, only because the perfbench benchmark passes it to New and
+// writes it into its run record.
 const DefaultShards = 4
 
 // Store holds the current snapshot and swaps in new ones atomically.
 // Readers call Snapshot and query the returned value; Load may run
 // concurrently with any number of readers.
 type Store struct {
-	shards int
-	reg    *telemetry.Registry
+	reg *telemetry.Registry
 
 	// loadMu serializes Load calls so version numbers observed through the
 	// snapshot pointer are monotonic.
@@ -90,22 +88,18 @@ func (s *Store) Health() Health {
 	}
 }
 
-// New creates an empty store with the given shard count (non-positive means
-// DefaultShards). The store serves empty results until the first Load.
-func New(shards int, hub *telemetry.Hub) *Store {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
+// New creates an empty store publishing into hub (nil gets a private one).
+// The store serves empty results until the first Load. The int argument is
+// ignored: it is kept only for the perfbench benchmark's call, and callers
+// in this module pass 0.
+func New(_ int, hub *telemetry.Hub) *Store {
 	if hub == nil {
 		hub = telemetry.NewHub()
 	}
-	s := &Store{shards: shards, reg: hub.Registry}
-	s.snap.Store(buildSnapshot(&patchdb.Dataset{}, shards, 0))
+	s := &Store{reg: hub.Registry}
+	s.snap.Store(buildSnapshot(&patchdb.Dataset{}, 0))
 	return s
 }
-
-// Shards returns the configured shard count.
-func (s *Store) Shards() int { return s.shards }
 
 // Snapshot returns the current immutable snapshot. The returned value never
 // changes; hold it for as long as a consistent view is needed.
@@ -116,7 +110,7 @@ func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 func (s *Store) Load(ds *patchdb.Dataset) *Snapshot {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
-	sn := buildSnapshot(ds, s.shards, s.version.Add(1))
+	sn := buildSnapshot(ds, s.version.Add(1))
 	s.snap.Store(sn)
 	s.healthMu.Lock()
 	now := time.Now()
@@ -125,7 +119,7 @@ func (s *Store) Load(ds *patchdb.Dataset) *Snapshot {
 	s.lastReloadErr = ""
 	s.healthMu.Unlock()
 	s.reg.Gauge("patchdb_store_snapshot_version").Set(float64(sn.Version))
-	s.reg.Gauge("patchdb_store_records").Set(float64(len(sn.ids)))
+	s.reg.Gauge("patchdb_store_records").Set(float64(len(sn.spine)))
 	s.reg.Counter("patchdb_store_loads_total").Inc()
 	return sn
 }
@@ -155,14 +149,12 @@ type Snapshot struct {
 	// Version is the load generation that produced this snapshot (1 for the
 	// first Load; 0 for the empty snapshot a fresh Store serves).
 	Version uint64
-	// Shards is the shard count the snapshot was built with.
-	Shards int
 
-	shards []shard
-	// ids is the pagination spine: every record ID, sorted.
-	ids []string
-	// byCVE maps a CVE id to the sorted record IDs fixing it.
-	byCVE map[string][]string
+	byID map[string]*patchdb.Record
+	// spine is the pagination order: every record, sorted by ID.
+	spine []*patchdb.Record
+	// byCVE maps a CVE id to the records fixing it, sorted by ID.
+	byCVE map[string][]*patchdb.Record
 	// duplicates counts records dropped because an earlier component
 	// already claimed their ID (first record wins).
 	duplicates int
@@ -171,58 +163,44 @@ type Snapshot struct {
 	dist  map[patchdb.Pattern]int
 }
 
-// shard is one FNV-1a partition of the record space.
-type shard struct {
-	byID map[string]*patchdb.Record
-}
-
-// shardOf picks the shard index for a record ID.
-func shardOf(id string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(shards))
-}
-
 // buildSnapshot constructs the full index set for ds. The dataset's record
 // slices are referenced, not copied — callers must not mutate ds after
 // loading it (the CLIs never do; they load, swap, and drop the reference).
-func buildSnapshot(ds *patchdb.Dataset, shards int, version uint64) *Snapshot {
+func buildSnapshot(ds *patchdb.Dataset, version uint64) *Snapshot {
 	sn := &Snapshot{
 		Version: version,
-		Shards:  shards,
-		shards:  make([]shard, shards),
-		byCVE:   make(map[string][]string),
+		byID:    make(map[string]*patchdb.Record),
+		byCVE:   make(map[string][]*patchdb.Record),
 		stats:   ds.Stats(),
 		dist:    ds.Distribution(),
-	}
-	for i := range sn.shards {
-		sn.shards[i].byID = make(map[string]*patchdb.Record)
 	}
 	for _, component := range [][]patchdb.Record{ds.NVD, ds.Wild, ds.NonSecurity, ds.Synthetic} {
 		for i := range component {
 			r := &component[i]
-			sh := &sn.shards[shardOf(r.ID, shards)]
-			if _, ok := sh.byID[r.ID]; ok {
+			if _, ok := sn.byID[r.ID]; ok {
 				sn.duplicates++
 				continue
 			}
-			sh.byID[r.ID] = r
-			sn.ids = append(sn.ids, r.ID)
+			sn.byID[r.ID] = r
+			sn.spine = append(sn.spine, r)
 			if r.CVE != "" {
-				sn.byCVE[r.CVE] = append(sn.byCVE[r.CVE], r.ID)
+				sn.byCVE[r.CVE] = append(sn.byCVE[r.CVE], r)
 			}
 		}
 	}
-	sort.Strings(sn.ids)
-	for _, ids := range sn.byCVE {
-		sort.Strings(ids)
+	slices.SortFunc(sn.spine, compareID)
+	for _, recs := range sn.byCVE {
+		slices.SortFunc(recs, compareID)
 	}
 	return sn
 }
 
+// compareID orders records by ID; IDs in a snapshot are unique.
+func compareID(a, b *patchdb.Record) int { return strings.Compare(a.ID, b.ID) }
+
 // Get returns the record with the given ID.
 func (sn *Snapshot) Get(id string) (patchdb.Record, bool) {
-	r, ok := sn.shards[shardOf(id, sn.Shards)].byID[id]
+	r, ok := sn.byID[id]
 	if !ok {
 		return patchdb.Record{}, false
 	}
@@ -231,18 +209,16 @@ func (sn *Snapshot) Get(id string) (patchdb.Record, bool) {
 
 // CVE returns every record fixing the given CVE, in ID order.
 func (sn *Snapshot) CVE(cve string) []patchdb.Record {
-	ids := sn.byCVE[cve]
-	out := make([]patchdb.Record, 0, len(ids))
-	for _, id := range ids {
-		if r, ok := sn.Get(id); ok {
-			out = append(out, r)
-		}
+	recs := sn.byCVE[cve]
+	out := make([]patchdb.Record, len(recs))
+	for i, r := range recs {
+		out[i] = *r
 	}
 	return out
 }
 
 // Records returns the total number of records in the snapshot.
-func (sn *Snapshot) Records() int { return len(sn.ids) }
+func (sn *Snapshot) Records() int { return len(sn.spine) }
 
 // Duplicates returns how many records were dropped at load because another
 // component already claimed their ID.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -45,7 +46,7 @@ func testDataset(n int, tag string) *patchdb.Dataset {
 
 func TestStoreLookupAndStats(t *testing.T) {
 	ds := testDataset(100, "v1")
-	st := New(4, nil)
+	st := New(0, nil)
 	if st.Snapshot().Records() != 0 {
 		t.Errorf("fresh store serves %d records", st.Snapshot().Records())
 	}
@@ -83,7 +84,7 @@ func TestStoreDuplicateIDsFirstWins(t *testing.T) {
 		NVD:  []patchdb.Record{{ID: "x", Source: "nvd", Security: true, Text: "first"}},
 		Wild: []patchdb.Record{{ID: "x", Source: "wild", Security: true, Text: "second"}},
 	}
-	sn := New(2, nil).Load(ds)
+	sn := New(0, nil).Load(ds)
 	if sn.Duplicates() != 1 {
 		t.Errorf("duplicates = %d, want 1", sn.Duplicates())
 	}
@@ -96,10 +97,74 @@ func TestStoreDuplicateIDsFirstWins(t *testing.T) {
 	}
 }
 
-// TestShardCountInvariance: every query must return identical results at 1,
-// 4, and 16 shards.
-func TestShardCountInvariance(t *testing.T) {
-	ds := testDataset(200, "v1")
+// dupDataset is testDataset(n, "v1") (n > 5) plus records whose IDs are
+// already taken, some carrying a CVE of their own, so the resolution
+// order decides what the store serves: a wild copy of an NVD record, a
+// non-security copy of a wild one, a synthetic copy of a non-security one
+// (with an existing CVE), a second NVD record under an ID the NVD
+// component already holds, and an NVD record under a synthetic record's
+// ID, which beats it because NVD comes first.
+func dupDataset(n int) *patchdb.Dataset {
+	ds := testDataset(n, "v1")
+	ds.Wild = append(ds.Wild, patchdb.Record{ID: "commit-0000", Repo: "repo-dup", CVE: "CVE-2020-99999",
+		Security: true, Pattern: 2, Source: "wild", Text: "dup"})
+	ds.NonSecurity = append(ds.NonSecurity, patchdb.Record{ID: "commit-0001", Repo: "repo-dup", Source: "wild", Text: "dup"})
+	ds.Synthetic = append(ds.Synthetic, patchdb.Record{ID: "commit-0002", Repo: "repo-dup", CVE: "CVE-2020-00000",
+		Security: true, Pattern: 5, Source: "synthetic", Text: "dup"})
+	ds.NVD = append(ds.NVD,
+		patchdb.Record{ID: "commit-0004", Repo: "repo-dup", CVE: "CVE-2020-88888", Security: true, Pattern: 1, Source: "nvd", Text: "dup"},
+		patchdb.Record{ID: "commit-0003", Repo: "repo-dup", CVE: "CVE-2020-00002", Security: true, Pattern: 3, Source: "nvd", Text: "nvd wins"})
+	return ds
+}
+
+// modelRecords resolves ds by brute force: the first occurrence of an ID
+// in NVD, wild, non-security, synthetic order wins, later ones count as
+// duplicates, and the winners come back in ID order.
+func modelRecords(ds *patchdb.Dataset) (recs []patchdb.Record, dups int) {
+	seen := map[string]bool{}
+	for _, component := range [][]patchdb.Record{ds.NVD, ds.Wild, ds.NonSecurity, ds.Synthetic} {
+		for _, r := range component {
+			if seen[r.ID] {
+				dups++
+				continue
+			}
+			seen[r.ID] = true
+			recs = append(recs, r)
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	return recs, dups
+}
+
+// modelList answers a valid q by filtering every resolved record: the
+// matches strictly after the cursor, in ID order, cut at the limit, with a
+// next cursor only when another match exists.
+func modelList(recs []patchdb.Record, q Query, version uint64) Page {
+	limit := q.Limit
+	if limit == 0 {
+		limit = DefaultLimit
+	}
+	page := Page{Records: []patchdb.Record{}, Version: version}
+	for _, r := range recs {
+		if q.Cursor != "" && r.ID <= q.Cursor ||
+			q.Source != "" && r.Source != q.Source ||
+			q.Security != nil && r.Security != *q.Security ||
+			q.Pattern != 0 && r.Pattern != q.Pattern ||
+			q.Repo != "" && r.Repo != q.Repo {
+			continue
+		}
+		if len(page.Records) == limit {
+			page.NextCursor = page.Records[limit-1].ID
+			break
+		}
+		page.Records = append(page.Records, r)
+	}
+	return page
+}
+
+// TestQueriesMatchModel checks List, Get and CVE against the brute-force
+// model, on a dataset with unique IDs and on the duplicate-ID fixture.
+func TestQueriesMatchModel(t *testing.T) {
 	secTrue := true
 	queries := []Query{
 		{},
@@ -109,29 +174,50 @@ func TestShardCountInvariance(t *testing.T) {
 		{Repo: "repo-2-v1"},
 		{Limit: 7},
 		{Cursor: "commit-0050", Limit: 10},
+		{Cursor: "commit-0199"}, // the last ID: an empty page
 	}
-	var want []Page
-	for qi, shards := range []int{1, 4, 16} {
-		sn := New(shards, nil).Load(ds)
+	for name, ds := range map[string]*patchdb.Dataset{"unique": testDataset(200, "v1"), "duplicates": dupDataset(200)} {
+		sn := New(0, nil).Load(ds)
+		recs, dups := modelRecords(ds)
+		if sn.Records() != len(recs) || sn.Duplicates() != dups {
+			t.Errorf("%s: records, duplicates = %d, %d, want %d, %d", name, sn.Records(), sn.Duplicates(), len(recs), dups)
+		}
 		for i, q := range queries {
 			page, err := sn.List(q)
 			if err != nil {
-				t.Fatalf("shards %d query %d: %v", shards, i, err)
+				t.Fatalf("%s query %d: %v", name, i, err)
 			}
-			if qi == 0 {
-				want = append(want, page)
-				continue
-			}
-			if !reflect.DeepEqual(page.Records, want[i].Records) || page.NextCursor != want[i].NextCursor {
-				t.Errorf("shards %d query %d: results diverge from 1-shard run", shards, i)
+			if want := modelList(recs, q, sn.Version); !reflect.DeepEqual(page, want) {
+				t.Errorf("%s query %d %+v: page diverges from the model\n got %+v\nwant %+v", name, i, q, page, want)
 			}
 		}
-		// Point lookups too.
-		for _, id := range []string{"commit-0000", "commit-0123", "missing"} {
-			r, ok := sn.Get(id)
-			r1, ok1 := New(1, nil).Load(ds).Get(id)
-			if ok != ok1 || r != r1 {
-				t.Errorf("shards %d: Get(%q) diverges", shards, id)
+		byID := map[string]patchdb.Record{}
+		for _, r := range recs {
+			byID[r.ID] = r
+		}
+		for _, id := range []string{"commit-0000", "commit-0001", "commit-0002", "commit-0003", "commit-0004", "commit-0123", "missing"} {
+			want, wantOK := byID[id]
+			if r, ok := sn.Get(id); ok != wantOK || r != want {
+				t.Errorf("%s: Get(%q) = %+v, %v, want %+v, %v", name, id, r, ok, want, wantOK)
+			}
+		}
+		cves := map[string]bool{"CVE-1999-99999": true}
+		for _, c := range [][]patchdb.Record{ds.NVD, ds.Wild, ds.NonSecurity, ds.Synthetic} {
+			for _, r := range c {
+				if r.CVE != "" {
+					cves[r.CVE] = true
+				}
+			}
+		}
+		for cve := range cves {
+			want := []patchdb.Record{}
+			for _, r := range recs {
+				if r.CVE == cve {
+					want = append(want, r)
+				}
+			}
+			if got := sn.CVE(cve); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: CVE(%q) = %+v, want %+v", name, cve, got, want)
 			}
 		}
 	}
@@ -141,7 +227,7 @@ func TestShardCountInvariance(t *testing.T) {
 // record exactly once, in ID order.
 func TestPaginationWalksEverything(t *testing.T) {
 	ds := testDataset(137, "v1")
-	sn := New(4, nil).Load(ds)
+	sn := New(0, nil).Load(ds)
 	seen := map[string]bool{}
 	q := Query{Limit: 10}
 	prev := ""
@@ -174,7 +260,7 @@ func TestPaginationWalksEverything(t *testing.T) {
 // resumes at the same position after the store reloads the same dataset —
 // no skipped and no duplicated records.
 func TestPaginationCursorStableAcrossReload(t *testing.T) {
-	st := New(4, nil)
+	st := New(0, nil)
 	st.Load(testDataset(100, "v1"))
 
 	first, err := st.Snapshot().List(Query{Limit: 30})
@@ -203,7 +289,7 @@ func TestPaginationCursorStableAcrossReload(t *testing.T) {
 }
 
 func TestQueryValidation(t *testing.T) {
-	sn := New(1, nil).Load(testDataset(10, "v1"))
+	sn := New(0, nil).Load(testDataset(10, "v1"))
 	for _, q := range []Query{
 		{Limit: -1},
 		{Limit: MaxLimit + 1},
@@ -231,7 +317,7 @@ func TestLoadFile(t *testing.T) {
 	if err := ds.SaveJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	st := New(4, nil)
+	st := New(0, nil)
 	sn, err := st.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +338,7 @@ func TestLoadFile(t *testing.T) {
 func TestSnapshotSwapRace(t *testing.T) {
 	v1 := testDataset(120, "v1")
 	v2 := testDataset(120, "v2")
-	st := New(4, nil)
+	st := New(0, nil)
 	st.Load(v1)
 
 	stop := make(chan struct{})

@@ -80,12 +80,13 @@ echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
 
-# go test fuzzes one target per run, so the five targets run one at a time.
-echo "==> fuzz-smoke (diff, cast, lexer and dataset decoders, 10s per target)"
+# go test fuzzes one target per run, so the six targets run one at a time.
+echo "==> fuzz-smoke (diff, cast, lexer, dataset and store query decoders, 10s per target)"
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/diff/
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/cast/
 "$GO" test -run '^$' -fuzz '^FuzzComputeApply$' -fuzztime 10s ./internal/diff/
 "$GO" test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/ctoken/
 "$GO" test -run '^$' -fuzz '^FuzzLoadDataset$' -fuzztime 10s .
+"$GO" test -run '^$' -fuzz '^FuzzQuery$' -fuzztime 10s ./internal/store/
 
 echo "ci: ok"
