@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -51,9 +51,11 @@ race:
 # starting from its seed corpus (f.Add seeds plus testdata/fuzz): unified
 # diffs (diff FuzzParse), C source structure (cast FuzzParse), the diff
 # compute/apply round trip against the reference Myers (FuzzComputeApply),
-# the C lexer (FuzzLex), dataset JSON (FuzzLoadDataset) and the store's
+# the C lexer (FuzzLex), dataset JSON (FuzzLoadDataset), the store's
 # /v1/patches query string, checked against a brute-force model of the scan
-# (FuzzQuery). A crasher fails the target and is saved under its
+# (FuzzQuery), and the checkpoint journal's MANIFEST.json, which must never
+# get a file outside the journal directory deleted or read
+# (FuzzOpenManifest). A crasher fails the target and is saved under its
 # testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/diff/
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/ctoken/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadDataset$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenManifest$$' -fuzztime 10s ./internal/checkpoint/
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .
@@ -94,6 +97,11 @@ bench-ledger:
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 >>BENCH_perfbench.json.tmp || { rm -f BENCH_perfbench.json.tmp; exit 1; }; \
 	done
 	@mv BENCH_perfbench.json.tmp BENCH_perfbench.json
+
+# verify-par runs the shared parallel loop's tests (every index once, worker
+# ids, cancellation) under the race detector.
+verify-par:
+	$(GO) test -race -count=1 ./internal/par/
 
 # verify-chaos runs the fault-injection suite under the race detector: the
 # injected fault classes, the retry/breaker machinery, and the end-to-end
@@ -140,9 +148,10 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 # ci is the fast merge gate mirrored by .github/workflows/ci.yml and
 # scripts/ci.sh: build, the gofmt check, both static-analysis tiers (and
 # vet of the benchmark module), the plain test run, the race-enabled
-# observability-correlation and crash-safety suites, the fully-verified
-# engine smoke sweep, and the bounded fuzz run of the decoders.
-ci: build fmt vet vet-perfbench lint test verify-obs verify-resume bench-smoke fuzz-smoke
+# parallel-loop, observability-correlation and crash-safety suites, the
+# fully-verified engine smoke sweep, and the bounded fuzz run of the
+# decoders.
+ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume bench-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

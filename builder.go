@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"patchdb/internal/checkpoint"
@@ -17,6 +17,7 @@ import (
 	"patchdb/internal/features"
 	"patchdb/internal/nvd"
 	"patchdb/internal/oracle"
+	"patchdb/internal/par"
 	"patchdb/internal/pipeline"
 	"patchdb/internal/telemetry"
 )
@@ -661,52 +662,21 @@ func buildRunReport(hub *telemetry.Hub, report *BuildReport) *telemetry.RunRepor
 	return rr
 }
 
-// mapConcurrently computes fn(i) for i in [0, n) on a bounded worker pool,
+// mapConcurrently computes fn(i) for i in [0, n) on workers goroutines,
 // returning the results indexed by i — the output is deterministic for any
 // worker count. It stops early (returning a wrapped context error) when ctx
-// is canceled, and reports per-item completion to notify.
+// is canceled, and reports per-item completion to notify; items skipped by
+// a cancellation are reported too, so progress reaches the total.
 func mapConcurrently[T any](ctx context.Context, n, workers int, notify *pipeline.Notifier, fn func(int) T) ([]T, error) {
 	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				if ctx.Err() != nil {
-					// Drained without computing; still reported so progress
-					// reaches the total on cancellation.
-					notify.Done(1)
-					continue
-				}
-				out[i] = fn(i)
-				notify.Done(1)
-			}
-		}()
-	}
-	submitted := 0
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idxCh <- i:
-			submitted++
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	if submitted < n {
-		notify.Done(n - submitted)
-	}
-	if err := ctx.Err(); err != nil {
+	var ran atomic.Int64
+	err := par.For(ctx, n, workers, func(_, i int) {
+		out[i] = fn(i)
+		ran.Add(1)
+		notify.Done(1)
+	})
+	if err != nil {
+		notify.Done(n - int(ran.Load()))
 		return nil, err
 	}
 	return out, nil

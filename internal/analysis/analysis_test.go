@@ -124,6 +124,7 @@ func TestDeterministicPath(t *testing.T) {
 		"patchdb/internal/nvd",
 		"patchdb/internal/corpus",
 		"patchdb/internal/checkpoint",
+		"patchdb/internal/par",
 		"patchdb/internal/core",
 		"patchdb/internal/ml",
 		"patchdb/internal/ml/tree",

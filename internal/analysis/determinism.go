@@ -11,7 +11,8 @@ import (
 // whose output must be a pure function of the configured seed: the builder's
 // root package, the core engines, the pipeline/crawl/corpus layers, the
 // checkpoint journal (a resumed build must be bit-identical to one that
-// never crashed, so the journal can record no clocks or randomness), and the
+// never crashed, so the journal can record no clocks or randomness), the
+// parallel loop every deterministic stage runs on (internal/par), and the
 // ML layer (Tables III, IV and VI are byte-identical at a fixed seed only
 // while every model draws from its own seeded generator in a fixed order).
 // The experiments layer and cmd/ binaries legitimately read wall clocks for
@@ -22,7 +23,8 @@ func deterministicPath(path string) bool {
 		"patchdb/internal/pipeline",
 		"patchdb/internal/nvd",
 		"patchdb/internal/corpus",
-		"patchdb/internal/checkpoint":
+		"patchdb/internal/checkpoint",
+		"patchdb/internal/par":
 		return true
 	}
 	for _, tree := range []string{"patchdb/internal/core", "patchdb/internal/ml"} {

@@ -9,13 +9,12 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"patchdb/internal/atomicio"
+	"patchdb/internal/par"
 	"patchdb/internal/telemetry"
 )
 
@@ -97,11 +96,6 @@ func (d *Driver) Run(cwd string, patterns ...string) ([]Diagnostic, *Stats, erro
 		}
 	}
 
-	workers := d.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	maxLevel := 0
 	for _, u := range units {
 		if u.level > maxLevel {
@@ -110,39 +104,26 @@ func (d *Driver) Run(cwd string, patterns ...string) ([]Diagnostic, *Stats, erro
 	}
 	stats.Waves = maxLevel + 1
 
-	var mu sync.Mutex
-	var firstErr error
 	for level := 0; level <= maxLevel; level++ {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
+		var wave []*unit
 		for _, u := range units {
-			if u.level != level {
-				continue
+			if u.level == level {
+				wave = append(wave, u)
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(u *unit) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				err := d.runUnit(u, sig)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				if u.hit {
-					stats.CacheHits++
-				} else {
-					stats.CacheMisses++
-				}
-			}(u)
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, stats, firstErr
+		errs := make([]error, len(wave))
+		_ = par.For(nil, len(wave), d.Workers, func(_, i int) {
+			errs[i] = d.runUnit(wave[i], sig)
+		})
+		for i, u := range wave {
+			if errs[i] != nil {
+				return nil, stats, errs[i]
+			}
+			if u.hit {
+				stats.CacheHits++
+			} else {
+				stats.CacheMisses++
+			}
 		}
 	}
 

@@ -209,6 +209,8 @@ func Open(dir string, o Options) (*Journal, error) {
 }
 
 // readManifest loads the manifest, returning (nil, nil) when none exists.
+// A manifest that does not parse, or that names a payload file Write would
+// not have written, is ErrCorrupt.
 func readManifest(dir string) (*manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -220,6 +222,14 @@ func readManifest(dir string) (*manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%w: manifest does not parse: %w", ErrCorrupt, err)
+	}
+	for _, st := range m.Stages {
+		// Write names every payload stageFile(Name), inside the journal
+		// directory. Any other name would point truncate's delete and
+		// Load's read at a file the journal does not own.
+		if st.File != stageFile(st.Name) || filepath.Base(st.File) != st.File {
+			return nil, fmt.Errorf("%w: stage %q names payload file %q", ErrCorrupt, st.Name, st.File)
+		}
 	}
 	return &m, nil
 }

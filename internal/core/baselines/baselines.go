@@ -16,19 +16,20 @@ import (
 	"patchdb/internal/ml/tree"
 )
 
-// poolMatrix assembles the pool's feature vectors into one flat, row-major
-// matrix (validating dimensionality), so classifier scoring walks contiguous
-// memory instead of chasing per-item feature pointers.
-func poolMatrix(pool []augment.Item) (*nearestlink.Matrix, error) {
+// poolRows returns the pool's feature vectors, checking that they all
+// share the first one's dimensionality: a ragged pool returns a wrapped
+// nearestlink.ErrDimensionMismatch instead of a classifier's out-of-range
+// panic.
+func poolRows(pool []augment.Item) ([][]float64, error) {
 	rows := make([][]float64, len(pool))
 	for i, it := range pool {
+		if len(it.Features) != len(pool[0].Features) {
+			return nil, fmt.Errorf("pool features: %w: row %d has %d features, want %d",
+				nearestlink.ErrDimensionMismatch, i, len(it.Features), len(pool[0].Features))
+		}
 		rows[i] = it.Features
 	}
-	m, err := nearestlink.MatrixFromRows(rows)
-	if err != nil {
-		return nil, fmt.Errorf("pool features: %w", err)
-	}
-	return m, nil
+	return rows, nil
 }
 
 // BruteForce samples sampleSize items uniformly from the pool and verifies
@@ -50,11 +51,11 @@ func PseudoLabeling(train *ml.Dataset, pool []augment.Item, k int, seed int64) (
 	if err := rf.Fit(train.X, train.Y); err != nil {
 		return nil, fmt.Errorf("pseudo labeling: %w", err)
 	}
-	m, err := poolMatrix(pool)
+	rows, err := poolRows(pool)
 	if err != nil {
 		return nil, fmt.Errorf("pseudo labeling: %w", err)
 	}
-	return ml.ArgmaxProba(rf, m.RowSlices(), k), nil
+	return ml.ArgmaxProba(rf, rows, k), nil
 }
 
 // TenClassifiers builds the ten-model ensemble of the paper's
@@ -86,13 +87,12 @@ func Uncertainty(train *ml.Dataset, pool []augment.Item, seed int64) ([]int, err
 			return nil, fmt.Errorf("uncertainty model %d: %w", i, err)
 		}
 	}
-	feats, err := poolMatrix(pool)
+	rows, err := poolRows(pool)
 	if err != nil {
 		return nil, fmt.Errorf("uncertainty: %w", err)
 	}
 	var out []int
-	for i := 0; i < feats.Rows(); i++ {
-		row := feats.Row(i)
+	for i, row := range rows {
 		all := true
 		for _, m := range models {
 			if m.Predict(row) != ml.Security {

@@ -1,11 +1,13 @@
 package baselines
 
 import (
+	"errors"
 	"math/rand"
 	"strconv"
 	"testing"
 
 	"patchdb/internal/core/augment"
+	"patchdb/internal/core/nearestlink"
 	"patchdb/internal/ml"
 )
 
@@ -119,5 +121,21 @@ func TestErrorsPropagate(t *testing.T) {
 	}
 	if _, err := Uncertainty(empty, nil, 1); err == nil {
 		t.Error("uncertainty on empty training set succeeded")
+	}
+}
+
+// TestRaggedPoolRejected checks that a pool whose feature vectors differ in
+// length is refused with ErrDimensionMismatch before any model scores it.
+func TestRaggedPoolRejected(t *testing.T) {
+	train := &ml.Dataset{
+		X: [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 2}, {3, 3}},
+		Y: []int{ml.NonSecurity, ml.NonSecurity, ml.NonSecurity, ml.Security, ml.Security, ml.Security},
+	}
+	pool := []augment.Item{{ID: "a", Features: []float64{0, 1}}, {ID: "b", Features: []float64{1}}}
+	if _, err := PseudoLabeling(train, pool, 1, 1); !errors.Is(err, nearestlink.ErrDimensionMismatch) {
+		t.Errorf("pseudo labeling: err = %v, want ErrDimensionMismatch", err)
+	}
+	if _, err := Uncertainty(train, pool, 1); !errors.Is(err, nearestlink.ErrDimensionMismatch) {
+		t.Errorf("uncertainty: err = %v, want ErrDimensionMismatch", err)
 	}
 }

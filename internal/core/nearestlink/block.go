@@ -4,8 +4,8 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"patchdb/internal/par"
 )
 
 // Blocked, sharded candidate generation — the engine's one scan kernel.
@@ -32,10 +32,10 @@ import (
 //     stays L1-resident across the pass.
 //   - Wild-pool sharding: the norm-sorted pool is cut into contiguous
 //     shards of defaultShardCols columns. A (block, shard) pair is one
-//     independent task; workers drain the task grid through an atomic
-//     cursor. Each task computes the block rows' lists over its shard only,
-//     and a deterministic merge folds the per-shard lists into the global
-//     list per row.
+//     independent task; workers claim the tasks in index order
+//     (par.For). Each task computes the block rows' lists over its shard
+//     only, and a deterministic merge folds the per-shard lists into the
+//     global list per row.
 //
 // A rescan is a one-row task over the whole pool: its window starts as the
 // full pool, its bound as +Inf (see seedBounds), and the used mask skips
@@ -221,39 +221,27 @@ func (s *blockScratch) start(r, ws, we int, b float64) {
 	s.b[r] = b
 }
 
-// run executes the task grid on o.Workers goroutines, then merges each
-// row's per-shard lists into its candidate list.
+// run executes the task grid on o.Workers workers, then merges each row's
+// per-shard lists into its candidate list.
 func (p *blockPlan) run(ctx context.Context, o Options, stats *Stats, cands *candidates) error {
 	tasks := p.nblocks * p.nshards
-	workers := o.Workers
-	if workers > tasks {
-		workers = tasks
+	workers := min(o.Workers, tasks)
+	counters := make([]scanCounters, workers)
+	scratch := make([]*blockScratch, workers)
+	err := par.For(ctx, tasks, workers, func(w, task int) {
+		if scratch[w] == nil {
+			scratch[w] = newBlockScratch(p.blockRows, p.depth)
+		}
+		// The kernel counts into a local: the workers' slots share cache
+		// lines, and counting into them directly would thrash those lines.
+		var c scanCounters
+		p.runTask(task, &c, scratch[w])
+		counters[w].add(c)
+	})
+	for _, c := range counters {
+		stats.addScan(c)
 	}
-	var (
-		next int64
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c scanCounters
-			scr := newBlockScratch(p.blockRows, p.depth)
-			for {
-				task := int(atomic.AddInt64(&next, 1)) - 1
-				if task >= tasks || ctx.Err() != nil {
-					break
-				}
-				p.runTask(task, &c, scr)
-			}
-			mu.Lock()
-			stats.addScan(c)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
+	if err != nil {
 		return canceled(ctx)
 	}
 
@@ -488,7 +476,7 @@ func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r,
 	na := e.secN[t]
 	mid := e.secMid[t]
 	seg := e.secSegs[t*nseg : t*nseg+nseg : t*nseg+nseg]
-	rowS := e.secS.Row(t)
+	rowS := e.secS.row(t)
 	pre, tail := rowS[:pw:pw], rowS[pw:]
 	b := scr.b[r]
 	depth := scr.depth
@@ -541,7 +529,7 @@ func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r,
 			continue
 		}
 		j := e.orig[k]
-		sum := dist2(e.sec.Row(e.secOrder[t]), e.wld.Row(j))
+		sum := dist2(e.sec.row(e.secOrder[t]), e.wld.row(j))
 		ln = insertPair(ld, lj, ln, sum, j)
 		if ln == depth && ld[depth-1] < b {
 			b = ld[depth-1]

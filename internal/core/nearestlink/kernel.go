@@ -150,6 +150,12 @@ type scanCounters struct {
 	earlyExited int64 // aborted by the prefix or tail partial-distance screen
 }
 
+func (c *scanCounters) add(o scanCounters) {
+	c.evals += o.evals
+	c.normPruned += o.normPruned
+	c.earlyExited += o.earlyExited
+}
+
 // screenPrefix is the width of the packed prefix array: the first
 // screenPrefix screen-order (highest wild-variance) dimensions of every
 // norm-sorted wild row, stored contiguously. A 60-dim float64 row is 480
@@ -201,12 +207,12 @@ const (
 //
 // Reference-order confirmation always reads the original matrices.
 type engine struct {
-	sec, wld *Matrix
+	sec, wld *matrix
 	secOrder []int     // scan order: security rows by (norm, index)
 	rank     []int     // original security row -> scan-order position
 	secN     []float64 // security row norms, scan order
 	secMid   []int     // each scan-order row's norm position in wldNS
-	secS     *Matrix   // screen-order security rows, scan order
+	secS     *matrix   // screen-order security rows, scan order
 	secSegs  []float64 // m×nseg segment norms of secS rows
 	wldNS    []float64 // sorted wild row norms, ascending
 	orig     []int     // sorted position -> original wild index
@@ -216,7 +222,7 @@ type engine struct {
 	pw, tw   int       // stripe widths: pw+tw = cols
 }
 
-func newEngine(sec, wld *Matrix, secN, wldN []float64, workers int, buf *buffers) *engine {
+func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers) *engine {
 	perm := screenPerm(wld)
 	pw := screenPrefix
 	if wld.cols < pw {
@@ -239,7 +245,7 @@ func newEngine(sec, wld *Matrix, secN, wldN []float64, workers int, buf *buffers
 		row := make([]float64, wld.cols)
 		for k := lo; k < hi; k++ {
 			j := e.orig[k]
-			permute(row, wld.Row(j), perm)
+			permute(row, wld.row(j), perm)
 			pre := e.wldP[k*pw : (k+1)*pw]
 			tail := e.wldT[k*e.tw : (k+1)*e.tw]
 			copy(pre, row[:pw])
@@ -252,7 +258,7 @@ func newEngine(sec, wld *Matrix, secN, wldN []float64, workers int, buf *buffers
 	e.rank = make([]int, m)
 	e.secN = make([]float64, m)
 	e.secMid = make([]int, m)
-	e.secS = NewMatrix(m, sec.cols)
+	e.secS = newMatrix(m, sec.cols)
 	e.secSegs = make([]float64, m*nseg)
 	forChunks(workers, m, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
@@ -260,8 +266,8 @@ func newEngine(sec, wld *Matrix, secN, wldN []float64, workers int, buf *buffers
 			e.rank[i] = t
 			e.secN[t] = secN[i]
 			e.secMid[t] = sort.SearchFloat64s(e.wldNS, secN[i])
-			rowS := e.secS.Row(t)
-			permute(rowS, sec.Row(i), perm)
+			rowS := e.secS.row(t)
+			permute(rowS, sec.row(i), perm)
 			fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
 		}
 	})
@@ -401,12 +407,12 @@ func prefixScreen(a, b []float64, add, limit float64) (pd float64, live bool) {
 // screenPerm orders dimensions by descending variance over the wild pool
 // (ties by ascending dimension, so the order — and with it every Stats
 // counter — is deterministic for a given input).
-func screenPerm(wld *Matrix) []int {
+func screenPerm(wld *matrix) []int {
 	d := wld.cols
 	sum := make([]float64, d)
 	sumSq := make([]float64, d)
 	for i := 0; i < wld.rows; i++ {
-		row := wld.Row(i)
+		row := wld.row(i)
 		for j, x := range row {
 			sum[j] += x
 			sumSq[j] += x * x
@@ -450,7 +456,7 @@ const seedSpan = 64
 // taken, and a taken column's distance is no upper bound on the free
 // columns' order statistics.
 func (e *engine) seedBounds(t int, c *scanCounters) (ub2, ubK float64) {
-	row := e.sec.Row(e.secOrder[t])
+	row := e.sec.row(e.secOrder[t])
 	n := len(e.wldNS)
 	lo := e.secMid[t] - seedSpan
 	if lo < 0 {
@@ -470,7 +476,7 @@ func (e *engine) seedBounds(t int, c *scanCounters) (ub2, ubK float64) {
 	}
 	for k := lo; k < hi; k++ {
 		c.evals++
-		sum := dist2(row, e.wld.Row(e.orig[k]))
+		sum := dist2(row, e.wld.row(e.orig[k]))
 		if sum >= best[listDepth-1] {
 			continue
 		}

@@ -14,7 +14,7 @@ import (
 func deepenedRows(t *testing.T, sec, wild [][]float64, opts Options) int {
 	t.Helper()
 	o := opts.resolved()
-	e, err := prepareRows(sec, wild, o, new(buffers))
+	e, err := prepare(sec, wild, o, new(buffers))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,52 +1,23 @@
 package nearestlink
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
 
-// Matrix is a flat, row-major feature matrix: rows*cols float64 values in
-// one contiguous allocation with a fixed stride between rows. The engine
-// operates exclusively on this layout — scanning a wild pool walks memory
-// sequentially instead of chasing per-row pointers, which is what lets the
-// distance kernel run at cache speed on realistic (thousands × millions)
-// problem sizes.
-type Matrix struct {
+// matrix is a flat, row-major feature matrix: rows*cols float64 values in
+// one contiguous allocation. The engine operates exclusively on this layout
+// — scanning a wild pool walks memory sequentially instead of chasing
+// per-row pointers, which is what lets the distance kernel run at cache
+// speed on realistic (thousands × millions) problem sizes.
+type matrix struct {
 	rows, cols int
-	// stride is the element distance between consecutive rows; always
-	// >= cols (== cols for matrices built here, kept separate so future
-	// sub-views can share one backing array).
-	stride int
-	data   []float64
+	data       []float64
 }
 
-// NewMatrix allocates a zeroed rows×cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("nearestlink: NewMatrix(%d, %d): negative dimension", rows, cols))
-	}
-	return &Matrix{rows: rows, cols: cols, stride: cols, data: make([]float64, rows*cols)}
-}
-
-// MatrixFromRows copies a [][]float64 into flat storage, validating that
-// every row shares the first row's dimensionality. A ragged input returns a
-// wrapped ErrDimensionMismatch instead of the out-of-range panic the old
-// pointer-per-row code paths risked.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return &Matrix{}, nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d features, want %d",
-				ErrDimensionMismatch, i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
+// newMatrix allocates a zeroed rows×cols matrix.
+func newMatrix(rows, cols int) *matrix {
+	return &matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
 // buffers holds a search's largest arrays, the flattened inputs and the
@@ -73,12 +44,12 @@ func take(s []float64, n int) []float64 {
 // flatten copies the pre-validated (callers must have run validateDims)
 // security and wild rows into flat storage in b on fixed row chunks over
 // workers. The copy is the pass that rejects non-finite values.
-func (b *buffers) flatten(workers int, security, wild [][]float64) (sec, wld *Matrix, err error) {
+func (b *buffers) flatten(workers int, security, wild [][]float64) (sec, wld *matrix, err error) {
 	d := len(security[0])
 	m := len(security) * d
 	b.flat = take(b.flat, m+len(wild)*d)
-	sec = &Matrix{rows: len(security), cols: d, stride: d, data: b.flat[:m:m]}
-	wld = &Matrix{rows: len(wild), cols: d, stride: d, data: b.flat[m:]}
+	sec = &matrix{rows: len(security), cols: d, data: b.flat[:m:m]}
+	wld = &matrix{rows: len(wild), cols: d, data: b.flat[m:]}
 	if err := copyFinite(workers, 0, security, sec); err != nil {
 		return nil, nil, err
 	}
@@ -88,12 +59,11 @@ func (b *buffers) flatten(workers int, security, wild [][]float64) (sec, wld *Ma
 	return sec, wld, nil
 }
 
-// copyFinite copies rows of set s into dst (when non-nil) on fixed row
-// chunks over workers, and returns a wrapped ErrNonFinite naming the first
-// NaN or ±Inf: each chunk stops at its own first one, and the lowest chunk
-// with one reports, so the error names the lowest (row, column) at any
-// worker count.
-func copyFinite(workers, s int, rows [][]float64, dst *Matrix) error {
+// copyFinite copies rows of set s into dst on fixed row chunks over
+// workers, and returns a wrapped ErrNonFinite naming the first NaN or ±Inf:
+// each chunk stops at its own first one, and the lowest chunk with one
+// reports, so the error names the lowest (row, column) at any worker count.
+func copyFinite(workers, s int, rows [][]float64, dst *matrix) error {
 	errs := make([]error, chunkCount(workers, len(rows)))
 	forChunks(workers, len(rows), func(c, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -101,9 +71,7 @@ func copyFinite(workers, s int, rows [][]float64, dst *Matrix) error {
 				errs[c] = err
 				return
 			}
-			if dst != nil {
-				copy(dst.Row(i), rows[i])
-			}
+			copy(dst.row(i), rows[i])
 		}
 	})
 	for _, err := range errs {
@@ -114,40 +82,17 @@ func copyFinite(workers, s int, rows [][]float64, dst *Matrix) error {
 	return nil
 }
 
-// Rows returns the row count.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the per-row feature dimensionality.
-func (m *Matrix) Cols() int { return m.cols }
-
-// Stride returns the element distance between consecutive rows.
-func (m *Matrix) Stride() int { return m.stride }
-
-// Data exposes the backing array (row-major, stride-spaced).
-func (m *Matrix) Data() []float64 { return m.data }
-
-// Row returns the i-th row as a view into the backing array (no copy).
-func (m *Matrix) Row(i int) []float64 {
-	off := i * m.stride
+// row returns the i-th row as a view into the backing array (no copy).
+func (m *matrix) row(i int) []float64 {
+	off := i * m.cols
 	return m.data[off : off+m.cols : off+m.cols]
-}
-
-// RowSlices returns the rows as a [][]float64 of views into the flat
-// backing array — one header allocation, zero data copies. It lets flat
-// matrices feed APIs that still speak [][]float64 (the ml classifiers).
-func (m *Matrix) RowSlices() [][]float64 {
-	out := make([][]float64, m.rows)
-	for i := range out {
-		out[i] = m.Row(i)
-	}
-	return out
 }
 
 // weightsFlat computes the max-abs weights w_j = 1/max|a_j| over the rows
 // of all provided matrices (they must share a column count, and their
 // values must be finite). Each fixed row chunk over workers takes its own
 // maxima, and the chunk maxima merge by max, which is exact in any order.
-func weightsFlat(workers int, sets ...*Matrix) []float64 {
+func weightsFlat(workers int, sets ...*matrix) []float64 {
 	dim := sets[0].cols
 	w := make([]float64, dim)
 	for _, set := range sets {
@@ -155,7 +100,7 @@ func weightsFlat(workers int, sets ...*Matrix) []float64 {
 		forChunks(workers, set.rows, func(c, lo, hi int) {
 			pw := make([]float64, dim)
 			for i := lo; i < hi; i++ {
-				for j, v := range set.Row(i) {
+				for j, v := range set.row(i) {
 					if v < 0 {
 						v = -v
 					}
@@ -186,11 +131,11 @@ func weightsFlat(workers int, sets ...*Matrix) []float64 {
 // is) and returns the Euclidean norm ‖x‖ of every resulting row, computed
 // with the blocked dot kernel, on fixed row chunks over workers. The norms
 // feed the engine's O(1) candidate rejection bound (‖a‖−‖b‖)² ≤ ‖a−b‖².
-func weighNorms(workers int, m *Matrix, w []float64) []float64 {
+func weighNorms(workers int, m *matrix, w []float64) []float64 {
 	out := make([]float64, m.rows)
 	forChunks(workers, m.rows, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := m.Row(i)
+			row := m.row(i)
 			if w != nil {
 				for j := range row {
 					row[j] *= w[j]

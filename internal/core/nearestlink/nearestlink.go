@@ -23,9 +23,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
+	"patchdb/internal/par"
 	"patchdb/internal/telemetry"
 )
 
@@ -296,36 +296,11 @@ func Weights(sets ...[][]float64) ([]float64, error) {
 	return w, nil
 }
 
-// canceled wraps a context error in the package's vocabulary.
-func canceled(ctx context.Context) error {
-	return fmt.Errorf("nearestlink: search canceled: %w", ctx.Err())
-}
-
-// Search runs Algorithm 1: for each of the M verified security patches it
-// selects one distinct wild patch so that the total link distance is
-// (greedily) minimized. It returns exactly min(M, N) links, identical to
-// ReferenceSearch's for any input and worker count. ctx is checked between
-// scan tasks and periodically during assignment; cancellation aborts the
-// search with a wrapped context error. Ragged rows return a wrapped
-// ErrDimensionMismatch, NaN or ±Inf values a wrapped ErrNonFinite.
-func Search(ctx context.Context, security, wild [][]float64, opts *Options) ([]Link, error) {
-	return search(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
-		return prepareRows(security, wild, o, buf)
-	})
-}
-
-// SearchMatrix is Search over pre-flattened matrices. The inputs are not
-// mutated: with normalization enabled the engine weights a private copy.
-func SearchMatrix(ctx context.Context, security, wild *Matrix, opts *Options) ([]Link, error) {
-	return search(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
-		return prepareMatrix(security, wild, o, buf)
-	})
-}
-
-// prepareRows validates and flattens the [][]float64 inputs of Search and
-// KNNSelect into buf and builds the engine. The copy is the pass that
-// rejects non-finite values, and weighting runs in place on it.
-func prepareRows(security, wild [][]float64, o Options, buf *buffers) (*engine, error) {
+// prepare validates the inputs of Search and KNNSelect, flattens them into
+// buf, and builds the engine. The copy is the pass that rejects non-finite
+// values; weighting (unless normalization is disabled) runs in place on
+// it, and the engine's stripes land in buf too.
+func prepare(security, wild [][]float64, o Options, buf *buffers) (*engine, error) {
 	if len(security) == 0 {
 		return nil, ErrNoSecurityPatches
 	}
@@ -339,57 +314,30 @@ func prepareRows(security, wild [][]float64, o Options, buf *buffers) (*engine, 
 	if err != nil {
 		return nil, err
 	}
-	return weighEngine(sec, wld, o, buf), nil
-}
-
-// prepareMatrix validates the inputs of SearchMatrix and KNNSelectMatrix
-// and builds the engine. With normalization enabled, the private copy in
-// buf that weighting needs is the pass that rejects non-finite values;
-// without it the engine only reads the inputs, and a check-only pass runs
-// instead.
-func prepareMatrix(security, wild *Matrix, o Options, buf *buffers) (*engine, error) {
-	if security == nil || security.rows == 0 {
-		return nil, ErrNoSecurityPatches
-	}
-	if wild == nil || wild.rows == 0 {
-		return nil, ErrNoWildPatches
-	}
-	if security.cols != wild.cols {
-		return nil, fmt.Errorf("%w: security rows have %d features, wild rows %d",
-			ErrDimensionMismatch, security.cols, wild.cols)
-	}
-	if o.DisableNormalization {
-		if err := copyFinite(o.Workers, 0, security.RowSlices(), nil); err != nil {
-			return nil, err
-		}
-		if err := copyFinite(o.Workers, 1, wild.RowSlices(), nil); err != nil {
-			return nil, err
-		}
-		return weighEngine(security, wild, o, buf), nil
-	}
-	sec, wld, err := buf.flatten(o.Workers, security.RowSlices(), wild.RowSlices())
-	if err != nil {
-		return nil, err
-	}
-	return weighEngine(sec, wld, o, buf), nil
-}
-
-// weighEngine weights finite inputs in place — unless normalization is
-// disabled, when it leaves them untouched — and builds the engine, its
-// stripes in buf.
-func weighEngine(sec, wld *Matrix, o Options, buf *buffers) *engine {
 	var w []float64
 	if !o.DisableNormalization {
 		w = weightsFlat(o.Workers, sec, wld)
 	}
 	secN := weighNorms(o.Workers, sec, w)
 	wldN := weighNorms(o.Workers, wld, w)
-	return newEngine(sec, wld, secN, wldN, o.Workers, buf)
+	return newEngine(sec, wld, secN, wldN, o.Workers, buf), nil
 }
 
-// search is the engine core. Its span nearestlink.search has one child per
+// canceled wraps a context error in the package's vocabulary.
+func canceled(ctx context.Context) error {
+	return fmt.Errorf("nearestlink: search canceled: %w", ctx.Err())
+}
+
+// Search runs Algorithm 1: for each of the M verified security patches it
+// selects one distinct wild patch so that the total link distance is
+// (greedily) minimized. It returns exactly min(M, N) links, identical to
+// ReferenceSearch's for any input and worker count. ctx is checked between
+// scan tasks and periodically during assignment; cancellation aborts the
+// search with a wrapped context error. Ragged rows return a wrapped
+// ErrDimensionMismatch, NaN or ±Inf values a wrapped ErrNonFinite. The
+// inputs are not mutated. Its span nearestlink.search has one child per
 // phase: prepare, scan, deepen and greedy.
-func search(ctx context.Context, opts *Options, load func(Options, *buffers) (*engine, error)) ([]Link, error) {
+func Search(ctx context.Context, security, wild [][]float64, opts *Options) ([]Link, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -399,7 +347,7 @@ func search(ctx context.Context, opts *Options, load func(Options, *buffers) (*e
 	buf := searchBuffers.Get().(*buffers)
 	defer searchBuffers.Put(buf)
 	_, phase := telemetry.Start(ctx, "nearestlink.prepare")
-	e, err := load(o, buf)
+	e, err := prepare(security, wild, o, buf)
 	phase.End()
 	if err != nil {
 		return nil, err
@@ -466,9 +414,11 @@ func (e *engine) scan(ctx context.Context, o Options, stats *Stats) (*candidates
 	ubK := make([]float64, m)
 	counters := make([]scanCounters, chunkCount(o.Workers, m))
 	forChunks(o.Workers, m, func(c, lo, hi int) {
+		var sc scanCounters // local: the chunks' slots share cache lines
 		for t := lo; t < hi; t++ {
-			ub2[t], ubK[t] = e.seedBounds(t, &counters[c])
+			ub2[t], ubK[t] = e.seedBounds(t, &sc)
 		}
+		counters[c] = sc
 	})
 	for _, c := range counters {
 		stats.addScan(c)
@@ -621,23 +571,16 @@ func chunkCount(workers, n int) int {
 }
 
 // forChunks cuts [0, n) into chunkCount(workers, n) contiguous chunks and
-// runs fn(c, lo, hi) for chunk c, each on its own goroutine, returning when
-// all are done. The engine's per-row set-up passes run through it: their
-// chunk results are either disjoint writes or merged exactly (a max, the
-// lowest-indexed error, integer counters), so they do not depend on the
-// worker count.
+// runs fn(c, lo, hi) for chunk c on par.For, one worker per chunk,
+// returning when all are done. The engine's per-row set-up passes run
+// through it: their chunk results are either disjoint writes or merged
+// exactly (a max, the lowest-indexed error, integer counters), so they do
+// not depend on the worker count.
 func forChunks(workers, n int, fn func(c, lo, hi int)) {
 	chunks := chunkCount(workers, n)
-	var wg sync.WaitGroup
-	for c := 1; c < chunks; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(c, c*n/chunks, (c+1)*n/chunks)
-		}()
-	}
-	fn(0, 0, n/chunks)
-	wg.Wait()
+	_ = par.For(nil, chunks, chunks, func(_, c int) {
+		fn(c, c*n/chunks, (c+1)*n/chunks)
+	})
 }
 
 // TotalDistance sums link distances (the optimization objective).
@@ -655,23 +598,9 @@ func TotalDistance(links []Link) float64 {
 // security-row order, used by the KNN-vs-nearest-link ablation. Each row's
 // choice is its first-index argmin over the whole pool — phase 1's best
 // column. ctx is checked between scan tasks; cancellation aborts with a
-// wrapped context error.
+// wrapped context error. Its span nearestlink.knn has the children prepare
+// and scan.
 func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) ([]int, error) {
-	return knn(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
-		return prepareRows(security, wild, o, buf)
-	})
-}
-
-// KNNSelectMatrix is KNNSelect over pre-flattened matrices.
-func KNNSelectMatrix(ctx context.Context, security, wild *Matrix, opts *Options) ([]int, error) {
-	return knn(ctx, opts, func(o Options, buf *buffers) (*engine, error) {
-		return prepareMatrix(security, wild, o, buf)
-	})
-}
-
-// knn is the KNNSelect core. Its span nearestlink.knn has the children
-// prepare and scan.
-func knn(ctx context.Context, opts *Options, load func(Options, *buffers) (*engine, error)) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -681,7 +610,7 @@ func knn(ctx context.Context, opts *Options, load func(Options, *buffers) (*engi
 	buf := searchBuffers.Get().(*buffers)
 	defer searchBuffers.Put(buf)
 	_, phase := telemetry.Start(ctx, "nearestlink.prepare")
-	e, err := load(o, buf)
+	e, err := prepare(security, wild, o, buf)
 	phase.End()
 	if err != nil {
 		return nil, err

@@ -38,31 +38,6 @@ func TestWeightsDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestMatrixFromRows(t *testing.T) {
-	m, err := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 2 || m.Cols() != 3 || m.Stride() != 3 {
-		t.Fatalf("shape = %dx%d stride %d", m.Rows(), m.Cols(), m.Stride())
-	}
-	if got := m.Row(1); got[0] != 4 || got[2] != 6 {
-		t.Errorf("row 1 = %v", got)
-	}
-	// Row views alias the flat backing array.
-	m.Row(0)[1] = 99
-	if m.Data()[1] != 99 {
-		t.Error("Row view does not alias Data")
-	}
-	views := m.RowSlices()
-	if len(views) != 2 || views[0][1] != 99 {
-		t.Errorf("RowSlices = %v", views)
-	}
-	if _, err := MatrixFromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("ragged err = %v, want ErrDimensionMismatch", err)
-	}
-}
-
 func TestSearchHandPicked(t *testing.T) {
 	// Two security patches; wild pool where the greedy assignment is
 	// unambiguous.
@@ -104,36 +79,34 @@ func TestSearchCollisionResolution(t *testing.T) {
 	}
 }
 
-func TestSearchMatrix(t *testing.T) {
-	sec, err := MatrixFromRows([][]float64{{0}, {0.5}})
-	if err != nil {
-		t.Fatal(err)
+// TestSearchDoesNotMutateInputs checks that normalization weights the
+// engine's private copy, never the caller's rows.
+func TestSearchDoesNotMutateInputs(t *testing.T) {
+	sec := [][]float64{{0, 4}, {0.5, 2}}
+	wild := [][]float64{{0.1, 8}, {3, 1}, {2, 2}}
+	clone := func(rows [][]float64) [][]float64 {
+		out := make([][]float64, len(rows))
+		for i, r := range rows {
+			out[i] = append([]float64(nil), r...)
+		}
+		return out
 	}
-	wild, err := MatrixFromRows([][]float64{{0.1}, {3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	secBefore := append([]float64(nil), sec.Data()...)
-	links, err := SearchMatrix(bg, sec, wild, nil)
+	secBefore, wildBefore := clone(sec), clone(wild)
+	links, err := Search(bg, sec, wild, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(links) != 2 {
 		t.Fatalf("links = %d", len(links))
 	}
-	// Normalization must not mutate the caller's matrices.
-	for i, v := range sec.Data() {
-		if v != secBefore[i] {
-			t.Fatalf("SearchMatrix mutated input at %d: %v != %v", i, v, secBefore[i])
+	for name, c := range map[string][2][][]float64{"security": {sec, secBefore}, "wild": {wild, wildBefore}} {
+		for i := range c[0] {
+			for j, v := range c[0][i] {
+				if v != c[1][i][j] {
+					t.Fatalf("Search mutated %s[%d][%d]: %v != %v", name, i, j, v, c[1][i][j])
+				}
+			}
 		}
-	}
-	// Column-count mismatch across matrices.
-	bad, err := MatrixFromRows([][]float64{{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SearchMatrix(bg, sec, bad, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("mismatched matrices err = %v", err)
 	}
 }
 
@@ -588,34 +561,13 @@ func TestNonFiniteRejected(t *testing.T) {
 		name string
 		run  func(sec, wild [][]float64, o *Options) error
 	}
-	matrices := func(sec, wild [][]float64) (*Matrix, *Matrix) {
-		sm, err := MatrixFromRows(sec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wm, err := MatrixFromRows(wild)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sm, wm
-	}
 	entries := []entry{
 		{"Search", func(sec, wild [][]float64, o *Options) error {
 			_, err := Search(bg, sec, wild, o)
 			return err
 		}},
-		{"SearchMatrix", func(sec, wild [][]float64, o *Options) error {
-			sm, wm := matrices(sec, wild)
-			_, err := SearchMatrix(bg, sm, wm, o)
-			return err
-		}},
 		{"KNNSelect", func(sec, wild [][]float64, o *Options) error {
 			_, err := KNNSelect(bg, sec, wild, o)
-			return err
-		}},
-		{"KNNSelectMatrix", func(sec, wild [][]float64, o *Options) error {
-			sm, wm := matrices(sec, wild)
-			_, err := KNNSelectMatrix(bg, sm, wm, o)
 			return err
 		}},
 		{"ReferenceSearch", func(sec, wild [][]float64, o *Options) error {
@@ -812,8 +764,8 @@ func overflowCases() []struct {
 
 // TestOverflowDistances pins the contract for finite features whose
 // squared distances overflow: a row with no finite distance gets no link,
-// and every link is bit-identical to ReferenceSearch, for Search and
-// SearchMatrix at several worker counts and task grids. KNNSelect picks
+// and every link is bit-identical to ReferenceSearch, for Search at
+// several worker counts and task grids. KNNSelect picks
 // each row's first-index finite argmin, or nothing for a row without one.
 func TestOverflowDistances(t *testing.T) {
 	for _, c := range overflowCases() {
@@ -822,31 +774,15 @@ func TestOverflowDistances(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sm, err := MatrixFromRows(c.sec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wm, err := MatrixFromRows(c.wild)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 3} {
 				for _, grid := range [][2]int{{0, 0}, {4, 64}, {1, 7}} {
 					name := fmt.Sprintf("%s/norm=%v/w=%d/grid=%v", c.name, !disableNorm, workers, grid)
-					o := func() *Options {
-						return &Options{Workers: workers, DisableNormalization: disableNorm,
-							blockRows: grid[0], shardCols: grid[1]}
-					}
-					got, err := Search(bg, c.sec, c.wild, o())
+					got, err := Search(bg, c.sec, c.wild, &Options{Workers: workers,
+						DisableNormalization: disableNorm, blockRows: grid[0], shardCols: grid[1]})
 					if err != nil {
 						t.Fatalf("%s: Search: %v", name, err)
 					}
 					assertLinksIdentical(t, name+"/Search", workers, want, got)
-					got, err = SearchMatrix(bg, sm, wm, o())
-					if err != nil {
-						t.Fatalf("%s: SearchMatrix: %v", name, err)
-					}
-					assertLinksIdentical(t, name+"/SearchMatrix", workers, want, got)
 				}
 			}
 			if !disableNorm {

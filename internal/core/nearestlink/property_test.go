@@ -103,31 +103,6 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSearchMatrixMatchesReference covers the pre-flattened entry point
-// with the same differential contract.
-func TestSearchMatrixMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	sec := genGrid(rng, 25, 6)
-	wild := genGrid(rng, 120, 6)
-	want, err := ReferenceSearch(sec, wild, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := MatrixFromRows(sec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, err := MatrixFromRows(wild)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SearchMatrix(context.Background(), sm, wm, &Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLinksIdentical(t, "matrix", 2, want, got)
-}
-
 func assertLinksIdentical(t *testing.T, name string, workers int, want, got []Link) {
 	t.Helper()
 	if len(got) != len(want) {

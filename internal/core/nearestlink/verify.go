@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+
+	"patchdb/internal/par"
 )
 
 // VerifySampled spot-checks a Search (or ReferenceSearch) output against the
@@ -26,7 +27,8 @@ import (
 //
 // sample bounds how many links get the brute-force scan (capped at
 // len(links)); seed makes the sample deterministic. It returns the number of
-// links scanned and the first violation found, if any.
+// links scanned and the violation of the lowest-indexed failing link, if
+// any, so the error is the same at any worker count.
 func VerifySampled(security, wild [][]float64, links []Link, opts *Options, sample int, seed int64) (int, error) {
 	if len(links) == 0 {
 		return 0, nil
@@ -108,34 +110,16 @@ func VerifySampled(security, wild [][]float64, links []Link, opts *Options, samp
 		used[l.Wild] = true
 	}
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	chunk := (len(checks) + o.Workers - 1) / o.Workers
-	for lo := 0; lo < len(checks); lo += chunk {
-		hi := lo + chunk
-		if hi > len(checks) {
-			hi = len(checks)
+	errs := make([]error, len(checks))
+	_ = par.For(nil, len(checks), o.Workers, func(_, i int) {
+		errs[i] = verifyOneLink(sec, wld, checks[i].link, checks[i].used)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return len(checks), fmt.Errorf("link %d: %w", checks[i].k, err)
 		}
-		wg.Add(1)
-		go func(cs []check) {
-			defer wg.Done()
-			for _, c := range cs {
-				if err := verifyOneLink(sec, wld, c.link, c.used); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("link %d: %w", c.k, err)
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}(checks[lo:hi])
 	}
-	wg.Wait()
-	return len(checks), firstErr
+	return len(checks), nil
 }
 
 // verifyOneLink brute-force scans one security row over the columns unused

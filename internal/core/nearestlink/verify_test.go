@@ -2,6 +2,7 @@ package nearestlink
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -128,5 +129,43 @@ func TestVerifySampledEmpty(t *testing.T) {
 	if _, err := VerifySampled(sec, [][]float64{{1, 2}}, links, nil, 1, 1); err == nil ||
 		!strings.Contains(err.Error(), "dimension") {
 		t.Errorf("dimension mismatch: %v", err)
+	}
+}
+
+// TestVerifySampledReportsLowestFailingLink corrupts two links that sit at
+// the seam of two work ranges and checks that the error names the lower one,
+// with the same message, at every worker count.
+func TestVerifySampledReportsLowestFailingLink(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sec := randRows(rng, 40, 6)
+	wild := randRows(rng, 300, 6)
+	links, err := Search(context.Background(), sec, wild, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]Link(nil), links...)
+	for _, k := range []int{19, 20} {
+		if bad[k].Distance >= bad[k+1].Distance {
+			t.Fatalf("links %d and %d tie; the nudge would break emission order", k, k+1)
+		}
+		bad[k].Distance = math.Nextafter(bad[k].Distance, math.Inf(1))
+	}
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		for rep := 0; rep < 20; rep++ {
+			_, err := VerifySampled(sec, wild, bad, &Options{Workers: workers}, len(bad), 9)
+			if err == nil {
+				t.Fatalf("workers=%d: tampered links passed verification", workers)
+			}
+			if want == "" {
+				want = err.Error()
+				if !strings.HasPrefix(want, "link 19: ") {
+					t.Fatalf("error %q does not name link 19", want)
+				}
+			}
+			if err.Error() != want {
+				t.Fatalf("workers=%d: error %q, want %q", workers, err, want)
+			}
+		}
 	}
 }

@@ -243,7 +243,14 @@ func Parse(text string) (*Patch, error) {
 		case hunk != nil && raw == `\ No newline at end of file`:
 			// ignored marker
 		case inMessage:
-			msg = append(msg, strings.TrimPrefix(strings.TrimPrefix(raw, "    "), "\t"))
+			// One indent comes off: git log's four spaces or a tab, not
+			// both, so a message line that starts with a tab keeps it
+			// through Format (which indents with four spaces) and Parse.
+			line, ok := strings.CutPrefix(raw, "    ")
+			if !ok {
+				line = strings.TrimPrefix(raw, "\t")
+			}
+			msg = append(msg, line)
 		}
 	}
 	flushFile()

@@ -9,13 +9,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"patchdb/internal/core/augment"
 	"patchdb/internal/corpus"
 	"patchdb/internal/features"
 	"patchdb/internal/oracle"
+	"patchdb/internal/par"
 )
 
 // Scale fixes the experiment sizes. The paper's scale (4076 seed, 100K/200K
@@ -168,20 +168,11 @@ func (l *Lab) Features(lc *corpus.LabeledCommit) []float64 {
 
 // Precompute extracts features for whole pools in parallel.
 func (l *Lab) Precompute(pools ...[]*corpus.LabeledCommit) {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var all []*corpus.LabeledCommit
 	for _, pool := range pools {
-		for _, lc := range pool {
-			wg.Add(1)
-			go func(lc *corpus.LabeledCommit) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				l.Features(lc)
-			}(lc)
-		}
+		all = append(all, pool...)
 	}
-	wg.Wait()
+	_ = par.For(nil, len(all), 0, func(_, i int) { l.Features(all[i]) })
 }
 
 // Items converts a pool to augmentation items (features extracted lazily

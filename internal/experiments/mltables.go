@@ -17,22 +17,13 @@ import (
 )
 
 // nearestLinkCandidates returns the pool indices selected by nearest link
-// search for a verified seed. The pool features are flattened into the
-// engine's row-major Matrix once and searched in place.
+// search for a verified seed.
 func nearestLinkCandidates(seedX [][]float64, pool []augment.Item) ([]int, error) {
 	wildX := make([][]float64, len(pool))
 	for i, it := range pool {
 		wildX[i] = it.Features
 	}
-	sec, err := nearestlink.MatrixFromRows(seedX)
-	if err != nil {
-		return nil, err
-	}
-	wld, err := nearestlink.MatrixFromRows(wildX)
-	if err != nil {
-		return nil, err
-	}
-	links, err := nearestlink.SearchMatrix(context.Background(), sec, wld, nil)
+	links, err := nearestlink.Search(context.Background(), seedX, wildX, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,9 +8,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"patchdb/internal/ml"
+	"patchdb/internal/par"
 )
 
 // Tree is a CART binary decision tree with Gini impurity splits.
@@ -210,8 +210,8 @@ type Forest struct {
 
 var _ ml.Classifier = (*Forest)(nil)
 
-// Fit trains the ensemble. Trees are grown concurrently, one goroutine per
-// tree, each with an independent deterministic sub-seed.
+// Fit trains the ensemble. Trees are grown on GOMAXPROCS workers, each
+// from an independent deterministic sub-seed.
 func (f *Forest) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
@@ -229,26 +229,20 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 	maxFeatures := int(math.Ceil(math.Sqrt(float64(dim))))
 
 	f.members = make([]*Tree, f.Trees)
-	var wg sync.WaitGroup
-	for m := 0; m < f.Trees; m++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(f.Seed + int64(m)*7919 + 1))
-			// Bootstrap sample.
-			bx := make([][]float64, len(x))
-			by := make([]int, len(y))
-			for i := range bx {
-				j := rng.Intn(len(x))
-				bx[i] = x[j]
-				by[i] = y[j]
-			}
-			t := &Tree{MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf, MaxFeatures: maxFeatures, Rand: rng}
-			_ = t.Fit(bx, by) // bx is non-empty by construction
-			f.members[m] = t
-		}(m)
-	}
-	wg.Wait()
+	_ = par.For(nil, f.Trees, 0, func(_, m int) {
+		rng := rand.New(rand.NewSource(f.Seed + int64(m)*7919 + 1))
+		// Bootstrap sample.
+		bx := make([][]float64, len(x))
+		by := make([]int, len(y))
+		for i := range bx {
+			j := rng.Intn(len(x))
+			bx[i] = x[j]
+			by[i] = y[j]
+		}
+		t := &Tree{MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf, MaxFeatures: maxFeatures, Rand: rng}
+		_ = t.Fit(bx, by) // bx is non-empty by construction
+		f.members[m] = t
+	})
 	return nil
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"patchdb/internal/diff"
 	"patchdb/internal/gitrepo"
+	"patchdb/internal/par"
 	"patchdb/internal/retry"
 	"patchdb/internal/telemetry"
 )
@@ -300,8 +301,8 @@ func (c *Crawler) policy(reg *telemetry.Registry) (retry.Policy, *retry.Breaker)
 
 // Crawl fetches the feed and downloads every Patch-tagged GitHub commit
 // reference, returning cleaned C/C++ patches in feed order. Downloads run
-// on a bounded worker pool; each fetch is retried with backoff, and
-// downloads that exhaust their budget land in CrawlStats.Quarantine.
+// on Concurrency workers; each fetch is retried with backoff, and downloads
+// that exhaust their budget land in CrawlStats.Quarantine.
 // ctx cancellation aborts the crawl with a wrapped context error.
 func (c *Crawler) Crawl(ctx context.Context) ([]*CrawledPatch, CrawlStats, error) {
 	hub := telemetry.HubFromContext(ctx)
@@ -383,101 +384,65 @@ func (c *Crawler) Crawl(ctx context.Context) ([]*CrawledPatch, CrawlStats, error
 	_, dlSpan := telemetry.Start(ctx, "nvd.download")
 	dlSpan.SetAttr("jobs", len(jobs))
 
-	// Fixed-size worker pool over job indices. Results (and quarantine
-	// entries) land at their job's index so the output order is
-	// deterministic (feed order) no matter how the downloads interleave.
+	// Results (and quarantine entries) land at their job's index so the
+	// output order is deterministic (feed order) no matter how the
+	// downloads interleave.
 	results := make([]*CrawledPatch, len(jobs))
 	quarantined := make([]*QuarantinedDownload, len(jobs))
-	idxCh := make(chan int)
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex // guards stats and done
 		done int
 	)
-	if conc > len(jobs) {
-		conc = len(jobs)
-	}
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				if ctx.Err() != nil {
-					// Drained without fetching; still counts toward
-					// progress so -progress reaches 100% on cancellation.
-					mu.Lock()
-					done++
-					d := done
-					mu.Unlock()
-					if c.Progress != nil {
-						c.Progress(d, len(jobs))
-					}
-					continue
-				}
-				j := jobs[i]
-				var cp *CrawledPatch
-				attempts, fetchErr := policy.Do(ctx, j.url, func(ctx context.Context) error {
-					p, err := c.fetchPatch(ctx, client, j.url)
-					if err != nil {
-						return err
-					}
-					cp = p
-					return nil
-				})
-				mu.Lock()
-				done++
-				d := done
-				if attempts > 1 {
-					stats.Retries += attempts - 1
-				}
-				if fetchErr != nil {
-					if ctx.Err() == nil {
-						// A genuine failure, not cancellation noise.
-						stats.Errors++
-						quarantined[i] = &QuarantinedDownload{
-							CVE: j.cve, Repo: j.repo, Hash: j.hash, URL: j.url,
-							Attempts: attempts, LastError: canonicalError(fetchErr),
-						}
-					}
-				} else {
-					stats.Downloaded++
-					cp.CVE = j.cve
-					cp.Repo = j.repo
-					cp.Hash = j.hash
-					if len(cp.Patch.Files) == 0 {
-						stats.EmptyAfterClean++
-					} else {
-						results[i] = cp
-					}
-				}
-				mu.Unlock()
-				if c.Progress != nil {
-					c.Progress(d, len(jobs))
-				}
-			}
-		}()
-	}
-	submitted := 0
-feed:
-	for i := range jobs {
-		select {
-		case idxCh <- i:
-			submitted++
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	if submitted < len(jobs) {
-		// Jobs never handed to a worker still complete the progress count.
-		mu.Lock()
-		done += len(jobs) - submitted
-		d := done
-		mu.Unlock()
+	progress := func(d int) {
 		if c.Progress != nil {
 			c.Progress(d, len(jobs))
 		}
+	}
+	poolErr := par.For(ctx, len(jobs), conc, func(_, i int) {
+		j := jobs[i]
+		var cp *CrawledPatch
+		attempts, fetchErr := policy.Do(ctx, j.url, func(ctx context.Context) error {
+			p, err := c.fetchPatch(ctx, client, j.url)
+			if err != nil {
+				return err
+			}
+			cp = p
+			return nil
+		})
+		mu.Lock()
+		done++
+		d := done
+		if attempts > 1 {
+			stats.Retries += attempts - 1
+		}
+		if fetchErr != nil {
+			if ctx.Err() == nil {
+				// A genuine failure, not cancellation noise.
+				stats.Errors++
+				quarantined[i] = &QuarantinedDownload{
+					CVE: j.cve, Repo: j.repo, Hash: j.hash, URL: j.url,
+					Attempts: attempts, LastError: canonicalError(fetchErr),
+				}
+			}
+		} else {
+			stats.Downloaded++
+			cp.CVE = j.cve
+			cp.Repo = j.repo
+			cp.Hash = j.hash
+			if len(cp.Patch.Files) == 0 {
+				stats.EmptyAfterClean++
+			} else {
+				results[i] = cp
+			}
+		}
+		mu.Unlock()
+		progress(d)
+	})
+	if done < len(jobs) {
+		// Jobs a cancellation kept from starting still complete the
+		// progress count, so -progress reaches 100%.
+		done = len(jobs)
+		progress(done)
 	}
 	for _, q := range quarantined {
 		if q != nil {
@@ -487,8 +452,8 @@ feed:
 	stats.Quarantined = len(stats.Quarantine)
 	stats.BreakerTrips = breaker.Trips()
 	dlSpan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, stats, fmt.Errorf("nvd: crawl canceled: %w", err)
+	if poolErr != nil {
+		return nil, stats, fmt.Errorf("nvd: crawl canceled: %w", poolErr)
 	}
 
 	out := make([]*CrawledPatch, 0, len(results))

@@ -1,64 +1,17 @@
 package store
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"net"
 	"net/http"
-	"time"
+
+	"patchdb/internal/telemetry"
 )
 
-// Server is a running patch-store endpoint. It follows the
-// telemetry.Server listener/Close pattern: Serve returns once the listener
-// is bound (so the URL is immediately usable), the accept loop runs in a
-// goroutine, and Close shuts down gracefully, waits for the loop, and
-// surfaces the first serve error.
-type Server struct {
-	// URL is the server's base address, e.g. http://127.0.0.1:8080.
-	URL string
-
-	srv      *http.Server
-	done     chan struct{}
-	serveErr error
-}
+// Server is a running patch-store endpoint; Close drains in-flight
+// requests and returns the first serve error.
+type Server = telemetry.Server
 
 // Serve binds addr (e.g. ":8080" or "127.0.0.1:0") and serves handler until
-// Close.
+// Close. It returns once the listener is bound, so the URL is usable at once.
 func Serve(addr string, handler http.Handler) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("store: listen %s: %w", addr, err)
-	}
-	s := &Server{
-		URL:  "http://" + ln.Addr().String(),
-		srv:  &http.Server{Handler: handler},
-		done: make(chan struct{}),
-	}
-	//lint:ignore goroleak exit is bounded by Close: Shutdown unblocks Serve with ErrServerClosed and Close waits on <-s.done before returning
-	go func() {
-		defer close(s.done)
-		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			// Surfaced by Close: the serve goroutine has no other channel
-			// back to the caller.
-			s.serveErr = fmt.Errorf("store: serve: %w", err)
-		}
-	}()
-	return s, nil
-}
-
-// Close drains in-flight requests (bounded by a 5s timeout), waits for the
-// serve goroutine, and returns the first serve error if one occurred.
-func (s *Server) Close() error {
-	if s == nil || s.srv == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	shutdownErr := s.srv.Shutdown(ctx)
-	<-s.done
-	if s.serveErr != nil {
-		return s.serveErr
-	}
-	return shutdownErr
+	return telemetry.ServeHandler(addr, handler)
 }

@@ -170,7 +170,9 @@ func (h *Hub) MetricsHandler() http.Handler {
 	})
 }
 
-// Server is a running telemetry endpoint (see Serve).
+// Server is a running HTTP endpoint (see ServeHandler): the accept loop
+// runs in a goroutine, and Close shuts down gracefully, waits for the loop,
+// and surfaces the first serve error.
 type Server struct {
 	// URL is the server's base address, e.g. http://127.0.0.1:9090.
 	URL string
@@ -194,14 +196,19 @@ func Serve(addr string, hub *Hub) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return ServeHandler(addr, mux)
+}
 
+// ServeHandler binds addr and serves handler until Close. It returns once
+// the listener is bound, so the URL is usable at once.
+func ServeHandler(addr string, handler http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	s := &Server{
 		URL:  "http://" + ln.Addr().String(),
-		srv:  &http.Server{Handler: mux},
+		srv:  &http.Server{Handler: handler},
 		done: make(chan struct{}),
 	}
 	//lint:ignore goroleak exit is bounded by Close: Shutdown unblocks Serve with ErrServerClosed and Close waits on <-s.done before returning

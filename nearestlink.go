@@ -25,21 +25,6 @@ type NearestLinkStats = nearestlink.Stats
 // augmentation rounds of a Build).
 type NearestLinkTotals = nearestlink.Totals
 
-// Matrix is the engine's flat, row-major feature matrix: one contiguous
-// float64 allocation plus a stride, with zero-copy row views. Build one
-// with NewMatrix/MatrixFromRows and search it via NearestLinkMatrix to skip
-// the per-call flattening of the [][]float64 entry points.
-type Matrix = nearestlink.Matrix
-
-// NewMatrix allocates a zeroed rows×cols feature matrix.
-func NewMatrix(rows, cols int) *Matrix { return nearestlink.NewMatrix(rows, cols) }
-
-// MatrixFromRows copies feature rows into a flat Matrix, validating that
-// all rows share one dimensionality.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
-	return nearestlink.MatrixFromRows(rows)
-}
-
 // NearestLink runs the paper's Algorithm 1: given the feature rows of
 // verified security patches and of unlabeled wild patches, it selects one
 // distinct wild candidate per security patch, greedily minimizing the total
@@ -49,12 +34,6 @@ func MatrixFromRows(rows [][]float64) (*Matrix, error) {
 // context error. Ragged rows and NaN or ±Inf features return wrapped errors.
 func NearestLink(ctx context.Context, security, wild [][]float64, opts *NearestLinkOptions) ([]Link, error) {
 	return nearestlink.Search(ctx, security, wild, opts)
-}
-
-// NearestLinkMatrix is NearestLink over pre-flattened matrices; the inputs
-// are never mutated.
-func NearestLinkMatrix(ctx context.Context, security, wild *Matrix, opts *NearestLinkOptions) ([]Link, error) {
-	return nearestlink.SearchMatrix(ctx, security, wild, opts)
 }
 
 // FeatureWeights computes the per-dimension max-abs weights w_j = 1/max|a_j|

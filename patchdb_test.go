@@ -90,21 +90,13 @@ func TestNearestLinkFacade(t *testing.T) {
 		t.Fatalf("weights = %v", w)
 	}
 
-	secM, err := MatrixFromRows(sec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wildM, err := MatrixFromRows(wild)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stats NearestLinkStats
-	mLinks, err := NearestLinkMatrix(context.Background(), secM, wildM, &NearestLinkOptions{Stats: &stats})
+	sLinks, err := NearestLink(context.Background(), sec, wild, &NearestLinkOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mLinks, links) {
-		t.Fatalf("matrix links = %v, want %v", mLinks, links)
+	if !reflect.DeepEqual(sLinks, links) {
+		t.Fatalf("links with stats = %v, want %v", sLinks, links)
 	}
 	if stats.HeapPops == 0 || stats.DistanceEvals == 0 {
 		t.Fatalf("stats not populated: %+v", stats)

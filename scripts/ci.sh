@@ -3,7 +3,7 @@
 # GitHub Actions. Mirrors .github/workflows/ci.yml and `make ci`: build,
 # the gofmt check, stock vet (of the program and of the perfbench benchmark
 # module), the custom patchdb-lint suite, the test run, the race-enabled
-# crash-safety suite, the fully-verified nearest-link engine smoke sweep,
+# parallel-loop tests, the race-enabled crash-safety suite, the fully-verified nearest-link engine smoke sweep,
 # and the bounded fuzz run of the decoders. Exits non-zero on the first
 # failure.
 set -eu
@@ -71,6 +71,9 @@ fi
 echo "==> test"
 "$GO" test ./...
 
+echo "==> par (the shared parallel loop, race-enabled)"
+"$GO" test -race -count=1 ./internal/par/
+
 echo "==> verify-obs (logging determinism + SLO + exemplar + request-ID correlation, race-enabled)"
 "$GO" test -race -count=1 -run 'Log|SLO|Exemplar|Exposition|OpenMetrics|Prom|RequestID|Correlation|ChromeTrace|Debug|Healthz|Slow' ./internal/telemetry/ ./internal/store/
 
@@ -80,13 +83,14 @@ echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
 
-# go test fuzzes one target per run, so the six targets run one at a time.
-echo "==> fuzz-smoke (diff, cast, lexer, dataset and store query decoders, 10s per target)"
+# go test fuzzes one target per run, so the seven targets run one at a time.
+echo "==> fuzz-smoke (diff, cast, lexer, dataset, store query and checkpoint manifest decoders, 10s per target)"
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/diff/
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/cast/
 "$GO" test -run '^$' -fuzz '^FuzzComputeApply$' -fuzztime 10s ./internal/diff/
 "$GO" test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/ctoken/
 "$GO" test -run '^$' -fuzz '^FuzzLoadDataset$' -fuzztime 10s .
 "$GO" test -run '^$' -fuzz '^FuzzQuery$' -fuzztime 10s ./internal/store/
+"$GO" test -run '^$' -fuzz '^FuzzOpenManifest$' -fuzztime 10s ./internal/checkpoint/
 
 echo "ci: ok"
