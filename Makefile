@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-link verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,13 @@ bench-ledger:
 verify-par:
 	$(GO) test -race -count=1 ./internal/par/
 
+# verify-link runs the nearest-link engine and augmentation suites under
+# the race detector: the engine's parallel set-up and scan, the rounds that
+# keep one engine and its pooled buffers across an augmentation run, and
+# several runs at once (~30s).
+verify-link:
+	$(GO) test -race -count=1 ./internal/core/nearestlink/ ./internal/core/augment/
+
 # verify-chaos runs the fault-injection suite under the race detector: the
 # injected fault classes, the retry/breaker machinery, and the end-to-end
 # chaos tests of the crawler and builder.
@@ -149,9 +156,9 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 # scripts/ci.sh: build, the gofmt check, both static-analysis tiers (and
 # vet of the benchmark module), the plain test run, the race-enabled
 # parallel-loop, observability-correlation and crash-safety suites, the
-# fully-verified engine smoke sweep, and the bounded fuzz run of the
-# decoders.
-ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume bench-smoke fuzz-smoke
+# race-enabled nearest-link engine suite, the fully-verified engine smoke
+# sweep, and the bounded fuzz run of the decoders.
+ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume verify-link bench-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

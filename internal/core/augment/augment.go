@@ -3,6 +3,12 @@
 // verification, and the loop judgment that repeats rounds while the security
 // ratio among candidates stays above a threshold. It produces the per-round
 // accounting reported in Table II.
+//
+// All rounds over one pool share one nearest-link engine
+// (nearestlink.Rounds): after each round's verification, the engine is told
+// which candidates left the pool and which of them joined the verified
+// security set, so the next round compacts the engine instead of preparing
+// the whole pool again. Its links are the same as a fresh search's.
 package augment
 
 import (
@@ -112,18 +118,23 @@ func Run(ctx context.Context, seed [][]float64, pool []Item, verifier Verifier, 
 
 	res := &Result{SeedFeatures: append([][]float64(nil), seed...)}
 	active := append([]Item(nil), pool...)
+	wildX := make([][]float64, len(active))
+	for i, it := range active {
+		wildX[i] = it.Features
+	}
+	// One engine serves every round over this pool: after verification it
+	// learns which columns left and which joined the security side, in the
+	// order they were appended to SeedFeatures.
+	var searchStats nearestlink.Stats
+	rounds := nearestlink.NewRounds(res.SeedFeatures, wildX,
+		&nearestlink.Options{Workers: cfg.Workers, Stats: &searchStats, Registry: cfg.Registry})
+	defer rounds.Close()
 
 	for round := 0; round < cfg.MaxRounds && len(active) > 0; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("augment: canceled before round %d: %w", startRound+round, err)
 		}
-		wildX := make([][]float64, len(active))
-		for i, it := range active {
-			wildX[i] = it.Features
-		}
-		var searchStats nearestlink.Stats
-		links, err := nearestlink.Search(ctx, res.SeedFeatures, wildX,
-			&nearestlink.Options{Workers: cfg.Workers, Stats: &searchStats, Registry: cfg.Registry})
+		links, err := rounds.Search(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("augment round %d: %w", startRound+round, err)
 		}
@@ -138,17 +149,21 @@ func Run(ctx context.Context, seed [][]float64, pool []Item, verifier Verifier, 
 			Candidates:  len(links),
 			Search:      searchStats,
 		}
-		selected := make(map[int]bool, len(links))
+		selected := make([]bool, len(active))
+		removed := make([]int, 0, len(links))
+		var promoted []int
 		for _, l := range links {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("augment: canceled during round %d verification: %w", r.Round, err)
 			}
 			selected[l.Wild] = true
+			removed = append(removed, l.Wild)
 			item := active[l.Wild]
 			if verifier.Verify(item.ID) {
 				r.Verified++
 				res.SecurityIDs = append(res.SecurityIDs, item.ID)
 				res.SeedFeatures = append(res.SeedFeatures, item.Features)
+				promoted = append(promoted, l.Wild)
 			} else {
 				res.NonSecurityIDs = append(res.NonSecurityIDs, item.ID)
 			}
@@ -158,7 +173,11 @@ func Run(ctx context.Context, seed [][]float64, pool []Item, verifier Verifier, 
 		}
 		res.Rounds = append(res.Rounds, r)
 
-		// Remove all verified candidates from the pool.
+		// Remove all verified candidates from the pool, keeping its order,
+		// as the engine does.
+		if err := rounds.Remove(removed, promoted); err != nil {
+			return nil, fmt.Errorf("augment round %d: %w", r.Round, err)
+		}
 		next := active[:0]
 		for i, it := range active {
 			if !selected[i] {

@@ -190,7 +190,9 @@ const (
 //     (their slack covers reordering error), so high-spread dimensions first
 //     makes the partial sum cross the rejection bound as early as possible.
 //   - The wild pool is stored sorted by ascending row norm (wldNS; orig
-//     maps a sorted position back to the original wild index), split into
+//     maps a sorted position back to its row in wld, which names the
+//     column inside the engine; cols maps the current pool columns to those
+//     rows once a round has compacted the pool), split into
 //     packed screen-order stripes that match the access pattern of the
 //     staged rejection: wldSegs (nseg segment norms, 128 B/candidate), wldP
 //     (the first pw screen-order dimensions, see screenPrefix), and wldT
@@ -208,6 +210,10 @@ const (
 // Reference-order confirmation always reads the original matrices.
 type engine struct {
 	sec, wld *matrix
+	maxAbs   []float64 // raw max|a_j| over security ∪ wild; nil without normalization
+	maxTies  []int     // per dimension, the rows whose raw |a_j| equals maxAbs[j]
+	perm     []int     // screen order of the dimensions
+	cleared  bool      // norms and segment norms zeroed (see maxBoundNorm)
 	secOrder []int     // scan order: security rows by (norm, index)
 	rank     []int     // original security row -> scan-order position
 	secN     []float64 // security row norms, scan order
@@ -215,7 +221,8 @@ type engine struct {
 	secS     *matrix   // screen-order security rows, scan order
 	secSegs  []float64 // m×nseg segment norms of secS rows
 	wldNS    []float64 // sorted wild row norms, ascending
-	orig     []int     // sorted position -> original wild index
+	orig     []int     // sorted position -> wld matrix row
+	cols     []int     // current pool column -> wld matrix row, ascending; nil: the identity
 	wldSegs  []float64 // n×nseg packed segment norms, walk order
 	wldP     []float64 // n×pw packed screen-order prefixes, walk order
 	wldT     []float64 // n×tw packed screen-order tails, walk order
@@ -228,14 +235,13 @@ func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers
 	if wld.cols < pw {
 		pw = wld.cols
 	}
-	e := &engine{sec: sec, wld: wld, pw: pw, tw: wld.cols - pw}
+	e := &engine{sec: sec, wld: wld, perm: perm, pw: pw, tw: wld.cols - pw}
 
-	// Order both sides by (norm, original index) — deterministic, so every
+	// Order the pool by (norm, original index) — deterministic, so every
 	// Stats counter is a pure function of the input.
 	e.orig = normOrder(wldN)
-	e.secOrder = normOrder(secN)
 
-	n, m := wld.rows, sec.rows
+	n := wld.rows
 	buf.stripes = take(buf.stripes, n*(1+nseg+pw+e.tw))
 	st := buf.stripes
 	e.wldNS, st = st[:n:n], st[n:]
@@ -254,11 +260,30 @@ func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers
 			e.wldNS[k] = wldN[j]
 		}
 	})
+	e.mirror(workers, secN, buf)
+	// Both norm orders are ascending, so their last entries are the maxima.
+	if e.wldNS[n-1] > maxBoundNorm || e.secN[sec.rows-1] > maxBoundNorm {
+		e.cleared = true
+		clear(e.wldNS)
+		clear(e.secN)
+		clear(e.wldSegs)
+		clear(e.secSegs)
+	}
+	return e
+}
 
+// mirror lays the security rows out for scanning, given their norms secN in
+// row order: the scan order by (norm, index), each row's rank in it, and per
+// scan-order row its norm, its position in the sorted pool norms, its
+// screen-order copy and that copy's segment norms.
+func (e *engine) mirror(workers int, secN []float64, buf *buffers) {
+	m, pw := e.sec.rows, e.pw
+	e.secOrder = normOrder(secN)
 	e.rank = make([]int, m)
 	e.secN = make([]float64, m)
 	e.secMid = make([]int, m)
-	e.secS = newMatrix(m, sec.cols)
+	buf.secS = take(buf.secS, m*e.sec.cols)
+	e.secS = &matrix{rows: m, cols: e.sec.cols, data: buf.secS}
 	e.secSegs = make([]float64, m*nseg)
 	forChunks(workers, m, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
@@ -267,18 +292,10 @@ func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers
 			e.secN[t] = secN[i]
 			e.secMid[t] = sort.SearchFloat64s(e.wldNS, secN[i])
 			rowS := e.secS.row(t)
-			permute(rowS, sec.row(i), perm)
+			permute(rowS, e.sec.row(i), e.perm)
 			fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
 		}
 	})
-	// Both norm orders are ascending, so their last entries are the maxima.
-	if e.wldNS[n-1] > maxBoundNorm || e.secN[m-1] > maxBoundNorm {
-		clear(e.wldNS)
-		clear(e.secN)
-		clear(e.wldSegs)
-		clear(e.secSegs)
-	}
-	return e
 }
 
 // maxBoundNorm is the largest row norm the norm-window and segment bounds

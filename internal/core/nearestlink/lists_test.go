@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"patchdb/internal/telemetry"
@@ -232,6 +233,65 @@ func TestSearchPhaseSpans(t *testing.T) {
 			}
 			if float64(childNS) < 0.95*float64(rootNS) {
 				t.Errorf("%s w=%d: children cover %d of %d ns (< 95%%)", r.root, workers, childNS, rootNS)
+			}
+		}
+	}
+}
+
+// TestRoundSpans pins the spans of a Rounds run: every round is a
+// nearestlink.search span with the children prepare, scan, deepen and
+// greedy, the same at workers 1 and 8, and its prepare span says whether
+// the round rebuilt the engine: never on the link-shaped fixture, whose
+// maxima survive every removal, and in round 2 of the fixture whose removal
+// changes the weights.
+func TestRoundSpans(t *testing.T) {
+	want := map[string]string{
+		"link-shaped":    "[false false false false]",
+		"weights-change": "[false true",
+	}
+	for _, c := range roundsCases() {
+		if want[c.name] == "" {
+			continue
+		}
+		var first string
+		for _, workers := range []int{1, 8} {
+			hub := telemetry.NewHub()
+			if _, err := runRounds(telemetry.WithHub(bg, hub), c, workers); err != nil {
+				t.Fatal(err)
+			}
+			spans := hub.Tracer.Snapshot()
+			var searches []uint64
+			var rebuilt []any
+			for _, s := range spans {
+				if s.Name == "nearestlink.search" {
+					searches = append(searches, s.ID)
+				}
+			}
+			var tree []string
+			for _, id := range searches {
+				for _, s := range spans {
+					if s.Parent == id {
+						tree = append(tree, s.Name)
+						if s.Name == "nearestlink.prepare" {
+							rebuilt = append(rebuilt, s.Attrs["rebuilt"])
+						}
+					}
+				}
+			}
+			for k := 0; k < len(searches); k++ {
+				got := fmt.Sprint(tree[min(4*k, len(tree)):min(4*k+4, len(tree))])
+				if got != "[nearestlink.prepare nearestlink.scan nearestlink.deepen nearestlink.greedy]" {
+					t.Errorf("%s w=%d: round %d children %s", c.name, workers, k+1, got)
+				}
+			}
+			got := fmt.Sprint(rebuilt)
+			if !strings.HasPrefix(got, want[c.name]) {
+				t.Errorf("%s w=%d: rebuilt per round %s, want %s...", c.name, workers, got, want[c.name])
+			}
+			if workers == 1 {
+				first = fmt.Sprint(tree) + got
+			} else if fmt.Sprint(tree)+got != first {
+				t.Errorf("%s: spans at w=8 differ from w=1", c.name)
 			}
 		}
 	}

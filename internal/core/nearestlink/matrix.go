@@ -15,20 +15,17 @@ type matrix struct {
 	data       []float64
 }
 
-// newMatrix allocates a zeroed rows×cols matrix.
-func newMatrix(rows, cols int) *matrix {
-	return &matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
 // buffers holds a search's largest arrays, the flattened inputs and the
-// wild stripes, for the next search to reuse. An augmentation run searches
-// a nearly unchanged pool once per round; fresh multi-megabyte arrays would
-// be zeroed and page-faulted in every time, and set-up's row chunks would
+// wild stripes, for the next search to reuse. An augmentation run keeps one
+// for all rounds over its pool (Rounds); fresh multi-megabyte arrays would be
+// zeroed and page-faulted in every time, and set-up's row chunks would
 // serialize on those faults. Every element handed out is written before it
 // is read.
 type buffers struct {
-	flat    []float64 // flattened security rows, then wild rows
+	sec     []float64 // flattened security rows
+	wld     []float64 // flattened wild rows
 	stripes []float64 // the engine's wild stripes, end to end
+	secS    []float64 // the screen-order security rows
 }
 
 var searchBuffers = sync.Pool{New: func() any { return new(buffers) }}
@@ -46,10 +43,10 @@ func take(s []float64, n int) []float64 {
 // workers. The copy is the pass that rejects non-finite values.
 func (b *buffers) flatten(workers int, security, wild [][]float64) (sec, wld *matrix, err error) {
 	d := len(security[0])
-	m := len(security) * d
-	b.flat = take(b.flat, m+len(wild)*d)
-	sec = &matrix{rows: len(security), cols: d, data: b.flat[:m:m]}
-	wld = &matrix{rows: len(wild), cols: d, data: b.flat[m:]}
+	b.sec = take(b.sec, len(security)*d)
+	b.wld = take(b.wld, len(wild)*d)
+	sec = &matrix{rows: len(security), cols: d, data: b.sec}
+	wld = &matrix{rows: len(wild), cols: d, data: b.wld}
 	if err := copyFinite(workers, 0, security, sec); err != nil {
 		return nil, nil, err
 	}
@@ -88,43 +85,48 @@ func (m *matrix) row(i int) []float64 {
 	return m.data[off : off+m.cols : off+m.cols]
 }
 
-// weightsFlat computes the max-abs weights w_j = 1/max|a_j| over the rows
-// of all provided matrices (they must share a column count, and their
-// values must be finite). Each fixed row chunk over workers takes its own
-// maxima, and the chunk maxima merge by max, which is exact in any order.
-func weightsFlat(workers int, sets ...*matrix) []float64 {
+// maxAbsFlat returns the per-dimension maxima max|a_j| over the rows of
+// all provided matrices (they must share a column count, and their values
+// must be finite), and per dimension the number of rows whose |a_j| equals
+// the maximum. Each fixed row chunk over workers takes its own maxima and
+// counts, and the chunks merge by max, adding the counts of equal maxima,
+// which is exact in any order.
+func maxAbsFlat(workers int, sets ...*matrix) (maxAbs []float64, ties []int) {
 	dim := sets[0].cols
-	w := make([]float64, dim)
+	maxAbs, ties = make([]float64, dim), make([]int, dim)
+	type part struct {
+		max  []float64
+		ties []int
+	}
 	for _, set := range sets {
-		part := make([][]float64, chunkCount(workers, set.rows))
+		parts := make([]part, chunkCount(workers, set.rows))
 		forChunks(workers, set.rows, func(c, lo, hi int) {
-			pw := make([]float64, dim)
+			p := part{make([]float64, dim), make([]int, dim)}
 			for i := lo; i < hi; i++ {
 				for j, v := range set.row(i) {
 					if v < 0 {
 						v = -v
 					}
-					if v > pw[j] {
-						pw[j] = v
+					if v > p.max[j] {
+						p.max[j], p.ties[j] = v, 1
+					} else if v == p.max[j] {
+						p.ties[j]++
 					}
 				}
 			}
-			part[c] = pw
+			parts[c] = p
 		})
-		for _, pw := range part {
-			for j, v := range pw {
-				w[j] = max(w[j], v)
+		for _, p := range parts {
+			for j, v := range p.max {
+				if v > maxAbs[j] {
+					maxAbs[j], ties[j] = v, p.ties[j]
+				} else if v == maxAbs[j] {
+					ties[j] += p.ties[j]
+				}
 			}
 		}
 	}
-	for j := range w {
-		if w[j] == 0 {
-			w[j] = 1
-		} else {
-			w[j] = 1 / w[j]
-		}
-	}
-	return w
+	return maxAbs, ties
 }
 
 // weighNorms scales every row of m by w in place (w nil leaves m as it

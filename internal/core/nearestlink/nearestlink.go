@@ -273,33 +273,39 @@ func Weights(sets ...[][]float64) ([]float64, error) {
 			break
 		}
 	}
-	w := make([]float64, dim)
+	maxAbs := make([]float64, dim)
 	for s, set := range sets {
 		for i, row := range set {
 			if err := checkFinite(s, i, row); err != nil {
 				return nil, err
 			}
 			for j, v := range row {
-				if a := math.Abs(v); a > w[j] {
-					w[j] = a
+				if a := math.Abs(v); a > maxAbs[j] {
+					maxAbs[j] = a
 				}
 			}
 		}
 	}
-	for j := range w {
-		if w[j] == 0 {
-			w[j] = 1
-		} else {
-			w[j] = 1 / w[j]
-		}
-	}
-	return w, nil
+	return invert(maxAbs), nil
 }
 
-// prepare validates the inputs of Search and KNNSelect, flattens them into
-// buf, and builds the engine. The copy is the pass that rejects non-finite
-// values; weighting (unless normalization is disabled) runs in place on
-// it, and the engine's stripes land in buf too.
+// invert turns per-dimension maxima into the weights 1/max|a_j|, and 1
+// where a dimension is all zeros.
+func invert(maxAbs []float64) []float64 {
+	w := make([]float64, len(maxAbs))
+	for j, v := range maxAbs {
+		w[j] = 1
+		if v != 0 {
+			w[j] = 1 / v
+		}
+	}
+	return w
+}
+
+// prepare validates the inputs of a round or of KNNSelect, flattens them
+// into buf, and builds the engine. The copy is the pass that rejects
+// non-finite values; weighting (unless normalization is disabled) runs in
+// place on it, and the engine's stripes land in buf too.
 func prepare(security, wild [][]float64, o Options, buf *buffers) (*engine, error) {
 	if len(security) == 0 {
 		return nil, ErrNoSecurityPatches
@@ -314,13 +320,17 @@ func prepare(security, wild [][]float64, o Options, buf *buffers) (*engine, erro
 	if err != nil {
 		return nil, err
 	}
-	var w []float64
+	var maxAbs, w []float64
+	var ties []int
 	if !o.DisableNormalization {
-		w = weightsFlat(o.Workers, sec, wld)
+		maxAbs, ties = maxAbsFlat(o.Workers, sec, wld)
+		w = invert(maxAbs)
 	}
 	secN := weighNorms(o.Workers, sec, w)
 	wldN := weighNorms(o.Workers, wld, w)
-	return newEngine(sec, wld, secN, wldN, o.Workers, buf), nil
+	e := newEngine(sec, wld, secN, wldN, o.Workers, buf)
+	e.maxAbs, e.maxTies = maxAbs, ties
+	return e, nil
 }
 
 // canceled wraps a context error in the package's vocabulary.
@@ -335,74 +345,13 @@ func canceled(ctx context.Context) error {
 // scan tasks and periodically during assignment; cancellation aborts the
 // search with a wrapped context error. Ragged rows return a wrapped
 // ErrDimensionMismatch, NaN or ±Inf values a wrapped ErrNonFinite. The
-// inputs are not mutated. Its span nearestlink.search has one child per
-// phase: prepare, scan, deepen and greedy.
+// inputs are not mutated. It is the single round of a Rounds, so its span
+// nearestlink.search has one child per phase: prepare, scan, deepen and
+// greedy.
 func Search(ctx context.Context, security, wild [][]float64, opts *Options) ([]Link, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := opts.resolved()
-	ctx, span := telemetry.Start(ctx, "nearestlink.search")
-	defer span.End()
-	buf := searchBuffers.Get().(*buffers)
-	defer searchBuffers.Put(buf)
-	_, phase := telemetry.Start(ctx, "nearestlink.prepare")
-	e, err := prepare(security, wild, o, buf)
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-	m, n := e.sec.rows, e.wld.rows
-	stats := Stats{SecurityRows: m, WildCols: n}
-
-	// Phase 1 — each row's best and runner-up (Algorithm 1 lines 2-3)
-	// through the blocked, sharded scan kernel (see block.go for the layout
-	// and the exactness argument). Visiting order does not matter for
-	// correctness: updates are lexicographic on (distance, original column)
-	// and all rejections are strictly conservative, so the result is
-	// identical to the reference's ascending scan.
-	_, phase = telemetry.Start(ctx, "nearestlink.scan")
-	cands, ubK, err := e.scan(ctx, o, &stats)
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Deepening — a row whose best and runner-up columns are both certain
-	// to be taken by rows that pop before it reaches them would use up its
-	// phase-1 list and rescan. Only those rows get their lists filled to
-	// listDepth now, by a second blocked scan; the others keep phase 1's
-	// tighter two-best.
-	_, phase = telemetry.Start(ctx, "nearestlink.deepen")
-	err = e.deepen(ctx, o, &stats, cands, ubK)
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2 — heap-driven greedy assignment (Algorithm 1 lines 5-17).
-	// Every pending row keeps exactly one live heap entry keyed by its
-	// current list head, so a pop is the exact argmin the reference loop
-	// rescans O(M) rows for. A collision moves the row to the first entry
-	// of its list whose column is still free. That entry is exactly what a
-	// fresh rescan would find: the list is the top of a free set that only
-	// shrinks afterwards, so no free column can rank between its entries.
-	// A list used up with fewer entries than it asked for held every
-	// column with a finite distance, so the row gets no link; only a full
-	// list used up is rescanned, as a one-row task of the same kernel that
-	// refills it to listDepth.
-	_, phase = telemetry.Start(ctx, "nearestlink.greedy")
-	links, err := e.greedy(ctx, &stats, cands)
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-	stats.finish(span)
-	stats.Publish(o.Registry)
-	if o.Stats != nil {
-		*o.Stats = stats
-	}
-	return links, nil
+	r := NewRounds(security, wild, opts)
+	defer r.Close()
+	return r.Search(ctx)
 }
 
 // scan seeds every row's pruning bounds and runs phase 1 at depth 2. It
@@ -505,9 +454,9 @@ func deepRows(e *engine, cands *candidates) []int {
 
 // greedy runs the heap-driven assignment over the candidate lists.
 func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([]Link, error) {
-	m, n := e.sec.rows, e.wld.rows
-	used := make([]bool, n)
-	total := min(m, n)
+	m := e.sec.rows
+	used := make([]bool, e.wld.rows)
+	total := min(m, len(e.orig))
 	links := make([]Link, 0, total)
 	u := make([]float64, m)
 	for i := range u {
@@ -531,7 +480,7 @@ func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([
 		}
 		if j := cands.j[base+p]; !used[j] {
 			used[j] = true
-			links = append(links, Link{Security: i, Wild: j, Distance: math.Sqrt(d)})
+			links = append(links, Link{Security: i, Wild: e.col(j), Distance: math.Sqrt(d)})
 			continue
 		}
 		for p++; p < cands.n[i] && used[cands.j[base+p]]; p++ {

@@ -3,8 +3,9 @@
 # GitHub Actions. Mirrors .github/workflows/ci.yml and `make ci`: build,
 # the gofmt check, stock vet (of the program and of the perfbench benchmark
 # module), the custom patchdb-lint suite, the test run, the race-enabled
-# parallel-loop tests, the race-enabled crash-safety suite, the fully-verified nearest-link engine smoke sweep,
-# and the bounded fuzz run of the decoders. Exits non-zero on the first
+# parallel-loop tests, the race-enabled crash-safety suite, the race-enabled
+# nearest-link engine suite, the fully-verified nearest-link engine smoke
+# sweep, and the bounded fuzz run of the decoders. Exits non-zero on the first
 # failure.
 set -eu
 
@@ -79,6 +80,9 @@ echo "==> verify-obs (logging determinism + SLO + exemplar + request-ID correlat
 
 echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 "$GO" test -race -count=1 ./internal/atomicio/ ./internal/checkpoint/ ./internal/experiments/resumebench/
+
+echo "==> verify-link (nearest-link engine and augmentation rounds, race-enabled)"
+"$GO" test -race -count=1 ./internal/core/nearestlink/ ./internal/core/augment/
 
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
