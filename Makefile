@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-link verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-link verify-synth verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -55,8 +55,10 @@ race:
 # /v1/patches query string, checked against a brute-force model of the scan
 # (FuzzQuery), and the checkpoint journal's MANIFEST.json, which must never
 # get a file outside the journal directory deleted or read
-# (FuzzOpenManifest). A crasher fails the target and is saved under its
-# testdata/fuzz.
+# (FuzzOpenManifest), and the NVD feed and Retry-After headers the crawler
+# reads, which must yield only commitURLRe downloads and CrawlStats counts
+# that add up (FuzzCrawlFeed). A crasher fails the target and is saved
+# under its testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/diff/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cast/
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadDataset$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenManifest$$' -fuzztime 10s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzCrawlFeed$$' -fuzztime 10s ./internal/nvd/
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .
@@ -109,6 +112,13 @@ verify-par:
 # several runs at once (~30s).
 verify-link:
 	$(GO) test -race -count=1 ./internal/core/nearestlink/ ./internal/core/augment/
+
+# verify-synth runs the oversampling and corpus suites under the race
+# detector: batch synthesis on parallel windows with its in-order shuffles
+# (the same variants at workers 1, 2 and 8 as a serial loop), cancellation,
+# and the golden digest of the generated corpus.
+verify-synth:
+	$(GO) test -race -count=1 ./internal/core/oversample/ ./internal/corpus/
 
 # verify-chaos runs the fault-injection suite under the race detector: the
 # injected fault classes, the retry/breaker machinery, and the end-to-end
@@ -156,9 +166,9 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 # scripts/ci.sh: build, the gofmt check, both static-analysis tiers (and
 # vet of the benchmark module), the plain test run, the race-enabled
 # parallel-loop, observability-correlation and crash-safety suites, the
-# race-enabled nearest-link engine suite, the fully-verified engine smoke
-# sweep, and the bounded fuzz run of the decoders.
-ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume verify-link bench-smoke fuzz-smoke
+# race-enabled nearest-link engine and synthesis suites, the fully-verified
+# engine smoke sweep, and the bounded fuzz run of the decoders.
+ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume verify-link verify-synth bench-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

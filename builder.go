@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -577,44 +578,35 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 	if cfg.SyntheticPerPatch > 0 && stageDone(ckptStageOversample) {
 		jr.NoteSkip(ctx, ckptStageOversample)
 	} else if cfg.SyntheticPerPatch > 0 {
-		synthTotal := len(ds.NVD) + len(ds.Wild) + len(ds.NonSecurity)
-		synthNotify := pipeline.NewNotifier(StageSynthesize, synthTotal, cfg.Progress)
-		_, synthSpan := telemetry.Start(ctx, "synthesize")
+		// The NVD, wild and non-security records form one index space in
+		// the order their shuffles draw from rng.
+		recs := slices.Concat(ds.NVD, ds.Wild, ds.NonSecurity)
+		nSecurity := len(ds.NVD) + len(ds.Wild)
+		synthNotify := pipeline.NewNotifier(StageSynthesize, len(recs), cfg.Progress)
+		synthCtx, synthSpan := telemetry.Start(ctx, "synthesize")
 		defer synthSpan.End()
 		ov := &oversample.Oversampler{MaxPerPatch: cfg.SyntheticPerPatch, Rand: rng}
-		synthesize := func(recs []Record, security bool) error {
-			for _, r := range recs {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("build: synthesis canceled: %w", err)
-				}
-				lc, ok := byHash[r.ID]
-				if !ok {
-					synthNotify.Done(1)
-					continue
-				}
-				syns, err := ov.Synthesize(lc.Commit.Hash, lc.Commit.Before, lc.Commit.After)
-				if err != nil {
-					return fmt.Errorf("build: synthesize %s: %w", r.ID, err)
-				}
-				for _, s := range syns {
-					ds.Synthetic = append(ds.Synthetic, Record{
-						ID: s.Patch.Commit, Repo: r.Repo, Security: security,
-						Pattern: r.Pattern, Source: "synthetic", Text: diff.Format(s.Patch),
-					})
-				}
-				synthNotify.Done(1)
+		synthetic := make([][]Record, len(recs))
+		err := ov.SynthesizeBatch(synthCtx, len(recs), cfg.Workers, func(i int) oversample.Job {
+			lc, ok := byHash[recs[i].ID]
+			if !ok {
+				return oversample.Job{} // no files: no variants and no draws
 			}
-			return nil
+			return oversample.Job{Hash: lc.Commit.Hash, Before: lc.Commit.Before, After: lc.Commit.After}
+		}, func(i int, syns []*oversample.Synthetic) {
+			r := recs[i]
+			for _, s := range syns {
+				synthetic[i] = append(synthetic[i], Record{
+					ID: s.Patch.Commit, Repo: r.Repo, Security: i < nSecurity,
+					Pattern: r.Pattern, Source: "synthetic", Text: diff.Format(s.Patch),
+				})
+			}
+			synthNotify.Done(1)
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("build: synthesize: %w", err)
 		}
-		if err := synthesize(ds.NVD, true); err != nil {
-			return nil, nil, err
-		}
-		if err := synthesize(ds.Wild, true); err != nil {
-			return nil, nil, err
-		}
-		if err := synthesize(ds.NonSecurity, false); err != nil {
-			return nil, nil, err
-		}
+		ds.Synthetic = slices.Concat(synthetic...)
 		synthSpan.SetAttr("items", len(ds.Synthetic))
 		metrics.Observe(StageSynthesize, synthSpan.End(), len(ds.Synthetic))
 		if err := writeCkpt(ckptStageOversample); err != nil {

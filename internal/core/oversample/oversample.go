@@ -9,13 +9,17 @@
 package oversample
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"patchdb/internal/cast"
 	"patchdb/internal/diff"
+	"patchdb/internal/par"
+	"patchdb/internal/telemetry"
 )
 
 // Variant identifies one of the eight if-statement templates of Fig. 5.
@@ -231,20 +235,96 @@ func (o *Oversampler) defaults() (int, []Side, []Variant) {
 // Synthesize generates artificial patches for one natural patch, given the
 // full before/after snapshots of the files it touches. Patches that do not
 // modify any if statement yield no variants (the paper reports ~70% of
-// security patches involve conditional statements).
+// security patches involve conditional statements). It is a SynthesizeBatch
+// of one patch on the calling goroutine.
 func (o *Oversampler) Synthesize(commitHash string, before, after map[string]string) ([]*Synthetic, error) {
-	ctxLines, sides, variants := o.defaults()
-	base := diff.ComputePatch(commitHash, "", before, after, ctxLines)
+	var out []*Synthetic
+	err := o.SynthesizeBatch(context.Background(), 1, 1,
+		func(int) Job { return Job{Hash: commitHash, Before: before, After: after} },
+		func(_ int, syns []*Synthetic) { out = syns })
+	return out, err
+}
 
-	// Enumerate all (file, side, if-statement, variant) combinations first.
-	type combo struct {
-		fd     *diff.FileDiff
-		side   Side
-		src    string
-		ifStmt *cast.IfStmt
-		v      Variant
+// Job is one natural patch to synthesize from: its commit hash and the full
+// before/after snapshots of the files it touches.
+type Job struct {
+	Hash          string
+	Before, After map[string]string
+}
+
+// batchWindow is the number of patches SynthesizeBatch enumerates before it
+// renders them. It bounds the enumerations held at once; the output does
+// not depend on it.
+const batchWindow = 256
+
+// SynthesizeBatch synthesizes the variants of the n patches job(0), ...,
+// job(n-1). Its output is that of n Synthesize calls in index order over the
+// same Rand, at any worker count: the only draw is one shuffle of each
+// patch's candidate combinations, and the shuffles are made serially in
+// index order. The work around them runs on par.For at workers (<= 0 means
+// GOMAXPROCS), one window of patches at a time: enumerate (the base diff,
+// parsing each side and locating the if statements it touches), shuffle,
+// then render (apply the variant, re-diff, up to MaxPerPatch per patch).
+//
+// job is called concurrently and must only read. done(i, syns) is called
+// once per patch, on the goroutine that rendered it, so it may write only
+// to caller-owned slot i (a caller merges the slots in index order after
+// SynthesizeBatch returns). Each window's phases are traced as
+// oversample.enumerate and oversample.render spans under ctx's span. Once
+// ctx is done no new patch starts, and SynthesizeBatch returns ctx.Err()
+// wrapped.
+func (o *Oversampler) SynthesizeBatch(ctx context.Context, n, workers int, job func(i int) Job, done func(i int, syns []*Synthetic)) error {
+	ctxLines, sides, variants := o.defaults()
+	plans := make([]plan, min(n, batchWindow))
+	for lo := 0; lo < n; lo += batchWindow {
+		w := plans[:min(batchWindow, n-lo)]
+		_, span := telemetry.Start(ctx, "oversample.enumerate")
+		err := par.For(ctx, len(w), workers, func(_, k int) {
+			w[k] = enumerate(job(lo+k), ctxLines, sides, variants)
+		})
+		span.End()
+		if err != nil {
+			return fmt.Errorf("oversample: %w", err)
+		}
+		if o.Rand != nil {
+			for _, p := range w {
+				o.Rand.Shuffle(len(p.combos), func(i, j int) { p.combos[i], p.combos[j] = p.combos[j], p.combos[i] })
+			}
+		}
+		_, span = telemetry.Start(ctx, "oversample.render")
+		err = par.For(ctx, len(w), workers, func(_, k int) {
+			done(lo+k, w[k].render(o.MaxPerPatch, ctxLines))
+			w[k] = plan{}
+		})
+		span.End()
+		if err != nil {
+			return fmt.Errorf("oversample: %w", err)
+		}
 	}
-	var combos []combo
+	return nil
+}
+
+// plan is one patch's enumerated synthesis work.
+type plan struct {
+	Job
+	// combos are the (file, side, if statement, variant) combinations in
+	// the order render tries them.
+	combos []combo
+}
+
+type combo struct {
+	fd     *diff.FileDiff
+	side   Side
+	src    string
+	ifStmt *cast.IfStmt
+	v      Variant
+}
+
+// enumerate lists every (file, side, if statement, variant) combination of
+// one patch, in file, side, statement and variant order.
+func enumerate(j Job, ctxLines int, sides []Side, variants []Variant) plan {
+	p := plan{Job: j}
+	base := diff.ComputePatch(j.Hash, "", j.Before, j.After, ctxLines)
 	for _, fd := range base.Files {
 		if !fd.IsCFamily() {
 			continue
@@ -253,9 +333,9 @@ func (o *Oversampler) Synthesize(commitHash string, before, after map[string]str
 			var src string
 			var ok bool
 			if side == ModifyAfter {
-				src, ok = after[fd.NewPath]
+				src, ok = j.After[fd.NewPath]
 			} else {
-				src, ok = before[fd.OldPath]
+				src, ok = j.Before[fd.OldPath]
 			}
 			if !ok || src == "" {
 				continue
@@ -266,45 +346,45 @@ func (o *Oversampler) Synthesize(commitHash string, before, after map[string]str
 			}
 			for _, ifStmt := range targetIfStmts(file, fd, side) {
 				for _, v := range variants {
-					combos = append(combos, combo{fd: fd, side: side, src: src, ifStmt: ifStmt, v: v})
+					p.combos = append(p.combos, combo{fd: fd, side: side, src: src, ifStmt: ifStmt, v: v})
 				}
 			}
 		}
 	}
-	if o.Rand != nil {
-		o.Rand.Shuffle(len(combos), func(i, j int) { combos[i], combos[j] = combos[j], combos[i] })
-	}
+	return p
+}
 
+// render applies the plan's combinations in order and re-diffs each
+// variant, keeping those that change something, up to maxPer (0 = all).
+func (p *plan) render(maxPer, ctxLines int) []*Synthetic {
 	var out []*Synthetic
-	for _, c := range combos {
+	for _, c := range p.combos {
 		mutated, err := ApplyVariant(c.src, c.ifStmt, c.v)
 		if err != nil {
 			continue
 		}
-		var p *diff.Patch
-		variantHash := fmt.Sprintf("%s-syn-%s-%d-%d", commitHash, c.side, c.ifStmt.StartLine, c.v)
+		var d *diff.Patch
+		variantHash := p.Hash + "-syn-" + c.side.String() + "-" + strconv.Itoa(c.ifStmt.StartLine) + "-" + strconv.Itoa(int(c.v))
 		if c.side == ModifyAfter {
-			newAfter := overlay(after, c.fd.NewPath, mutated)
-			p = diff.ComputePatch(variantHash, "", before, newAfter, ctxLines)
+			d = diff.ComputePatch(variantHash, "", p.Before, overlay(p.After, c.fd.NewPath, mutated), ctxLines)
 		} else {
-			newBefore := overlay(before, c.fd.OldPath, mutated)
-			p = diff.ComputePatch(variantHash, "", newBefore, after, ctxLines)
+			d = diff.ComputePatch(variantHash, "", overlay(p.Before, c.fd.OldPath, mutated), p.After, ctxLines)
 		}
-		if len(p.Files) == 0 {
+		if len(d.Files) == 0 {
 			continue
 		}
 		out = append(out, &Synthetic{
-			Patch:   p,
+			Patch:   d,
 			Variant: c.v,
 			Side:    c.side,
 			File:    c.fd.NewPath,
 			Line:    c.ifStmt.StartLine,
 		})
-		if o.MaxPerPatch > 0 && len(out) >= o.MaxPerPatch {
+		if maxPer > 0 && len(out) >= maxPer {
 			break
 		}
 	}
-	return out, nil
+	return out
 }
 
 // targetIfStmts returns the if statements overlapping the patch's changed

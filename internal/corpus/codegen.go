@@ -7,9 +7,9 @@
 package corpus
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -150,7 +150,7 @@ func genFile(rng *rand.Rand, id int) *srcFile {
 	fnName := ident(rng, verbs, nouns)
 	helper := pick(rng, callees)
 	helperField := pick(rng, helperSuffixes)
-	f.path = fmt.Sprintf("src/%s_%s_%d.c", fnName, noun, id)
+	f.path = "src/" + fnName + "_" + noun + "_" + strconv.Itoa(id) + ".c"
 	f.fn = fnAnchors{
 		name:       fnName,
 		ptrParam:   noun,
@@ -177,39 +177,39 @@ func genFile(rng *rand.Rand, id int) *srcFile {
 		add("#include <stdio.h>")
 	}
 	add("")
-	add(fmt.Sprintf("struct %s_state {", noun))
+	add("struct " + noun + "_state {")
 	add("\tint " + helperField + ";")
 	add("\tint refs;")
-	add(fmt.Sprintf("\tstruct %s_state *next;", noun))
+	add("\tstruct " + noun + "_state *next;")
 	add("\tunsigned int flags;")
 	add("};")
 	add("")
 	// Helper function (gives the file a second function and a call target).
-	add(fmt.Sprintf("static int %s(int value, int scale)", helper))
+	add("static int " + helper + "(int value, int scale)")
 	add("{")
 	switch rng.Intn(3) {
 	case 0:
-		add(fmt.Sprintf("\treturn (value * scale) %% %d;", 7+rng.Intn(97)))
+		add("\treturn (value * scale) % " + strconv.Itoa(7+rng.Intn(97)) + ";")
 	case 1:
-		add(fmt.Sprintf("\treturn (value ^ scale) & %s;", mask))
+		add("\treturn (value ^ scale) & " + mask + ";")
 	default:
-		add(fmt.Sprintf("\treturn value + scale * %d;", 1+rng.Intn(9)))
+		add("\treturn value + scale * " + strconv.Itoa(1+rng.Intn(9)) + ";")
 	}
 	add("}")
 	add("")
 	// Primary function.
 	a.sigLine = len(f.lines)
-	add(fmt.Sprintf("static int %s(struct %s_state *%s, char *%s, int %s)",
-		a.name, noun, a.structVar, a.ptrParam, a.lenParam))
+	add("static int " + a.name + "(struct " + noun + "_state *" + a.structVar +
+		", char *" + a.ptrParam + ", int " + a.lenParam + ")")
 	a.bodyStart = len(f.lines)
 	add("{")
-	add(fmt.Sprintf("\tint %s;", a.idxVar))
-	add(fmt.Sprintf("\tint %s = 0;", a.retVar))
+	add("\tint " + a.idxVar + ";")
+	add("\tint " + a.retVar + " = 0;")
 	a.derefLine = len(f.lines)
-	add(fmt.Sprintf("\tint %s = %s->%s;", a.countVar, a.structVar, helperField))
-	add(fmt.Sprintf("\tchar %s[%d];", a.tmpBuf, bufSize))
+	add("\tint " + a.countVar + " = " + a.structVar + "->" + helperField + ";")
+	add("\tchar " + a.tmpBuf + "[" + strconv.Itoa(bufSize) + "];")
 	if rng.Intn(2) == 0 {
-		add(fmt.Sprintf("\tstruct %s_state *cursor = %s->next;", noun, a.structVar))
+		add("\tstruct " + noun + "_state *cursor = " + a.structVar + "->next;")
 	}
 	// Optional extra locals and prologue logic: structural diversity so
 	// commits from the same class do not collapse onto one feature point.
@@ -217,47 +217,47 @@ func genFile(rng *rand.Rand, id int) *srcFile {
 		name := pick(rng, scalarNames) + "2"
 		switch rng.Intn(3) {
 		case 0:
-			add(fmt.Sprintf("\tint %s = %d;", name, rng.Intn(128)))
+			add("\tint " + name + " = " + strconv.Itoa(rng.Intn(128)) + ";")
 		case 1:
-			add(fmt.Sprintf("\tunsigned int %s = %s->flags;", name, a.structVar))
+			add("\tunsigned int " + name + " = " + a.structVar + "->flags;")
 		default:
-			add(fmt.Sprintf("\tint %s = %s / %d;", name, a.lenParam, 1+rng.Intn(7)))
+			add("\tint " + name + " = " + a.lenParam + " / " + strconv.Itoa(1+rng.Intn(7)) + ";")
 		}
 	}
 	if rng.Intn(3) == 0 {
-		add(fmt.Sprintf("\tif (%s->refs == 0)", a.structVar))
-		add(fmt.Sprintf("\t\t%s->refs = 1;", a.structVar))
+		add("\tif (" + a.structVar + "->refs == 0)")
+		add("\t\t" + a.structVar + "->refs = 1;")
 	}
 	if rng.Intn(4) == 0 {
-		add(fmt.Sprintf("\twhile (%s > %d) {", a.countVar, 64+rng.Intn(192)))
-		add(fmt.Sprintf("\t\t%s >>= 1;", a.countVar))
+		add("\twhile (" + a.countVar + " > " + strconv.Itoa(64+rng.Intn(192)) + ") {")
+		add("\t\t" + a.countVar + " >>= 1;")
 		add("\t}")
 	}
 	add("")
 	a.loopLine = len(f.lines)
-	add(fmt.Sprintf("\tfor (%s = 0; %s < %s; %s++) {", a.idxVar, a.idxVar, a.lenParam, a.idxVar))
+	add("\tfor (" + a.idxVar + " = 0; " + a.idxVar + " < " + a.lenParam + "; " + a.idxVar + "++) {")
 	a.arrayLine = len(f.lines)
 	a.arrayVar = a.ptrParam
-	add(fmt.Sprintf("\t\t%s[%s] = %s(%s[%s], %s);", a.ptrParam, a.idxVar, helper, a.ptrParam, a.idxVar, a.countVar))
-	add(fmt.Sprintf("\t\t%s += %s[%s] & %s;", a.retVar, a.ptrParam, a.idxVar, mask))
+	add("\t\t" + a.ptrParam + "[" + a.idxVar + "] = " + helper + "(" + a.ptrParam + "[" + a.idxVar + "], " + a.countVar + ");")
+	add("\t\t" + a.retVar + " += " + a.ptrParam + "[" + a.idxVar + "] & " + mask + ";")
 	if rng.Intn(3) == 0 {
-		add(fmt.Sprintf("\t\tif (%s[%s] == 0)", a.ptrParam, a.idxVar))
+		add("\t\tif (" + a.ptrParam + "[" + a.idxVar + "] == 0)")
 		add("\t\t\tcontinue;")
 	}
 	add("\t}")
 	add("")
 	a.ifLine = len(f.lines)
-	add(fmt.Sprintf("\tif (%s > %d) {", a.countVar, threshold))
+	add("\tif (" + a.countVar + " > " + strconv.Itoa(threshold) + ") {")
 	a.callLine = len(f.lines)
-	add(fmt.Sprintf("\t\t%s = %s(%s, %d);", a.retVar, helper, a.retVar, 1+rng.Intn(15)))
-	add(fmt.Sprintf("\t\t%s->flags |= %du;", a.structVar, 1<<rng.Intn(5)))
+	add("\t\t" + a.retVar + " = " + helper + "(" + a.retVar + ", " + strconv.Itoa(1+rng.Intn(15)) + ");")
+	add("\t\t" + a.structVar + "->flags |= " + strconv.Itoa(1<<rng.Intn(5)) + "u;")
 	add("\t}")
 	add("")
 	a.memcpyLine = len(f.lines)
-	add(fmt.Sprintf("\tmemcpy(%s, %s, %s);", a.tmpBuf, a.ptrParam, a.lenParam))
-	add(fmt.Sprintf("\t%s->refs++;", a.structVar))
+	add("\tmemcpy(" + a.tmpBuf + ", " + a.ptrParam + ", " + a.lenParam + ");")
+	add("\t" + a.structVar + "->refs++;")
 	a.returnLine = len(f.lines)
-	add(fmt.Sprintf("\treturn %s;", a.retVar))
+	add("\treturn " + a.retVar + ";")
 	a.bodyEnd = len(f.lines)
 	add("}")
 	return f

@@ -9,8 +9,9 @@
 package corpus
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"patchdb/internal/gitrepo"
 )
@@ -143,8 +144,8 @@ func NewGenerator(cfg Config) *Generator {
 		year:  1999,
 	}
 	for i := 0; i < cfg.Repos; i++ {
-		name := fmt.Sprintf("%s/%s-%s", pick(g.rng, orgNames), pick(g.rng, verbs), pick(g.rng, nouns))
-		r := gitrepo.NewRepo(fmt.Sprintf("%s-%d", name, i))
+		name := pick(g.rng, orgNames) + "/" + pick(g.rng, verbs) + "-" + pick(g.rng, nouns)
+		r := gitrepo.NewRepo(name + "-" + strconv.Itoa(i))
 		if err := g.store.Add(r); err == nil {
 			g.repos = append(g.repos, r)
 		}
@@ -185,7 +186,12 @@ func (g *Generator) nextDate() string {
 	if g.rng.Intn(20) == 0 && g.year < 2019 {
 		g.year++
 	}
-	return fmt.Sprintf("%d-%02d-%02d", g.year, 1+g.rng.Intn(12), 1+g.rng.Intn(28))
+	return strconv.Itoa(g.year) + "-" + twoDigits(1+g.rng.Intn(12)) + "-" + twoDigits(1+g.rng.Intn(28))
+}
+
+// twoDigits renders n in [0, 99] zero-padded to two digits.
+func twoDigits(n int) string {
+	return string([]byte{byte('0' + n/10), byte('0' + n%10)})
 }
 
 // SecurityCommit generates one security patch commit drawn from the given
@@ -215,7 +221,7 @@ func (g *Generator) securityCommitOfPattern(p Pattern) *LabeledCommit {
 	if afterText == beforeText {
 		afterText = applySecurityPattern(before, PatternNullCheck, g.rng).text()
 	}
-	msg := g.securityMessage(p, before.fn.name)
+	msg := g.securityMessage(before.fn.name)
 	c := repo.Commit(pick(g.rng, authorNames), g.nextDate(), msg,
 		map[string]string{before.path: afterText})
 	return &LabeledCommit{Commit: c, Security: true, Pattern: p}
@@ -275,7 +281,9 @@ func (g *Generator) GenerateNVD(n int) []*LabeledCommit {
 	for i := 0; i < n; i++ {
 		lc := g.SecurityCommit(g.cfg.NVDMix)
 		g.cveID++
-		lc.CVE = fmt.Sprintf("CVE-%d-%05d", 2002+g.rng.Intn(18), 10000+g.cveID)
+		// The sequence number starts at 10001, so it always has the five
+		// digits CVE ids are padded to.
+		lc.CVE = "CVE-" + strconv.Itoa(2002+g.rng.Intn(18)) + "-" + strconv.Itoa(10000+g.cveID)
 		out = append(out, lc)
 	}
 	return out
@@ -308,22 +316,18 @@ func (g *Generator) GenerateNonSecurity(n int) []*LabeledCommit {
 	return out
 }
 
-// securityMessage renders a commit message. Mirroring the paper's
-// observation that 61% of security patches do not mention security in their
-// description, most messages are neutral.
-func (g *Generator) securityMessage(p Pattern, fn string) string {
-	if g.rng.Float64() < 0.39 {
-		explicit := []string{
-			"fix out-of-bounds access in %s",
-			"%s: prevent buffer overflow",
-			"fix NULL pointer dereference in %s",
-			"CVE fix: validate input in %s",
-			"%s: fix use-after-free",
-			"fix integer overflow in %s",
-		}
-		return fmt.Sprintf(pick(g.rng, explicit), fn)
+// Commit message templates. Each holds one %s, the name of the patched
+// function; fill substitutes it.
+var (
+	explicitSecurityMessages = []string{
+		"fix out-of-bounds access in %s",
+		"%s: prevent buffer overflow",
+		"fix NULL pointer dereference in %s",
+		"CVE fix: validate input in %s",
+		"%s: fix use-after-free",
+		"fix integer overflow in %s",
 	}
-	neutral := []string{
+	neutralSecurityMessages = []string{
 		"fix crash in %s",
 		"%s: handle truncated input",
 		"fix %s corner case",
@@ -332,25 +336,36 @@ func (g *Generator) securityMessage(p Pattern, fn string) string {
 		"fix wrong behaviour of %s on malformed data",
 		"%s: robustness fix",
 	}
-	_ = p
-	return fmt.Sprintf(pick(g.rng, neutral), fn)
+	nonSecurityMessages = map[NonSecClass][]string{
+		NonSecFeature:   {"add stats interface for %s", "%s: add new option", "support extended mode in %s"},
+		NonSecPerf:      {"speed up %s", "%s: avoid needless work", "optimize hot path of %s"},
+		NonSecLogic:     {"fix accounting in %s", "%s: fix wrong result", "correct %s threshold"},
+		NonSecRefactor:  {"refactor %s", "%s: rename locals for clarity", "simplify %s"},
+		NonSecHardening: {"harden %s per review guidelines", "%s: defensive checks", "apply input validation policy to %s"},
+	}
+	cleanupMessages = []string{"cleanup %s", "%s: style fixes", "docs for %s"}
+)
+
+// fill substitutes fn for the %s of a message template.
+func fill(template, fn string) string {
+	before, after, _ := strings.Cut(template, "%s")
+	return before + fn + after
+}
+
+// securityMessage renders a commit message. Mirroring the paper's
+// observation that 61% of security patches do not mention security in their
+// description, most messages are neutral.
+func (g *Generator) securityMessage(fn string) string {
+	if g.rng.Float64() < 0.39 {
+		return fill(pick(g.rng, explicitSecurityMessages), fn)
+	}
+	return fill(pick(g.rng, neutralSecurityMessages), fn)
 }
 
 func (g *Generator) nonSecurityMessage(cls NonSecClass, fn string) string {
-	var pool []string
-	switch cls {
-	case NonSecFeature:
-		pool = []string{"add stats interface for %s", "%s: add new option", "support extended mode in %s"}
-	case NonSecPerf:
-		pool = []string{"speed up %s", "%s: avoid needless work", "optimize hot path of %s"}
-	case NonSecLogic:
-		pool = []string{"fix accounting in %s", "%s: fix wrong result", "correct %s threshold"}
-	case NonSecRefactor:
-		pool = []string{"refactor %s", "%s: rename locals for clarity", "simplify %s"}
-	case NonSecHardening:
-		pool = []string{"harden %s per review guidelines", "%s: defensive checks", "apply input validation policy to %s"}
-	default:
-		pool = []string{"cleanup %s", "%s: style fixes", "docs for %s"}
+	pool, ok := nonSecurityMessages[cls]
+	if !ok {
+		pool = cleanupMessages
 	}
-	return fmt.Sprintf(pick(g.rng, pool), fn)
+	return fill(pick(g.rng, pool), fn)
 }

@@ -7,8 +7,8 @@
 package corpus
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -98,8 +98,8 @@ func applyHardening(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 	if rng.Intn(2) == 0 {
 		i := out.findContains(a.bodyStart, "->flags")
 		if i >= 0 {
-			out.insert(i+1, fmt.Sprintf("	state_unlock(%s);", a.structVar))
-			out.insert(i, fmt.Sprintf("	state_lock(%s);", a.structVar))
+			out.insert(i+1, "	state_unlock("+a.structVar+");")
+			out.insert(i, "	state_lock("+a.structVar+");")
 		}
 	}
 }
@@ -110,20 +110,20 @@ func applyFeature(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 	stat := pick(rng, helperSuffixes)
 	newFn := []string{
 		"",
-		fmt.Sprintf("int %s_stats(struct %s_state *s, int *out_%s)", feature, a.ptrParam, stat),
+		"int " + feature + "_stats(struct " + a.ptrParam + "_state *s, int *out_" + stat + ")",
 		"{",
 		"\tif (s == NULL || out_" + stat + " == NULL)",
 		"\t\treturn -1;",
-		fmt.Sprintf("\t*out_%s = s->%s;", stat, "refs"),
-		fmt.Sprintf("\ts->flags |= %du;", 1<<rng.Intn(6)),
+		"\t*out_" + stat + " = s->refs;",
+		"\ts->flags |= " + strconv.Itoa(1<<rng.Intn(6)) + "u;",
 		"\treturn 0;",
 		"}",
 	}
 	if rng.Intn(2) == 0 {
 		walk := []string{
-			fmt.Sprintf("\twhile (s->next != NULL && s->refs < %d) {", 16<<rng.Intn(4)),
+			"\twhile (s->next != NULL && s->refs < " + strconv.Itoa(16<<rng.Intn(4)) + ") {",
 			"\t\ts = s->next;",
-			fmt.Sprintf("\t\t*out_%s += 1;", stat),
+			"\t\t*out_" + stat + " += 1;",
 			"\t}",
 		}
 		newFn = append(newFn[:len(newFn)-2], append(walk, newFn[len(newFn)-2:]...)...)
@@ -135,19 +135,19 @@ func applyFeature(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		i := out.findContains(a.bodyStart, "for (")
 		if i >= 0 {
 			out.insert(i,
-				fmt.Sprintf("\tif (%s->flags & 0x100u)", a.structVar),
-				fmt.Sprintf("\t\t%s = %s * 2;", a.countVar, a.countVar),
+				"\tif ("+a.structVar+"->flags & 0x100u)",
+				"\t\t"+a.countVar+" = "+a.countVar+" * 2;",
 				"")
 		}
 	case 1:
 		// Instrument the primary function with tracing calls.
 		i := out.findContains(a.bodyStart, "for (")
 		if i >= 0 {
-			out.insert(i, fmt.Sprintf("\ttrace_event(%s, %s);", a.structVar, a.lenParam))
+			out.insert(i, "\ttrace_event("+a.structVar+", "+a.lenParam+");")
 		}
-		j := out.findContains(a.bodyStart, fmt.Sprintf("return %s;", a.retVar))
+		j := out.findContains(a.bodyStart, "return "+a.retVar+";")
 		if j >= 0 {
-			out.insert(j, fmt.Sprintf("\ttrace_done(%s, %s);", a.structVar, a.retVar))
+			out.insert(j, "\ttrace_done("+a.structVar+", "+a.retVar+");")
 		}
 	}
 }
@@ -164,7 +164,7 @@ func applyPerf(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		// Hoist an invariant computation out of the loop.
 		i := out.findContains(a.bodyStart, "for (")
 		if i >= 0 {
-			out.insert(i, fmt.Sprintf("\tint scale = %s * %d;", a.countVar, 1+rng.Intn(4)))
+			out.insert(i, "\tint scale = "+a.countVar+" * "+strconv.Itoa(1+rng.Intn(4))+";")
 			j := out.findContains(i+1, a.calleeName+"(")
 			if j >= 0 {
 				out.lines[j] = strings.Replace(out.lines[j], a.countVar, "scale", 1)
@@ -179,8 +179,8 @@ func applyPerf(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 	default:
 		// Drain cheap work in a batch loop before the main pass.
 		out.insert(a.loopLine,
-			fmt.Sprintf("\twhile (%s > %d && (%s->flags & 0x%xu)) {", a.countVar, 8<<rng.Intn(4), a.structVar, 1<<rng.Intn(4)),
-			fmt.Sprintf("\t\t%s -= %d;", a.countVar, 1+rng.Intn(4)),
+			"\twhile ("+a.countVar+" > "+strconv.Itoa(8<<rng.Intn(4))+" && ("+a.structVar+"->flags & 0x"+strconv.FormatInt(1<<rng.Intn(4), 16)+"u)) {",
+			"\t\t"+a.countVar+" -= "+strconv.Itoa(1+rng.Intn(4))+";",
 			"\t}")
 	}
 }
@@ -198,7 +198,7 @@ func applyLogic(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		i := out.findContains(a.bodyStart, "for (")
 		if i >= 0 {
 			out.lines[i] = strings.Replace(out.lines[i],
-				fmt.Sprintf("%s = 0", a.idxVar), fmt.Sprintf("%s = 1", a.idxVar), 1)
+				a.idxVar+" = 0", a.idxVar+" = 1", 1)
 		}
 	case 2:
 		// Clamp an input to the configured maximum: changes behaviour on
@@ -217,9 +217,9 @@ func applyLogic(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		}
 	case 4:
 		// Route the result through a rounding/normalization helper.
-		i := out.findContains(a.bodyStart, fmt.Sprintf("return %s;", a.retVar))
+		i := out.findContains(a.bodyStart, "return "+a.retVar+";")
 		if i >= 0 {
-			out.lines[i] = fmt.Sprintf("\treturn %s(%s, %d);", pick(rng, callees), a.retVar, 1+rng.Intn(8))
+			out.lines[i] = "\treturn " + pick(rng, callees) + "(" + a.retVar + ", " + strconv.Itoa(1+rng.Intn(8)) + ");"
 		}
 	default:
 		// Adjust the threshold condition value (tuning, not hardening).
@@ -244,8 +244,7 @@ func applyCleanup(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 	case 0:
 		// Document the primary function.
 		out.insert(a.sigLine,
-			fmt.Sprintf("/* %s: process a %s of up to %s bytes. */",
-				a.name, a.ptrParam, a.lenParam))
+			"/* "+a.name+": process a "+a.ptrParam+" of up to "+a.lenParam+" bytes. */")
 	case 1:
 		// Drop a blank line and add a trailing comment.
 		i := out.find(a.bodyStart, func(s string) bool { return s == "" })

@@ -6,8 +6,8 @@
 package corpus
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -88,11 +88,11 @@ func guardBody(a *fnAnchors, rng *rand.Rand) string {
 	case 1:
 		return "\t\treturn 0;"
 	case 2:
-		return fmt.Sprintf("\t\t%s = 0;", a.lenParam)
+		return "\t\t" + a.lenParam + " = 0;"
 	case 3:
-		return fmt.Sprintf("\t\treturn %s;", a.retVar)
+		return "\t\treturn " + a.retVar + ";"
 	default:
-		return fmt.Sprintf("\t\t%s &= 0x%x;", a.lenParam, 0xff<<rng.Intn(3))
+		return "\t\t" + a.lenParam + " &= 0x" + strconv.FormatInt(0xff<<rng.Intn(3), 16) + ";"
 	}
 }
 
@@ -105,24 +105,24 @@ func guardCond(a *fnAnchors, rng *rand.Rand, complexBias float64) string {
 	if rng.Float64() < complexBias {
 		switch rng.Intn(4) {
 		case 0:
-			return fmt.Sprintf("%s < 0 || %s > %d", a.lenParam, a.lenParam, 512<<rng.Intn(4))
+			return a.lenParam + " < 0 || " + a.lenParam + " > " + strconv.Itoa(512<<rng.Intn(4))
 		case 1:
-			return fmt.Sprintf("!%s || !%s", a.structVar, a.ptrParam)
+			return "!" + a.structVar + " || !" + a.ptrParam
 		case 2:
-			return fmt.Sprintf("%s->refs > 0 && %s != 0", a.structVar, a.countVar)
+			return a.structVar + "->refs > 0 && " + a.countVar + " != 0"
 		default:
-			return fmt.Sprintf("(%s->flags & 0x%xu) != 0", a.structVar, 1<<(2+rng.Intn(4)))
+			return "(" + a.structVar + "->flags & 0x" + strconv.FormatInt(1<<(2+rng.Intn(4)), 16) + "u) != 0"
 		}
 	}
 	switch rng.Intn(4) {
 	case 0:
-		return fmt.Sprintf("%s == 0", a.lenParam)
+		return a.lenParam + " == 0"
 	case 1:
-		return fmt.Sprintf("%s > %d", a.lenParam, 64<<rng.Intn(4))
+		return a.lenParam + " > " + strconv.Itoa(64<<rng.Intn(4))
 	case 2:
 		return "!" + a.structVar
 	default:
-		return fmt.Sprintf("%s < %d", a.countVar, 1+rng.Intn(16))
+		return a.countVar + " < " + strconv.Itoa(1+rng.Intn(16))
 	}
 }
 
@@ -169,7 +169,7 @@ func applyBoundCheck(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 			i = a.returnLine
 		}
 		out.insert(i,
-			fmt.Sprintf("\tif (%s > (int)sizeof(%s))", a.lenParam, a.tmpBuf),
+			"\tif ("+a.lenParam+" > (int)sizeof("+a.tmpBuf+"))",
 			guardBody(a, rng))
 	case 1:
 		// Reject suspicious lengths before the loop.
@@ -183,7 +183,7 @@ func applyBoundCheck(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		if i >= 0 {
 			old := out.lines[i]
 			out.lines[i] = strings.Replace(old, ") {",
-				fmt.Sprintf(" && %s > 0) {", a.idxVar), 1)
+				" && "+a.idxVar+" > 0) {", 1)
 		}
 	}
 }
@@ -199,7 +199,7 @@ func applyNullCheck(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 			i = a.bodyStart + 1
 		}
 		out.insert(i,
-			fmt.Sprintf("\tif (%s == NULL)", a.structVar),
+			"\tif ("+a.structVar+" == NULL)",
 			guardBody(a, rng))
 	}
 }
@@ -212,14 +212,14 @@ func applySanityCheck(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 			guardBody(a, rng))
 	case 1:
 		out.insert(a.loopLine,
-			fmt.Sprintf("\tif (%s == 0 && %s->refs <= 0)", a.countVar, a.structVar),
+			"\tif ("+a.countVar+" == 0 && "+a.structVar+"->refs <= 0)",
 			guardBody(a, rng))
 	default:
 		// Strengthen the existing condition with a state validity test.
 		i := out.findContains(a.ifLine-1, "if (")
 		if i >= 0 {
 			out.lines[i] = strings.Replace(out.lines[i], "if (",
-				fmt.Sprintf("if (%s->refs > 0 && ", a.structVar), 1)
+				"if ("+a.structVar+"->refs > 0 && ", 1)
 		}
 	}
 }
@@ -227,7 +227,7 @@ func applySanityCheck(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 func applyVarDef(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 	if rng.Intn(2) == 0 {
 		// int -> unsigned int for the index (signedness vulnerability fix).
-		i := out.findContains(a.bodyStart, fmt.Sprintf("int %s;", a.idxVar))
+		i := out.findContains(a.bodyStart, "int "+a.idxVar+";")
 		if i >= 0 {
 			out.lines[i] = strings.Replace(out.lines[i], "int ", "unsigned int ", 1)
 		}
@@ -237,7 +237,7 @@ func applyVarDef(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 			return strings.Contains(s, "char "+a.tmpBuf+"[")
 		})
 		if i >= 0 {
-			out.lines[i] = fmt.Sprintf("\tchar %s[%d];", a.tmpBuf, 256<<rng.Intn(2))
+			out.lines[i] = "\tchar " + a.tmpBuf + "[" + strconv.Itoa(256<<rng.Intn(2)) + "];"
 		}
 	}
 }
@@ -249,11 +249,11 @@ func applyVarValue(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 			return strings.Contains(s, "char "+a.tmpBuf+"[")
 		})
 		if i >= 0 {
-			out.insert(i+1, fmt.Sprintf("\tmemset(%s, 0, sizeof(%s));", a.tmpBuf, a.tmpBuf))
+			out.insert(i+1, "\tmemset("+a.tmpBuf+", 0, sizeof("+a.tmpBuf+"));")
 		}
 	} else {
 		// Mask the attacker-influenced counter.
-		i := out.findContains(a.bodyStart, fmt.Sprintf("int %s = %s->", a.countVar, a.structVar))
+		i := out.findContains(a.bodyStart, "int "+a.countVar+" = "+a.structVar+"->")
 		if i >= 0 {
 			out.lines[i] = strings.TrimSuffix(out.lines[i], ";") + " & 0xffff;"
 		}
@@ -263,7 +263,7 @@ func applyVarValue(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 func applyFuncDecl(out *srcFile, a *fnAnchors) {
 	// Widen the return type (truncation fix).
 	out.lines[a.sigLine] = strings.Replace(out.lines[a.sigLine], "static int ", "static long ", 1)
-	i := out.findContains(a.bodyStart, fmt.Sprintf("int %s = 0;", a.retVar))
+	i := out.findContains(a.bodyStart, "int "+a.retVar+" = 0;")
 	if i >= 0 {
 		out.lines[i] = strings.Replace(out.lines[i], "int ", "long ", 1)
 	}
@@ -277,7 +277,7 @@ func applyFuncParam(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		i := out.findContains(a.bodyStart, "memcpy(")
 		if i >= 0 {
 			out.insert(i,
-				fmt.Sprintf("\tif (%s > cap)", a.lenParam),
+				"\tif ("+a.lenParam+" > cap)",
 				"\t\treturn -1;")
 		}
 	} else {
@@ -293,25 +293,25 @@ func applyFuncCall(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		// Unsafe copy -> bounded copy (strcpy->strlcpy analogue).
 		i := out.findContains(a.bodyStart, "memcpy(")
 		if i >= 0 {
-			out.lines[i] = fmt.Sprintf("\tsafe_copy(%s, sizeof(%s), %s, %s);",
-				a.tmpBuf, a.tmpBuf, a.ptrParam, a.lenParam)
+			out.lines[i] = "\tsafe_copy(" + a.tmpBuf + ", sizeof(" + a.tmpBuf + "), " +
+				a.ptrParam + ", " + a.lenParam + ");"
 		}
 	case 1:
 		// Race condition fix: lock/unlock around the shared-state update
 		// (Table VII, race condition fix pattern).
 		i := out.findContains(a.bodyStart, "->flags |=")
 		if i >= 0 {
-			out.insert(i+1, fmt.Sprintf("\t\tstate_unlock(%s);", a.structVar))
-			out.insert(i, fmt.Sprintf("\t\tstate_lock(%s);", a.structVar))
+			out.insert(i+1, "\t\tstate_unlock("+a.structVar+");")
+			out.insert(i, "\t\tstate_lock("+a.structVar+");")
 		}
 	case 2:
 		// Data leakage fix: release the critical value after last use
 		// (Table VII, data leakage fix pattern).
-		i := out.findContains(a.bodyStart, fmt.Sprintf("return %s;", a.retVar))
+		i := out.findContains(a.bodyStart, "return "+a.retVar+";")
 		if i < 0 {
 			i = a.returnLine
 		}
-		out.insert(i, fmt.Sprintf("\trelease_state(%s);", a.structVar))
+		out.insert(i, "\trelease_state("+a.structVar+");")
 	default:
 		// Replace the transform with its validated variant.
 		i := out.findContains(a.bodyStart, a.calleeName+"(")
@@ -324,18 +324,18 @@ func applyFuncCall(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 
 func applyJump(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 	// Add proper error handling via goto.
-	i := out.findContains(a.bodyStart, fmt.Sprintf("%s = %s(", a.retVar, a.calleeName))
+	i := out.findContains(a.bodyStart, a.retVar+" = "+a.calleeName+"(")
 	if i < 0 {
 		i = a.callLine
 	}
 	out.insert(i+1,
-		fmt.Sprintf("\t\tif (%s < 0)", a.retVar),
+		"\t\tif ("+a.retVar+" < 0)",
 		"\t\t\tgoto fail;")
-	j := out.findContains(i, fmt.Sprintf("return %s;", a.retVar))
+	j := out.findContains(i, "return "+a.retVar+";")
 	if j >= 0 {
 		out.insert(j+1,
 			"fail:",
-			fmt.Sprintf("\t%s->refs--;", a.structVar),
+			"\t"+a.structVar+"->refs--;",
 			"\treturn -1;")
 	}
 	_ = rng
@@ -344,7 +344,7 @@ func applyJump(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 func applyMove(out *srcFile, a *fnAnchors) {
 	// Move the refcount bump from the end to before first use
 	// (use-after-free / uninitialized-use shape): pure relocation.
-	src := out.findContains(a.bodyStart, fmt.Sprintf("%s->refs++;", a.structVar))
+	src := out.findContains(a.bodyStart, a.structVar+"->refs++;")
 	if src < 0 {
 		return
 	}
@@ -373,14 +373,14 @@ func applyRedesign(out *srcFile, a *fnAnchors, rng *rand.Rand) {
 		return
 	}
 	replacement := []string{
-		fmt.Sprintf("\tif (%s > 0 && %s->refs < %d) {", a.countVar, a.structVar, 8+rng.Intn(56)),
-		fmt.Sprintf("\t\tint step = %s(%s, %d);", a.calleeName, a.countVar, 1+rng.Intn(7)),
-		fmt.Sprintf("\t\twhile (step > 0 && %s > 0) {", a.retVar),
-		fmt.Sprintf("\t\t\t%s -= step;", a.retVar),
+		"\tif (" + a.countVar + " > 0 && " + a.structVar + "->refs < " + strconv.Itoa(8+rng.Intn(56)) + ") {",
+		"\t\tint step = " + a.calleeName + "(" + a.countVar + ", " + strconv.Itoa(1+rng.Intn(7)) + ");",
+		"\t\twhile (step > 0 && " + a.retVar + " > 0) {",
+		"\t\t\t" + a.retVar + " -= step;",
 		"\t\t\tstep >>= 1;",
 		"\t\t}",
-		fmt.Sprintf("\t\t%s->flags &= ~0x%xu;", a.structVar, 1<<rng.Intn(5)),
-		fmt.Sprintf("\t\t%s = validate_result(%s, %s);", a.retVar, a.retVar, a.countVar),
+		"\t\t" + a.structVar + "->flags &= ~0x" + strconv.FormatInt(1<<rng.Intn(5), 16) + "u;",
+		"\t\t" + a.retVar + " = validate_result(" + a.retVar + ", " + a.countVar + ");",
 		"\t}",
 	}
 	out.lines = append(out.lines[:start], append(replacement, out.lines[end+1:]...)...)

@@ -6,10 +6,7 @@
 // NUM/STR).
 package ctoken
 
-import (
-	"strings"
-	"unicode"
-)
+import "unicode"
 
 // Kind classifies a token.
 type Kind int
@@ -204,9 +201,9 @@ func LexAppend(toks []Token, src string, startLine int) []Token {
 		atLineStart = false
 		col := i - lineStart
 		switch {
-		case isIdentStart(c):
+		case identStart[c]:
 			start := i
-			for i < n && isIdentPart(src[i]) {
+			for i < n && identPart[src[i]] {
 				i++
 			}
 			text := src[start:i]
@@ -226,7 +223,7 @@ func LexAppend(toks []Token, src string, startLine int) []Token {
 			toks = append(toks, tok)
 		case c >= '0' && c <= '9':
 			start := i
-			for i < n && (isIdentPart(src[i]) || src[i] == '.' ||
+			for i < n && (identPart[src[i]] || src[i] == '.' ||
 				((src[i] == '+' || src[i] == '-') && i > start && (src[i-1] == 'e' || src[i-1] == 'E'))) {
 				i++
 			}
@@ -261,39 +258,83 @@ func LexAppend(toks []Token, src string, startLine int) []Token {
 // LexLine tokenizes a single patch line (no leading diff marker).
 func LexLine(line string) []Token { return Lex(line, 1) }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+// identStart and identPart classify a byte as the first or a later byte of
+// an identifier. A byte >= 0x80 counts as a letter when its Latin-1 code
+// point is one (unicode.IsLetter(rune(c))), so a UTF-8 lead or continuation
+// byte such as 0xC3 or 0xB5 lexes into the identifier around it.
+var identStart, identPart [256]bool
+
+func init() {
+	for c := range 256 {
+		letter := c == '_' || unicode.IsLetter(rune(c))
+		identStart[c] = letter
+		identPart[c] = letter || (c >= '0' && c <= '9')
+	}
 }
 
-func isIdentPart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || (c >= '0' && c <= '9')
-}
-
-// operator table ordered longest-first so maximal munch applies.
-var operators = []struct {
-	text string
-	kind Kind
-}{
-	{"<<=", AssignOp}, {">>=", AssignOp},
-	{"==", RelationalOp}, {"!=", RelationalOp}, {"<=", RelationalOp}, {">=", RelationalOp},
-	{"&&", LogicalOp}, {"||", LogicalOp},
-	{"<<", BitwiseOp}, {">>", BitwiseOp},
-	{"++", ArithmeticOp}, {"--", ArithmeticOp},
-	{"+=", AssignOp}, {"-=", AssignOp}, {"*=", AssignOp}, {"/=", AssignOp},
-	{"%=", AssignOp}, {"&=", AssignOp}, {"|=", AssignOp}, {"^=", AssignOp},
-	{"->", Punct}, {"::", Punct},
-	{"+", ArithmeticOp}, {"-", ArithmeticOp}, {"*", ArithmeticOp}, {"/", ArithmeticOp},
-	{"%", ArithmeticOp},
-	{"<", RelationalOp}, {">", RelationalOp},
-	{"!", LogicalOp},
-	{"&", BitwiseOp}, {"|", BitwiseOp}, {"^", BitwiseOp}, {"~", BitwiseOp},
-	{"=", AssignOp},
-}
-
+// lexOperator returns the longest operator s starts with and its kind, or
+// the first byte as Punct when s starts with no operator. It dispatches on
+// the first byte and then looks at most two bytes further (maximal munch):
+// the C operators are `<<=` and `>>=` plus 1- and 2-byte ones. `->` and
+// `::` are Punct, as is every byte that starts no operator.
 func lexOperator(s string) (string, Kind) {
-	for _, op := range operators {
-		if strings.HasPrefix(s, op.text) {
-			return op.text, op.kind
+	var c1, c2 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	if len(s) > 2 {
+		c2 = s[2]
+	}
+	switch c := s[0]; c {
+	case '<', '>':
+		switch {
+		case c1 == c && c2 == '=':
+			return s[:3], AssignOp
+		case c1 == c:
+			return s[:2], BitwiseOp
+		case c1 == '=':
+			return s[:2], RelationalOp
+		}
+		return s[:1], RelationalOp
+	case '=', '!':
+		if c1 == '=' {
+			return s[:2], RelationalOp
+		}
+		if c == '=' {
+			return s[:1], AssignOp
+		}
+		return s[:1], LogicalOp
+	case '&', '|':
+		switch c1 {
+		case c:
+			return s[:2], LogicalOp
+		case '=':
+			return s[:2], AssignOp
+		}
+		return s[:1], BitwiseOp
+	case '+', '-':
+		switch {
+		case c1 == c:
+			return s[:2], ArithmeticOp
+		case c1 == '=':
+			return s[:2], AssignOp
+		case c == '-' && c1 == '>':
+			return s[:2], Punct
+		}
+		return s[:1], ArithmeticOp
+	case '*', '/', '%', '^':
+		if c1 == '=' {
+			return s[:2], AssignOp
+		}
+		if c == '^' {
+			return s[:1], BitwiseOp
+		}
+		return s[:1], ArithmeticOp
+	case '~':
+		return s[:1], BitwiseOp
+	case ':':
+		if c1 == ':' {
+			return s[:2], Punct
 		}
 	}
 	return s[:1], Punct

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzLex asserts the lexer never panics, never loses position accuracy,
-// always terminates with offsets that slice the input correctly, and that
-// LexAppend into a dirty buffer agrees with Lex.
+// always terminates with offsets that slice the input correctly, that
+// LexAppend into a dirty buffer agrees with Lex, and that both give the
+// tokens of the reference lexer (refLexAppend).
 func FuzzLex(f *testing.F) {
 	f.Add("int x = 42;")
 	f.Add("if (a && b) { f(x); }")
@@ -16,9 +17,12 @@ func FuzzLex(f *testing.F) {
 	f.Add("#define \\\n continued")
 	f.Add("'\\'")
 	f.Add("")
+	f.Add("p->n <<= 2; a::b != c >>= d || e &= ~f")
+	f.Add("\xb5x = \xc0;")
 	f.Fuzz(func(t *testing.T, src string) {
 		toks := Lex(src, 1)
 		checkLexAppend(t, src, toks)
+		checkSameAsRef(t, src)
 		prevEnd := 0
 		for _, tok := range toks {
 			end := tok.Offset + len(tok.Text)

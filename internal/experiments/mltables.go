@@ -83,17 +83,24 @@ func splitCommits(list []*corpus.LabeledCommit, rng *rand.Rand) (train, test []*
 
 // synthesizeFor generates synthetic token sequences from natural training
 // commits using the source-level oversampler. maxPer bounds variants per
-// natural patch.
+// natural patch. The variants are synthesized and tokenized on GOMAXPROCS
+// workers and appended in list order.
 func (l *Lab) synthesizeFor(list []*corpus.LabeledCommit, label int, maxPer int, weight float64, out *seqDataset) (count int) {
 	rng := rand.New(rand.NewSource(l.Scale.Seed + 777))
 	ov := &oversample.Oversampler{MaxPerPatch: maxPer, Rand: rng}
-	for _, lc := range list {
-		syns, err := ov.Synthesize(lc.Commit.Hash, lc.Commit.Before, lc.Commit.After)
-		if err != nil {
-			continue
-		}
+	seqs := make([][][]string, len(list))
+	// context.Background is never done, so the batch cannot fail.
+	_ = ov.SynthesizeBatch(context.Background(), len(list), 0, func(i int) oversample.Job {
+		c := list[i].Commit
+		return oversample.Job{Hash: c.Hash, Before: c.Before, After: c.After}
+	}, func(i int, syns []*oversample.Synthetic) {
 		for _, s := range syns {
-			out.appendWeighted(features.TokenSequence(s.Patch), label, weight)
+			seqs[i] = append(seqs[i], features.TokenSequence(s.Patch))
+		}
+	})
+	for _, ss := range seqs {
+		for _, seq := range ss {
+			out.appendWeighted(seq, label, weight)
 			count++
 		}
 	}

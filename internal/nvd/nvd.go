@@ -354,30 +354,8 @@ func (c *Crawler) Crawl(ctx context.Context) ([]*CrawledPatch, CrawlStats, error
 	}
 	stats.Entries = len(feed.Entries)
 
-	type job struct {
-		cve  string
-		repo string
-		hash string
-		url  string
-	}
-	var jobs []job
-	for _, e := range feed.Entries {
-		found := false
-		for _, ref := range e.References {
-			if !hasTag(ref.Tags, "Patch") {
-				continue
-			}
-			m := commitURLRe.FindStringSubmatch(ref.URL)
-			if m == nil {
-				continue
-			}
-			found = true
-			jobs = append(jobs, job{cve: e.ID, repo: m[1], hash: m[2], url: ref.URL + ".patch"})
-		}
-		if found {
-			stats.WithPatchRefs++
-		}
-	}
+	jobs, withRefs := patchJobs(feed.Entries)
+	stats.WithPatchRefs = withRefs
 	if c.Progress != nil {
 		c.Progress(0, len(jobs))
 	}
@@ -463,6 +441,39 @@ func (c *Crawler) Crawl(ctx context.Context) ([]*CrawledPatch, CrawlStats, error
 		}
 	}
 	return out, stats, nil
+}
+
+// job is one patch download: a Patch-tagged commit reference of a CVE
+// entry.
+type job struct {
+	cve  string
+	repo string
+	hash string
+	url  string
+}
+
+// patchJobs lists the downloads a feed asks for, in feed order: one per
+// Patch-tagged reference whose URL matches commitURLRe. withRefs counts the
+// entries that have at least one.
+func patchJobs(entries []Entry) (jobs []job, withRefs int) {
+	for _, e := range entries {
+		found := false
+		for _, ref := range e.References {
+			if !hasTag(ref.Tags, "Patch") {
+				continue
+			}
+			m := commitURLRe.FindStringSubmatch(ref.URL)
+			if m == nil {
+				continue
+			}
+			found = true
+			jobs = append(jobs, job{cve: e.ID, repo: m[1], hash: m[2], url: ref.URL + ".patch"})
+		}
+		if found {
+			withRefs++
+		}
+	}
+	return jobs, withRefs
 }
 
 func (c *Crawler) fetchFeed(ctx context.Context, client *http.Client, policy retry.Policy) (*Feed, int, error) {

@@ -4,8 +4,8 @@
 # the gofmt check, stock vet (of the program and of the perfbench benchmark
 # module), the custom patchdb-lint suite, the test run, the race-enabled
 # parallel-loop tests, the race-enabled crash-safety suite, the race-enabled
-# nearest-link engine suite, the fully-verified nearest-link engine smoke
-# sweep, and the bounded fuzz run of the decoders. Exits non-zero on the first
+# nearest-link engine and synthesis suites, the fully-verified nearest-link
+# engine smoke sweep, and the bounded fuzz run of the decoders. Exits non-zero on the first
 # failure.
 set -eu
 
@@ -84,11 +84,14 @@ echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 echo "==> verify-link (nearest-link engine and augmentation rounds, race-enabled)"
 "$GO" test -race -count=1 ./internal/core/nearestlink/ ./internal/core/augment/
 
+echo "==> verify-synth (batch synthesis and corpus generation, race-enabled)"
+"$GO" test -race -count=1 ./internal/core/oversample/ ./internal/corpus/
+
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
 
-# go test fuzzes one target per run, so the seven targets run one at a time.
-echo "==> fuzz-smoke (diff, cast, lexer, dataset, store query and checkpoint manifest decoders, 10s per target)"
+# go test fuzzes one target per run, so the eight targets run one at a time.
+echo "==> fuzz-smoke (diff, cast, lexer, dataset, store query, checkpoint manifest and NVD feed decoders, 10s per target)"
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/diff/
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/cast/
 "$GO" test -run '^$' -fuzz '^FuzzComputeApply$' -fuzztime 10s ./internal/diff/
@@ -96,5 +99,6 @@ echo "==> fuzz-smoke (diff, cast, lexer, dataset, store query and checkpoint man
 "$GO" test -run '^$' -fuzz '^FuzzLoadDataset$' -fuzztime 10s .
 "$GO" test -run '^$' -fuzz '^FuzzQuery$' -fuzztime 10s ./internal/store/
 "$GO" test -run '^$' -fuzz '^FuzzOpenManifest$' -fuzztime 10s ./internal/checkpoint/
+"$GO" test -run '^$' -fuzz '^FuzzCrawlFeed$' -fuzztime 10s ./internal/nvd/
 
 echo "ci: ok"

@@ -426,3 +426,52 @@ func TestBuildSpanTreeInvariantAcrossWorkers(t *testing.T) {
 		t.Errorf("span trees differ:\n  workers=1: %v\n  workers=8: %v", p1, p8)
 	}
 }
+
+// TestSynthesizeSpans pins the spans of the synthesize stage: its children
+// are oversample.enumerate and oversample.render, one pair per batch
+// window, the same at workers 1 and 8, and they cover at least 95% of the
+// stage span.
+func TestSynthesizeSpans(t *testing.T) {
+	var first []string
+	for _, workers := range []int{1, 8} {
+		hub := NewTelemetryHub()
+		cfg := telemetryTestConfig()
+		cfg.NonSecuritySize = 300 // with the NVD and wild records, two windows
+		cfg.Workers = workers
+		cfg.Telemetry = hub
+		_, report, err := Build(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var stage telemetry.SpanRecord
+		for _, sp := range report.Run.Spans {
+			if sp.Name == "synthesize" {
+				stage = sp
+			}
+		}
+		if stage.ID == 0 {
+			t.Fatalf("workers=%d: no synthesize span", workers)
+		}
+		var children []string
+		var childNS int64
+		for _, sp := range report.Run.Spans {
+			if sp.Parent == stage.ID {
+				children = append(children, sp.Name)
+				childNS += sp.DurationNS
+			}
+		}
+		sort.Strings(children)
+		want := []string{"oversample.enumerate", "oversample.enumerate", "oversample.render", "oversample.render"}
+		if !reflect.DeepEqual(children, want) {
+			t.Errorf("workers=%d: synthesize children %v, want %v", workers, children, want)
+		}
+		if float64(childNS) < 0.95*float64(stage.DurationNS) {
+			t.Errorf("workers=%d: children cover %d of %d ns (< 95%%)", workers, childNS, stage.DurationNS)
+		}
+		if first == nil {
+			first = children
+		} else if !reflect.DeepEqual(children, first) {
+			t.Errorf("children differ across workers: %v vs %v", first, children)
+		}
+	}
+}
