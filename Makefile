@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-link verify-synth verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-link verify-synth verify-neural verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,12 @@ verify-link:
 verify-synth:
 	$(GO) test -race -count=1 ./internal/core/oversample/ ./internal/corpus/
 
+# verify-neural runs the RNN suite under the race detector: concurrent
+# ProbaTokens calls on a warm and on a cold inference memo, beside the
+# bit-identity tests against the reference network (~20s).
+verify-neural:
+	$(GO) test -race -count=1 ./internal/ml/neural/
+
 # verify-chaos runs the fault-injection suite under the race detector: the
 # injected fault classes, the retry/breaker machinery, and the end-to-end
 # chaos tests of the crawler and builder.
@@ -166,9 +172,10 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 # scripts/ci.sh: build, the gofmt check, both static-analysis tiers (and
 # vet of the benchmark module), the plain test run, the race-enabled
 # parallel-loop, observability-correlation and crash-safety suites, the
-# race-enabled nearest-link engine and synthesis suites, the fully-verified
-# engine smoke sweep, and the bounded fuzz run of the decoders.
-ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume verify-link verify-synth bench-smoke fuzz-smoke
+# race-enabled nearest-link engine, synthesis and RNN suites, the
+# fully-verified engine smoke sweep, and the bounded fuzz run of the
+# decoders.
+ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume verify-link verify-synth verify-neural bench-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

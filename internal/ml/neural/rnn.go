@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"patchdb/internal/ml"
 )
@@ -95,11 +96,56 @@ type RNN struct {
 
 	// proj is the vocab x Hidden table of bh[j] + Σ_k wxh[j][k]·emb[id][k],
 	// built at the end of each fit so ProbaTokens skips the input
-	// projection. ProbaTokens only reads the model, so concurrent calls
-	// are safe.
+	// projection.
 	proj []float64
 
+	// memo holds the probabilities of the sequences scored since the last
+	// fit. ProbaTokens only reads the model and locks memo, so concurrent
+	// calls are safe.
+	memo *memo
+
 	sc bptt
+}
+
+// maxVocab caps the fitted vocabulary, so an id plus <unk> fits in the two
+// bytes a memo key gives it.
+const maxVocab = 2000
+
+// memoBudget bounds the bytes a memo charges for its entries; once they
+// are spent it stops inserting. memoEntryBytes is the charge per entry on
+// top of its key: the map slot, the string header and the value.
+const (
+	memoBudget     = 4 << 20
+	memoEntryBytes = 48
+)
+
+// memo maps a truncated sequence's vocabulary ids, two little-endian bytes
+// each, to the probability the forward pass returned for them. Those ids
+// are all the forward pass reads, so a hit returns the same bits a
+// recomputation would.
+type memo struct {
+	mu   sync.Mutex
+	p    map[string]float64
+	used int // bytes charged against memoBudget
+}
+
+func (m *memo) get(key []byte) (float64, bool) {
+	m.mu.Lock()
+	p, ok := m.p[string(key)]
+	m.mu.Unlock()
+	return p, ok
+}
+
+func (m *memo) put(key []byte, p float64) {
+	cost := len(key) + memoEntryBytes
+	m.mu.Lock()
+	if m.used+cost <= memoBudget {
+		if _, ok := m.p[string(key)]; !ok {
+			m.p[string(key)] = p
+			m.used += cost
+		}
+	}
+	m.mu.Unlock()
 }
 
 // bptt is step's scratch space, sized at the start of each fit and reused
@@ -176,7 +222,8 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 	}
 	r.defaults()
 	rng := rand.New(rand.NewSource(r.Seed + 101))
-	r.vocab = BuildVocab(seqs, 2000)
+	r.vocab = BuildVocab(seqs, maxVocab)
+	r.memo = &memo{p: make(map[string]float64)}
 	v, ne, nh := r.vocab.Size(), r.Embed, r.Hidden
 	r.emb = randomVector(v*ne, 0.1, rng)
 	r.wxh = randomVector(nh*ne, 0.2, rng)
@@ -357,7 +404,8 @@ func (r *RNN) adagrad(w, g, acc []float64) {
 	}
 }
 
-// ProbaTokens returns P(security) for a token sequence.
+// ProbaTokens returns P(security) for a token sequence. Sequences with the
+// same vocabulary ids up to MaxLen share one forward pass per fit.
 func (r *RNN) ProbaTokens(seq []string) float64 {
 	if r.vocab == nil {
 		return 0
@@ -365,11 +413,24 @@ func (r *RNN) ProbaTokens(seq []string) float64 {
 	if len(seq) > r.MaxLen {
 		seq = seq[:r.MaxLen]
 	}
-	nh := r.Hidden
-	buf := make([]float64, 2*nh)
-	h, next := buf[:nh], buf[nh:]
+	var keyBuf [512]byte
+	key := keyBuf[:0]
 	for _, w := range seq {
 		id := r.vocab.ID(w)
+		key = append(key, byte(id), byte(id>>8))
+	}
+	if p, ok := r.memo.get(key); ok {
+		return p
+	}
+	nh := r.Hidden
+	var rows [2 * 64]float64
+	buf := rows[:]
+	if 2*nh > len(buf) {
+		buf = make([]float64, 2*nh)
+	}
+	h, next := buf[:nh], buf[nh:2*nh]
+	for i := 0; i < len(key); i += 2 {
+		id := int(key[i]) | int(key[i+1])<<8
 		r.recur(next, r.proj[id*nh:][:nh], h)
 		h, next = next, h
 	}
@@ -377,7 +438,9 @@ func (r *RNN) ProbaTokens(seq []string) float64 {
 	for j := 0; j < nh; j++ {
 		z += r.wout[j] * h[j]
 	}
-	return 1 / (1 + math.Exp(-z))
+	p := 1 / (1 + math.Exp(-z))
+	r.memo.put(key, p)
+	return p
 }
 
 // PredictTokens thresholds ProbaTokens at 0.5.

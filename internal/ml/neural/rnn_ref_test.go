@@ -288,12 +288,29 @@ func checkAgainstRef(t *testing.T, name string, r *RNN, ref *refRNN, seqs [][]st
 			t.Fatalf("%s: %s differs from the reference at flat index %d", name, c.what, k)
 		}
 	}
-	for i, s := range probe {
-		got, want := r.ProbaTokens(s), ref.proba(s)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: ProbaTokens(probe %d, len %d) = %v, reference %v", name, i, len(s), got, want)
+	// The first pass fills the memo, the second is served from it.
+	for pass, what := range []string{"miss", "hit"} {
+		for i, s := range probe {
+			got, want := r.ProbaTokens(s), ref.proba(s)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: ProbaTokens(probe %d, len %d, %s) = %v, reference %v", name, i, len(s), what, got, want)
+			}
+		}
+		if n, want := len(r.memo.p), distinctInputs(r, probe); n != want {
+			t.Fatalf("%s: memo holds %d sequences after pass %d, want the %d distinct truncated id sequences", name, n, pass, want)
 		}
 	}
+}
+
+// distinctInputs counts the distinct truncated id sequences among seqs:
+// the forward passes a memo of r must run.
+func distinctInputs(r *RNN, seqs [][]string) int {
+	seen := map[string]bool{}
+	for _, s := range seqs {
+		ids := r.vocab.Encode(s)
+		seen[fmt.Sprint(ids[:min(len(ids), r.MaxLen)])] = true
+	}
+	return len(seen)
 }
 
 func TestRNNBitIdenticalToReference(t *testing.T) {
@@ -363,32 +380,139 @@ func TestRNNStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRNNConcurrentProba runs ProbaTokens from several goroutines; under
-// the race detector it proves prediction only reads the model.
+// TestRNNMemoSharesOneKey scores sequences that differ only in unknown
+// tokens, or only after MaxLen: one forward pass serves them all.
+func TestRNNMemoSharesOneKey(t *testing.T) {
+	seqs, y := tokenTask(80, 40, 30, 14)
+	hyper := RNN{Epochs: 1, Seed: 15, MaxLen: 8}
+	r, ref := hyper, &refRNN{RNN: hyper}
+	checkAgainstRef(t, "fit", &r, ref, seqs, y, nil, nil)
+	known := seqs[0][:4]
+	for _, group := range [][][]string{
+		{append([]string{"never-seen"}, known...), append([]string{"also-unknown"}, known...)},
+		{append(append([]string{}, seqs[1][:8]...), "MARKER"), append(append([]string{}, seqs[1][:8]...), known...)},
+	} {
+		before := len(r.memo.p)
+		for i, s := range group {
+			got, want := r.ProbaTokens(s), ref.proba(s)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ProbaTokens(%q) = %v, reference %v (sequence %d of its key)", s, got, want, i)
+			}
+		}
+		if n := len(r.memo.p) - before; n != 1 {
+			t.Fatalf("%q added %d memo entries, want 1", group, n)
+		}
+	}
+}
+
+// TestRNNRefitResetsMemo refits one RNN on the same sequences with other
+// labels, so every id sequence keeps its key: a memo kept from the first
+// fit would serve the first model's probabilities.
+func TestRNNRefitResetsMemo(t *testing.T) {
+	seqs, y := tokenTask(80, 40, 30, 16)
+	probe := append(seqs, nil, []string{"never-seen"})
+	hyper := RNN{Epochs: 2, Seed: 17}
+	r, ref := hyper, &refRNN{RNN: hyper}
+	checkAgainstRef(t, "first fit", &r, ref, seqs, y, nil, probe)
+	flipped := make([]int, len(y))
+	for i := range y {
+		flipped[i] = 1 - y[i]
+	}
+	r.Seed, ref.Seed = 18, 18
+	checkAgainstRef(t, "refit", &r, ref, seqs, flipped, nil, probe)
+}
+
+// TestRNNConcurrentProba runs ProbaTokens from several goroutines on a
+// cold memo, so the same sequences miss, run and insert at once and later
+// calls hit; under the race detector it proves prediction reads the model
+// only and the memo is guarded.
 func TestRNNConcurrentProba(t *testing.T) {
 	seqs, y := tokenTask(80, 40, 30, 12)
-	r := &RNN{Epochs: 1, Seed: 13}
+	hyper := RNN{Epochs: 1, Seed: 13}
+	r, ref := hyper, &refRNN{RNN: hyper}
 	if err := r.FitTokens(seqs, y); err != nil {
 		t.Fatal(err)
 	}
+	ref.fit(seqs, y, nil)
 	want := make([]float64, len(seqs))
 	for i, s := range seqs {
-		want[i] = r.ProbaTokens(s)
+		want[i] = ref.proba(s)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i, s := range seqs {
-				if got := r.ProbaTokens(s); math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Errorf("concurrent ProbaTokens(%d) = %v, serial %v", i, got, want[i])
+			for i := range seqs {
+				i := (i + g*len(seqs)/4) % len(seqs)
+				if got := r.ProbaTokens(seqs[i]); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("goroutine %d: ProbaTokens(%d) = %v, reference %v", g, i, got, want[i])
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if n, want := len(r.memo.p), distinctInputs(&r, seqs); n != want {
+		t.Fatalf("memo holds %d sequences, want %d", n, want)
+	}
+}
+
+func TestRNNMemoHitAllocatesNothing(t *testing.T) {
+	seqs, y := tokenTask(50, 40, 30, 21)
+	r := &RNN{Epochs: 1, Seed: 22, MaxLen: 300}
+	if err := r.FitTokens(seqs, y); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Fields(strings.Repeat("MARKER wa wb never-seen ", 64)) // 256 tokens
+	p := r.ProbaTokens(long)
+	if len(r.memo.p) != 1 {
+		t.Fatalf("memo holds %d sequences after one miss, want 1", len(r.memo.p))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { benchProba = r.ProbaTokens(long) }); allocs != 0 {
+		t.Errorf("memo hit of %d tokens allocated %v times, want 0", len(long), allocs)
+	}
+	if math.Float64bits(benchProba) != math.Float64bits(p) {
+		t.Errorf("hit returned %v, miss %v", benchProba, p)
+	}
+}
+
+// TestRNNMemoBudget fills the memo's budget through its unexported fields:
+// an entry that fits is inserted, one byte more is not, and both still
+// score bit-identically to the reference.
+func TestRNNMemoBudget(t *testing.T) {
+	seqs, y := tokenTask(50, 40, 30, 23)
+	hyper := RNN{Epochs: 1, Seed: 24}
+	r, ref := hyper, &refRNN{RNN: hyper}
+	if err := r.FitTokens(seqs, y); err != nil {
+		t.Fatal(err)
+	}
+	ref.fit(seqs, y, nil)
+	for _, c := range []struct {
+		seq    []string
+		spare  int // budget bytes left beyond the entry's cost
+		insert bool
+	}{
+		{seqs[0], 0, true},
+		{seqs[1], -1, false},
+	} {
+		cost := 2*min(len(c.seq), r.MaxLen) + memoEntryBytes
+		r.memo.used = memoBudget - cost - c.spare
+		before, used := len(r.memo.p), r.memo.used
+		got, want := r.ProbaTokens(c.seq), ref.proba(c.seq)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ProbaTokens = %v, reference %v", got, want)
+		}
+		if inserted := len(r.memo.p) > before; inserted != c.insert {
+			t.Fatalf("with %d bytes spare: inserted = %v, want %v", c.spare, inserted, c.insert)
+		}
+		if c.insert {
+			used += cost
+		}
+		if r.memo.used != used {
+			t.Fatalf("with %d bytes spare: memo charged %d bytes, want %d", c.spare, r.memo.used, used)
+		}
+	}
 }
 
 func TestRNNFitRejectsLengthMismatch(t *testing.T) {
@@ -430,7 +554,8 @@ func BenchmarkRNNFit(b *testing.B) {
 	}
 }
 
-// BenchmarkRNNPredict scores 300 sequences of up to 160 tokens.
+// BenchmarkRNNPredict scores 300 sequences of up to 160 tokens on an
+// empty memo, so every distinct sequence runs its forward pass.
 func BenchmarkRNNPredict(b *testing.B) {
 	seqs, y := tokenTask(300, 300, 160, 1)
 	r := &RNN{Epochs: 1, Seed: 1}
@@ -439,6 +564,7 @@ func BenchmarkRNNPredict(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
+		r.memo = &memo{p: make(map[string]float64)}
 		for _, s := range seqs {
 			benchProba = r.ProbaTokens(s)
 		}

@@ -36,10 +36,54 @@ func (p *inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
+// TestCrawlCapsRetryAfter serves the feed behind one 429 that asks for an
+// hour's wait, through the in-process handler FuzzCrawlFeed uses: the
+// crawler must retry after RetryMaxDelay, well inside the deadline.
+func TestCrawlCapsRetryAfter(t *testing.T) {
+	store := gitrepo.NewStore()
+	repo := gitrepo.NewRepo("acme/libfoo")
+	if err := store.Add(repo); err != nil {
+		t.Fatal(err)
+	}
+	repo.SeedFile("src/a.c", "int x;\n")
+	c1 := repo.Commit("alice", "2019-01-01", "fix overflow", map[string]string{"src/a.c": "long x;\n"})
+	const base = "http://nvd.test"
+	svc := NewService(store)
+	svc.AddEntry(Entry{ID: "CVE-2019-0001", References: []Reference{
+		{URL: GitHubCommitURL(base, "acme/libfoo", c1.Hash), Tags: []string{"Patch"}},
+	}})
+	// The crawler fetches the feed before any patch, so feedHits needs no
+	// lock.
+	var feedHits int
+	tr := &inProcess{handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/feeds/cve.json" {
+			feedHits++
+			if feedHits == 1 {
+				w.Header().Set("Retry-After", "3600")
+				w.WriteHeader(http.StatusTooManyRequests)
+				return
+			}
+		}
+		svc.ServeHTTP(w, r)
+	})}
+	c := &Crawler{BaseURL: base, Client: &http.Client{Transport: tr}, Seed: 1, RetryMaxDelay: 2 * time.Second}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	patches, st, err := c.Crawl(ctx)
+	if err != nil {
+		t.Fatalf("crawl after %v: %v", time.Since(start), err)
+	}
+	if len(patches) != 1 || st.Retries != 1 || feedHits != 2 {
+		t.Fatalf("%d patches, %d retries, %d feed requests; want 1, 1, 2", len(patches), st.Retries, feedHits)
+	}
+}
+
 // FuzzCrawlFeed crawls a fuzzed feed document, served behind one 429
 // answer with a fuzzed Retry-After header, whose patches an nvd.Service
 // serves in process. The crawl must not panic, must download only the
-// feed's Patch-tagged commit references (each matching commitURLRe), and
+// feed's Patch-tagged commit references (each a commitURLRe path with no
+// query or fragment), and
 // its CrawlStats counts must add up.
 func FuzzCrawlFeed(f *testing.F) {
 	store := gitrepo.NewStore()
@@ -68,6 +112,7 @@ func FuzzCrawlFeed(f *testing.F) {
 	f.Add(seed, "Mon, 02 Jan 2006 15:04:05 GMT")
 	f.Add([]byte(`{"cve_items":[{"id":"x","references":[{"url":"ftp://h/x#/github/a/commit/abcdef1","tags":["Patch"]}]}]}`), "1e400")
 	f.Add([]byte(`{"cve_items":[{"references":[{"url":"/github//commit/abcdef1","tags":["PATCH"]}]}]}`), "-1")
+	f.Add([]byte(`{"cve_items":[{"id":"x","references":[{"url":"http://h/x?/github/a/commit/abcdef1","tags":["Patch"]}]}]}`), "Inf")
 	f.Add([]byte(`{"cve_items": [`), "NaN")
 	f.Add([]byte(`null`), "0")
 	f.Add([]byte(`{} trailing`), "0")
@@ -119,8 +164,9 @@ func FuzzCrawlFeed(f *testing.F) {
 		jobs, withRefs := patchJobs(doc.Entries)
 		want := map[string]bool{}
 		for _, j := range jobs {
-			if !commitURLRe.MatchString(strings.TrimSuffix(j.url, ".patch")) {
-				t.Fatalf("job URL %q does not match commitURLRe", j.url)
+			u, err := url.Parse(strings.TrimSuffix(j.url, ".patch"))
+			if err != nil || u.RawQuery != "" || u.Fragment != "" || !commitURLRe.MatchString(u.EscapedPath()) {
+				t.Fatalf("job URL %q is not a commitURLRe path without query or fragment", j.url)
 			}
 			if u, err := url.Parse(j.url); err == nil {
 				want[u.String()] = true

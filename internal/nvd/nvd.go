@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -185,9 +186,26 @@ func GitHubCommitURL(baseURL, repo, hash string) string {
 	return fmt.Sprintf("%s/github/%s/commit/%s", baseURL, repo, hash)
 }
 
-// commitURLRe matches GitHub commit reference URLs (paper Sec. III-A):
-// .../github/{owner}/{repo}/commit/{hash}
+// commitURLRe matches the path of a GitHub commit reference URL (paper
+// Sec. III-A): .../github/{owner}/{repo}/commit/{hash}
 var commitURLRe = regexp.MustCompile(`/github/(.+)/commit/([0-9a-f]{7,40})$`)
+
+// commitRef returns the repo and hash of a commit reference URL: one with
+// no query or fragment whose path matches commitURLRe.
+func commitRef(rawURL string) (repo, hash string, ok bool) {
+	if strings.ContainsAny(rawURL, "?#") {
+		return "", "", false
+	}
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return "", "", false
+	}
+	m := commitURLRe.FindStringSubmatch(u.EscapedPath())
+	if m == nil {
+		return "", "", false
+	}
+	return m[1], m[2], true
+}
 
 // CrawledPatch is one security patch extracted from the NVD.
 type CrawledPatch struct {
@@ -257,7 +275,8 @@ type Crawler struct {
 	MaxAttempts int
 	// RetryBaseDelay is the backoff before the first retry (0 = 50ms).
 	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff schedule (0 = 2s).
+	// RetryMaxDelay caps the backoff schedule and a server's Retry-After
+	// hint (0 = 2s).
 	RetryMaxDelay time.Duration
 	// Seed drives the deterministic retry jitter.
 	Seed int64
@@ -453,7 +472,7 @@ type job struct {
 }
 
 // patchJobs lists the downloads a feed asks for, in feed order: one per
-// Patch-tagged reference whose URL matches commitURLRe. withRefs counts the
+// Patch-tagged reference that commitRef accepts. withRefs counts the
 // entries that have at least one.
 func patchJobs(entries []Entry) (jobs []job, withRefs int) {
 	for _, e := range entries {
@@ -462,12 +481,12 @@ func patchJobs(entries []Entry) (jobs []job, withRefs int) {
 			if !hasTag(ref.Tags, "Patch") {
 				continue
 			}
-			m := commitURLRe.FindStringSubmatch(ref.URL)
-			if m == nil {
+			repo, hash, ok := commitRef(ref.URL)
+			if !ok {
 				continue
 			}
 			found = true
-			jobs = append(jobs, job{cve: e.ID, repo: m[1], hash: m[2], url: ref.URL + ".patch"})
+			jobs = append(jobs, job{cve: e.ID, repo: repo, hash: hash, url: ref.URL + ".patch"})
 		}
 		if found {
 			withRefs++
@@ -568,13 +587,18 @@ func statusError(resp *http.Response, what string) error {
 }
 
 // parseRetryAfter accepts delay seconds (integral or fractional) or an
-// HTTP date.
+// HTTP date. It rejects a number of seconds that is not finite or does not
+// fit a time.Duration.
 func parseRetryAfter(h string) (time.Duration, bool) {
 	if h == "" {
 		return 0, false
 	}
-	if secs, err := strconv.ParseFloat(h, 64); err == nil && secs >= 0 {
-		return time.Duration(secs * float64(time.Second)), true
+	if secs, err := strconv.ParseFloat(h, 64); err == nil {
+		ns := secs * float64(time.Second)
+		if secs < 0 || math.IsNaN(ns) || ns >= math.MaxInt64 {
+			return 0, false
+		}
+		return time.Duration(ns), true
 	}
 	if t, err := http.ParseTime(h); err == nil {
 		if d := time.Until(t); d > 0 {

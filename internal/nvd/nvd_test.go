@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"patchdb/internal/gitrepo"
 )
@@ -177,6 +178,55 @@ func TestCommitURLRegex(t *testing.T) {
 	for _, tc := range cases {
 		if got := commitURLRe.MatchString(tc.url); got != tc.want {
 			t.Errorf("match(%q) = %v, want %v", tc.url, got, tc.want)
+		}
+	}
+}
+
+func TestCommitRefMatchesPathOnly(t *testing.T) {
+	for _, tc := range []struct {
+		url, repo, hash string
+	}{
+		{"http://x/github/acme/libfoo/commit/0123456", "acme/libfoo", "0123456"},
+		{"/github/acme/libfoo/commit/abcdef1", "acme/libfoo", "abcdef1"},
+		{"http://x/github/a%2Fb/commit/abcdef1", "a%2Fb", "abcdef1"}, // the path as written
+		{"http://h/x?/github/a/commit/abcdef1", "", ""},              // commit in the query
+		{"http://h/x#/github/a/commit/abcdef1", "", ""},              // commit in the fragment
+		{"http://h/github/a/commit/abcdef1?diff=split", "", ""},      // a query would follow .patch
+		{"http://h/github/a/commit/abcdef1#", "", ""},                // so would a fragment
+		{"http://github/a/commit/abcdef1", "", ""},                   // "github" is the host
+		{"http://h/github/a/commit/xyz1234", "", ""},                 // not hex
+		{"http://h/github/a/commit/abcdef1/x", "", ""},               // not the end of the path
+		{"http://h:port/github/a/commit/abcdef1", "", ""},            // does not parse
+	} {
+		repo, hash, ok := commitRef(tc.url)
+		if ok != (tc.hash != "") || repo != tc.repo || hash != tc.hash {
+			t.Errorf("commitRef(%q) = %q, %q, %v; want %q, %q", tc.url, repo, hash, ok, tc.repo, tc.hash)
+		}
+	}
+}
+
+func TestParseRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		h    string
+		want time.Duration
+		ok   bool
+	}{
+		{"3600", time.Hour, true},
+		{"0.5", 500 * time.Millisecond, true},
+		{"0", 0, true},
+		{"9e9", 9e9 * time.Second, true},
+		{"1e10", 0, false}, // 1e19 ns overflows time.Duration
+		{"Inf", 0, false},
+		{"+Inf", 0, false},
+		{"NaN", 0, false},
+		{"1e400", 0, false},
+		{"-1", 0, false},
+		{"", 0, false},
+		{"soon", 0, false},
+	} {
+		got, ok := parseRetryAfter(tc.h)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("parseRetryAfter(%q) = %v, %v; want %v, %v", tc.h, got, ok, tc.want, tc.ok)
 		}
 	}
 }

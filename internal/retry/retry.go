@@ -50,7 +50,8 @@ type Policy struct {
 	MaxAttempts int
 	// BaseDelay is the delay before the first retry (0 = default 50ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential schedule (0 = default 2s).
+	// MaxDelay caps the exponential schedule and any Retry-After hint
+	// (0 = default 2s).
 	MaxDelay time.Duration
 	// Multiplier is the per-retry growth factor (values < 1 mean default 2).
 	Multiplier float64
@@ -103,8 +104,8 @@ func (p Policy) Do(ctx context.Context, key string, fn func(context.Context) err
 			return attempt, err
 		}
 		delay := p.Delay(key, attempt)
-		if hint, ok := RetryAfterHint(err); ok && hint > delay {
-			delay = hint
+		if hint, ok := RetryAfterHint(err); ok {
+			delay = max(delay, min(hint, p.maxDelay()))
 		}
 		p.Registry.Counter(MetricRetries).Inc()
 		p.Registry.Histogram(MetricBackoffSeconds, nil).Observe(delay.Seconds())
@@ -145,10 +146,7 @@ func (p Policy) Delay(key string, attempt int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	maxDelay := p.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Second
-	}
+	maxDelay := p.maxDelay()
 	mult := p.Multiplier
 	if mult < 1 {
 		mult = 2
@@ -169,6 +167,13 @@ func (p Policy) Delay(key string, attempt int) time.Duration {
 		d *= 1 + jitter*(2*u-1)
 	}
 	return time.Duration(d)
+}
+
+func (p Policy) maxDelay() time.Duration {
+	if p.MaxDelay <= 0 {
+		return 2 * time.Second
+	}
+	return p.MaxDelay
 }
 
 func (p Policy) maxAttempts() int {
@@ -262,7 +267,8 @@ func (e *retryAfterError) Error() string {
 func (e *retryAfterError) Unwrap() error { return e.err }
 
 // WithRetryAfter attaches a server-advertised minimum back-off to err; Do
-// waits at least that long before the next attempt. A nil err returns nil.
+// waits at least that long before the next attempt, up to the policy's
+// MaxDelay. A nil err returns nil.
 func WithRetryAfter(err error, after time.Duration) error {
 	if err == nil {
 		return nil

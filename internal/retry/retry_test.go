@@ -96,6 +96,17 @@ func TestDoHonorsRetryAfter(t *testing.T) {
 	}
 }
 
+func TestDoCapsRetryAfterAtMaxDelay(t *testing.T) {
+	var delays []time.Duration
+	p := Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Jitter: -1, Sleep: recordingSleep(&delays)}
+	p.Do(context.Background(), "k", func(context.Context) error {
+		return WithRetryAfter(errors.New("429"), time.Hour)
+	})
+	if len(delays) != 1 || delays[0] != 2*time.Second {
+		t.Fatalf("delays = %v, want one delay of MaxDelay 2s", delays)
+	}
+}
+
 func TestDoCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

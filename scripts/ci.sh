@@ -4,7 +4,7 @@
 # the gofmt check, stock vet (of the program and of the perfbench benchmark
 # module), the custom patchdb-lint suite, the test run, the race-enabled
 # parallel-loop tests, the race-enabled crash-safety suite, the race-enabled
-# nearest-link engine and synthesis suites, the fully-verified nearest-link
+# nearest-link engine, synthesis and RNN suites, the fully-verified nearest-link
 # engine smoke sweep, and the bounded fuzz run of the decoders. Exits non-zero on the first
 # failure.
 set -eu
@@ -86,6 +86,9 @@ echo "==> verify-link (nearest-link engine and augmentation rounds, race-enabled
 
 echo "==> verify-synth (batch synthesis and corpus generation, race-enabled)"
 "$GO" test -race -count=1 ./internal/core/oversample/ ./internal/corpus/
+
+echo "==> verify-neural (RNN inference memo and reference bit-identity, race-enabled)"
+"$GO" test -race -count=1 ./internal/ml/neural/
 
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
