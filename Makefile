@@ -168,14 +168,15 @@ verify-obs:
 # subsumes the plain test run).
 verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-resume race
 
-# ci is the fast merge gate mirrored by .github/workflows/ci.yml and
-# scripts/ci.sh: build, the gofmt check, both static-analysis tiers (and
-# vet of the benchmark module), the plain test run, the race-enabled
-# parallel-loop, observability-correlation and crash-safety suites, the
-# race-enabled nearest-link engine, synthesis and RNN suites, the
+# ci is the merge gate: scripts/ci.sh, the one sequence the GitHub workflow
+# runs too — build, the gofmt check, both static-analysis tiers (and vet of
+# the benchmark module, and the lint suite's warm-cache check), the plain
+# test run, the race-enabled parallel-loop, observability-correlation,
+# crash-safety, nearest-link engine, synthesis and RNN suites, the
 # fully-verified engine smoke sweep, and the bounded fuzz run of the
 # decoders.
-ci: build fmt vet vet-perfbench lint test verify-par verify-obs verify-resume verify-link verify-synth verify-neural bench-smoke fuzz-smoke
+ci:
+	GO=$(GO) sh scripts/ci.sh
 
 clean:
 	$(GO) clean ./...

@@ -336,7 +336,8 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 	fset := token.NewFileSet()
 	byPath := make(map[string]*unit) // base units by import path
 	var units []*unit
-	imports := make(map[*unit]map[string]bool)
+	imports := make(map[*unit]map[string]bool)     // by the unit's package files
+	testImports := make(map[*unit]map[string]bool) // by in-package test files only
 
 	for _, dir := range dirs {
 		ents, err := os.ReadDir(dir)
@@ -380,7 +381,7 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 		}
 		build := func(external bool) {
 			h := sha256.New()
-			imps := make(map[string]bool)
+			imps, testImps := make(map[string]bool), make(map[string]bool)
 			n := 0
 			for _, sf := range files {
 				if sf.external != external {
@@ -389,9 +390,13 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 				n++
 				fmt.Fprintf(h, "%s %d\n", sf.name, len(sf.data))
 				h.Write(sf.data)
+				dst := imps
+				if !external && strings.HasSuffix(sf.name, "_test.go") {
+					dst = testImps
+				}
 				for _, p := range sf.imports {
 					if p == d.Loader.Module || strings.HasPrefix(p, d.Loader.Module+"/") {
-						imps[p] = true
+						dst[p] = true
 					}
 				}
 			}
@@ -405,7 +410,7 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 				byPath[importPath] = u
 			}
 			units = append(units, u)
-			imports[u] = imps
+			imports[u], testImports[u] = imps, testImps
 		}
 		build(false)
 		build(true)
@@ -413,6 +418,7 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 
 	// Resolve dependency edges against the discovered set; an external test
 	// unit additionally depends on its own base unit.
+	sort.Slice(units, func(i, j int) bool { return units[i].importPath < units[j].importPath })
 	for _, u := range units {
 		depSet := make(map[*unit]bool)
 		for p := range imports[u] {
@@ -430,6 +436,27 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 		}
 		sort.Slice(u.deps, func(i, j int) bool { return u.deps[i].importPath < u.deps[j].importPath })
 	}
+	// An in-package test may import a package that imports the package
+	// under test. Such an edge would make the unit graph cyclic, and then a
+	// unit could run in the same wave as a dependency and read its facts
+	// half-written, so a test-only import becomes an edge only when it does
+	// not lead back to the unit. Units and imports are taken in import-path
+	// order, so which edges are kept does not depend on the directory walk.
+	for _, u := range units {
+		ps := make([]string, 0, len(testImports[u]))
+		for p := range testImports[u] {
+			if !imports[u][p] {
+				ps = append(ps, p)
+			}
+		}
+		sort.Strings(ps)
+		for _, p := range ps {
+			if dep, ok := byPath[p]; ok && dep != u && !reaches(dep, u) {
+				u.deps = append(u.deps, dep)
+			}
+		}
+		sort.Slice(u.deps, func(i, j int) bool { return u.deps[i].importPath < u.deps[j].importPath })
+	}
 
 	// Wave levels: a unit runs strictly after everything it depends on.
 	memo := make(map[*unit]int)
@@ -438,7 +465,7 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 		if lv, ok := memo[u]; ok {
 			return lv
 		}
-		memo[u] = 0 // imports are acyclic; this also guards re-entry
+		memo[u] = 0 // the edges are acyclic; this also guards re-entry
 		lv := 0
 		for _, dep := range u.deps {
 			if dl := levelOf(dep) + 1; dl > lv {
@@ -451,6 +478,27 @@ func (d *Driver) discover(cwd string, patterns ...string) ([]*unit, error) {
 	for _, u := range units {
 		u.level = levelOf(u)
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].importPath < units[j].importPath })
 	return units, nil
+}
+
+// reaches reports whether to is reachable from from along dependency edges.
+func reaches(from, to *unit) bool {
+	seen := make(map[*unit]bool)
+	var visit func(*unit) bool
+	visit = func(v *unit) bool {
+		if v == to {
+			return true
+		}
+		if seen[v] {
+			return false
+		}
+		seen[v] = true
+		for _, dep := range v.deps {
+			if visit(dep) {
+				return true
+			}
+		}
+		return false
+	}
+	return visit(from)
 }

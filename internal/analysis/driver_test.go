@@ -161,6 +161,34 @@ func TestDriverColdThenWarm(t *testing.T) {
 	}
 }
 
+// TestDriverTestImportCycle: base's in-package test imports user, which
+// imports base. go test allows that, but as unit edges it is a cycle, and
+// base sorts first, so a level walk that starts there and follows the test
+// edge would put user in the earlier wave. user must still run after base
+// and see its facts, and a warm run must be all hits.
+func TestDriverTestImportCycle(t *testing.T) {
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{
+		"go.mod":                     "module tmpmod\n\ngo 1.21\n",
+		"base/base.go":               strings.Replace(depMarked, "package dep", "package base", 1),
+		"base/base_internal_test.go": "package base\n\nimport \"tmpmod/user\"\n\nfunc useUser() { user.Use() }\n",
+		"user/user.go":               "package user\n\nimport \"tmpmod/base\"\n\nfunc Use() { base.Marked() }\n",
+	})
+	cache := filepath.Join(root, ".lintcache")
+	an := []*Analyzer{markAnalyzer(1)}
+	cold, _ := runTestDriver(t, root, cache, an, 2)
+	if len(cold) != 1 || !strings.Contains(cold[0].Message, "call to marked function Marked") {
+		t.Fatalf("cold diagnostics = %v, want user's marked-call finding", renderDiags(cold))
+	}
+	warm, stats := runTestDriver(t, root, cache, an, 2)
+	if stats.CacheMisses != 0 || stats.SourceLoads != 0 {
+		t.Errorf("warm stats = %s, want no misses and no source loads", stats)
+	}
+	if !sameDiags(cold, warm) {
+		t.Errorf("warm diagnostics differ from cold:\ncold: %v\nwarm: %v", renderDiags(cold), renderDiags(warm))
+	}
+}
+
 func TestDriverSourceChangeInvalidatesUnit(t *testing.T) {
 	root := writeTestModule(t)
 	cache := filepath.Join(root, ".lintcache")

@@ -2,13 +2,12 @@ package nearestlink
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"patchdb/internal/par"
 )
 
-// Blocked, sharded candidate generation — the engine's one scan kernel.
+// Blocked candidate generation — the engine's one scan kernel.
 //
 // Algorithm 1 needs one search: the exact lexicographically smallest
 // (distance, column) pairs of a security row over the columns still unused.
@@ -17,58 +16,38 @@ import (
 // reruns it at depth listDepth for the rows certain to use up their phase-1
 // list (deepRows); the greedy phase reruns it at depth listDepth for one
 // row over the unused columns when a collision uses up a full list (a
-// rescan);
-// KNNSelect is phase 1's best column. All of them go through the same sweep
-// and the same rejection ladder (scanRowTile).
+// rescan); KNNSelect is phase 1's best column. All of them are blockPlans
+// run through the same task body (runTask), sweep and rejection ladder
+// (scanRowTile), and every scan starts the same way: over the whole pool
+// at bound +Inf, tightened only by its own confirmations.
 //
-// A scan over many rows restructures the work on two axes so each stripe
-// load is amortized and the grid parallelizes cleanly:
+// Seed-major blocking: the plan's security rows, in scan (ascending-norm)
+// order, are grouped into blocks of blockRows. One pass over a wild column
+// evaluates the whole block against it, so the column's stripe data
+// (segment norms, packed prefix, tail) is loaded once per block instead of
+// once per row, and the block's own row data stays L1-resident across the
+// pass. A block is one task over the whole pool; workers claim the tasks
+// in index order (par.For), and each task writes its rows' lists straight
+// into the candidate lists, so every row has exactly one writer.
 //
-//   - Seed-major blocking: the plan's security rows, in scan (ascending-
-//     norm) order, are grouped into blocks of defaultBlockRows. One pass
-//     over a wild column evaluates the whole block against it, so the
-//     column's stripe data (segment norms, packed prefix, tail) is loaded
-//     once per block instead of once per row, and the block's own row data
-//     stays L1-resident across the pass.
-//   - Wild-pool sharding: the norm-sorted pool is cut into contiguous
-//     shards of defaultShardCols columns. A (block, shard) pair is one
-//     independent task; workers claim the tasks in index order
-//     (par.For). Each task computes the block rows' lists over its shard
-//     only, and a deterministic merge folds the per-shard lists into the
-//     global list per row.
+// Exactness: a row's live bound is +Inf until its list holds depth entries
+// and then the running depth-th best over the columns it has confirmed, an
+// upper bound on the row's final depth-th best. Every rejection is
+// strictly above that bound, so no member of the row's true list is ever
+// rejected; each survives to reference-order confirmation, and the
+// lexicographic insertion reproduces exactly the depth smallest (distance,
+// column) pairs the reference's full ascending scan would order.
 //
-// A rescan is a one-row task over the whole pool: its window starts as the
-// full pool, its bound as +Inf (see seedBounds), and the used mask skips
-// the taken columns.
-//
-// Exactness of the merge: every rejection inside a task is strictly above
-// min(ub, dK_task) where ub (the seeded bound) is ≥ the row's FINAL global
-// depth-th best and dK_task, a running depth-th best over a subset of
-// columns, likewise — so no member of the row's true global list is ever
-// rejected in any shard. Each survives to reference-order confirmation in
-// its own shard and ranks in its shard's top depth (only global members can
-// out-rank it there), and the lexicographic merge over all per-shard lists
-// therefore reproduces exactly the depth smallest (distance, column) pairs
-// the reference's full ascending scan would order.
-//
-// Determinism of the accounting: a plan's task grid is a pure function of
-// (its rows, cols, blockRows, shardCols) — never of Workers — each task's
-// visit order and pruning bounds are fixed (bounds start from the row's
-// seeded cap and tighten only within the task), and the int64 counters
-// merge by addition. Phase 1's results, and with them the rows deepening
-// scans, do not depend on Workers either; rescans run serially in the
-// greedy phase's deterministic order. Stats are therefore bit-identical at
-// any worker count; blockRows and shardCols may change counter values
-// (they move pruning decisions between stages) but never the links.
+// Determinism of the accounting: a plan's tasks are a pure function of its
+// rows — never of Workers — each task's visit order and pruning bounds are
+// fixed, and the int64 counters merge by addition. Phase 1's results, and
+// with them the rows deepening scans, do not depend on Workers either;
+// rescans run serially in the greedy phase's deterministic order. Stats are
+// therefore bit-identical at any worker count.
 
-// defaultBlockRows is the seed-major block height: how many consecutive
-// scan-order security rows of a plan share one pass over a wild column.
-const defaultBlockRows = 16
-
-// defaultShardCols is the wild-pool shard width in norm-sorted columns.
-// Sized so a shard's hot stripes stay cache-resident while the task grid
-// still offers blocks×shards-way parallelism at bench shapes.
-const defaultShardCols = 131072
+// blockRows is the seed-major block height: how many consecutive scan-order
+// security rows of a plan share one pass over a wild column.
+const blockRows = 16
 
 // listDepth is the candidate-list depth of deepening and rescans: how many
 // of a row's smallest (distance, column) pairs the greedy phase can fall
@@ -119,87 +98,24 @@ func newCandidates(m int) *candidates {
 	}
 }
 
-// blockPlan is one blocked scan: per-row seeded bounds and norm windows,
-// and the per-(row, shard) list grid. Plan rows are indexed by their
-// position pi in rows.
+// blockPlan is one blocked scan over the whole pool: the scan-order rows
+// whose lists it fills, in blocks of blockRows, and the columns it skips.
 type blockPlan struct {
-	e         *engine
-	rows      []int // scan-order positions, ascending
-	depth     int   // list entries kept per row
-	blockRows int
-	shardCols int
-	nblocks   int
-	nshards   int
-
-	ub     []float64 // seeded bound on each row's final depth-th best
-	ws, we []int     // global norm window [ws, we) implied by ub
-
-	// Per-(pi, shard) lists, written by exactly one task each: cell
-	// pi*nshards+s holds cn[cell] entries from cell*depth.
-	cd []float64
-	cj []int
-	cn []int
-}
-
-// newBlockPlan plans a scan of the scan-order rows at depth under the
-// seeded bounds ub (one per row), and counts the columns outside each
-// row's norm window as norm-pruned: every task skips them without even an
-// O(1) test.
-func newBlockPlan(e *engine, o Options, rows []int, depth int, ub []float64, stats *Stats) *blockPlan {
-	m, n := len(rows), len(e.wldNS)
-	p := &blockPlan{e: e, rows: rows, depth: depth, blockRows: o.blockRows, shardCols: o.shardCols, ub: ub}
-	if p.blockRows <= 0 {
-		p.blockRows = defaultBlockRows
-	}
-	if p.shardCols <= 0 {
-		p.shardCols = defaultShardCols
-	}
-	p.nblocks = (m + p.blockRows - 1) / p.blockRows
-	p.nshards = (n + p.shardCols - 1) / p.shardCols
-	p.ws = make([]int, m)
-	p.we = make([]int, m)
-	for pi, t := range rows {
-		ws, we := e.normWindow(e.secN[t], e.secMid[t], ub[pi])
-		p.ws[pi], p.we[pi] = ws, we
-		stats.NormPruned += int64(n - (we - ws))
-	}
-	cells := m * p.nshards
-	p.cd = make([]float64, cells*depth)
-	p.cj = make([]int, cells*depth)
-	p.cn = make([]int, cells)
-	return p
-}
-
-// normWindow returns the half-open column range [ws, we) that survives the
-// bulk norm-window test at bound b: exactly the sorted positions whose
-// shaded norm gap does not prove them strictly worse than b. Every list
-// member always lies inside (its distance is ≤ √b, and the norm gap
-// lower-bounds the distance).
-func (e *engine) normWindow(na float64, mid int, b float64) (ws, we int) {
-	n := len(e.wldNS)
-	if math.IsInf(b, 1) {
-		return 0, n
-	}
-	ws = sort.Search(mid, func(k int) bool {
-		g := na - e.wldNS[k]
-		return g*g*normBoundShade <= b
-	})
-	we = mid + sort.Search(n-mid, func(d int) bool {
-		g := e.wldNS[mid+d] - na
-		return g*g*normBoundShade > b
-	})
-	return ws, we
+	e     *engine
+	rows  []int  // scan-order positions, ascending
+	depth int    // list entries kept per row
+	used  []bool // columns to skip: nil except in a rescan
 }
 
 // blockScratch is one worker's reusable per-task state, sized to the block
 // height and list depth once per worker.
 type blockScratch struct {
 	depth           int
-	ws, we          []int // row windows clamped to the task's shard
+	ws, we          []int // row norm windows [ws, we)
 	d               []float64
 	j               []int // slot r's list at [r*depth, r*depth+n[r])
 	n               []int
-	b               []float64 // live pruning bound: min(seeded cap, running depth-th best)
+	b               []float64 // live pruning bound: the running depth-th best
 	onRight, onLeft []bool
 }
 
@@ -214,28 +130,20 @@ func newBlockScratch(block, depth int) *blockScratch {
 	}
 }
 
-// start resets slot r for a scan over the window [ws, we) under bound b.
-func (s *blockScratch) start(r, ws, we int, b float64) {
-	s.ws[r], s.we[r] = ws, we
-	s.n[r] = 0
-	s.b[r] = b
-}
-
-// run executes the task grid on o.Workers workers, then merges each row's
-// per-shard lists into its candidate list.
+// run executes the plan's blocks on o.Workers workers.
 func (p *blockPlan) run(ctx context.Context, o Options, stats *Stats, cands *candidates) error {
-	tasks := p.nblocks * p.nshards
+	tasks := (len(p.rows) + blockRows - 1) / blockRows
 	workers := min(o.Workers, tasks)
 	counters := make([]scanCounters, workers)
 	scratch := make([]*blockScratch, workers)
 	err := par.For(ctx, tasks, workers, func(w, task int) {
 		if scratch[w] == nil {
-			scratch[w] = newBlockScratch(p.blockRows, p.depth)
+			scratch[w] = newBlockScratch(blockRows, p.depth)
 		}
 		// The kernel counts into a local: the workers' slots share cache
 		// lines, and counting into them directly would thrash those lines.
 		var c scanCounters
-		p.runTask(task, &c, scratch[w])
+		p.runTask(task, &c, scratch[w], cands)
 		counters[w].add(c)
 	})
 	for _, c := range counters {
@@ -244,97 +152,30 @@ func (p *blockPlan) run(ctx context.Context, o Options, stats *Stats, cands *can
 	if err != nil {
 		return canceled(ctx)
 	}
-
-	// Deterministic merge, ascending shard order: the global list is the
-	// lexicographic top depth over the union of every shard's lists.
-	for pi, t := range p.rows {
-		i := p.e.secOrder[t]
-		ld := cands.d[i*listDepth : i*listDepth+p.depth]
-		lj := cands.j[i*listDepth : i*listDepth+p.depth]
-		n := 0
-		for cell := pi * p.nshards; cell < (pi+1)*p.nshards; cell++ {
-			for k := cell * p.depth; k < cell*p.depth+p.cn[cell]; k++ {
-				n = insertPair(ld, lj, n, p.cd[k], p.cj[k])
-			}
-		}
-		cands.n[i], cands.depth[i], cands.pos[i] = n, p.depth, 0
-	}
 	return nil
 }
 
-// runTask scans one (block, shard) cell: every row of the block against
-// every shard column inside the row's norm window, sweeping outward from a
-// shared anchor so the nearest-norm (likeliest) candidates are visited
-// first and the live bounds collapse early.
-func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch) {
-	e := p.e
-	bi, si := task/p.nshards, task%p.nshards
-	lo := si * p.shardCols
-	hi := lo + p.shardCols
-	if n := len(e.wldNS); hi > n {
-		hi = n
-	}
-	p0 := bi * p.blockRows
-	p1 := p0 + p.blockRows
-	if m := len(p.rows); p1 > m {
-		p1 = m
-	}
-	rows := p.rows[p0:p1]
-
-	anyWin := false
+// runTask scans block task: every row of the block against every column
+// of the pool inside the row's norm window, sweeping outward from a shared
+// anchor so the nearest-norm (likeliest) candidates are visited first and
+// the live bounds collapse early, then writes the rows' candidate lists.
+func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch, cands *candidates) {
+	e, n := p.e, len(p.e.wldNS)
+	rows := p.rows[task*blockRows : min((task+1)*blockRows, len(p.rows))]
 	for r := range rows {
-		ws, we := p.ws[p0+r], p.we[p0+r]
-		if ws < lo {
-			ws = lo
-		}
-		if we > hi {
-			we = hi
-		}
-		if we < ws {
-			ws, we = lo, lo
-		}
-		scr.start(r, ws, we, p.ub[p0+r])
-		if we > ws {
-			anyWin = true
-		}
+		scr.ws[r], scr.we[r], scr.n[r], scr.b[r] = 0, n, 0, inf
 	}
-	if anyWin {
-		// Anchor at the block's median norm position so both sweeps walk
-		// outward through growing norm gaps for (almost) every row.
-		anchor := e.secMid[rows[len(rows)/2]]
-		if anchor < lo {
-			anchor = lo
-		}
-		if anchor > hi {
-			anchor = hi
-		}
-		e.sweep(c, scr, nil, rows, anchor, hi, +1)
-		e.sweep(c, scr, nil, rows, anchor-1, lo-1, -1)
+	// Anchor at the block's median norm position so both sweeps walk
+	// outward through growing norm gaps for (almost) every row.
+	anchor := e.secMid[rows[len(rows)/2]]
+	e.sweep(c, scr, p.used, rows, anchor, n, +1)
+	e.sweep(c, scr, p.used, rows, anchor-1, -1, -1)
+	for r, t := range rows {
+		i := e.secOrder[t]
+		copy(cands.d[i*listDepth:i*listDepth+p.depth], scr.d[r*p.depth:(r+1)*p.depth])
+		copy(cands.j[i*listDepth:i*listDepth+p.depth], scr.j[r*p.depth:(r+1)*p.depth])
+		cands.n[i], cands.depth[i], cands.pos[i] = scr.n[r], p.depth, 0
 	}
-	for r := range rows {
-		cell := (p0+r)*p.nshards + si
-		p.cn[cell] = scr.n[r]
-		copy(p.cd[cell*p.depth:(cell+1)*p.depth], scr.d[r*p.depth:(r+1)*p.depth])
-		copy(p.cj[cell*p.depth:(cell+1)*p.depth], scr.j[r*p.depth:(r+1)*p.depth])
-	}
-}
-
-// rescan refills security row i's candidate list to listDepth over the
-// columns not in used: a one-row task over the whole pool, swept outward
-// from the row's own norm position. There is no seeded cap, so the bound
-// starts at +Inf and tightens from the row's own confirmations; each
-// tightening still cuts the window edges in bulk. scr needs one slot of
-// depth listDepth.
-func (e *engine) rescan(i int, used []bool, c *scanCounters, scr *blockScratch, cands *candidates) {
-	t, n := e.rank[i], len(e.wldNS)
-	rows := []int{t}
-	mid := e.secMid[t]
-	scr.start(0, 0, n, inf)
-	e.sweep(c, scr, used, rows, mid, n, +1)
-	e.sweep(c, scr, used, rows, mid-1, -1, -1)
-	copy(cands.d[i*listDepth:(i+1)*listDepth], scr.d[:listDepth])
-	copy(cands.j[i*listDepth:(i+1)*listDepth], scr.j[:listDepth])
-	cands.n[i], cands.depth[i], cands.pos[i] = scr.n[0], listDepth, 0
 }
 
 // sweepTile is the column-tile width of a sweep. Rows of a block revisit the
@@ -361,7 +202,7 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, rows []i
 		// Refresh this direction's far edge against the row's current bound
 		// before the pass starts: the bound may have tightened during the
 		// opposite pass, and this side is still entirely unvisited, so the
-		// bulk accounting stays an exact partition of the task's window.
+		// bulk accounting stays an exact partition of the row's window.
 		na, mid, b := e.secN[t], e.secMid[t], scr.b[r]
 		if dir > 0 {
 			if lo := max(mid, scr.ws[r]); lo < scr.we[r] {

@@ -453,55 +453,3 @@ func screenPerm(wld *matrix) []int {
 	})
 	return perm
 }
-
-// seedSpan is the per-side width of the bound-seeding sample: before phase
-// 1 scans it, every security row evaluates the exact distance to its
-// 2·seedSpan nearest-norm wild rows. The k-th smallest sampled distance is
-// an upper bound on the row's final k-th best (order statistics over a
-// subset can only be ≥ those over the full set), so a scan that keeps k
-// candidates prunes against min(current, seeded) from its very first step —
-// before its own visits have tightened the running k-th best.
-const seedSpan = 64
-
-// seedBounds samples the 2·seedSpan nearest-norm wild rows of scan-order
-// row t and returns the second- and the listDepth-th-smallest exact
-// distances — valid upper bounds for the row's final second and
-// listDepth-th best over the whole pool, the caps of phase 1 and of
-// deepening. The values are used only as pruning bounds, never recorded as
-// candidates, so a scan's lexicographic state is built exclusively from its
-// own confirmed visits. Rescans cannot use them: a sampled column may be
-// taken, and a taken column's distance is no upper bound on the free
-// columns' order statistics.
-func (e *engine) seedBounds(t int, c *scanCounters) (ub2, ubK float64) {
-	row := e.sec.row(e.secOrder[t])
-	n := len(e.wldNS)
-	lo := e.secMid[t] - seedSpan
-	if lo < 0 {
-		lo = 0
-	}
-	hi := lo + 2*seedSpan
-	if hi > n {
-		hi = n
-		if lo = hi - 2*seedSpan; lo < 0 {
-			lo = 0
-		}
-	}
-	// best holds the listDepth smallest sampled distances, ascending.
-	var best [listDepth]float64
-	for k := range best {
-		best[k] = inf
-	}
-	for k := lo; k < hi; k++ {
-		c.evals++
-		sum := dist2(row, e.wld.row(e.orig[k]))
-		if sum >= best[listDepth-1] {
-			continue
-		}
-		p := listDepth - 1
-		for ; p > 0 && sum < best[p-1]; p-- {
-			best[p] = best[p-1]
-		}
-		best[p] = sum
-	}
-	return best[1], best[listDepth-1]
-}

@@ -20,7 +20,7 @@ func deepenedRows(t *testing.T, sec, wild [][]float64, opts Options) int {
 		t.Fatal(err)
 	}
 	var st Stats
-	cands, _, err := e.scan(bg, o, &st)
+	cands, err := e.scan(bg, o, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,7 @@ func repeatRows(row []float64, n int) [][]float64 {
 // rescan), rows whose distances overflow, and many rows deepened at once.
 // Every case must give links bit-identical to ReferenceSearch and
 // KNNSelect's brute-force picks, pop the heap once per iteration of the
-// reference's loop, and keep Stats identical at workers 1, 2 and 8, on the
-// default task grid and on a multi-cell one.
+// reference's loop, and keep Stats identical at workers 1, 2 and 8.
 func TestCandidateLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	type tcase struct {
@@ -129,41 +128,38 @@ func TestCandidateLists(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantKNN := bruteKNN(t, c.sec, c.wild, !c.noNorm)
-		for _, grid := range [][2]int{{0, 0}, {8, 128}} {
-			var first Stats
-			for wi, workers := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/grid=%v/w=%d", c.name, grid, workers)
-				var st Stats
-				o := Options{Workers: workers, DisableNormalization: c.noNorm, Stats: &st,
-					blockRows: grid[0], shardCols: grid[1]}
-				got, err := Search(bg, c.sec, c.wild, &o)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		var first Stats
+		for wi, workers := range []int{1, 2, 8} {
+			name := fmt.Sprintf("%s/w=%d", c.name, workers)
+			var st Stats
+			o := Options{Workers: workers, DisableNormalization: c.noNorm, Stats: &st}
+			got, err := Search(bg, c.sec, c.wild, &o)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			assertLinksIdentical(t, name, workers, want, got)
+			// Each pop is one iteration of the reference's loop: a link or
+			// a collision, which the reference resolves by a rescan.
+			if st.HeapPops != len(want)+ref.Rescans {
+				t.Errorf("%s: %d heap pops, reference %d links + %d collisions", name, st.HeapPops, len(want), ref.Rescans)
+			}
+			st.Duration = 0
+			if wi == 0 {
+				first = st
+				if c.check != nil {
+					o.Stats = nil
+					c.check(t, name, st, deepenedRows(t, c.sec, c.wild, o))
 				}
-				assertLinksIdentical(t, name, workers, want, got)
-				// Each pop is one iteration of the reference's loop: a link
-				// or a collision, which the reference resolves by a rescan.
-				if st.HeapPops != len(want)+ref.Rescans {
-					t.Errorf("%s: %d heap pops, reference %d links + %d collisions", name, st.HeapPops, len(want), ref.Rescans)
-				}
-				st.Duration = 0
-				if wi == 0 {
-					first = st
-					if c.check != nil {
-						o.Stats = nil
-						c.check(t, name, st, deepenedRows(t, c.sec, c.wild, o))
-					}
-				} else if st != first {
-					t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", name, st, first)
-				}
-				o.Stats = nil
-				knn, err := KNNSelect(bg, c.sec, c.wild, &o)
-				if err != nil {
-					t.Fatalf("%s: KNNSelect: %v", name, err)
-				}
-				if fmt.Sprint(knn) != fmt.Sprint(wantKNN) {
-					t.Errorf("%s: KNNSelect = %v, brute force %v", name, knn, wantKNN)
-				}
+			} else if st != first {
+				t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", name, st, first)
+			}
+			o.Stats = nil
+			knn, err := KNNSelect(bg, c.sec, c.wild, &o)
+			if err != nil {
+				t.Fatalf("%s: KNNSelect: %v", name, err)
+			}
+			if fmt.Sprint(knn) != fmt.Sprint(wantKNN) {
+				t.Errorf("%s: KNNSelect = %v, brute force %v", name, knn, wantKNN)
 			}
 		}
 	}

@@ -54,15 +54,6 @@ type Options struct {
 	// Registry, when non-nil, receives the engine counters and search
 	// latency of every call (see the Metric* names in this package).
 	Registry *telemetry.Registry
-
-	// blockRows (default defaultBlockRows) and shardCols (default
-	// defaultShardCols) shape phase 1's task grid: how many consecutive
-	// scan-order security rows share a pass over a wild column, and how
-	// many norm-sorted columns one task covers. They move cost between
-	// pruning stages, and with it the Stats counters, but never the links;
-	// Stats at a fixed pair are identical at any worker count. Only tests
-	// set them, to get multi-cell grids at small shapes.
-	blockRows, shardCols int
 }
 
 func (o *Options) resolved() Options {
@@ -81,8 +72,7 @@ type Stats struct {
 	// SecurityRows and WildCols are the problem dimensions.
 	SecurityRows, WildCols int
 	// DistanceEvals counts candidate pairs whose per-dimension evaluation
-	// was started — pairs that survived every O(1) norm bound — plus the
-	// small fixed sample each row evaluates to seed its pruning bound.
+	// was started: pairs that survived every O(1) norm bound.
 	DistanceEvals int64
 	// NormPruned counts candidates rejected by an O(1) norm-decomposed
 	// bound — the bulk norm-window skip (counted per column skipped) or the
@@ -354,51 +344,29 @@ func Search(ctx context.Context, security, wild [][]float64, opts *Options) ([]L
 	return r.Search(ctx)
 }
 
-// scan seeds every row's pruning bounds and runs phase 1 at depth 2. It
-// returns the candidate lists and each scan-order row's seeded bound on its
-// listDepth-th best, for deepening.
-func (e *engine) scan(ctx context.Context, o Options, stats *Stats) (*candidates, []float64, error) {
-	m := e.sec.rows
-	ub2 := make([]float64, m)
-	ubK := make([]float64, m)
-	counters := make([]scanCounters, chunkCount(o.Workers, m))
-	forChunks(o.Workers, m, func(c, lo, hi int) {
-		var sc scanCounters // local: the chunks' slots share cache lines
-		for t := lo; t < hi; t++ {
-			ub2[t], ubK[t] = e.seedBounds(t, &sc)
-		}
-		counters[c] = sc
-	})
-	for _, c := range counters {
-		stats.addScan(c)
-	}
-	if ctx.Err() != nil {
-		return nil, nil, canceled(ctx)
-	}
-	rows := make([]int, m)
+// scan runs phase 1: every row's list at depth 2 over the whole pool.
+func (e *engine) scan(ctx context.Context, o Options, stats *Stats) (*candidates, error) {
+	rows := make([]int, e.sec.rows)
 	for t := range rows {
 		rows[t] = t
 	}
-	cands := newCandidates(m)
-	if err := newBlockPlan(e, o, rows, 2, ub2, stats).run(ctx, o, stats, cands); err != nil {
-		return nil, nil, err
+	cands := newCandidates(e.sec.rows)
+	p := blockPlan{e: e, rows: rows, depth: 2}
+	if err := p.run(ctx, o, stats, cands); err != nil {
+		return nil, err
 	}
-	return cands, ubK, nil
+	return cands, nil
 }
 
 // deepen refills to listDepth the lists of deepRows, by a second blocked
-// scan over just those rows seeded with their listDepth-th sampled
-// distances.
-func (e *engine) deepen(ctx context.Context, o Options, stats *Stats, cands *candidates, ubK []float64) error {
+// scan over just those rows.
+func (e *engine) deepen(ctx context.Context, o Options, stats *Stats, cands *candidates) error {
 	rows := deepRows(e, cands)
 	if len(rows) == 0 {
 		return nil
 	}
-	ub := make([]float64, len(rows))
-	for pi, t := range rows {
-		ub[pi] = ubK[t]
-	}
-	return newBlockPlan(e, o, rows, listDepth, ub, stats).run(ctx, o, stats, cands)
+	p := blockPlan{e: e, rows: rows, depth: listDepth}
+	return p.run(ctx, o, stats, cands)
 }
 
 // deepRows returns, in scan order, the rows whose full phase-1 list is
@@ -468,6 +436,7 @@ func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([
 	h := heapifyRowHeap(u)
 	var rescanCounters scanCounters
 	var rescanScratch *blockScratch
+	rescan := blockPlan{e: e, rows: make([]int, 1), depth: listDepth, used: used}
 	for len(links) < total && h.len() > 0 {
 		stats.HeapPops++
 		if stats.HeapPops&1023 == 0 && ctx.Err() != nil {
@@ -498,12 +467,14 @@ func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([
 			stats.SecondBestHits++
 			continue
 		}
-		// A full list used up: rescan over the unused columns.
+		// A full list used up: rescan it, as a one-row plan over the
+		// unused columns.
 		stats.Rescans++
 		if rescanScratch == nil {
 			rescanScratch = newBlockScratch(1, listDepth)
 		}
-		e.rescan(i, used, &rescanCounters, rescanScratch, cands)
+		rescan.rows[0] = e.rank[i]
+		rescan.runTask(0, &rescanCounters, rescanScratch, cands)
 		if cands.n[i] == 0 {
 			continue // no free column left for this row
 		}
@@ -567,7 +538,7 @@ func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) (
 	m := e.sec.rows
 	stats := Stats{SecurityRows: m, WildCols: e.wld.rows}
 	_, phase = telemetry.Start(ctx, "nearestlink.scan")
-	cands, _, err := e.scan(ctx, o, &stats)
+	cands, err := e.scan(ctx, o, &stats)
 	phase.End()
 	if err != nil {
 		return nil, err

@@ -295,16 +295,16 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestStatsDeterministicAcrossWorkers pins the deterministic-counter
-// contract of the blocked scan: at a fixed (blockRows, shardCols) the task
-// grid, every task's visit order, every pruning bound and the set of rows
-// deepening scans are independent of the worker count, and rescans run
-// serially in the greedy order, so the full Stats accounting — not just
-// the links — must be bit-identical at workers 1, 2, and 8. Duration is
-// wall-clock telemetry and is excluded.
+// contract of the blocked scan: the blocks, every task's visit order, every
+// pruning bound and the set of rows deepening scans are independent of the
+// worker count, and rescans run serially in the greedy order, so the full
+// Stats accounting — not just the links — must be bit-identical at workers
+// 1, 2, and 8. Duration is wall-clock telemetry and is excluded.
 func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// A generic instance, and a tie-heavy one that deepens rows and whose
-	// greedy phase rescans.
+	// greedy phase rescans. 45 rows are two full blocks and a partial one,
+	// so the counters really do merge across concurrently scanned blocks.
 	instances := []struct {
 		name      string
 		sec, wild [][]float64
@@ -313,18 +313,11 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 		{"duplicates", genDuplicates(rng, 45, 12), genDuplicates(rng, 700, 12)},
 	}
 	for _, in := range instances {
-		// blockRows 8 and shardCols 128 give a 6x6 task grid at this shape,
-		// so the counters really do merge across many concurrently scanned
-		// cells.
-		base := Options{blockRows: 8, shardCols: 128}
 		var want Stats
 		var wantLinks []Link
 		for wi, workers := range []int{1, 2, 8} {
-			o := base
-			o.Workers = workers
 			var st Stats
-			o.Stats = &st
-			links, err := Search(bg, in.sec, in.wild, &o)
+			links, err := Search(bg, in.sec, in.wild, &Options{Workers: workers, Stats: &st})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", in.name, workers, err)
 			}
@@ -334,7 +327,7 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 				if in.name == "duplicates" && st.Rescans == 0 {
 					t.Errorf("%s: no rescans; the rescan counters are untested", in.name)
 				}
-				if in.name == "duplicates" && deepenedRows(t, in.sec, in.wild, base) == 0 {
+				if in.name == "duplicates" && deepenedRows(t, in.sec, in.wild, Options{}) == 0 {
 					t.Errorf("%s: no row deepened; the deepening counters are untested", in.name)
 				}
 				continue
@@ -354,28 +347,52 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestLinksInvariantAcrossBlockAndShard pins the other half of the contract:
-// blockRows and shardCols move pruning decisions between stages (the
-// counters may change) but may never change the links. Every combination —
-// including degenerate single-row blocks and shards smaller than one sweep
-// tile — must reproduce the reference assignment bit-for-bit.
-func TestLinksInvariantAcrossBlockAndShard(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	sec := genGrid(rng, 35, 9) // tie-heavy: the regime where a merge bug shows
-	wild := genGrid(rng, 900, 9)
-	want, err := ReferenceSearch(sec, wild, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestLinksAcrossBlockShapes covers the ways a plan's rows fill its blocks
+// of blockRows: one row, one short block, an exact block, one past it, and
+// several blocks with a partial last one. On tie-heavy instances, whose
+// greedy phases use both the candidate lists and rescans, every shape must
+// reproduce the reference assignment bit-for-bit at workers 1, 2 and 8,
+// with the same Stats at every worker count.
+func TestLinksAcrossBlockShapes(t *testing.T) {
+	gens := []struct {
+		name string
+		fn   func(*rand.Rand, int, int) [][]float64
+	}{
+		{"grid", genGrid},
+		{"duplicates", genDuplicates},
 	}
-	for _, blockRows := range []int{1, 3, 16, 64} {
-		for _, shardCols := range []int{32, 100, 1000} {
-			got, err := Search(bg, sec, wild,
-				&Options{Workers: 4, blockRows: blockRows, shardCols: shardCols})
+	var hits, rescans int
+	for _, g := range gens {
+		for _, m := range []int{1, 15, blockRows, blockRows + 1, 37, 100} {
+			rng := rand.New(rand.NewSource(int64(19 + m)))
+			sec := g.fn(rng, m, 9)
+			wild := g.fn(rng, 900, 9)
+			want, err := ReferenceSearch(sec, wild, nil)
 			if err != nil {
-				t.Fatalf("block=%d shard=%d: %v", blockRows, shardCols, err)
+				t.Fatal(err)
 			}
-			assertLinksIdentical(t, fmt.Sprintf("block=%d/shard=%d", blockRows, shardCols), 4, want, got)
+			var first Stats
+			for wi, workers := range []int{1, 2, 8} {
+				name := fmt.Sprintf("%s/m=%d/w=%d", g.name, m, workers)
+				var st Stats
+				got, err := Search(bg, sec, wild, &Options{Workers: workers, Stats: &st})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				assertLinksIdentical(t, name, workers, want, got)
+				st.Duration = 0
+				if wi == 0 {
+					first = st
+					hits += st.SecondBestHits
+					rescans += st.Rescans
+				} else if st != first {
+					t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", name, st, first)
+				}
+			}
 		}
+	}
+	if hits == 0 || rescans == 0 {
+		t.Errorf("list hits %d, rescans %d; want both paths exercised", hits, rescans)
 	}
 }
 
@@ -661,8 +678,8 @@ func TestNonFiniteRejected(t *testing.T) {
 // TestKNNSelectMatchesBruteForce pins which columns KNNSelect picks: every
 // security row's first-index argmin of the reference-order distance over
 // the whole weighted pool, deduplicated in row order. Tie-heavy generators,
-// several seeds, two worker counts and multi-cell task grids cover the
-// blocked kernel's merge and tie-break paths.
+// several seeds and two worker counts cover the blocked kernel's tie-break
+// paths.
 func TestKNNSelectMatchesBruteForce(t *testing.T) {
 	gens := []struct {
 		name string
@@ -697,16 +714,13 @@ func TestKNNSelectMatchesBruteForce(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 3} {
-				for _, grid := range [][2]int{{0, 0}, {4, 64}, {1, 37}} {
-					o := &Options{Workers: workers, blockRows: grid[0], shardCols: grid[1]}
-					got, err := KNNSelect(bg, sec, wild, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					name := fmt.Sprintf("%s/seed=%d/w=%d/grid=%v", g.name, seed, workers, grid)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%s: KNNSelect = %v, brute force %v", name, got, want)
-					}
+				got, err := KNNSelect(bg, sec, wild, &Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/seed=%d/w=%d", g.name, seed, workers)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: KNNSelect = %v, brute force %v", name, got, want)
 				}
 			}
 		}
@@ -755,8 +769,7 @@ func overflowCases() []struct {
 		{"overflowed-norm", [][]float64{{1e154, 1e154}},
 			[][]float64{{1e154, 0.8e154}, {1e154, 0.7e154}}},
 		// Wide, multi-scale rows: norms and segment norms overflow on both
-		// sides, collisions force rescans, and the pool outgrows the
-		// seeded-bound sample.
+		// sides, and collisions force rescans.
 		{"mixed-scales", scaled(40, 20, 1, 1e153, 1e155, 1e200),
 			scaled(400, 20, 1, 1e153, 1e154, 1e155, -1e200)},
 	}
@@ -765,7 +778,7 @@ func overflowCases() []struct {
 // TestOverflowDistances pins the contract for finite features whose
 // squared distances overflow: a row with no finite distance gets no link,
 // and every link is bit-identical to ReferenceSearch, for Search at
-// several worker counts and task grids. KNNSelect picks
+// several worker counts. KNNSelect picks
 // each row's first-index finite argmin, or nothing for a row without one.
 func TestOverflowDistances(t *testing.T) {
 	for _, c := range overflowCases() {
@@ -775,15 +788,13 @@ func TestOverflowDistances(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
-				for _, grid := range [][2]int{{0, 0}, {4, 64}, {1, 7}} {
-					name := fmt.Sprintf("%s/norm=%v/w=%d/grid=%v", c.name, !disableNorm, workers, grid)
-					got, err := Search(bg, c.sec, c.wild, &Options{Workers: workers,
-						DisableNormalization: disableNorm, blockRows: grid[0], shardCols: grid[1]})
-					if err != nil {
-						t.Fatalf("%s: Search: %v", name, err)
-					}
-					assertLinksIdentical(t, name+"/Search", workers, want, got)
+				name := fmt.Sprintf("%s/norm=%v/w=%d", c.name, !disableNorm, workers)
+				got, err := Search(bg, c.sec, c.wild, &Options{Workers: workers,
+					DisableNormalization: disableNorm})
+				if err != nil {
+					t.Fatalf("%s: Search: %v", name, err)
 				}
+				assertLinksIdentical(t, name+"/Search", workers, want, got)
 			}
 			if !disableNorm {
 				continue

@@ -120,13 +120,13 @@ func (r *Rounds) Search(ctx context.Context) ([]Link, error) {
 	stats := Stats{SecurityRows: e.sec.rows, WildCols: len(e.orig)}
 
 	// Phase 1 — each row's best and runner-up (Algorithm 1 lines 2-3)
-	// through the blocked, sharded scan kernel (see block.go for the layout
+	// through the blocked scan kernel (see block.go for the layout
 	// and the exactness argument). Visiting order does not matter for
 	// correctness: updates are lexicographic on (distance, original column)
 	// and all rejections are strictly conservative, so the result is
 	// identical to the reference's ascending scan.
 	_, phase = telemetry.Start(ctx, "nearestlink.scan")
-	cands, ubK, err := e.scan(ctx, o, &stats)
+	cands, err := e.scan(ctx, o, &stats)
 	phase.End()
 	if err != nil {
 		return nil, err
@@ -138,7 +138,7 @@ func (r *Rounds) Search(ctx context.Context) ([]Link, error) {
 	// listDepth now, by a second blocked scan; the others keep phase 1's
 	// tighter two-best.
 	_, phase = telemetry.Start(ctx, "nearestlink.deepen")
-	err = e.deepen(ctx, o, &stats, cands, ubK)
+	err = e.deepen(ctx, o, &stats, cands)
 	phase.End()
 	if err != nil {
 		return nil, err

@@ -237,6 +237,7 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 	r.gWhh = randomVector(nh*nh, 0, rng)
 	r.gBh = make([]float64, nh)
 	r.gWout = make([]float64, nh)
+	r.bout, r.gBout = 0, 0
 	r.sc = newBPTT(v, ne, nh, r.MaxLen)
 
 	encoded := make([][]int, len(seqs))

@@ -55,6 +55,7 @@ func (r *refRNN) fit(seqs [][]string, y []int, sampleW []float64) {
 	r.gWhh = refMatrix(r.Hidden, r.Hidden, 0, rng)
 	r.gBh = make([]float64, r.Hidden)
 	r.gWout = make([]float64, r.Hidden)
+	r.bout, r.gBout = 0, 0
 
 	encoded := make([][]int, len(seqs))
 	pos := 0
@@ -420,6 +421,32 @@ func TestRNNRefitResetsMemo(t *testing.T) {
 	}
 	r.Seed, ref.Seed = 18, 18
 	checkAgainstRef(t, "refit", &r, ref, seqs, flipped, nil, probe)
+}
+
+// TestRNNRefitMatchesFresh fits one RNN on set A and refits it on set B:
+// every weight and accumulator a fit trains, the output bias included,
+// must start over, so the refit scores B bit for bit like a fresh RNN of
+// the same config fitted on B alone.
+func TestRNNRefitMatchesFresh(t *testing.T) {
+	seqsA, yA := tokenTask(80, 40, 30, 16)
+	seqsB, yB := markerTask(120, 5)
+	hyper := RNN{Epochs: 2, Seed: 21}
+	refit, fresh := hyper, hyper
+	if err := refit.FitTokens(seqsA, yA); err != nil {
+		t.Fatal(err)
+	}
+	if err := refit.FitTokens(seqsB, yB); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.FitTokens(seqsB, yB); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range seqsB {
+		got, want := refit.ProbaTokens(s), fresh.ProbaTokens(s)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sequence %d: refit ProbaTokens = %v, fresh fit %v", i, got, want)
+		}
+	}
 }
 
 // TestRNNConcurrentProba runs ProbaTokens from several goroutines on a

@@ -23,9 +23,8 @@ const (
 	MetricPanics = "patchdb_store_http_panics_total"
 )
 
-// DefaultRequestTimeout is the per-request handler deadline unless
-// WithRequestTimeout overrides it. A handler that exceeds it gets a 503 and
-// its (abandoned) output is discarded.
+// DefaultRequestTimeout is the per-request handler deadline. A handler that
+// exceeds it gets a 503 and its (abandoned) output is discarded.
 const DefaultRequestTimeout = 30 * time.Second
 
 // DefaultSlowRequestThreshold is the latency above which a request earns a
@@ -33,9 +32,8 @@ const DefaultRequestTimeout = 30 * time.Second
 // WithSlowRequestThreshold overrides it.
 const DefaultSlowRequestThreshold = 250 * time.Millisecond
 
-// DefaultObjectives are the SLOs patchdb-serve ships with when WithSLOs is
-// not supplied: 99.9% availability, and 99% of requests within the slow
-// threshold.
+// DefaultObjectives are the SLOs every handler evaluates: 99.9%
+// availability, and 99% of requests within the slow threshold.
 func DefaultObjectives() []telemetry.Objective {
 	return []telemetry.Objective{
 		{Name: "availability", Target: 0.999},
@@ -45,18 +43,6 @@ func DefaultObjectives() []telemetry.Objective {
 
 // HandlerOption customizes NewHandler.
 type HandlerOption func(*api)
-
-// WithRequestTimeout sets the per-request handler deadline; non-positive
-// disables the deadline entirely.
-func WithRequestTimeout(d time.Duration) HandlerOption {
-	return func(s *api) { s.timeout = d }
-}
-
-// WithSLOs replaces the default objectives with a caller-built evaluator
-// (e.g. one over an injected clock for deterministic verdicts in tests).
-func WithSLOs(slos *telemetry.SLOSet) HandlerOption {
-	return func(s *api) { s.slos = slos }
-}
 
 // WithSlowRequestThreshold sets the latency above which a request is logged
 // as slow; non-positive disables slow-request logging.
@@ -68,12 +54,6 @@ func WithSlowRequestThreshold(d time.Duration) HandlerOption {
 // arrives without an X-Request-ID header (tests inject a sequential one).
 func WithRequestIDs(next func() string) HandlerOption {
 	return func(s *api) { s.newID = next }
-}
-
-// WithClock injects the clock behind snapshot-age and uptime arithmetic on
-// the status page (latency measurement stays monotonic wall time).
-func WithClock(now func() time.Time) HandlerOption {
-	return func(s *api) { s.now = now }
 }
 
 // NewHandler builds the versioned query API over st:
@@ -95,8 +75,8 @@ func WithClock(now func() time.Time) HandlerOption {
 // status code, latency histograms with per-request exemplars, one span per
 // request), wrapped in a panic-recovery middleware (a panicking handler
 // answers 500 and increments MetricPanics instead of killing the process),
-// and bounded by a per-request deadline (DefaultRequestTimeout unless
-// WithRequestTimeout overrides it; a handler that overruns answers 503).
+// and bounded by a per-request deadline (DefaultRequestTimeout; a handler
+// that overruns answers 503).
 // Every request is correlated: an inbound X-Request-ID is honored (minted
 // otherwise), echoed in the response headers and error bodies, attached to
 // the request's span, log records, and latency exemplar, and requests slower
@@ -118,15 +98,12 @@ func NewHandler(st *Store, hub *telemetry.Hub, reload func() (*Snapshot, error),
 		timeout: DefaultRequestTimeout,
 		slow:    DefaultSlowRequestThreshold,
 		newID:   telemetry.NewRequestID,
-		now:     time.Now,
+		slos:    telemetry.NewSLOSet(hub.Registry, hub.Logger(), nil, DefaultObjectives()...),
+		started: time.Now(),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.slos == nil {
-		s.slos = telemetry.NewSLOSet(hub.Registry, hub.Logger(), nil, DefaultObjectives()...)
-	}
-	s.started = s.now()
 	hub.Registry.SetHelp(MetricRequests, "Requests served, by endpoint and status code.")
 	hub.Registry.SetHelp(MetricRequestSeconds, "Request latency in seconds, by endpoint.")
 	hub.Registry.SetHelp(MetricReloads, "Successful snapshot reloads.")
@@ -159,7 +136,6 @@ type api struct {
 	timeout time.Duration
 	slow    time.Duration
 	newID   func() string
-	now     func() time.Time
 	started time.Time
 }
 

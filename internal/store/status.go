@@ -143,7 +143,7 @@ func mergeHistograms(hs []telemetry.HistogramSnapshot) telemetry.HistogramSnapsh
 // statusHandler renders the operator dashboard.
 func (s *api) statusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		now := s.now()
+		now := time.Now()
 		h := s.store.Health()
 		page := statusPage{
 			Now:        now.UTC().Format(time.RFC3339),

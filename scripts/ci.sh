@@ -1,12 +1,12 @@
 #!/bin/sh
-# scripts/ci.sh — the merge gate as one script, for environments without
-# GitHub Actions. Mirrors .github/workflows/ci.yml and `make ci`: build,
-# the gofmt check, stock vet (of the program and of the perfbench benchmark
-# module), the custom patchdb-lint suite, the test run, the race-enabled
-# parallel-loop tests, the race-enabled crash-safety suite, the race-enabled
-# nearest-link engine, synthesis and RNN suites, the fully-verified nearest-link
-# engine smoke sweep, and the bounded fuzz run of the decoders. Exits non-zero on the first
-# failure.
+# scripts/ci.sh — the merge gate as one script: .github/workflows/ci.yml
+# and `make ci` both run it, so there is one sequence to keep. It runs the
+# build, the gofmt check, stock vet (of the program and of the perfbench
+# benchmark module), the custom patchdb-lint suite cold and warm, the test
+# run, the race-enabled parallel-loop, observability-correlation and
+# crash-safety suites, the race-enabled nearest-link engine, synthesis and
+# RNN suites, the fully-verified nearest-link engine smoke sweep, and the
+# bounded fuzz run of the decoders. Exits non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
