@@ -57,8 +57,10 @@ race:
 # get a file outside the journal directory deleted or read
 # (FuzzOpenManifest), and the NVD feed and Retry-After headers the crawler
 # reads, which must yield only commitURLRe downloads and CrawlStats counts
-# that add up (FuzzCrawlFeed). A crasher fails the target and is saved
-# under its testdata/fuzz.
+# that add up (FuzzCrawlFeed), and nearest-link feature rows from raw
+# float64 bits, whose links must match ReferenceSearch at workers 1 and 2
+# unless both return a canonical error (FuzzSearch). A crasher fails the
+# target and is saved under its testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/diff/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cast/
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenManifest$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzCrawlFeed$$' -fuzztime 10s ./internal/nvd/
+	$(GO) test -run '^$$' -fuzz '^FuzzSearch$$' -fuzztime 10s ./internal/core/nearestlink/
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .

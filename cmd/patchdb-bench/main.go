@@ -22,11 +22,11 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"patchdb"
 	"patchdb/internal/experiments"
+	"patchdb/internal/pipeline"
 )
 
 func main() {
@@ -161,8 +161,6 @@ func (b buildResult) String() string {
 // span in ctx, and, when telemetryOut is non-empty, writes its RunReport
 // artifact there.
 func runBuild(ctx context.Context, scale experiments.Scale, workers int, hub *patchdb.TelemetryHub, telemetryOut string) (fmt.Stringer, error) {
-	var mu sync.Mutex
-	lastPct := map[patchdb.Stage]int{}
 	ds, report, err := patchdb.Build(ctx, patchdb.BuilderConfig{
 		Seed:            scale.Seed,
 		NVDSize:         scale.NVDSeed,
@@ -172,22 +170,7 @@ func runBuild(ctx context.Context, scale experiments.Scale, workers int, hub *pa
 		Workers:         workers,
 		Telemetry:       hub,
 		TelemetryOut:    telemetryOut,
-		Progress: func(stage patchdb.Stage, done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			pct := 100
-			if total > 0 {
-				pct = 100 * done / total
-			}
-			if p, ok := lastPct[stage]; ok && p == pct && done != total {
-				return
-			}
-			lastPct[stage] = pct
-			fmt.Fprintf(os.Stderr, "\r%-10s %d/%d (%d%%)   ", stage, done, total, pct)
-			if done >= total {
-				fmt.Fprintln(os.Stderr)
-			}
-		},
+		Progress:        pipeline.Render(os.Stderr),
 	})
 	if err != nil {
 		return nil, err

@@ -22,9 +22,9 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 
 	"patchdb"
+	"patchdb/internal/pipeline"
 )
 
 func main() {
@@ -84,7 +84,7 @@ func run() error {
 		Resume:               *resume,
 	}
 	if *progress {
-		cfg.Progress = progressRenderer(os.Stderr)
+		cfg.Progress = pipeline.Render(os.Stderr)
 	}
 	hub := patchdb.NewTelemetryHub()
 	cfg.Telemetry = hub
@@ -150,31 +150,6 @@ func run() error {
 	}
 	fmt.Println("wrote", *out)
 	return nil
-}
-
-// progressRenderer returns a Progress callback that repaints one status line
-// per stage transition or whole-percent change. It throttles to percent
-// granularity because the builder reports per item and the extract stage can
-// cover hundreds of thousands of commits.
-func progressRenderer(w *os.File) func(patchdb.Stage, int, int) {
-	var mu sync.Mutex
-	lastPct := map[patchdb.Stage]int{}
-	return func(stage patchdb.Stage, done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		pct := 100
-		if total > 0 {
-			pct = 100 * done / total
-		}
-		if p, ok := lastPct[stage]; ok && p == pct && done != total {
-			return
-		}
-		lastPct[stage] = pct
-		fmt.Fprintf(w, "\r%-10s %d/%d (%d%%)   ", stage, done, total, pct)
-		if done >= total {
-			fmt.Fprintln(w)
-		}
-	}
 }
 
 func parseInts(csv string) ([]int, error) {

@@ -15,10 +15,6 @@ type rowHeap struct {
 	r []int
 }
 
-func newRowHeap(capacity int) *rowHeap {
-	return &rowHeap{d: make([]float64, 0, capacity), r: make([]int, 0, capacity)}
-}
-
 func (h *rowHeap) len() int { return len(h.d) }
 
 func (h *rowHeap) less(a, b int) bool {

@@ -157,14 +157,13 @@ func (c *scanCounters) add(o scanCounters) {
 }
 
 // screenPrefix is the width of the packed prefix array: the first
-// screenPrefix screen-order (highest wild-variance) dimensions of every
-// norm-sorted wild row, stored contiguously. A 60-dim float64 row is 480
-// bytes — 8 cache lines — but most candidates are rejected within the first
-// block of the screen, so the scan's memory traffic is dominated by row
-// fetches that were never going to survive. The prefix array packs the
-// rejecting dimensions at 128 bytes per candidate in walk order, cutting
-// the traffic of the common reject path ~4× and making it sequential;
-// only prefix survivors touch the full row.
+// screenPrefix dimensions of every norm-sorted wild row, stored
+// contiguously. A 60-dim float64 row is 480 bytes — 8 cache lines — but
+// most candidates are rejected within the first block of the screen, so the
+// scan's memory traffic is dominated by row fetches that were never going to
+// survive. The prefix array packs the rejecting dimensions at 128 bytes per
+// candidate in walk order, cutting the traffic of the common reject path ~4×
+// and making it sequential; only prefix survivors touch the full row.
 const screenPrefix = 16
 
 // The segment-norm split: segPre even splits of the screen prefix and
@@ -185,57 +184,49 @@ const (
 // engine bundles the weighted flat matrices and a search-ready layout of
 // the problem:
 //
-//   - Dimensions are permuted by descending wild-pool variance (screen
-//     order). The screening kernels may sum squared terms in any order
-//     (their slack covers reordering error), so high-spread dimensions first
-//     makes the partial sum cross the rejection bound as early as possible.
 //   - The wild pool is stored sorted by ascending row norm (wldNS; orig
 //     maps a sorted position back to its row in wld, which names the
 //     column inside the engine; cols maps the current pool columns to those
-//     rows once a round has compacted the pool), split into
-//     packed screen-order stripes that match the access pattern of the
-//     staged rejection: wldSegs (nseg segment norms, 128 B/candidate), wldP
-//     (the first pw screen-order dimensions, see screenPrefix), and wldT
-//     (the remaining tw dimensions, touched only by prefix survivors). A
-//     scan walks each security row's norm neighborhood outward from its
-//     binary-searched position, so every column outside the current bound's
-//     norm window is skipped in bulk, and each surviving stage reads only
-//     the stripe it needs — sequentially, because stripes are packed in walk
-//     order.
+//     rows once a round has compacted the pool), split into packed stripes
+//     that match the access pattern of the staged rejection: wldSegs (nseg
+//     segment norms, 128 B/candidate), wldP (the first pw dimensions, see
+//     screenPrefix), and wldT (the remaining tw dimensions, touched only by
+//     prefix survivors). A scan walks each security row's norm
+//     neighborhood outward from its binary-searched position, so every
+//     column outside the current bound's norm window is skipped in bulk,
+//     and each surviving stage reads only the stripe it needs —
+//     sequentially, because stripes are packed in walk order.
 //   - The security rows are mirrored in scan order (ascending norm, index
-//     t): secS holds the screen-order rows and secSegs their segment norms,
-//     so the rows of one block are contiguous, and consecutive rows walk
-//     strongly overlapping norm windows.
+//     t): secS holds the rows and secSegs their segment norms, so the rows
+//     of one block are contiguous, and consecutive rows walk strongly
+//     overlapping norm windows.
 //
-// Reference-order confirmation always reads the original matrices.
+// Both keep the feature order: the screens may sum squared terms in any
+// order (their slack covers reordering error), so none is fitted to the
+// pool. Reference-order confirmation always reads the original matrices.
 type engine struct {
 	sec, wld *matrix
 	maxAbs   []float64 // raw max|a_j| over security ∪ wild; nil without normalization
 	maxTies  []int     // per dimension, the rows whose raw |a_j| equals maxAbs[j]
-	perm     []int     // screen order of the dimensions
 	cleared  bool      // norms and segment norms zeroed (see maxBoundNorm)
 	secOrder []int     // scan order: security rows by (norm, index)
 	rank     []int     // original security row -> scan-order position
 	secN     []float64 // security row norms, scan order
 	secMid   []int     // each scan-order row's norm position in wldNS
-	secS     *matrix   // screen-order security rows, scan order
+	secS     *matrix   // security rows, scan order
 	secSegs  []float64 // m×nseg segment norms of secS rows
 	wldNS    []float64 // sorted wild row norms, ascending
 	orig     []int     // sorted position -> wld matrix row
 	cols     []int     // current pool column -> wld matrix row, ascending; nil: the identity
 	wldSegs  []float64 // n×nseg packed segment norms, walk order
-	wldP     []float64 // n×pw packed screen-order prefixes, walk order
-	wldT     []float64 // n×tw packed screen-order tails, walk order
+	wldP     []float64 // n×pw packed prefixes, walk order
+	wldT     []float64 // n×tw packed tails, walk order
 	pw, tw   int       // stripe widths: pw+tw = cols
 }
 
 func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers) *engine {
-	perm := screenPerm(wld)
-	pw := screenPrefix
-	if wld.cols < pw {
-		pw = wld.cols
-	}
-	e := &engine{sec: sec, wld: wld, perm: perm, pw: pw, tw: wld.cols - pw}
+	pw := min(screenPrefix, wld.cols)
+	e := &engine{sec: sec, wld: wld, pw: pw, tw: wld.cols - pw}
 
 	// Order the pool by (norm, original index) — deterministic, so every
 	// Stats counter is a pure function of the input.
@@ -248,10 +239,9 @@ func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers
 	e.wldSegs, st = st[:n*nseg:n*nseg], st[n*nseg:]
 	e.wldP, e.wldT = st[:n*pw:n*pw], st[n*pw:]
 	forChunks(workers, n, func(_, lo, hi int) {
-		row := make([]float64, wld.cols)
 		for k := lo; k < hi; k++ {
 			j := e.orig[k]
-			permute(row, wld.row(j), perm)
+			row := wld.row(j)
 			pre := e.wldP[k*pw : (k+1)*pw]
 			tail := e.wldT[k*e.tw : (k+1)*e.tw]
 			copy(pre, row[:pw])
@@ -275,7 +265,7 @@ func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers
 // mirror lays the security rows out for scanning, given their norms secN in
 // row order: the scan order by (norm, index), each row's rank in it, and per
 // scan-order row its norm, its position in the sorted pool norms, its
-// screen-order copy and that copy's segment norms.
+// copy and that copy's segment norms.
 func (e *engine) mirror(workers int, secN []float64, buf *buffers) {
 	m, pw := e.sec.rows, e.pw
 	e.secOrder = normOrder(secN)
@@ -292,7 +282,7 @@ func (e *engine) mirror(workers int, secN []float64, buf *buffers) {
 			e.secN[t] = secN[i]
 			e.secMid[t] = sort.SearchFloat64s(e.wldNS, secN[i])
 			rowS := e.secS.row(t)
-			permute(rowS, e.sec.row(i), e.perm)
+			copy(rowS, e.sec.row(i))
 			fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
 		}
 	})
@@ -335,17 +325,10 @@ func normOrder(norms []float64) []int {
 	return order
 }
 
-// permute writes src with its dimensions reordered by perm into dst.
-func permute(dst, src []float64, perm []int) {
-	for k, j := range perm {
-		dst[k] = src[j]
-	}
-}
-
-// fillSegNorms writes the nseg segment norms of one screen-order row: the
-// Euclidean norms of segPre even contiguous splits of its prefix, then of
-// segTail even splits of its tail (the same deterministic ⌊len·s/parts⌋
-// boundaries on both sides of every comparison).
+// fillSegNorms writes the nseg segment norms of one row: the Euclidean
+// norms of segPre even contiguous splits of its prefix, then of segTail
+// even splits of its tail (the same deterministic ⌊len·s/parts⌋ boundaries
+// on both sides of every comparison).
 func fillSegNorms(dst, pre, tail []float64) {
 	fillEvenSegNorms(dst[:segPre], pre)
 	fillEvenSegNorms(dst[segPre:nseg], tail)
@@ -419,37 +402,4 @@ func prefixScreen(a, b []float64, add, limit float64) (pd float64, live bool) {
 	}
 	pd = (s0 + s1) + (s2 + s3)
 	return pd, pd+add <= limit
-}
-
-// screenPerm orders dimensions by descending variance over the wild pool
-// (ties by ascending dimension, so the order — and with it every Stats
-// counter — is deterministic for a given input).
-func screenPerm(wld *matrix) []int {
-	d := wld.cols
-	sum := make([]float64, d)
-	sumSq := make([]float64, d)
-	for i := 0; i < wld.rows; i++ {
-		row := wld.row(i)
-		for j, x := range row {
-			sum[j] += x
-			sumSq[j] += x * x
-		}
-	}
-	n := float64(wld.rows)
-	variance := make([]float64, d)
-	for j := 0; j < d; j++ {
-		mean := sum[j] / n
-		variance[j] = sumSq[j]/n - mean*mean
-	}
-	perm := make([]int, d)
-	for j := range perm {
-		perm[j] = j
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		if variance[perm[a]] != variance[perm[b]] {
-			return variance[perm[a]] > variance[perm[b]]
-		}
-		return perm[a] < perm[b]
-	})
-	return perm
 }

@@ -185,10 +185,11 @@ var ErrNoSecurityPatches = errors.New("nearestlink: empty security set")
 var ErrDimensionMismatch = errors.New("nearestlink: feature dimension mismatch")
 
 // ErrNonFinite is returned (wrapped, with set, row and column detail) when
-// a feature value is NaN or ±Inf. Such a value has no place in the distance
-// order: a NaN distance never wins a comparison, so its row would get no
-// column, and an infinite value zeroes its dimension's max-abs weight,
-// turning Inf·0 into NaN.
+// a feature value is NaN or ±Inf, and (wrapped, with dimension detail) when
+// a dimension's max-abs weight 1/max|a_j| overflows to +Inf, which happens
+// when its largest |value| is subnormal. Such a value has no place in the
+// distance order: a NaN distance never wins a comparison, so its row would
+// get no column, and an infinite value or weight turns Inf·0 into NaN.
 var ErrNonFinite = errors.New("nearestlink: non-finite feature value")
 
 // setName names the s-th set of a (security, wild) argument list in error
@@ -251,7 +252,7 @@ func checkFiniteSets(sets ...[][]float64) error {
 // Weights computes the per-dimension max-abs weights w_j = 1/max|a_j| over
 // all provided rows (paper Sec. III-B-2). Ragged rows return a wrapped
 // ErrDimensionMismatch instead of indexing past the end of short rows, and
-// NaN or ±Inf values a wrapped ErrNonFinite.
+// NaN or ±Inf values, or a weight that overflows, a wrapped ErrNonFinite.
 func Weights(sets ...[][]float64) ([]float64, error) {
 	if err := validateDims(sets...); err != nil {
 		return nil, err
@@ -276,20 +277,25 @@ func Weights(sets ...[][]float64) ([]float64, error) {
 			}
 		}
 	}
-	return invert(maxAbs), nil
+	return invert(maxAbs)
 }
 
 // invert turns per-dimension maxima into the weights 1/max|a_j|, and 1
-// where a dimension is all zeros.
-func invert(maxAbs []float64) []float64 {
+// where a dimension is all zeros. A maximum below 1/MaxFloat64 (subnormal)
+// has no finite weight, and returns a wrapped ErrNonFinite naming its
+// dimension.
+func invert(maxAbs []float64) ([]float64, error) {
 	w := make([]float64, len(maxAbs))
 	for j, v := range maxAbs {
 		w[j] = 1
 		if v != 0 {
 			w[j] = 1 / v
 		}
+		if math.IsInf(w[j], 0) {
+			return nil, fmt.Errorf("%w: dimension %d has max-abs %v, whose weight 1/max overflows", ErrNonFinite, j, v)
+		}
 	}
-	return w
+	return w, nil
 }
 
 // prepare validates the inputs of a round or of KNNSelect, flattens them
@@ -314,7 +320,9 @@ func prepare(security, wild [][]float64, o Options, buf *buffers) (*engine, erro
 	var ties []int
 	if !o.DisableNormalization {
 		maxAbs, ties = maxAbsFlat(o.Workers, sec, wld)
-		w = invert(maxAbs)
+		if w, err = invert(maxAbs); err != nil {
+			return nil, err
+		}
 	}
 	secN := weighNorms(o.Workers, sec, w)
 	wldN := weighNorms(o.Workers, wld, w)
@@ -334,10 +342,10 @@ func canceled(ctx context.Context) error {
 // ReferenceSearch's for any input and worker count. ctx is checked between
 // scan tasks and periodically during assignment; cancellation aborts the
 // search with a wrapped context error. Ragged rows return a wrapped
-// ErrDimensionMismatch, NaN or ±Inf values a wrapped ErrNonFinite. The
-// inputs are not mutated. It is the single round of a Rounds, so its span
-// nearestlink.search has one child per phase: prepare, scan, deepen and
-// greedy.
+// ErrDimensionMismatch, NaN or ±Inf values, or a max-abs weight that
+// overflows, a wrapped ErrNonFinite. The inputs are not mutated. It is the
+// single round of a Rounds, so its span nearestlink.search has one child
+// per phase: prepare, scan, deepen and greedy.
 func Search(ctx context.Context, security, wild [][]float64, opts *Options) ([]Link, error) {
 	r := NewRounds(security, wild, opts)
 	defer r.Close()
@@ -503,15 +511,6 @@ func forChunks(workers, n int, fn func(c, lo, hi int)) {
 	})
 }
 
-// TotalDistance sums link distances (the optimization objective).
-func TotalDistance(links []Link) float64 {
-	sum := 0.0
-	for _, l := range links {
-		sum += l.Distance
-	}
-	return sum
-}
-
 // KNNSelect is the contrast the paper draws in Sec. III-B-3: plain 1-nearest
 // -neighbor selection where a wild patch may be chosen by multiple verified
 // patches. It returns the set of distinct selected columns (size <= M) in
@@ -562,36 +561,8 @@ func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) (
 	return out, nil
 }
 
-// DistanceMatrix materializes the full weighted distance matrix (tests and
-// small inputs only). Ragged rows return a wrapped ErrDimensionMismatch,
-// NaN or ±Inf values a wrapped ErrNonFinite.
-func DistanceMatrix(security, wild [][]float64, normalize bool) ([][]float64, error) {
-	if err := validateDims(security, wild); err != nil {
-		return nil, err
-	}
-	sec, wld := security, wild
-	if normalize {
-		w, err := Weights(security, wild)
-		if err != nil {
-			return nil, err
-		}
-		sec = weightedRows(security, w)
-		wld = weightedRows(wild, w)
-	} else if err := checkFiniteSets(security, wild); err != nil {
-		return nil, err
-	}
-	d := make([][]float64, len(sec))
-	for i, row := range sec {
-		d[i] = make([]float64, len(wld))
-		for j := range wld {
-			d[i][j] = math.Sqrt(dist2(row, wld[j]))
-		}
-	}
-	return d, nil
-}
-
 // weightedRows returns rows scaled by w (row-per-row allocation; used only
-// by the reference paths and DistanceMatrix).
+// by the reference paths).
 func weightedRows(rows [][]float64, w []float64) [][]float64 {
 	out := make([][]float64, len(rows))
 	for i, row := range rows {

@@ -439,27 +439,6 @@ func TestKNNSelectAllowsFewer(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrix(t *testing.T) {
-	d, err := DistanceMatrix([][]float64{{0, 0}, {3, 4}}, [][]float64{{0, 0}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d[0][0] != 0 || d[1][0] != 5 {
-		t.Errorf("matrix = %v", d)
-	}
-	// Ragged rows used to panic; they must error instead.
-	if _, err := DistanceMatrix([][]float64{{0, 0}, {3}}, [][]float64{{0, 0}}, true); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("ragged err = %v, want ErrDimensionMismatch", err)
-	}
-}
-
-func TestTotalDistance(t *testing.T) {
-	links := []Link{{Distance: 1.5}, {Distance: 2.5}}
-	if TotalDistance(links) != 4 {
-		t.Errorf("total = %v", TotalDistance(links))
-	}
-}
-
 // TestGreedyClosestPairAlwaysLinked asserts the structural invariant greedy
 // guarantees: the globally closest pair is always linked first.
 func TestGreedyClosestPairAlwaysLinked(t *testing.T) {
@@ -496,8 +475,9 @@ func TestGreedyClosestPairAlwaysLinked(t *testing.T) {
 
 // TestKernelEquivalence pins the exactness contract of the screens the scan
 // kernel runs: the 16-segment norm bound, and the prefix screen (with the
-// tail segments' bound folded in) followed by the tail screen. They read
-// screen-order (permuted) dimensions, and none of them may reject a pair
+// tail segments' bound folded in) followed by the tail screen. They sum in
+// their own order, so here they read randomly permuted dimensions, and none
+// of them may reject a pair
 // against a bound that its reference-order dist2 meets or ties — their
 // rejections must be conservative under the reordering error of float64
 // summation. The shaded norm bound must never exceed the true squared
@@ -519,11 +499,12 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 		want := dist2(a, b)
 
-		// Screen order, split into prefix and tail as the engine does.
-		perm := rng.Perm(d)
+		// A random dimension order, split into prefix and tail as the
+		// engine does.
 		sa, sb := make([]float64, d), make([]float64, d)
-		permute(sa, a, perm)
-		permute(sb, b, perm)
+		for k, j := range rng.Perm(d) {
+			sa[k], sb[k] = a[j], b[j]
+		}
 		pw := min(screenPrefix, d)
 		ua, ub := make([]float64, nseg), make([]float64, nseg)
 		fillSegNorms(ua, sa[:pw], sa[pw:])
@@ -569,6 +550,56 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestSubnormalMaxAbsRejected pins the input contract for a finite
+// dimension whose largest |value| is subnormal: its max-abs weight 1/max
+// overflows to +Inf, and Inf·0 distances would leave rows without links.
+// Every normalizing entry point returns a wrapped ErrNonFinite naming the
+// dimension instead; without normalization there is no weight, and the
+// search links min(M, N) pairs.
+func TestSubnormalMaxAbsRejected(t *testing.T) {
+	sec := [][]float64{{5e-324, 1}, {0, 2}}
+	wild := [][]float64{{0, 1}, {5e-324, 2}, {0, 3}}
+	entries := []struct {
+		name string
+		run  func(o *Options) error
+	}{
+		{"Search", func(o *Options) error {
+			_, err := Search(bg, sec, wild, o)
+			return err
+		}},
+		{"KNNSelect", func(o *Options) error {
+			_, err := KNNSelect(bg, sec, wild, o)
+			return err
+		}},
+		{"ReferenceSearch", func(o *Options) error {
+			_, err := ReferenceSearch(sec, wild, o)
+			return err
+		}},
+		{"Weights", func(*Options) error {
+			_, err := Weights(sec, wild)
+			return err
+		}},
+		{"VerifySampled", func(o *Options) error {
+			_, err := VerifySampled(sec, wild, []Link{{0, 0, 0}}, o, 1, 1)
+			return err
+		}},
+	}
+	for _, e := range entries {
+		err := e.run(&Options{})
+		if !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: err = %v, want ErrNonFinite", e.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "dimension 0") {
+			t.Errorf("%s: error %q does not name dimension 0", e.name, err)
+		}
+	}
+	links, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
+	if err != nil || len(links) != 2 {
+		t.Errorf("unnormalized: %d links, err %v; want 2 links", len(links), err)
+	}
+}
+
 // TestNonFiniteRejected pins the input contract for NaN and ±Inf features:
 // every entry point returns a wrapped ErrNonFinite naming the set, row and
 // column, with normalization on and off, instead of panicking (the engine)
@@ -593,10 +624,6 @@ func TestNonFiniteRejected(t *testing.T) {
 		}},
 		{"Weights", func(sec, wild [][]float64, _ *Options) error {
 			_, err := Weights(sec, wild)
-			return err
-		}},
-		{"DistanceMatrix", func(sec, wild [][]float64, o *Options) error {
-			_, err := DistanceMatrix(sec, wild, !o.DisableNormalization)
 			return err
 		}},
 	}

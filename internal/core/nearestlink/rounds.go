@@ -260,9 +260,8 @@ func (e *engine) col(i int) int {
 // norms, and the engine identifies columns by matrix row, which orders them
 // as their current indices do, so the (norm, index) order needs no sort.
 // The pool matrix is only gathered by row, so its rows stay in place and
-// cols maps the current columns to them. The screen order stays the first
-// round's; it orders only the screens, never the links. Only the security
-// mirror is built again.
+// cols maps the current columns to them. Only the security mirror is built
+// again.
 func (e *engine) compact(workers int, rm *removal, buf *buffers) {
 	m, d := e.sec.rows, e.sec.cols
 	secN := make([]float64, m, m+len(rm.promoted))

@@ -81,7 +81,7 @@ type Config struct {
 	NonSec NonSecMix
 	// WildHardeningRate is the fraction of wild non-security commits drawn
 	// from the bulk-hardening family that the cleaned training negatives do
-	// not contain (default 0.10). It models the NVD-vs-wild distribution
+	// not contain (default 0.16). It models the NVD-vs-wild distribution
 	// discrepancy the paper identifies as the reason confidence-ranking
 	// augmentation baselines underperform.
 	WildHardeningRate float64

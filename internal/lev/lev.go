@@ -38,34 +38,6 @@ func Distance(a, b []string) int {
 	return prev[len(b)]
 }
 
-// DistanceStrings returns the byte-level Levenshtein distance between two
-// strings.
-func DistanceStrings(a, b string) int {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
 func min3(a, b, c int) int {
 	if b < a {
 		a = b

@@ -181,62 +181,6 @@ func ConfidenceInterval95(p float64, n int) float64 {
 	return 1.96 * math.Sqrt(p*(1-p)/float64(n))
 }
 
-// Normalizer rescales each feature dimension by 1/max|a_j| — the paper's
-// weighting scheme (Sec. III-B-2). Values land in [-1, 1] and net-value
-// signs are preserved.
-type Normalizer struct {
-	Weights []float64
-}
-
-// FitNormalizer computes per-dimension weights from the rows of all the
-// provided datasets (the paper normalizes over the union of security and
-// wild patches).
-func FitNormalizer(sets ...*Dataset) *Normalizer {
-	var dim int
-	for _, s := range sets {
-		if s.Len() > 0 {
-			dim = len(s.X[0])
-			break
-		}
-	}
-	w := make([]float64, dim)
-	for _, s := range sets {
-		for _, row := range s.X {
-			for j, v := range row {
-				if a := math.Abs(v); a > w[j] {
-					w[j] = a
-				}
-			}
-		}
-	}
-	for j := range w {
-		if w[j] == 0 {
-			w[j] = 1 // constant dimension: weight is irrelevant
-		} else {
-			w[j] = 1 / w[j]
-		}
-	}
-	return &Normalizer{Weights: w}
-}
-
-// Apply returns a new row scaled by the weights.
-func (n *Normalizer) Apply(row []float64) []float64 {
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = v * n.Weights[j]
-	}
-	return out
-}
-
-// ApplyAll returns a copy of the dataset with every row scaled.
-func (n *Normalizer) ApplyAll(d *Dataset) *Dataset {
-	out := &Dataset{X: make([][]float64, d.Len()), Y: append([]int(nil), d.Y...), IDs: append([]string(nil), d.IDs...)}
-	for i, row := range d.X {
-		out.X[i] = n.Apply(row)
-	}
-	return out
-}
-
 // ArgmaxProba returns the indices of the k rows with the highest positive
 // probability under c, in descending order (used by pseudo labeling).
 func ArgmaxProba(c Classifier, rows [][]float64, k int) []int {

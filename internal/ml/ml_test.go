@@ -99,31 +99,6 @@ func TestMergeAndSubset(t *testing.T) {
 	}
 }
 
-func TestNormalizer(t *testing.T) {
-	d := &Dataset{X: [][]float64{{2, -4, 0}, {1, 8, 0}}, Y: []int{0, 1}}
-	n := FitNormalizer(d)
-	if len(n.Weights) != 3 {
-		t.Fatalf("weights = %v", n.Weights)
-	}
-	row := n.Apply([]float64{2, 8, 5})
-	if row[0] != 1 || row[1] != 1 {
-		t.Errorf("normalized = %v", row)
-	}
-	// Zero-variance dimension gets weight 1.
-	if n.Weights[2] != 1 {
-		t.Errorf("constant dim weight = %v", n.Weights[2])
-	}
-	// Sign preserved for net features.
-	neg := n.Apply([]float64{-2, -8, 0})
-	if neg[0] != -1 || neg[1] != -1 {
-		t.Errorf("sign lost: %v", neg)
-	}
-	all := n.ApplyAll(d)
-	if all.Len() != 2 || all.X[0][1] != -0.5 {
-		t.Errorf("ApplyAll = %+v", all.X)
-	}
-}
-
 type constClassifier struct{ p []float64 }
 
 func (c *constClassifier) Fit([][]float64, []int) error { return nil }

@@ -57,13 +57,6 @@ func New(labels map[string]bool, opts ...Option) *Oracle {
 	return o
 }
 
-// AddLabel registers ground truth for one commit.
-func (o *Oracle) AddLabel(hash string, security bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.labels[hash] = security
-}
-
 // Verify labels one candidate: each annotator reads the commit (possibly
 // erring), and the majority decision is returned. Every call counts toward
 // the inspection effort.
@@ -88,28 +81,12 @@ func (o *Oracle) Verify(hash string) bool {
 	return votes*2 > o.annotators
 }
 
-// VerifyAll labels a batch and returns the verified-security subset mask.
-func (o *Oracle) VerifyAll(hashes []string) []bool {
-	out := make([]bool, len(hashes))
-	for i, h := range hashes {
-		out[i] = o.Verify(h)
-	}
-	return out
-}
-
 // Inspected returns how many candidates have been manually examined — the
 // human-effort metric the nearest link search is designed to minimize.
 func (o *Oracle) Inspected() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.inspected
-}
-
-// ResetEffort zeroes the inspection counter (used between experiment arms).
-func (o *Oracle) ResetEffort() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.inspected = 0
 }
 
 // SetInspected restores the inspection counter to a journaled value, so a

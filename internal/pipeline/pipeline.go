@@ -12,6 +12,7 @@ package pipeline
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -72,6 +73,32 @@ func stageRank(s Stage) int {
 // they must be cheap and safe for concurrent use. A nil Progress is valid
 // everywhere one is accepted.
 type Progress func(stage Stage, done, total int)
+
+// Render returns a Progress that repaints one status line on w per stage
+// transition or whole-percent change, and ends the line when a stage
+// completes. It throttles to percent granularity because the builder
+// reports per item and the extract stage can cover hundreds of thousands of
+// commits.
+func Render(w io.Writer) Progress {
+	var mu sync.Mutex
+	lastPct := map[Stage]int{}
+	return func(stage Stage, done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		pct := 100
+		if total > 0 {
+			pct = 100 * done / total
+		}
+		if p, ok := lastPct[stage]; ok && p == pct && done != total {
+			return
+		}
+		lastPct[stage] = pct
+		fmt.Fprintf(w, "\r%-10s %d/%d (%d%%)   ", stage, done, total, pct)
+		if done >= total {
+			fmt.Fprintln(w)
+		}
+	}
+}
 
 // Notifier wraps a possibly-nil Progress with a monotonically increasing
 // done counter for one stage, so concurrent workers can report completion

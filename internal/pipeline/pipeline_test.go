@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,30 @@ func TestNilMetricsAndProgress(t *testing.T) {
 	n.Done(3) // must not panic
 	var nilN *Notifier
 	nilN.Done(1) // must not panic
+}
+
+// TestRender pins the status line's throttle: a stage repaints only when it
+// starts or its whole percentage changes, and its last count ends the line.
+func TestRender(t *testing.T) {
+	var buf bytes.Buffer
+	p := Render(&buf)
+	for done := 0; done <= 300; done++ {
+		p(StageExtract, done, 300)
+	}
+	p(StageSynthesize, 0, 0)
+	lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2: %q", len(lines), buf.String())
+	}
+	if n := bytes.Count(lines[0], []byte("\r")); n != 101 {
+		t.Errorf("extract repainted %d times, want 101 (0%%..100%%)", n)
+	}
+	if !bytes.HasSuffix(lines[0], []byte("\rextract    300/300 (100%)   ")) {
+		t.Errorf("extract line ends %q", lines[0][max(0, len(lines[0])-40):])
+	}
+	if want := "\rsynthesize 0/0 (100%)   "; string(lines[1]) != want {
+		t.Errorf("empty stage line = %q, want %q", lines[1], want)
+	}
 }
 
 func TestNotifierCounts(t *testing.T) {

@@ -1,10 +1,10 @@
 // Package telemetry is the process-wide, dependency-free observability
 // subsystem: a metrics registry (counters, gauges, fixed-bucket histograms)
 // that is safe for concurrent use and deterministic to snapshot, lightweight
-// span tracing with a bounded in-memory buffer and a JSONL exporter, a
-// Prometheus-text-format /metrics handler with /debug/pprof wiring behind
-// one Serve call, and the end-of-run RunReport artifact that merges stage
-// timings with subsystem counters.
+// span tracing with a bounded in-memory buffer (exported in the RunReport
+// and as a Chrome trace), a Prometheus-text-format /metrics handler with
+// /debug/pprof wiring behind one Serve call, and the end-of-run RunReport
+// artifact that merges stage timings with subsystem counters.
 //
 // Everything is nil-safe: methods on a nil *Registry, *Counter, *Gauge,
 // *Histogram, *Tracer, or *Span are no-ops, so instrumentation points never

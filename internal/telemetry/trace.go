@@ -1,23 +1,17 @@
 package telemetry
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
-
-	"patchdb/internal/atomicio"
 )
 
 // DefaultTraceCapacity bounds the in-memory span buffer of a NewHub tracer.
 const DefaultTraceCapacity = 4096
 
 // SpanRecord is one finished span as stored in the trace buffer and
-// exported to JSONL. IDs are assigned at Start from a per-tracer monotonic
+// exported in the RunReport. IDs are assigned at Start from a per-tracer monotonic
 // counter, so a parent's ID is always smaller than its children's.
 type SpanRecord struct {
 	ID     uint64 `json:"id"`
@@ -224,32 +218,6 @@ func (t *Tracer) Snapshot() []SpanRecord {
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// WriteJSONL exports the buffered spans as one JSON object per line, in ID
-// order (parents before children).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range t.Snapshot() {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSONLFile exports the buffered spans as JSONL to path through the
-// shared temp+fsync+rename helper, so a concurrent reader never observes a
-// half-written trace artifact.
-func (t *Tracer) WriteJSONLFile(path string) error {
-	var buf bytes.Buffer
-	if err := t.WriteJSONL(&buf); err != nil {
-		return fmt.Errorf("telemetry: encode span JSONL: %w", err)
-	}
-	if err := atomicio.WriteFile(path, buf.Bytes()); err != nil {
-		return fmt.Errorf("telemetry: write span JSONL: %w", err)
-	}
-	return nil
 }
 
 // hubKey carries a *Hub in a context.

@@ -1,17 +1,16 @@
 package telemetry
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
 	"time"
 )
 
-// TestSpanParentChildOrdering builds a small span tree, exports it to JSONL,
-// and checks that (a) every line is valid JSON, (b) each child's parent
-// appears on an earlier line, and (c) parent linkage follows the context.
+// TestSpanParentChildOrdering builds a small span tree, snapshots it, and
+// checks that (a) every record survives a JSON round trip, (b) each child's
+// parent comes earlier in the snapshot, and (c) parent linkage follows the
+// context.
 func TestSpanParentChildOrdering(t *testing.T) {
 	tr := NewTracer(16)
 	ctx := context.Background()
@@ -27,17 +26,15 @@ func TestSpanParentChildOrdering(t *testing.T) {
 	root.End()
 	root.End() // idempotent: must not record twice
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-
 	var recs []SpanRecord
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
+	for _, rec := range tr.Snapshot() {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var r SpanRecord
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatalf("bad record %s: %v", b, err)
 		}
 		recs = append(recs, r)
 	}

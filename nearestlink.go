@@ -31,14 +31,17 @@ type NearestLinkTotals = nearestlink.Totals
 // weighted Euclidean link distance. Feature weighting (max-abs
 // normalization) is applied internally. ctx is checked between scan chunks
 // and during assignment; cancellation aborts the search with a wrapped
-// context error. Ragged rows and NaN or ±Inf features return wrapped errors.
+// context error. Ragged rows, NaN or ±Inf features, and a feature whose
+// largest |value| is subnormal (its weight would overflow) return wrapped
+// errors.
 func NearestLink(ctx context.Context, security, wild [][]float64, opts *NearestLinkOptions) ([]Link, error) {
 	return nearestlink.Search(ctx, security, wild, opts)
 }
 
 // FeatureWeights computes the per-dimension max-abs weights w_j = 1/max|a_j|
-// used to normalize the feature space (Sec. III-B-2). Ragged rows and NaN
-// or ±Inf values return a wrapped error instead of panicking.
+// used to normalize the feature space (Sec. III-B-2). Ragged rows, NaN or
+// ±Inf values, and a dimension whose weight overflows (its largest |value|
+// is subnormal) return a wrapped error instead of panicking.
 func FeatureWeights(sets ...[][]float64) ([]float64, error) {
 	return nearestlink.Weights(sets...)
 }

@@ -6,7 +6,8 @@
 # run, the race-enabled parallel-loop, observability-correlation and
 # crash-safety suites, the race-enabled nearest-link engine, synthesis and
 # RNN suites, the fully-verified nearest-link engine smoke sweep, and the
-# bounded fuzz run of the decoders. Exits non-zero on the first failure.
+# bounded fuzz run of the decoders and the nearest-link search. Exits
+# non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -93,8 +94,8 @@ echo "==> verify-neural (RNN inference memo and reference bit-identity, race-ena
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
 
-# go test fuzzes one target per run, so the eight targets run one at a time.
-echo "==> fuzz-smoke (diff, cast, lexer, dataset, store query, checkpoint manifest and NVD feed decoders, 10s per target)"
+# go test fuzzes one target per run, so the nine targets run one at a time.
+echo "==> fuzz-smoke (diff, cast, lexer, dataset, store query, checkpoint manifest and NVD feed decoders, nearest-link search, 10s per target)"
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/diff/
 "$GO" test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/cast/
 "$GO" test -run '^$' -fuzz '^FuzzComputeApply$' -fuzztime 10s ./internal/diff/
@@ -103,5 +104,6 @@ echo "==> fuzz-smoke (diff, cast, lexer, dataset, store query, checkpoint manife
 "$GO" test -run '^$' -fuzz '^FuzzQuery$' -fuzztime 10s ./internal/store/
 "$GO" test -run '^$' -fuzz '^FuzzOpenManifest$' -fuzztime 10s ./internal/checkpoint/
 "$GO" test -run '^$' -fuzz '^FuzzCrawlFeed$' -fuzztime 10s ./internal/nvd/
+"$GO" test -run '^$' -fuzz '^FuzzSearch$' -fuzztime 10s ./internal/core/nearestlink/
 
 echo "ci: ok"

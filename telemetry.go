@@ -8,9 +8,9 @@ import (
 
 // TelemetryHub bundles the two sinks a run instruments into: the metrics
 // registry (counters, gauges, fixed-bucket histograms) and the span tracer
-// (bounded in-memory buffer with a JSONL exporter). Pass one to
-// BuilderConfig.Telemetry to observe a Build, and to ServeTelemetry to
-// scrape it over HTTP while the build runs.
+// (bounded in-memory buffer, exported in the RunReport and as a Chrome
+// trace). Pass one to BuilderConfig.Telemetry to observe a Build, and to
+// ServeTelemetry to scrape it over HTTP while the build runs.
 type TelemetryHub = telemetry.Hub
 
 // TelemetryServer is a running /metrics + /debug/pprof endpoint.
