@@ -76,9 +76,9 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkExtractStage|BenchmarkBuild' -benchtime 3x .
 
 # bench-nearestlink sweeps the nearest-link engine up to 2k seeds x 200k
-# wild commits and writes BENCH_nearestlink.json (ns/op, distance evals,
-# pruned fraction, rescans, reference speedup) — the perf trajectory for the
-# hottest kernel in the repo.
+# wild commits and writes BENCH_nearestlink.json (median ns/op of 5 runs
+# with their range, distance evals, pruned fraction, rescans, reference
+# speedup) — the perf trajectory for the hottest kernel in the repo.
 bench-nearestlink:
 	$(GO) run ./cmd/patchdb-bench -only NEARESTLINK
 

@@ -536,7 +536,6 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			MaxRounds:      cfg.RoundsPerPool[i],
 			RatioThreshold: cfg.RatioThreshold,
 			Workers:        cfg.Workers,
-			Registry:       hub.Registry,
 		})
 		if err != nil {
 			augSpan.End()

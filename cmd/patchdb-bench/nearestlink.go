@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,6 +34,12 @@ const referenceVerifyCap = 25_000_000
 // to the full M by M/referenceSampleSeeds.
 const referenceSampleSeeds = 64
 
+// sweepRepeats is how many times the sweep times the engine on each
+// (M, N, workers) row: a row reports the median and the range, so a change
+// can be read against the spread of identical runs. The reference timing
+// and the smoke run stay single-shot.
+const sweepRepeats = 5
+
 // spotCheckSeeds is how many seeds every shape verifies against the
 // reference semantics via nearestlink.VerifySampled: each sampled link gets
 // one brute-force reference-order row scan over the columns unused at its
@@ -47,8 +54,13 @@ type nlRow struct {
 	Dims int `json:"dims"`
 	// Workers is the resolved worker count the engine actually ran with
 	// (never 0: a zero request resolves to GOMAXPROCS).
-	Workers        int     `json:"workers"`
+	Workers int `json:"workers"`
+	// NsPerOp is the median of Repeats timed searches, NsMin and NsMax
+	// their range.
 	NsPerOp        int64   `json:"ns_per_op"`
+	NsMin          int64   `json:"ns_min"`
+	NsMax          int64   `json:"ns_max"`
+	Repeats        int     `json:"repeats"`
 	DistanceEvals  int64   `json:"distance_evals"`
 	NormPruned     int64   `json:"norm_pruned"`
 	EarlyExited    int64   `json:"early_exited"`
@@ -84,7 +96,8 @@ type nlResult struct {
 func (r nlResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("NEARESTLINK: flat-layout pruned search engine sweep\n")
-	sb.WriteString("      M        N   wrk      time      evals  pruned  rescans  2nd-best   speedup\n")
+	sb.WriteString("      M        N   wrk    median            range      evals  pruned  rescans  2nd-best   speedup\n")
+	ms := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Millisecond) }
 	for _, row := range r.Rows {
 		speed := fmt.Sprintf("%6.1fx", row.Speedup)
 		if row.ReferenceMode == "sampled" {
@@ -97,8 +110,8 @@ func (r nlResult) String() string {
 		case row.Verified:
 			verified = fmt.Sprintf(" =ref(%d sampled)", row.SpotCheckedSeeds)
 		}
-		fmt.Fprintf(&sb, "  %5d  %7d  %4d  %8s  %9d  %5.1f%%  %7d  %8d  %s%s\n",
-			row.M, row.N, row.Workers, time.Duration(row.NsPerOp).Round(time.Millisecond),
+		fmt.Fprintf(&sb, "  %5d  %7d  %4d  %8s  %15s  %9d  %5.1f%%  %7d  %8d  %s%s\n",
+			row.M, row.N, row.Workers, ms(row.NsPerOp), ms(row.NsMin).String()+"–"+ms(row.NsMax).String(),
 			row.DistanceEvals, 100*row.PrunedFraction, row.Rescans,
 			row.SecondBestHits, speed, verified)
 	}
@@ -189,6 +202,34 @@ func nlReference(sec, wild [][]float64, m, n int) (links []nearestlink.Link, ref
 	return nil, est, "sampled", sub, nil
 }
 
+// timeSearch runs the engine repeats times on one instance and returns the
+// first run's links and stats with the sorted wall times. Every run must
+// report the first run's accounting, which the engine fixes for a given
+// input.
+func timeSearch(sec, wild [][]float64, workers, repeats int) ([]nearestlink.Link, nearestlink.Stats, []int64, error) {
+	var links []nearestlink.Link
+	var first nearestlink.Stats
+	ns := make([]int64, repeats)
+	for r := range ns {
+		var st nearestlink.Stats
+		start := time.Now()
+		got, err := nearestlink.Search(context.Background(), sec, wild,
+			&nearestlink.Options{Workers: workers, Stats: &st})
+		ns[r] = time.Since(start).Nanoseconds()
+		if err != nil {
+			return nil, st, nil, err
+		}
+		st.Duration = 0
+		if r == 0 {
+			links, first = got, st
+		} else if st != first {
+			return nil, st, nil, fmt.Errorf("run %d stats %+v differ from run 0's %+v", r, st, first)
+		}
+	}
+	slices.Sort(ns)
+	return links, first, ns, nil
+}
+
 // runNearestLink sweeps the engine over growing (M, N) instances and worker
 // counts, verifies bit-identical links against the reference where
 // affordable (and spot-checks everywhere), and writes the measurements to
@@ -199,9 +240,11 @@ func runNearestLink(scale experiments.Scale, flagWorkers int, smoke bool) (fmt.S
 	const dims = 60
 	res := nlResult{Experiment: "nearestlink", Scale: scale.Name, path: nearestLinkJSON, smoke: smoke}
 	shapes := nlShapes(scale)
+	repeats := sweepRepeats
 	if smoke {
 		res.Scale = "smoke"
 		shapes = [][2]int{{50, 2000}}
+		repeats = 1
 	}
 	for _, sh := range shapes {
 		m, n := sh[0], sh[1]
@@ -218,17 +261,17 @@ func runNearestLink(scale experiments.Scale, flagWorkers int, smoke bool) (fmt.S
 		}
 
 		for _, workers := range nlWorkerSweep(flagWorkers) {
-			var st nearestlink.Stats
-			start := time.Now()
-			links, err := nearestlink.Search(context.Background(), sec, wild,
-				&nearestlink.Options{Workers: workers, Stats: &st})
+			links, st, ns, err := timeSearch(sec, wild, workers, repeats)
 			if err != nil {
 				return nil, fmt.Errorf("%dx%d w=%d: %w", m, n, workers, err)
 			}
 			row := nlRow{
 				M: m, N: n, Dims: dims,
 				Workers:              resolveWorkers(workers),
-				NsPerOp:              time.Since(start).Nanoseconds(),
+				NsPerOp:              ns[len(ns)/2],
+				NsMin:                ns[0],
+				NsMax:                ns[len(ns)-1],
+				Repeats:              repeats,
 				DistanceEvals:        st.DistanceEvals,
 				NormPruned:           st.NormPruned,
 				EarlyExited:          st.EarlyExited,

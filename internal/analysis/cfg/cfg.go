@@ -465,30 +465,6 @@ func isTerminalCall(e ast.Expr) bool {
 	return false
 }
 
-// Reachable returns the blocks reachable from the entry, in index order —
-// handy for tests and for analyzers that want to skip dead code.
-func (g *Graph) Reachable() []*Block {
-	seen := make([]bool, len(g.Blocks))
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if seen[b.Index] {
-			return
-		}
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-	}
-	walk(g.Entry)
-	var out []*Block
-	for _, b := range g.Blocks {
-		if seen[b.Index] {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // String renders the graph for debugging: one line per block with its
 // successor indices.
 func (g *Graph) String() string {

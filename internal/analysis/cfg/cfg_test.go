@@ -23,12 +23,19 @@ func build(t *testing.T, body string) *cfg.Graph {
 
 // reachable reports whether blk is reachable from the entry.
 func reachable(g *cfg.Graph, blk *cfg.Block) bool {
-	for _, b := range g.Reachable() {
-		if b == blk {
-			return true
+	seen := make(map[*cfg.Block]bool)
+	var walk func(*cfg.Block)
+	walk = func(b *cfg.Block) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, s := range b.Succs {
+			walk(s)
 		}
 	}
-	return false
+	walk(g.Entry)
+	return seen[blk]
 }
 
 // findBlock returns the first block (in index order) satisfying pred.

@@ -279,21 +279,22 @@ func TestDeterminismTransitiveFactOrder(t *testing.T) {
 }
 
 // TestSuiteSelfCheck runs the full suite over the analyzer framework and the
-// patchdb-lint CLI: the linter must hold itself to the invariants it
-// enforces.
+// patchdb-lint CLI through the driver, uncached: the linter must hold itself
+// to the invariants it enforces.
 func TestSuiteSelfCheck(t *testing.T) {
 	l, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	pkgs, err := l.Load(l.Root, "./internal/analysis", "./internal/analysis/cfg", "./cmd/patchdb-lint")
+	diags, stats, err := (&Driver{Loader: l, Analyzers: All()}).Run(l.Root,
+		"./internal/analysis", "./internal/analysis/cfg", "./cmd/patchdb-lint")
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
+	if stats.Units == 0 {
+		t.Fatal("no units analyzed")
 	}
-	for _, d := range Run(pkgs, All()) {
+	for _, d := range diags {
 		t.Errorf("self-check: %s", d)
 	}
 }

@@ -263,27 +263,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	return &Package{ImportPath: importPath, Dir: dir, Fset: l.fset, Files: files, Types: pkg, Info: info}, nil
 }
 
-// Load resolves patterns ("./...", "dir/...", "dir") relative to cwd into
-// package units and type-checks each: a directory yields one unit for its
-// library + in-package test files and, when present, a second ".test" unit
-// for its external test package. testdata, vendor, and hidden directories
-// are skipped.
-func (l *Loader) Load(cwd string, patterns ...string) ([]*Package, error) {
-	dirs, err := l.ResolveDirs(cwd, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		units, err := l.loadUnits(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, units...)
-	}
-	return pkgs, nil
-}
-
 // ResolveDirs expands patterns ("./...", "dir/...", "dir") relative to cwd
 // into the sorted list of candidate package directories, skipping testdata,
 // vendor, hidden, and underscore-prefixed directories on recursive walks.
@@ -362,44 +341,4 @@ func (l *Loader) LoadUnit(dir string, external bool) (*Package, error) {
 		return nil, err
 	}
 	return &Package{ImportPath: importPath, Dir: dir, Fset: l.fset, Files: files, Types: pkg, Info: info}, nil
-}
-
-// loadUnits loads the package units of one directory: the base package with
-// its in-package tests, and the external (_test-suffixed) test package.
-func (l *Loader) loadUnits(dir string) ([]*Package, error) {
-	all, err := l.parseDir(dir, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	importPath, err := l.pathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	var base, external []*ast.File
-	for _, f := range all {
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			external = append(external, f)
-		} else {
-			base = append(base, f)
-		}
-	}
-	var units []*Package
-	if len(base) > 0 {
-		pkg, info, err := l.check(importPath, base)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, &Package{ImportPath: importPath, Dir: dir, Fset: l.fset, Files: base, Types: pkg, Info: info})
-	}
-	if len(external) > 0 {
-		pkg, info, err := l.check(importPath+".test", external)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, &Package{ImportPath: importPath + ".test", Dir: dir, Fset: l.fset, Files: external, Types: pkg, Info: info})
-	}
-	return units, nil
 }

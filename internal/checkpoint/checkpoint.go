@@ -266,11 +266,6 @@ func (j *Journal) LastCompleted() string {
 	return ""
 }
 
-// Completed reports whether a stage checkpoint is durably journaled.
-func (j *Journal) Completed(stage string) bool {
-	return j.entry(stage) != nil
-}
-
 func (j *Journal) entry(stage string) *stageEntry {
 	for i := range j.man.Stages {
 		if j.man.Stages[i].Name == stage {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"patchdb/internal/core/nearestlink"
-	"patchdb/internal/telemetry"
 )
 
 // Item is one unlabeled wild patch in the search pool.
@@ -46,9 +45,6 @@ type Config struct {
 	RatioThreshold float64
 	// Workers for the nearest link search.
 	Workers int
-	// Registry, when non-nil, receives the nearest-link engine counters of
-	// every round's search.
-	Registry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -127,7 +123,7 @@ func Run(ctx context.Context, seed [][]float64, pool []Item, verifier Verifier, 
 	// order they were appended to SeedFeatures.
 	var searchStats nearestlink.Stats
 	rounds := nearestlink.NewRounds(res.SeedFeatures, wildX,
-		&nearestlink.Options{Workers: cfg.Workers, Stats: &searchStats, Registry: cfg.Registry})
+		&nearestlink.Options{Workers: cfg.Workers, Stats: &searchStats})
 	defer rounds.Close()
 
 	for round := 0; round < cfg.MaxRounds && len(active) > 0; round++ {

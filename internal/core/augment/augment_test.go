@@ -309,14 +309,15 @@ func TestRunSearchTotalsMatchRounds(t *testing.T) {
 	}
 }
 
-// TestRunPublishesRegistryCounters checks that a Run given a registry folds
-// every round's engine counters into it, matching the authoritative totals.
+// TestRunPublishesRegistryCounters checks that a Run whose context carries
+// a telemetry hub folds every round's engine counters into the hub's
+// registry, matching the authoritative totals.
 func TestRunPublishesRegistryCounters(t *testing.T) {
 	seed, pool, truth := world(5, 30, 150)
 	v := &mapVerifier{truth: truth}
 	reg := telemetry.NewRegistry()
-	res, err := Run(context.Background(), seed, pool, v, 1,
-		Config{MaxRounds: 2, RatioThreshold: -1, Registry: reg})
+	ctx := telemetry.WithHub(context.Background(), &telemetry.Hub{Registry: reg})
+	res, err := Run(ctx, seed, pool, v, 1, Config{MaxRounds: 2, RatioThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // Seed-major blocking: the plan's security rows, in scan (ascending-norm)
 // order, are grouped into blocks of blockRows. One pass over a wild column
 // evaluates the whole block against it, so the column's stripe data
-// (segment norms, packed prefix, tail) is loaded once per block instead of
+// (segment norms, row) is loaded once per block instead of
 // once per row, and the block's own row data stays L1-resident across the
 // pass. A block is one task over the whole pool; workers claim the tasks
 // in index order (par.For), and each task writes its rows' lists straight
@@ -180,7 +180,7 @@ func (p *blockPlan) runTask(task int, c *scanCounters, scr *blockScratch, cands 
 
 // sweepTile is the column-tile width of a sweep. Rows of a block revisit the
 // same tile back to back, so one tile's hot stripes (norms, segment norms,
-// packed prefixes) stay L1/L2-resident across the whole block while each row
+// row prefixes) stay L1/L2-resident across the whole block while each row
 // still runs a branch-light row-major inner loop over the tile.
 const sweepTile = 256
 
@@ -283,10 +283,10 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, rows []i
 // ANY order and produce identical results, provided (1) every update
 // comparison is lexicographic on (distance, original column index), and
 // (2) every rejection path — the bulk norm-window edges, the segment-norm
-// bound, the prefix + tail-segment check, and the tail screen — rejects
-// only candidates whose reference-order distance is guaranteed STRICTLY
-// above the current bound, so a tie that would win by index can never be
-// discarded. All four rejections here use strictly-greater comparisons on
+// bound, and the screen's prefix + tail-segment and full-sum checks —
+// rejects only candidates whose reference-order distance is guaranteed
+// STRICTLY above the current bound, so a tie that would win by index can
+// never be discarded. All of them use strictly-greater comparisons on
 // conservatively shaded/slacked bounds, which proves exactly that.
 
 // scanRowTile runs scan-order row t (scratch slot r) over tile columns
@@ -313,12 +313,11 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, rows []i
 //
 // It returns false when the row has no columns left on this side.
 func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r, t, ks, ke, dir int) bool {
-	pw, tw := e.pw, e.tw
+	pw, dim := e.pw, e.wld.cols
 	na := e.secN[t]
 	mid := e.secMid[t]
 	seg := e.secSegs[t*nseg : t*nseg+nseg : t*nseg+nseg]
-	rowS := e.secS.row(t)
-	pre, tail := rowS[:pw:pw], rowS[pw:]
+	row := e.sec.row(e.secOrder[t])
 	b := scr.b[r]
 	depth := scr.depth
 	ld := scr.d[r*depth : (r+1)*depth : (r+1)*depth]
@@ -348,8 +347,8 @@ func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r,
 		g14 := seg[14] - sg[14]
 		g15 := seg[15] - sg[15]
 		// The tail segments cover exactly the tail dimensions, so their
-		// squared gaps alone lower-bound the tail contribution — the same
-		// tailLb the per-dimension screens fold in below.
+		// squared gaps alone lower-bound the tail contribution — the
+		// tailLb the screen adds over the prefix below.
 		tailLb := (((g4*g4 + g5*g5) + (g6*g6 + g7*g7)) + ((g8*g8 + g9*g9) + (g10*g10 + g11*g11))) +
 			((g12*g12 + g13*g13) + (g14*g14 + g15*g15))
 		if (((g0*g0+g1*g1)+(g2*g2+g3*g3))+tailLb)*normBoundShade > b {
@@ -360,18 +359,13 @@ func (e *engine) scanRowTile(c *scanCounters, scr *blockScratch, used []bool, r,
 			continue
 		}
 		c.evals++
-		pd, ok := prefixScreen(pre, e.wldP[k*pw:k*pw+pw:k*pw+pw], tailLb*normBoundShade, b*screenSlack)
-		if !ok {
-			c.earlyExited++
-			continue
-		}
-		if !screenTailDist2(tail, e.wldT[k*tw:k*tw+tw:k*tw+tw], pd, b) {
+		w := e.wldW[k*dim : k*dim+dim : k*dim+dim]
+		if !screen(row, w, pw, tailLb*normBoundShade, b*screenSlack) {
 			c.earlyExited++
 			continue
 		}
 		j := e.orig[k]
-		sum := dist2(e.sec.row(e.secOrder[t]), e.wld.row(j))
-		ln = insertPair(ld, lj, ln, sum, j)
+		ln = insertPair(ld, lj, ln, dist2(row, w), j)
 		if ln == depth && ld[depth-1] < b {
 			b = ld[depth-1]
 			// The bound just tightened: re-derive this side's outward edge

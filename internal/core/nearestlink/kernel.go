@@ -67,87 +67,12 @@ func dist2(a, b []float64) float64 {
 // reject a candidate the reference scan would have accepted.
 const screenSlack = 1 + 1e-12
 
-// screenTailDist2 continues a screened evaluation over the packed tail
-// dimensions, starting from the already-computed prefix partial sum, with
-// four independent accumulators and a rejection checkpoint after every
-// 16-dimension block. It reports whether the candidate survives: the
-// combined sum is an any-order summation of exactly the rounded
-// non-negative terms dist2 adds over all dimensions, so a strict excess
-// over bound·screenSlack proves the reference-order total strictly exceeds
-// bound — such a candidate can never displace the current best, nor tie
-// it. The comparisons are strictly-greater (not ≥) so a bound of 0 cannot
-// silently reject an exact-duplicate candidate whose smaller column index
-// would win the reference tie-break. A survivor MAY beat or tie bound; the
-// caller confirms it with the reference-order dist2.
-func screenTailDist2(a, b []float64, prefix, bound float64) bool {
-	limit := bound * screenSlack
-	s0 := prefix
-	var s1, s2, s3 float64
-	j := 0
-	for ; j+16 <= len(a); j += 16 {
-		x := a[j : j+16 : j+16]
-		y := b[j : j+16 : j+16]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		d4 := x[4] - y[4]
-		d5 := x[5] - y[5]
-		d6 := x[6] - y[6]
-		d7 := x[7] - y[7]
-		s0 += d4 * d4
-		s1 += d5 * d5
-		s2 += d6 * d6
-		s3 += d7 * d7
-		d8 := x[8] - y[8]
-		d9 := x[9] - y[9]
-		d10 := x[10] - y[10]
-		d11 := x[11] - y[11]
-		s0 += d8 * d8
-		s1 += d9 * d9
-		s2 += d10 * d10
-		s3 += d11 * d11
-		d12 := x[12] - y[12]
-		d13 := x[13] - y[13]
-		d14 := x[14] - y[14]
-		d15 := x[15] - y[15]
-		s0 += d12 * d12
-		s1 += d13 * d13
-		s2 += d14 * d14
-		s3 += d15 * d15
-		if s := (s0 + s1) + (s2 + s3); s > limit {
-			return false
-		}
-	}
-	for ; j+4 <= len(a); j += 4 {
-		x := a[j : j+4 : j+4]
-		y := b[j : j+4 : j+4]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; j < len(a); j++ {
-		d := a[j] - b[j]
-		s0 += d * d
-	}
-	return (s0+s1)+(s2+s3) <= limit
-}
-
 // scanCounters accumulates per-worker pruning accounting, merged into Stats
 // after parallel phases.
 type scanCounters struct {
 	evals       int64 // evaluations started (survived every cheap bound)
 	normPruned  int64 // rejected by the norm window or segment-norm bound
-	earlyExited int64 // aborted by the prefix or tail partial-distance screen
+	earlyExited int64 // rejected by the partial-distance screen
 }
 
 func (c *scanCounters) add(o scanCounters) {
@@ -156,14 +81,12 @@ func (c *scanCounters) add(o scanCounters) {
 	c.earlyExited += o.earlyExited
 }
 
-// screenPrefix is the width of the packed prefix array: the first
-// screenPrefix dimensions of every norm-sorted wild row, stored
-// contiguously. A 60-dim float64 row is 480 bytes — 8 cache lines — but
-// most candidates are rejected within the first block of the screen, so the
-// scan's memory traffic is dominated by row fetches that were never going to
-// survive. The prefix array packs the rejecting dimensions at 128 bytes per
-// candidate in walk order, cutting the traffic of the common reject path ~4×
-// and making it sequential; only prefix survivors touch the full row.
+// screenPrefix is where screen stops adding the tail segment bound and
+// collapses its accumulators for the first test: the first screenPrefix
+// dimensions are the prefix the segPre segment norms cover, the rest the
+// tail the segTail ones cover. Most candidates are rejected within the
+// prefix, whose 128 bytes are the first two cache lines of a 60-dim row;
+// only prefix survivors read the rest.
 const screenPrefix = 16
 
 // The segment-norm split: segPre even splits of the screen prefix and
@@ -174,7 +97,7 @@ const screenPrefix = 16
 // also rejects candidates whose mass sits in different feature regions even
 // when their total norms match. Because the tail segments cover exactly the
 // tail dimensions, their squared gaps alone lower-bound the tail's
-// contribution — the bound the prefix screen folds in.
+// contribution — the bound screen adds over the prefix.
 const (
 	segPre  = 4
 	segTail = 12
@@ -187,23 +110,20 @@ const (
 //   - The wild pool is stored sorted by ascending row norm (wldNS; orig
 //     maps a sorted position back to its row in wld, which names the
 //     column inside the engine; cols maps the current pool columns to those
-//     rows once a round has compacted the pool), split into packed stripes
-//     that match the access pattern of the staged rejection: wldSegs (nseg
-//     segment norms, 128 B/candidate), wldP (the first pw dimensions, see
-//     screenPrefix), and wldT (the remaining tw dimensions, touched only by
-//     prefix survivors). A scan walks each security row's norm
+//     rows once a round has compacted the pool), in two stripes packed in
+//     walk order: wldSegs (nseg segment norms, 128 B/candidate) and wldW
+//     (a copy of each row). A scan walks each security row's norm
 //     neighborhood outward from its binary-searched position, so every
 //     column outside the current bound's norm window is skipped in bulk,
-//     and each surviving stage reads only the stripe it needs —
-//     sequentially, because stripes are packed in walk order.
-//   - The security rows are mirrored in scan order (ascending norm, index
-//     t): secS holds the rows and secSegs their segment norms, so the rows
-//     of one block are contiguous, and consecutive rows walk strongly
-//     overlapping norm windows.
+//     and the stripes are read sequentially: the segment norms for every
+//     candidate in the window, the row only for the segment survivors.
+//   - The security rows are scanned in (ascending norm, index) order t:
+//     secN, secMid and secSegs are indexed by it, so the rows of one block
+//     walk strongly overlapping norm windows. The rows themselves stay in
+//     sec.
 //
-// Both keep the feature order: the screens may sum squared terms in any
-// order (their slack covers reordering error), so none is fitted to the
-// pool. Reference-order confirmation always reads the original matrices.
+// Both keep the feature order; the screens' slack covers any reordering
+// error, so no order is fitted to the pool.
 type engine struct {
 	sec, wld *matrix
 	maxAbs   []float64 // raw max|a_j| over security ∪ wild; nil without normalization
@@ -213,44 +133,37 @@ type engine struct {
 	rank     []int     // original security row -> scan-order position
 	secN     []float64 // security row norms, scan order
 	secMid   []int     // each scan-order row's norm position in wldNS
-	secS     *matrix   // security rows, scan order
-	secSegs  []float64 // m×nseg segment norms of secS rows
+	secSegs  []float64 // m×nseg segment norms, scan order
 	wldNS    []float64 // sorted wild row norms, ascending
 	orig     []int     // sorted position -> wld matrix row
 	cols     []int     // current pool column -> wld matrix row, ascending; nil: the identity
 	wldSegs  []float64 // n×nseg packed segment norms, walk order
-	wldP     []float64 // n×pw packed prefixes, walk order
-	wldT     []float64 // n×tw packed tails, walk order
-	pw, tw   int       // stripe widths: pw+tw = cols
+	wldW     []float64 // n×cols wild rows, walk order
+	pw       int       // screen prefix width: min(screenPrefix, cols)
 }
 
 func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers) *engine {
-	pw := min(screenPrefix, wld.cols)
-	e := &engine{sec: sec, wld: wld, pw: pw, tw: wld.cols - pw}
+	e := &engine{sec: sec, wld: wld, pw: min(screenPrefix, wld.cols)}
 
 	// Order the pool by (norm, original index) — deterministic, so every
 	// Stats counter is a pure function of the input.
 	e.orig = normOrder(wldN)
 
-	n := wld.rows
-	buf.stripes = take(buf.stripes, n*(1+nseg+pw+e.tw))
+	n, d := wld.rows, wld.cols
+	buf.stripes = take(buf.stripes, n*(1+nseg+d))
 	st := buf.stripes
 	e.wldNS, st = st[:n:n], st[n:]
-	e.wldSegs, st = st[:n*nseg:n*nseg], st[n*nseg:]
-	e.wldP, e.wldT = st[:n*pw:n*pw], st[n*pw:]
+	e.wldSegs, e.wldW = st[:n*nseg:n*nseg], st[n*nseg:]
 	forChunks(workers, n, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			j := e.orig[k]
-			row := wld.row(j)
-			pre := e.wldP[k*pw : (k+1)*pw]
-			tail := e.wldT[k*e.tw : (k+1)*e.tw]
-			copy(pre, row[:pw])
-			copy(tail, row[pw:])
-			fillSegNorms(e.wldSegs[k*nseg:(k+1)*nseg], pre, tail)
+			row := e.wldW[k*d : (k+1)*d]
+			copy(row, wld.row(j))
+			fillSegNorms(e.wldSegs[k*nseg:(k+1)*nseg], row[:e.pw], row[e.pw:])
 			e.wldNS[k] = wldN[j]
 		}
 	})
-	e.mirror(workers, secN, buf)
+	e.orderSecurity(workers, secN)
 	// Both norm orders are ascending, so their last entries are the maxima.
 	if e.wldNS[n-1] > maxBoundNorm || e.secN[sec.rows-1] > maxBoundNorm {
 		e.cleared = true
@@ -262,18 +175,16 @@ func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers
 	return e
 }
 
-// mirror lays the security rows out for scanning, given their norms secN in
-// row order: the scan order by (norm, index), each row's rank in it, and per
-// scan-order row its norm, its position in the sorted pool norms, its
-// copy and that copy's segment norms.
-func (e *engine) mirror(workers int, secN []float64, buf *buffers) {
-	m, pw := e.sec.rows, e.pw
+// orderSecurity lays the security rows out for scanning, given their norms
+// secN in row order: the scan order by (norm, index), each row's rank in
+// it, and per scan-order row its norm, its position in the sorted pool
+// norms and its segment norms.
+func (e *engine) orderSecurity(workers int, secN []float64) {
+	m := e.sec.rows
 	e.secOrder = normOrder(secN)
 	e.rank = make([]int, m)
 	e.secN = make([]float64, m)
 	e.secMid = make([]int, m)
-	buf.secS = take(buf.secS, m*e.sec.cols)
-	e.secS = &matrix{rows: m, cols: e.sec.cols, data: buf.secS}
 	e.secSegs = make([]float64, m*nseg)
 	forChunks(workers, m, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
@@ -281,9 +192,8 @@ func (e *engine) mirror(workers int, secN []float64, buf *buffers) {
 			e.rank[i] = t
 			e.secN[t] = secN[i]
 			e.secMid[t] = sort.SearchFloat64s(e.wldNS, secN[i])
-			rowS := e.secS.row(t)
-			copy(rowS, e.sec.row(i))
-			fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], rowS[:pw], rowS[pw:])
+			row := e.sec.row(i)
+			fillSegNorms(e.secSegs[t*nseg:(t+1)*nseg], row[:e.pw], row[e.pw:])
 		}
 	})
 }
@@ -346,60 +256,81 @@ func fillEvenSegNorms(dst, row []float64) {
 	}
 }
 
-// prefixScreen evaluates the prefix partial distance with a rejection
-// checkpoint every 8 dimensions: the candidate is rejected as soon as
-// partial + add exceeds limit. Each checkpoint applies exactly the caller's
-// final test, and the partial sum is monotone under the appended
-// non-negative terms (adding t ≥ 0 to an accumulator never decreases its
-// rounded value, and the final accumulator combination is monotone in each
-// part) — so a midway rejection coincides with the decision the full prefix
-// sum would have produced. Only wasted arithmetic is skipped; the rejected
-// set, and with it every Stats counter, is unchanged. Its terms are a
-// subset of the non-negative terms dist2 adds, so (up to the reordering
-// error screenSlack covers) the partial sum lower-bounds the full
-// reference-order distance and may reject — never accept — candidates.
-func prefixScreen(a, b []float64, add, limit float64) (pd float64, live bool) {
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+8 <= len(a); j += 8 {
-		x := a[j : j+8 : j+8]
-		y := b[j : j+8 : j+8]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		d4 := x[4] - y[4]
-		d5 := x[5] - y[5]
-		d6 := x[6] - y[6]
-		d7 := x[7] - y[7]
-		s0 += d4 * d4
-		s1 += d5 * d5
-		s2 += d6 * d6
-		s3 += d7 * d7
-		if s := (s0 + s1) + (s2 + s3); s+add > limit {
-			return s, false
+// screen evaluates the partial distance of a candidate a against wild row
+// b in dimension order, with a rejection checkpoint every 8 dimensions:
+// the candidate is rejected as soon as partial + add exceeds limit, where
+// add lower-bounds the squared gaps of the dimensions past pw (the tail
+// segment bound) and drops to 0 once the screen reaches them. Dimension j
+// goes to accumulator j mod 4, counted from 0 and again from pw, and a
+// span's last len%4 dimensions to the first; at pw and at the end the four
+// accumulators collapse to (s0+s1)+(s2+s3) and are tested, and the tail
+// continues from that collapsed sum.
+//
+// A checkpoint applies exactly the final test to a partial sum, and the
+// partial sum is monotone under the appended non-negative terms (adding
+// t ≥ 0 to an accumulator never decreases its rounded value, and the
+// collapse is monotone in each part), so a midway rejection coincides with
+// the decision the sum at pw or at the end would give: only wasted
+// arithmetic is skipped, and the rejected set, with it every Stats
+// counter, is fixed by the accumulation order alone. The terms are the
+// non-negative terms dist2 adds, so (up to the reordering error
+// screenSlack covers) the sum lower-bounds the reference-order distance:
+// a strict excess over limit = bound·screenSlack proves the candidate can
+// neither beat nor tie bound. The comparisons are strictly-greater, so a
+// bound of 0 cannot reject an exact duplicate whose smaller column index
+// would win the reference tie-break. A survivor MAY beat or tie bound; the
+// caller confirms it with the reference-order dist2.
+func screen(a, b []float64, pw int, add, limit float64) bool {
+	s, lo := 0.0, 0
+	for _, hi := range [2]int{pw, len(a)} {
+		x, y := a[lo:hi], b[lo:hi]
+		s0 := s
+		var s1, s2, s3 float64
+		j := 0
+		for ; j+8 <= len(x); j += 8 {
+			xs := x[j : j+8 : j+8]
+			ys := y[j : j+8 : j+8]
+			d0 := xs[0] - ys[0]
+			d1 := xs[1] - ys[1]
+			d2 := xs[2] - ys[2]
+			d3 := xs[3] - ys[3]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+			d4 := xs[4] - ys[4]
+			d5 := xs[5] - ys[5]
+			d6 := xs[6] - ys[6]
+			d7 := xs[7] - ys[7]
+			s0 += d4 * d4
+			s1 += d5 * d5
+			s2 += d6 * d6
+			s3 += d7 * d7
+			if p := (s0 + s1) + (s2 + s3); p+add > limit {
+				return false
+			}
 		}
+		for ; j+4 <= len(x); j += 4 {
+			xs := x[j : j+4 : j+4]
+			ys := y[j : j+4 : j+4]
+			d0 := xs[0] - ys[0]
+			d1 := xs[1] - ys[1]
+			d2 := xs[2] - ys[2]
+			d3 := xs[3] - ys[3]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		for ; j < len(x); j++ {
+			d := x[j] - y[j]
+			s0 += d * d
+		}
+		s = (s0 + s1) + (s2 + s3)
+		if s+add > limit {
+			return false
+		}
+		lo, add = hi, 0
 	}
-	for ; j+4 <= len(a); j += 4 {
-		x := a[j : j+4 : j+4]
-		y := b[j : j+4 : j+4]
-		d0 := x[0] - y[0]
-		d1 := x[1] - y[1]
-		d2 := x[2] - y[2]
-		d3 := x[3] - y[3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; j < len(a); j++ {
-		d := a[j] - b[j]
-		s0 += d * d
-	}
-	pd = (s0 + s1) + (s2 + s3)
-	return pd, pd+add <= limit
+	return true
 }

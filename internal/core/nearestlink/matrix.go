@@ -25,7 +25,6 @@ type buffers struct {
 	sec     []float64 // flattened security rows
 	wld     []float64 // flattened wild rows
 	stripes []float64 // the engine's wild stripes, end to end
-	secS    []float64 // the security rows in scan order
 }
 
 var searchBuffers = sync.Pool{New: func() any { return new(buffers) }}

@@ -49,11 +49,10 @@ type Options struct {
 	// paper always normalizes).
 	DisableNormalization bool
 	// Stats, when non-nil, is filled with search accounting (timing,
-	// pruning, heap activity) on return.
+	// pruning, heap activity) on return. The same counters and the search
+	// latency also go to the registry of the telemetry hub carried by the
+	// call's context (see the Metric* names in this package).
 	Stats *Stats
-	// Registry, when non-nil, receives the engine counters and search
-	// latency of every call (see the Metric* names in this package).
-	Registry *telemetry.Registry
 }
 
 func (o *Options) resolved() Options {
@@ -78,9 +77,9 @@ type Stats struct {
 	// bound — the bulk norm-window skip (counted per column skipped) or the
 	// per-candidate segment-norm bound — before any row data was touched.
 	NormPruned int64
-	// EarlyExited counts evaluations aborted by a partial-distance bound —
-	// the packed-prefix screen or the tail screen — before reaching the
-	// last dimension.
+	// EarlyExited counts evaluations rejected by the partial-distance
+	// screen: over the prefix with the tail segment bound, or over the
+	// whole row.
 	EarlyExited int64
 	// PrunedFraction is (NormPruned+EarlyExited) / candidates
 	// considered: the fraction of candidate pairs that never paid for a
@@ -110,13 +109,16 @@ func (s *Stats) addScan(c scanCounters) {
 }
 
 // finish derives the pruned fraction, attaches the counters to the span
-// that traces the call, and ends it: Duration is the span's reading.
-func (s *Stats) finish(span *telemetry.Span) {
+// that traces the call, and ends it: Duration is the span's reading. It
+// then publishes the counters into the registry of ctx's hub, the hub the
+// span was recorded on.
+func (s *Stats) finish(ctx context.Context, span *telemetry.Span) {
 	if considered := s.NormPruned + s.DistanceEvals; considered > 0 {
 		s.PrunedFraction = float64(s.NormPruned+s.EarlyExited) / float64(considered)
 	}
 	s.annotate(span)
 	s.Duration = span.End()
+	s.publish(telemetry.HubFromContext(ctx).Registry)
 }
 
 // Totals aggregates Stats across many searches (e.g. all augmentation
@@ -134,14 +136,11 @@ type Totals struct {
 
 // Add folds one search's stats into the totals.
 func (t *Totals) Add(s Stats) {
-	t.Searches++
-	t.DistanceEvals += s.DistanceEvals
-	t.NormPruned += s.NormPruned
-	t.EarlyExited += s.EarlyExited
-	t.HeapPops += s.HeapPops
-	t.SecondBestHits += s.SecondBestHits
-	t.Rescans += s.Rescans
-	t.Duration += s.Duration
+	t.Merge(Totals{
+		Searches: 1, DistanceEvals: s.DistanceEvals, NormPruned: s.NormPruned,
+		EarlyExited: s.EarlyExited, HeapPops: s.HeapPops, SecondBestHits: s.SecondBestHits,
+		Rescans: s.Rescans, Duration: s.Duration,
+	})
 }
 
 // Merge folds another aggregate into the totals (e.g. one pool's
@@ -553,8 +552,7 @@ func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) (
 			out = append(out, j)
 		}
 	}
-	stats.finish(span)
-	stats.Publish(o.Registry)
+	stats.finish(ctx, span)
 	if o.Stats != nil {
 		*o.Stats = stats
 	}

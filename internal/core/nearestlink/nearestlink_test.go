@@ -474,11 +474,10 @@ func TestGreedyClosestPairAlwaysLinked(t *testing.T) {
 }
 
 // TestKernelEquivalence pins the exactness contract of the screens the scan
-// kernel runs: the 16-segment norm bound, and the prefix screen (with the
-// tail segments' bound folded in) followed by the tail screen. They sum in
-// their own order, so here they read randomly permuted dimensions, and none
-// of them may reject a pair
-// against a bound that its reference-order dist2 meets or ties — their
+// kernel runs: the 16-segment norm bound, and screen with the tail
+// segments' bound added over the prefix. They sum in their own order, so
+// here they read randomly permuted dimensions, and neither may reject a
+// pair against a bound that its reference-order dist2 meets or ties — their
 // rejections must be conservative under the reordering error of float64
 // summation. The shaded norm bound must never exceed the true squared
 // distance either.
@@ -519,14 +518,10 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 
 		// survives runs the kernel's ladder against bound: the segment
-		// bound, then the prefix screen with the tail bound, then the tail
-		// screen.
+		// bound, then the screen with the tail bound over the prefix.
 		survives := func(bound float64) bool {
-			if segLb*normBoundShade > bound {
-				return false
-			}
-			pd, ok := prefixScreen(sa[:pw], sb[:pw], tailLb*normBoundShade, bound*screenSlack)
-			return ok && screenTailDist2(sa[pw:], sb[pw:], pd, bound)
+			return segLb*normBoundShade <= bound &&
+				screen(sa, sb, pw, tailLb*normBoundShade, bound*screenSlack)
 		}
 		// No false rejection: any bound the reference-order value meets or
 		// ties must survive every stage.

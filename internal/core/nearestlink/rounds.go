@@ -18,7 +18,7 @@ import (
 // columns out of the pool and appends the verified security patches among
 // them to the security rows. A later round then reuses the previous
 // round's engine: while the max-abs weights hold, it compacts the pool's
-// layout in place and rebuilds only the security mirror, instead of
+// layout in place and orders only the security rows again, instead of
 // preparing the whole pool again. Every round's links are bit-identical to
 // a from-scratch Search on that round's inputs (DESIGN.md §5.2, Rounds).
 //
@@ -161,8 +161,7 @@ func (r *Rounds) Search(ctx context.Context) ([]Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats.finish(span)
-	stats.Publish(o.Registry)
+	stats.finish(ctx, span)
 	if o.Stats != nil {
 		*o.Stats = stats
 	}
@@ -260,8 +259,8 @@ func (e *engine) col(i int) int {
 // norms, and the engine identifies columns by matrix row, which orders them
 // as their current indices do, so the (norm, index) order needs no sort.
 // The pool matrix is only gathered by row, so its rows stay in place and
-// cols maps the current columns to them. Only the security mirror is built
-// again.
+// cols maps the current columns to them. Only the security scan order is
+// built again.
 func (e *engine) compact(workers int, rm *removal, buf *buffers) {
 	m, d := e.sec.rows, e.sec.cols
 	secN := make([]float64, m, m+len(rm.promoted))
@@ -298,8 +297,7 @@ func (e *engine) compact(workers int, rm *removal, buf *buffers) {
 		}
 	}
 	moves := []func(){
-		func() { moveRuns(e.wldT, e.tw, runs) },
-		func() { moveRuns(e.wldP, e.pw, runs) },
+		func() { moveRuns(e.wldW, e.wld.cols, runs) },
 		func() { moveRuns(e.wldSegs, nseg, runs) },
 		func() { moveRuns(e.wldNS, 1, runs) },
 		func() { moveRuns(e.orig, 1, runs) },
@@ -310,9 +308,8 @@ func (e *engine) compact(workers int, rm *removal, buf *buffers) {
 	e.orig = e.orig[:n]
 	e.wldNS = e.wldNS[:n]
 	e.wldSegs = e.wldSegs[:n*nseg]
-	e.wldP = e.wldP[:n*e.pw]
-	e.wldT = e.wldT[:n*e.tw]
-	e.mirror(workers, secN, buf)
+	e.wldW = e.wldW[:n*e.wld.cols]
+	e.orderSecurity(workers, secN)
 }
 
 // run is a half-open range [lo, hi) of row positions.

@@ -28,12 +28,8 @@ const (
 	MetricSearchSeconds = "nearestlink_search_seconds"
 )
 
-// Publish folds one search's counters into a telemetry registry. A nil
-// registry is a no-op.
-func (s Stats) Publish(r *telemetry.Registry) {
-	if r == nil {
-		return
-	}
+// publish folds one search's counters into a telemetry registry.
+func (s Stats) publish(r *telemetry.Registry) {
 	r.Counter(MetricSearches).Inc()
 	r.Counter(MetricDistanceEvals).Add(float64(s.DistanceEvals))
 	r.Counter(MetricNormPruned).Add(float64(s.NormPruned))

@@ -250,12 +250,8 @@ func (g *Generator) NonSecurityCommit() *LabeledCommit {
 	return g.nonSecurityCommitOfClass(c)
 }
 
-// NonSecurityCommitOfClass generates one non-security commit of an exact
+// nonSecurityCommitOfClass generates one non-security commit of an exact
 // class.
-func (g *Generator) NonSecurityCommitOfClass(cls NonSecClass) *LabeledCommit {
-	return g.nonSecurityCommitOfClass(cls)
-}
-
 func (g *Generator) nonSecurityCommitOfClass(cls NonSecClass) *LabeledCommit {
 	repo := g.repos[g.rng.Intn(len(g.repos))]
 	g.fileID++

@@ -140,7 +140,7 @@ func TestEveryPatternProducesDistinctEdit(t *testing.T) {
 func TestEveryNonSecClassProducesEdit(t *testing.T) {
 	g := NewGenerator(Config{Seed: 14})
 	for c := NonSecClass(1); int(c) <= NumNonSecClasses; c++ {
-		lc := g.NonSecurityCommitOfClass(c)
+		lc := g.nonSecurityCommitOfClass(c)
 		if lc.NonSec != c {
 			t.Errorf("class label = %v, want %v", lc.NonSec, c)
 		}

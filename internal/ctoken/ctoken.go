@@ -103,9 +103,6 @@ var memoryOperators = map[string]bool{
 // loopKeywords start loop statements.
 var loopKeywords = map[string]bool{"for": true, "while": true, "do": true}
 
-// IsKeyword reports whether s is a C/C++ keyword the lexer recognizes.
-func IsKeyword(s string) bool { return keywords[s] }
-
 // IsMemoryOperator reports whether tok denotes a memory operator per the
 // paper's feature definition (features 39-42).
 func IsMemoryOperator(tok Token) bool {

@@ -242,15 +242,20 @@ func TestLexReconstruction(t *testing.T) {
 	}
 }
 
+// TestIsKeyword checks which words the lexer tokenizes as keywords.
 func TestIsKeyword(t *testing.T) {
+	isKeyword := func(s string) bool {
+		toks := LexLine(s)
+		return len(toks) == 1 && toks[0].Kind == Keyword
+	}
 	for _, kw := range []string{"if", "while", "return", "struct", "sizeof", "nullptr"} {
-		if !IsKeyword(kw) {
-			t.Errorf("IsKeyword(%q) = false", kw)
+		if !isKeyword(kw) {
+			t.Errorf("%q not lexed as a keyword", kw)
 		}
 	}
 	for _, id := range []string{"iff", "Return", "len", "main"} {
-		if IsKeyword(id) {
-			t.Errorf("IsKeyword(%q) = true", id)
+		if isKeyword(id) {
+			t.Errorf("%q lexed as a keyword", id)
 		}
 	}
 }

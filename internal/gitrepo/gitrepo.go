@@ -63,17 +63,6 @@ func NewRepo(name string) *Repo {
 	}
 }
 
-// Head returns a copy of the current file tree.
-func (r *Repo) Head() map[string]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]string, len(r.head))
-	for k, v := range r.head {
-		out[k] = v
-	}
-	return out
-}
-
 // File returns the current content of one file.
 func (r *Repo) File(path string) (string, bool) {
 	r.mu.RLock()
@@ -201,17 +190,6 @@ func (s *Store) Names() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]string(nil), s.order...)
-}
-
-// AllCommits returns every commit of every repository in insertion order.
-func (s *Store) AllCommits() []*Commit {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []*Commit
-	for _, name := range s.order {
-		out = append(out, s.repos[name].Log()...)
-	}
-	return out
 }
 
 // Lookup finds a commit by hash across all repositories.

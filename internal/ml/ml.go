@@ -105,17 +105,6 @@ func (d *Dataset) Split(trainFrac float64, rng *rand.Rand) (train, test *Dataset
 	return d.Subset(trainIdx), d.Subset(testIdx)
 }
 
-// CountLabel returns how many rows carry label y.
-func (d *Dataset) CountLabel(y int) int {
-	n := 0
-	for _, v := range d.Y {
-		if v == y {
-			n++
-		}
-	}
-	return n
-}
-
 // Metrics summarizes binary classification quality.
 type Metrics struct {
 	TP, FP, TN, FN int

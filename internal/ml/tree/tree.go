@@ -179,20 +179,6 @@ func (t *Tree) Predict(x []float64) int {
 	return ml.NonSecurity
 }
 
-// Depth returns the depth of the grown tree (0 for a single leaf).
-func (t *Tree) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // Forest is a random forest: bagged CART trees with per-split feature
 // subsampling, trained in parallel.
 type Forest struct {

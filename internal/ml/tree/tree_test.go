@@ -44,7 +44,7 @@ func TestTreeSeparable(t *testing.T) {
 	if acc := accuracy(tr, x, y); acc < 0.9 {
 		t.Errorf("train accuracy = %.2f", acc)
 	}
-	if tr.Depth() == 0 {
+	if tr.root.leaf {
 		t.Error("tree did not split")
 	}
 }
@@ -96,7 +96,7 @@ func TestTreePureLeaf(t *testing.T) {
 	if tr.Proba([]float64{9}) != 1 {
 		t.Errorf("pure positive proba = %v", tr.Proba([]float64{9}))
 	}
-	if tr.Depth() != 0 {
+	if !tr.root.leaf {
 		t.Error("pure data must yield a single leaf")
 	}
 }
