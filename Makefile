@@ -137,9 +137,11 @@ verify-chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|PatchTooLarge|Serve' ./internal/nvd/ .
 
 # verify-telemetry runs the observability suites under the race detector:
-# the metrics registry / tracer / exporters and the stage-metrics adapter.
+# the metrics registry / tracer / exporters, the stage-metrics adapter, the
+# crawler's counters and spans, and the root package's build-telemetry
+# tests (run report, families and span names, stage times), ~20s.
 verify-telemetry:
-	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/pipeline/
+	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/pipeline/ ./internal/nvd/ .
 
 # verify-serve runs the serving-layer suite under the race detector: the
 # snapshot-swap isolation test (readers during reload see old-or-new, never
@@ -175,9 +177,9 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 # runs too — build, the gofmt check, both static-analysis tiers (and vet of
 # the benchmark module, and the lint suite's warm-cache check), the plain
 # test run, the race-enabled parallel-loop, observability-correlation,
-# crash-safety, nearest-link engine, synthesis and RNN suites, the
-# fully-verified engine smoke sweep, and the bounded fuzz run of the
-# decoders.
+# build-telemetry, crash-safety, nearest-link engine, synthesis and RNN
+# suites, the fully-verified engine smoke sweep, and the bounded fuzz run of
+# the decoders.
 ci:
 	GO=$(GO) sh scripts/ci.sh
 

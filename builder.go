@@ -317,7 +317,6 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			report.Crawl = st.Crawl
 			report.Degraded = st.Degraded
 			report.Rounds = st.Rounds
-			report.Search = st.Search
 			if st.Dataset != nil {
 				ds = st.Dataset
 			}
@@ -349,9 +348,9 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 		if jr == nil {
 			return nil
 		}
-		ckptCtx, ckptSpan := telemetry.Start(ctx, "checkpoint")
+		_, ckptSpan := telemetry.Start(ctx, "checkpoint")
 		ckptSpan.SetAttr("stage", stage)
-		err := jr.Write(ckptCtx, stage, buildState{
+		err := jr.Write(ctx, stage, buildState{
 			Stage:              stage,
 			Dataset:            ds,
 			Crawl:              report.Crawl,
@@ -359,7 +358,6 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			Crawled:            nvd.SavePatches(crawled),
 			SeedFeatures:       seedFeatures,
 			Rounds:             report.Rounds,
-			Search:             report.Search,
 			HumanVerifications: verifier.Inspected(),
 			NextRound:          round,
 		})
@@ -416,10 +414,8 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 					cfg.Progress(StageCrawl, done, total)
 				}
 			}
-			// The crawler parents its own nvd.crawl span under build;
-			// this one times the stage.
-			_, crawlSpan := telemetry.Start(ctx, "crawl")
-			crawled, report.Crawl, err = crawler.Crawl(ctx)
+			crawlCtx, crawlSpan := telemetry.Start(ctx, "crawl")
+			crawled, report.Crawl, err = crawler.Crawl(crawlCtx)
 			elapsed := crawlSpan.End()
 			if err != nil {
 				return fmt.Errorf("crawl: %w", err)
@@ -428,11 +424,11 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			// Graceful degradation: quarantined downloads within the
 			// threshold are a warning (Degraded); beyond it the build fails
 			// rather than silently shipping a hollowed-out dataset.
-			if total := report.Crawl.Downloaded + report.Crawl.Quarantined; total > 0 && report.Crawl.Quarantined > 0 {
-				ratio := float64(report.Crawl.Quarantined) / float64(total)
+			if total := report.Crawl.Downloaded + report.Crawl.Errors; total > 0 && report.Crawl.Errors > 0 {
+				ratio := float64(report.Crawl.Errors) / float64(total)
 				if ratio > cfg.MaxCrawlFailureRatio {
 					return fmt.Errorf("crawl degraded beyond threshold: %d/%d downloads quarantined (%.1f%% > %.1f%%)",
-						report.Crawl.Quarantined, total, 100*ratio, 100*cfg.MaxCrawlFailureRatio)
+						report.Crawl.Errors, total, 100*ratio, 100*cfg.MaxCrawlFailureRatio)
 				}
 				report.Degraded = true
 			}
@@ -546,9 +542,6 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 		for _, r := range res.Rounds {
 			metrics.Observe(StageSearch, r.Search.Duration, r.SearchRange)
 		}
-		// The run's engine totals are snapshotted once by augment.Run after
-		// its final round, so the build report cannot under-count rescans.
-		report.Search.Merge(res.Search)
 		augmentNotify.Done(len(res.Rounds))
 		report.Rounds = append(report.Rounds, res.Rounds...)
 		round += len(res.Rounds)
@@ -612,6 +605,11 @@ func Build(ctx context.Context, cfg BuilderConfig) (*Dataset, *BuildReport, erro
 			return nil, nil, err
 		}
 	}
+	// The engine totals are the sum of each round's Search, journaled
+	// rounds included.
+	for _, r := range report.Rounds {
+		report.Search.Add(r.Search)
+	}
 	report.Stages = metrics.Snapshot()
 	buildSpan.End()
 	report.Run = buildRunReport(hub, report)
@@ -635,7 +633,7 @@ func buildRunReport(hub *telemetry.Hub, report *BuildReport) *telemetry.RunRepor
 		Downloaded:      report.Crawl.Downloaded,
 		EmptyAfterClean: report.Crawl.EmptyAfterClean,
 		Retries:         report.Crawl.Retries,
-		Quarantined:     report.Crawl.Quarantined,
+		Quarantined:     report.Crawl.Errors,
 		BreakerTrips:    report.Crawl.BreakerTrips,
 		Degraded:        report.Degraded,
 	}

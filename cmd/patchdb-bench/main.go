@@ -41,7 +41,7 @@ func run() error {
 		scaleName = flag.String("scale", "default", "experiment scale: small, default, or paper")
 		only      = flag.String("only", "", "comma-separated experiment ids (II,III,IV,V,VI,VII,F6,BUILD,CHAOS,NEARESTLINK); empty = all")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "BUILD/CHAOS/NEARESTLINK experiment worker-pool size (0 = GOMAXPROCS; NEARESTLINK sweeps 1/4/8 when 0)")
+		workers   = flag.Int("workers", 0, "BUILD/CHAOS/NEARESTLINK experiment worker-pool size (0 = GOMAXPROCS; NEARESTLINK sweeps 1 and GOMAXPROCS when 0)")
 		smoke     = flag.Bool("smoke", false, "NEARESTLINK only: run a tiny fully-verified shape and skip the artifact write (CI gate)")
 		telOut    = flag.String("telemetry-out", "", "write the BUILD experiment's RunReport JSON to this path (empty = disabled)")
 		telServe  = flag.String("serve-metrics", "", "serve /metrics and /debug/pprof on this address for the whole bench run (empty = disabled)")

@@ -133,12 +133,14 @@ func nlShapes(scale experiments.Scale) [][2]int {
 }
 
 // nlWorkerSweep picks the worker counts per shape: an explicit -workers flag
-// runs just that count; the default sweeps the scaling dimension.
+// runs just that count; the default runs one worker and one per CPU the
+// process may use, since more workers than that only measure
+// oversubscription.
 func nlWorkerSweep(flagWorkers int) []int {
 	if flagWorkers > 0 {
 		return []int{flagWorkers}
 	}
-	return []int{1, 4, 8}
+	return slices.Compact([]int{1, runtime.GOMAXPROCS(0)})
 }
 
 // resolveWorkers mirrors the engine's Options resolution so the artifact
@@ -275,7 +277,7 @@ func runNearestLink(scale experiments.Scale, flagWorkers int, smoke bool) (fmt.S
 				DistanceEvals:        st.DistanceEvals,
 				NormPruned:           st.NormPruned,
 				EarlyExited:          st.EarlyExited,
-				PrunedFraction:       st.PrunedFraction,
+				PrunedFraction:       st.PrunedFraction(),
 				Rescans:              st.Rescans,
 				SecondBestHits:       st.SecondBestHits,
 				HeapPops:             st.HeapPops,

@@ -280,16 +280,13 @@ func stageFile(stage string) string { return "stage-" + stage + ".json" }
 
 // Write journals v as the completed stage's payload: the payload file lands
 // atomically first, then the manifest entry (name, digest, size) — the
-// commit point. ctx carries the telemetry hub for the write span and
-// counters. A configured Fault on this stage returns ErrInjectedCrash
-// before (FaultBeforeWrite) or after (FaultAfterWrite) the journal mutation.
+// commit point. ctx carries the telemetry hub for the write counters. A
+// configured Fault on this stage returns ErrInjectedCrash before
+// (FaultBeforeWrite) or after (FaultAfterWrite) the journal mutation.
 func (j *Journal) Write(ctx context.Context, stage string, v any) error {
 	if j.fault != nil && j.fault.Stage == stage && j.fault.Mode == FaultBeforeWrite {
 		return fmt.Errorf("%w: before journaling stage %q", ErrInjectedCrash, stage)
 	}
-	_, span := telemetry.Start(ctx, "checkpoint.write")
-	defer span.End()
-	span.SetAttr("stage", stage)
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode stage %q: %w", stage, err)
@@ -308,7 +305,6 @@ func (j *Journal) Write(ctx context.Context, stage string, v any) error {
 	if err := j.writeManifest(); err != nil {
 		return fmt.Errorf("checkpoint: stage %q: %w", stage, err)
 	}
-	span.SetAttr("bytes", len(data))
 	hub := telemetry.HubFromContext(ctx)
 	hub.Registry.Counter(MetricWrites, telemetry.L("stage", stage)).Inc()
 	hub.Registry.Counter(MetricWriteBytes).Add(float64(len(data)))

@@ -79,10 +79,8 @@ func (r Round) String() string {
 // Result is the outcome of an augmentation run.
 type Result struct {
 	Rounds []Round
-	// Search is the aggregate nearest-link engine accounting across every
-	// round of the run, snapshotted once after the final round completes —
-	// the authoritative totals callers should report (per-round Round.Search
-	// values are the same data, split by round).
+	// Search is the aggregate nearest-link engine accounting of the run:
+	// the sum of each round's Search.
 	Search nearestlink.Totals
 	// SecurityIDs are wild patches verified as security patches.
 	SecurityIDs []string
@@ -135,10 +133,6 @@ func Run(ctx context.Context, seed [][]float64, pool []Item, verifier Verifier, 
 			return nil, fmt.Errorf("augment round %d: %w", startRound+round, err)
 		}
 
-		// searchStats is only copied out after Search has fully returned
-		// (all scan and rescan counters folded in), so the per-round record
-		// and the end-of-run totals below always agree with the engine's
-		// actual work.
 		r := Round{
 			Round:       startRound + round,
 			SearchRange: len(active),
@@ -188,9 +182,6 @@ func Run(ctx context.Context, seed [][]float64, pool []Item, verifier Verifier, 
 			break
 		}
 	}
-	// One snapshot of the engine totals at the end of the run, after every
-	// round (including its rescan passes) has completed, so reported and
-	// actual counts cannot diverge.
 	for _, r := range res.Rounds {
 		res.Search.Add(r.Search)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"patchdb/internal/core/nearestlink"
-	"patchdb/internal/telemetry"
 )
 
 // mapVerifier labels items by a ground-truth map.
@@ -306,28 +305,5 @@ func TestRunSearchTotalsMatchRounds(t *testing.T) {
 	}
 	if res.Search.DistanceEvals == 0 {
 		t.Error("no distance evaluations recorded")
-	}
-}
-
-// TestRunPublishesRegistryCounters checks that a Run whose context carries
-// a telemetry hub folds every round's engine counters into the hub's
-// registry, matching the authoritative totals.
-func TestRunPublishesRegistryCounters(t *testing.T) {
-	seed, pool, truth := world(5, 30, 150)
-	v := &mapVerifier{truth: truth}
-	reg := telemetry.NewRegistry()
-	ctx := telemetry.WithHub(context.Background(), &telemetry.Hub{Registry: reg})
-	res, err := Run(ctx, seed, pool, v, 1, Config{MaxRounds: 2, RatioThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter(nearestlink.MetricSearches).Value(); got != float64(res.Search.Searches) {
-		t.Errorf("registry searches = %v, want %d", got, res.Search.Searches)
-	}
-	if got := reg.Counter(nearestlink.MetricDistanceEvals).Value(); got != float64(res.Search.DistanceEvals) {
-		t.Errorf("registry distance evals = %v, want %d", got, res.Search.DistanceEvals)
-	}
-	if got := reg.Counter(nearestlink.MetricRescans).Value(); got != float64(res.Search.Rescans) {
-		t.Errorf("registry rescans = %v, want %d", got, res.Search.Rescans)
 	}
 }

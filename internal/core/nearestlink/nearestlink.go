@@ -49,9 +49,8 @@ type Options struct {
 	// paper always normalizes).
 	DisableNormalization bool
 	// Stats, when non-nil, is filled with search accounting (timing,
-	// pruning, heap activity) on return. The same counters and the search
-	// latency also go to the registry of the telemetry hub carried by the
-	// call's context (see the Metric* names in this package).
+	// pruning, heap activity) on return. The same counters go to the
+	// attributes of the call's nearestlink.search or nearestlink.knn span.
 	Stats *Stats
 }
 
@@ -81,10 +80,6 @@ type Stats struct {
 	// screen: over the prefix with the tail segment bound, or over the
 	// whole row.
 	EarlyExited int64
-	// PrunedFraction is (NormPruned+EarlyExited) / candidates
-	// considered: the fraction of candidate pairs that never paid for a
-	// full d-dimensional evaluation.
-	PrunedFraction float64
 	// HeapPops counts greedy-phase heap extractions.
 	HeapPops int
 	// SecondBestHits counts column collisions resolved from the cached
@@ -108,17 +103,27 @@ func (s *Stats) addScan(c scanCounters) {
 	s.EarlyExited += c.earlyExited
 }
 
-// finish derives the pruned fraction, attaches the counters to the span
-// that traces the call, and ends it: Duration is the span's reading. It
-// then publishes the counters into the registry of ctx's hub, the hub the
-// span was recorded on.
-func (s *Stats) finish(ctx context.Context, span *telemetry.Span) {
-	if considered := s.NormPruned + s.DistanceEvals; considered > 0 {
-		s.PrunedFraction = float64(s.NormPruned+s.EarlyExited) / float64(considered)
-	}
-	s.annotate(span)
+// PrunedFraction is (NormPruned+EarlyExited) / candidates considered: the
+// fraction of candidate pairs that never paid for a full d-dimensional
+// evaluation.
+func (s Stats) PrunedFraction() float64 {
+	return Totals{DistanceEvals: s.DistanceEvals, NormPruned: s.NormPruned, EarlyExited: s.EarlyExited}.PrunedFraction()
+}
+
+// finish attaches the counters to the span that traces the call, so a
+// trace explains the search time it records, and ends it: Duration is the
+// span's reading.
+func (s *Stats) finish(span *telemetry.Span) {
+	span.SetAttr("security_rows", s.SecurityRows)
+	span.SetAttr("wild_cols", s.WildCols)
+	span.SetAttr("distance_evals", s.DistanceEvals)
+	span.SetAttr("norm_pruned", s.NormPruned)
+	span.SetAttr("early_exited", s.EarlyExited)
+	span.SetAttr("pruned_fraction", s.PrunedFraction())
+	span.SetAttr("heap_pops", s.HeapPops)
+	span.SetAttr("second_best_hits", s.SecondBestHits)
+	span.SetAttr("rescans", s.Rescans)
 	s.Duration = span.End()
-	s.publish(telemetry.HubFromContext(ctx).Registry)
 }
 
 // Totals aggregates Stats across many searches (e.g. all augmentation
@@ -552,7 +557,7 @@ func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) (
 			out = append(out, j)
 		}
 	}
-	stats.finish(ctx, span)
+	stats.finish(span)
 	if o.Stats != nil {
 		*o.Stats = stats
 	}

@@ -242,8 +242,8 @@ func TestSearchStats(t *testing.T) {
 	if st.DistanceEvals <= 0 {
 		t.Errorf("distance evals = %d", st.DistanceEvals)
 	}
-	if st.PrunedFraction < 0 || st.PrunedFraction > 1 {
-		t.Errorf("pruned fraction = %v", st.PrunedFraction)
+	if pf := st.PrunedFraction(); pf < 0 || pf > 1 {
+		t.Errorf("pruned fraction = %v", pf)
 	}
 	if len(links) != 20 {
 		t.Errorf("links = %d", len(links))

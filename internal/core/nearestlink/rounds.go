@@ -161,7 +161,7 @@ func (r *Rounds) Search(ctx context.Context) ([]Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats.finish(ctx, span)
+	stats.finish(span)
 	if o.Stats != nil {
 		*o.Stats = stats
 	}

@@ -140,6 +140,11 @@ func ReportDivergence(a, b *patchdb.BuildReport) string {
 			return fmt.Sprintf("round %d accounting diverges: %+v vs %+v", i+1, ar, br)
 		}
 	}
+	as, bs := a.Search, b.Search
+	as.Duration, bs.Duration = 0, 0
+	if as != bs {
+		return fmt.Sprintf("search totals diverge: %+v vs %+v", as, bs)
+	}
 	return ""
 }
 
@@ -149,7 +154,7 @@ func crawlDivergence(a, b *patchdb.BuildReport) string {
 	ac, bc := a.Crawl, b.Crawl
 	if ac.Entries != bc.Entries || ac.WithPatchRefs != bc.WithPatchRefs ||
 		ac.Downloaded != bc.Downloaded || ac.EmptyAfterClean != bc.EmptyAfterClean ||
-		ac.Errors != bc.Errors || ac.Retries != bc.Retries || ac.Quarantined != bc.Quarantined {
+		ac.Errors != bc.Errors || ac.Retries != bc.Retries {
 		return fmt.Sprintf("crawl counters diverge: %+v vs %+v", ac, bc)
 	}
 	if len(ac.Quarantine) != len(bc.Quarantine) {

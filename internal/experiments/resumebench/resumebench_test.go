@@ -130,7 +130,7 @@ func TestQuarantineStateRoundTrip(t *testing.T) {
 	cfg.Workers = 2
 
 	wantDS, wantReport := scratch(t, cfg)
-	if wantReport.Crawl.Quarantined == 0 {
+	if len(wantReport.Crawl.Quarantine) == 0 {
 		t.Fatal("reference chaos build quarantined nothing — raise FaultRate so the round trip is exercised")
 	}
 	if !wantReport.Degraded {

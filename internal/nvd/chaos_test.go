@@ -84,8 +84,8 @@ func TestChaosFaultClassesRecovered(t *testing.T) {
 				t.Fatalf("recovered %d/%d patches under %s faults (quarantine: %+v)",
 					len(patches), len(hashes), class, stats.Quarantine)
 			}
-			if stats.Quarantined != 0 || stats.Errors != 0 {
-				t.Errorf("quarantined=%d errors=%d, want 0/0", stats.Quarantined, stats.Errors)
+			if len(stats.Quarantine) != 0 || stats.Errors != 0 {
+				t.Errorf("quarantined=%d errors=%d, want 0/0", len(stats.Quarantine), stats.Errors)
 			}
 			// Feed + every patch needed exactly 2 retries each.
 			wantRetries := 2 * (len(hashes) + 1)
@@ -127,8 +127,8 @@ func TestChaosFaultClassesQuarantined(t *testing.T) {
 			if len(patches) != 0 || stats.Downloaded != 0 {
 				t.Fatalf("downloaded %d patches under unrecoverable %s faults", stats.Downloaded, class)
 			}
-			if stats.Quarantined != len(hashes) || stats.Errors != len(hashes) {
-				t.Fatalf("quarantined=%d errors=%d, want %d", stats.Quarantined, stats.Errors, len(hashes))
+			if len(stats.Quarantine) != len(hashes) || stats.Errors != len(hashes) {
+				t.Fatalf("quarantined=%d errors=%d, want %d", len(stats.Quarantine), stats.Errors, len(hashes))
 			}
 			for i, q := range stats.Quarantine {
 				if q.Attempts != 2 {
@@ -163,17 +163,17 @@ func TestChaosRecoveryRatio(t *testing.T) {
 	recovered := float64(stats.Downloaded) / float64(len(hashes))
 	if recovered < 0.95 {
 		t.Fatalf("recovered %.1f%% of %d patches, want >= 95%% (quarantined %d)",
-			100*recovered, len(hashes), stats.Quarantined)
+			100*recovered, len(hashes), len(stats.Quarantine))
 	}
-	if stats.Downloaded+stats.Quarantined != len(hashes) {
+	if stats.Downloaded+len(stats.Quarantine) != len(hashes) {
 		t.Errorf("downloaded %d + quarantined %d != %d jobs: downloads lost without a trace",
-			stats.Downloaded, stats.Quarantined, len(hashes))
+			stats.Downloaded, len(stats.Quarantine), len(hashes))
 	}
 	if stats.Retries == 0 {
 		t.Error("no retries recorded at a 30% fault rate")
 	}
 	t.Logf("rate 0.3: recovered %d/%d (%.1f%%), %d retries, %d quarantined, %d breaker trips",
-		stats.Downloaded, len(hashes), 100*recovered, stats.Retries, stats.Quarantined, stats.BreakerTrips)
+		stats.Downloaded, len(hashes), 100*recovered, stats.Retries, len(stats.Quarantine), stats.BreakerTrips)
 	_ = patches
 }
 
@@ -226,18 +226,18 @@ func TestChaosDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	if s1.Downloaded != sN.Downloaded || s1.Errors != sN.Errors ||
-		s1.Retries != sN.Retries || s1.Quarantined != sN.Quarantined {
+		s1.Retries != sN.Retries || len(s1.Quarantine) != len(sN.Quarantine) {
 		t.Fatalf("stats differ: %+v vs %+v", s1, sN)
 	}
 	q1, qN := stripBase(s1.Quarantine, base1), stripBase(sN.Quarantine, baseN)
 	if !reflect.DeepEqual(q1, qN) {
 		t.Fatalf("quarantine reports differ:\n%+v\nvs\n%+v", q1, qN)
 	}
-	if s1.Quarantined == 0 {
+	if len(s1.Quarantine) == 0 {
 		t.Error("test too weak: nothing quarantined, raise the rate or cut the budget")
 	}
 	t.Logf("deterministic under faults: %d downloaded, %d quarantined, %d retries",
-		s1.Downloaded, s1.Quarantined, s1.Retries)
+		s1.Downloaded, len(s1.Quarantine), s1.Retries)
 }
 
 // TestChaosBreakerTripsUnderTotalOutage: with the patch route hard down,
@@ -257,8 +257,8 @@ func TestChaosBreakerTripsUnderTotalOutage(t *testing.T) {
 	if stats.BreakerTrips == 0 {
 		t.Error("breaker never tripped during a total patch-route outage")
 	}
-	if stats.Quarantined != 12 {
-		t.Errorf("quarantined = %d, want 12", stats.Quarantined)
+	if len(stats.Quarantine) != 12 {
+		t.Errorf("quarantined = %d, want 12", len(stats.Quarantine))
 	}
 }
 
@@ -275,9 +275,9 @@ func TestChaosFeedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(patches) != len(hashes) || stats.Retries != 2 || stats.Quarantined != 0 {
+	if len(patches) != len(hashes) || stats.Retries != 2 || len(stats.Quarantine) != 0 {
 		t.Errorf("patches=%d retries=%d quarantined=%d, want %d/2/0",
-			len(patches), stats.Retries, stats.Quarantined, len(hashes))
+			len(patches), stats.Retries, len(stats.Quarantine), len(hashes))
 	}
 }
 
@@ -309,8 +309,8 @@ func TestPatchTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Downloaded != 0 || stats.Quarantined != len(hashes) {
-		t.Fatalf("downloaded=%d quarantined=%d, want 0/%d", stats.Downloaded, stats.Quarantined, len(hashes))
+	if stats.Downloaded != 0 || len(stats.Quarantine) != len(hashes) {
+		t.Fatalf("downloaded=%d quarantined=%d, want 0/%d", stats.Downloaded, len(stats.Quarantine), len(hashes))
 	}
 	for _, q := range stats.Quarantine {
 		if !strings.Contains(q.LastError, "patch too large") {

@@ -39,18 +39,14 @@ import (
 // The registry metric families the crawler emits. The crawl publishes into
 // the telemetry hub carried by the Crawl context (falling back to the
 // process-wide default hub), so builds with a private hub stay isolated.
+// Downloads, retries and breaker trips have no family of their own: the
+// retry policy and breaker count attempts, retries and trips in the same
+// registry, and the builder counts the crawl stage's downloaded items.
 const (
-	// MetricDownloads counts patches fetched successfully.
-	MetricDownloads = "crawl_downloads_total"
-	// MetricRetries counts extra fetch attempts beyond each request's first.
-	MetricRetries = "crawl_retries_total"
 	// MetricQuarantined counts downloads that exhausted their budget.
 	MetricQuarantined = "crawl_quarantined_total"
 	// MetricEmptyAfterClean counts patches with no C/C++ files left.
 	MetricEmptyAfterClean = "crawl_empty_after_clean_total"
-	// MetricBreakerTrips counts the crawl breaker's closed-to-open
-	// transitions (timing-dependent; outside the determinism contract).
-	MetricBreakerTrips = "crawl_breaker_trips_total"
 )
 
 // Reference is one external hyperlink of a CVE entry.
@@ -240,11 +236,9 @@ type CrawlStats struct {
 	WithPatchRefs   int // entries that had at least one Patch-tagged link
 	Downloaded      int // patches fetched successfully (possibly after retries)
 	EmptyAfterClean int // patches with no C/C++ files left
-	Errors          int // downloads that ultimately failed (== Quarantined)
+	Errors          int // downloads that ultimately failed: len(Quarantine)
 	// Retries counts extra fetch attempts beyond each request's first.
 	Retries int
-	// Quarantined is len(Quarantine).
-	Quarantined int
 	// BreakerTrips counts closed→open transitions of the crawl's shared
 	// circuit breaker. Trips depend on request timing, so this is the one
 	// field outside the determinism contract.
@@ -325,22 +319,12 @@ func (c *Crawler) policy(reg *telemetry.Registry) (retry.Policy, *retry.Breaker)
 // ctx cancellation aborts the crawl with a wrapped context error.
 func (c *Crawler) Crawl(ctx context.Context) ([]*CrawledPatch, CrawlStats, error) {
 	hub := telemetry.HubFromContext(ctx)
-	ctx, crawlSpan := telemetry.Start(ctx, "nvd.crawl")
 	var stats CrawlStats
 	defer func() {
 		// Publish whatever the crawl accomplished, including on error and
 		// cancellation paths, so a degraded crawl is visible on /metrics.
-		reg := hub.Registry
-		reg.Counter(MetricDownloads).Add(float64(stats.Downloaded))
-		reg.Counter(MetricRetries).Add(float64(stats.Retries))
-		reg.Counter(MetricQuarantined).Add(float64(stats.Quarantined))
-		reg.Counter(MetricEmptyAfterClean).Add(float64(stats.EmptyAfterClean))
-		reg.Counter(MetricBreakerTrips).Add(float64(stats.BreakerTrips))
-		crawlSpan.SetAttr("entries", stats.Entries)
-		crawlSpan.SetAttr("downloaded", stats.Downloaded)
-		crawlSpan.SetAttr("retries", stats.Retries)
-		crawlSpan.SetAttr("quarantined", stats.Quarantined)
-		crawlSpan.End()
+		hub.Registry.Counter(MetricQuarantined).Add(float64(stats.Errors))
+		hub.Registry.Counter(MetricEmptyAfterClean).Add(float64(stats.EmptyAfterClean))
 	}()
 	client := c.Client
 	if client == nil {
@@ -446,7 +430,6 @@ func (c *Crawler) Crawl(ctx context.Context) ([]*CrawledPatch, CrawlStats, error
 			stats.Quarantine = append(stats.Quarantine, *q)
 		}
 	}
-	stats.Quarantined = len(stats.Quarantine)
 	stats.BreakerTrips = breaker.Trips()
 	dlSpan.End()
 	if poolErr != nil {

@@ -1,8 +1,10 @@
 // Package pipeline instruments the dataset-construction pipeline: it names
 // the stages of a Build, accumulates per-stage wall-clock timings and item
 // counters, and defines the progress-callback contract that lets CLIs render
-// a live view of a run. Everything here is safe for concurrent use; the
-// builder's worker pools report into one shared Metrics.
+// a live view of a run. Everything here is safe for concurrent use. The
+// builder's worker pools report progress through a Notifier; Metrics is
+// observed only from the goroutine that runs a Build (and from
+// patchdb-stats' main), once per span that times a stage.
 //
 // Metrics reads no clock: each stage duration it accumulates is the End
 // reading of the telemetry span that traces the stage, and each observation

@@ -378,6 +378,20 @@ func TestBuildCheckpointedMatchesPlain(t *testing.T) {
 	if !reflect.DeepEqual(plain, resumed) {
 		t.Error("fully-journaled resume produced a different dataset")
 	}
+	// The engine totals are the sum of the rounds' Search, also when every
+	// round comes from the journal.
+	for name, r := range map[string]*BuildReport{"fresh": report, "resumed": resumedReport} {
+		var want NearestLinkTotals
+		for _, round := range r.Rounds {
+			want.Add(round.Search)
+		}
+		if want.Searches == 0 || r.Search != want {
+			t.Errorf("%s build: Search = %+v, want the rounds' sum %+v", name, r.Search, want)
+		}
+	}
+	if resumedReport.Search != report.Search {
+		t.Errorf("resumed Search = %+v, fresh %+v", resumedReport.Search, report.Search)
+	}
 }
 
 func TestBuildFeedNoiseSemantics(t *testing.T) {
@@ -546,16 +560,16 @@ func TestBuildWithFaultsRecovers(t *testing.T) {
 	if crawl.Retries == 0 {
 		t.Error("no retries recorded at a 30% fault rate")
 	}
-	total := crawl.Downloaded + crawl.Quarantined
+	total := crawl.Downloaded + len(crawl.Quarantine)
 	if total != crawl.WithPatchRefs {
 		t.Errorf("downloaded %d + quarantined %d != %d patch refs: downloads lost without a trace",
-			crawl.Downloaded, crawl.Quarantined, crawl.WithPatchRefs)
+			crawl.Downloaded, len(crawl.Quarantine), crawl.WithPatchRefs)
 	}
 	if ratio := float64(crawl.Downloaded) / float64(total); ratio < 0.95 {
 		t.Errorf("recovered %.1f%% of patches, want >= 95%%", 100*ratio)
 	}
-	if report.Degraded != (crawl.Quarantined > 0) {
-		t.Errorf("Degraded = %v with %d quarantined", report.Degraded, crawl.Quarantined)
+	if report.Degraded != (len(crawl.Quarantine) > 0) {
+		t.Errorf("Degraded = %v with %d quarantined", report.Degraded, len(crawl.Quarantine))
 	}
 	for i, q := range crawl.Quarantine {
 		if q.Attempts != 4 || q.LastError == "" || q.CVE == "" || q.URL == "" {
@@ -588,9 +602,9 @@ func TestBuildFailureRatioThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MaxCrawlFailureRatio=-1 must never fail the build: %v", err)
 	}
-	if !report.Degraded || report.Crawl.Quarantined == 0 {
+	if !report.Degraded || len(report.Crawl.Quarantine) == 0 {
 		t.Errorf("Degraded=%v quarantined=%d, want a visibly degraded build",
-			report.Degraded, report.Crawl.Quarantined)
+			report.Degraded, len(report.Crawl.Quarantine))
 	}
 	for i, q := range report.Crawl.Quarantine {
 		if q.Attempts != 2 {
@@ -634,11 +648,11 @@ func TestBuildDeterministicUnderFaults(t *testing.T) {
 	if !reflect.DeepEqual(ds1, dsN) {
 		t.Fatal("dataset differs across worker counts under faults")
 	}
-	if rep1.Crawl.Quarantined == 0 {
+	if len(rep1.Crawl.Quarantine) == 0 {
 		t.Error("test too weak: nothing quarantined")
 	}
 	c1, cN := rep1.Crawl, repN.Crawl
-	if c1.Downloaded != cN.Downloaded || c1.Retries != cN.Retries || c1.Quarantined != cN.Quarantined {
+	if c1.Downloaded != cN.Downloaded || c1.Retries != cN.Retries || len(c1.Quarantine) != len(cN.Quarantine) {
 		t.Fatalf("crawl stats differ: %+v vs %+v", c1, cN)
 	}
 	if !reflect.DeepEqual(c1.Quarantine, cN.Quarantine) {

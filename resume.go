@@ -119,9 +119,8 @@ type buildState struct {
 	// SeedFeatures is the verified-security feature set the next
 	// augmentation round searches from.
 	SeedFeatures [][]float64 `json:"seed_features,omitempty"`
-	// Rounds and Search are the augmentation accounting accumulated so far.
-	Rounds []AugmentRound    `json:"rounds,omitempty"`
-	Search NearestLinkTotals `json:"search"`
+	// Rounds is the augmentation accounting accumulated so far.
+	Rounds []AugmentRound `json:"rounds,omitempty"`
 	// HumanVerifications restores the oracle's inspection counter.
 	HumanVerifications int `json:"human_verifications"`
 	// NextRound is the 1-based global round number the next pool starts at.

@@ -3,11 +3,11 @@
 # and `make ci` both run it, so there is one sequence to keep. It runs the
 # build, the gofmt check, stock vet (of the program and of the perfbench
 # benchmark module), the custom patchdb-lint suite cold and warm, the test
-# run, the race-enabled parallel-loop, observability-correlation and
-# crash-safety suites, the race-enabled nearest-link engine, synthesis and
-# RNN suites, the fully-verified nearest-link engine smoke sweep, and the
-# bounded fuzz run of the decoders and the nearest-link search. Exits
-# non-zero on the first failure.
+# run, the race-enabled parallel-loop, observability-correlation, build
+# telemetry and crash-safety suites, the race-enabled nearest-link engine,
+# synthesis and RNN suites, the fully-verified nearest-link engine smoke
+# sweep, and the bounded fuzz run of the decoders and the nearest-link
+# search. Exits non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,6 +78,9 @@ echo "==> par (the shared parallel loop, race-enabled)"
 
 echo "==> verify-obs (logging determinism + SLO + exemplar + request-ID correlation, race-enabled)"
 "$GO" test -race -count=1 -run 'Log|SLO|Exemplar|Exposition|OpenMetrics|Prom|RequestID|Correlation|ChromeTrace|Debug|Healthz|Slow' ./internal/telemetry/ ./internal/store/
+
+echo "==> build telemetry (run report, registry families, span tree, race-enabled)"
+"$GO" test -race -count=1 -run 'TestBuild|TestServeTelemetry' .
 
 echo "==> verify-resume (kill-and-resume crash safety, race-enabled)"
 "$GO" test -race -count=1 ./internal/atomicio/ ./internal/checkpoint/ ./internal/experiments/resumebench/

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -88,9 +89,7 @@ func TestBuildRunReport(t *testing.T) {
 	for _, want := range []string{
 		"patchdb_stage_items_total",
 		"patchdb_stage_duration_nanoseconds_total",
-		"crawl_downloads_total",
-		"nearestlink_searches_total",
-		"nearestlink_distance_evals_total",
+		"crawl_quarantined_total",
 		"retry_attempts_total",
 	} {
 		if !families[want] {
@@ -98,21 +97,27 @@ func TestBuildRunReport(t *testing.T) {
 		}
 	}
 
-	// Spans: a build root span with the crawl span parented under it.
-	var buildSpan, crawlSpan *telemetry.SpanRecord
+	// Spans: a build root span, the crawl stage span under it, and the
+	// crawler's download span under the stage.
+	var buildSpan, crawlSpan, dlSpan *telemetry.SpanRecord
 	for i := range rr.Spans {
 		switch rr.Spans[i].Name {
 		case "build":
 			buildSpan = &rr.Spans[i]
-		case "nvd.crawl":
+		case "crawl":
 			crawlSpan = &rr.Spans[i]
+		case "nvd.download":
+			dlSpan = &rr.Spans[i]
 		}
 	}
-	if buildSpan == nil || crawlSpan == nil {
-		t.Fatalf("spans missing build/nvd.crawl: %+v", rr.Spans)
+	if buildSpan == nil || crawlSpan == nil || dlSpan == nil {
+		t.Fatalf("spans missing build/crawl/nvd.download: %+v", rr.Spans)
 	}
 	if crawlSpan.Parent != buildSpan.ID {
-		t.Errorf("nvd.crawl parent = %d, want build span id %d", crawlSpan.Parent, buildSpan.ID)
+		t.Errorf("crawl parent = %d, want build span id %d", crawlSpan.Parent, buildSpan.ID)
+	}
+	if dlSpan.Parent != crawlSpan.ID {
+		t.Errorf("nvd.download parent = %d, want crawl span id %d", dlSpan.Parent, crawlSpan.ID)
 	}
 }
 
@@ -264,8 +269,8 @@ func TestServeTelemetryDuringBuild(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE patchdb_stage_items_total counter",
 		`patchdb_stage_items_total{stage="crawl"}`,
-		"# TYPE nearestlink_search_seconds histogram",
-		"nearestlink_search_seconds_bucket",
+		"# TYPE retry_attempt_seconds histogram",
+		"retry_attempt_seconds_bucket",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics output missing %q", want)
@@ -384,6 +389,78 @@ func TestBuildStageTimesWithoutTracer(t *testing.T) {
 	}
 	if report.Search.Duration <= 0 {
 		t.Errorf("search duration = %v, want > 0", report.Search.Duration)
+	}
+}
+
+// TestBuildMetricFamilies pins the registry families and the span names of
+// a fault-injected, checkpointed build, so each build fact has one record:
+// the crawl's downloads and retries are read from the stage and retry
+// families, and every stage is timed by its own span with no package span
+// inside it timing the same call.
+func TestBuildMetricFamilies(t *testing.T) {
+	hub := NewTelemetryHub()
+	cfg := telemetryTestConfig()
+	cfg.FaultRate = 0.1
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Telemetry = hub
+	_, report, err := Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Crawl.Retries == 0 {
+		t.Fatal("fault-injected build made no retries")
+	}
+
+	// Breaker families appear only when request timing trips the breaker.
+	var families []string
+	for _, p := range report.Run.Metrics {
+		if !strings.HasPrefix(p.Name, "breaker_") && !slices.Contains(families, p.Name) {
+			families = append(families, p.Name)
+		}
+	}
+	sort.Strings(families)
+	wantFamilies := []string{
+		"checkpoint_write_bytes_total",
+		"checkpoint_writes_total",
+		"crawl_empty_after_clean_total",
+		"crawl_quarantined_total",
+		"faults_injected_total",
+		"faults_requests_total",
+		"patchdb_stage_duration_nanoseconds_total",
+		"patchdb_stage_items_total",
+		"retry_attempt_seconds",
+		"retry_attempts_total",
+		"retry_backoff_seconds",
+		"retry_retries_total",
+	}
+	if !reflect.DeepEqual(families, wantFamilies) {
+		t.Errorf("families = %q\nwant %q", families, wantFamilies)
+	}
+
+	spans := map[string]int{}
+	for _, sp := range report.Run.Spans {
+		spans[sp.Name]++
+	}
+	wantSpans := map[string]int{
+		"build": 1, "generate": 1, "crawl": 1, "nvd.fetch_feed": 1, "nvd.download": 1,
+		"checkpoint": 4, "extract.seed": 1, "extract.pool": 1, "augment.pool": 1,
+		"nearestlink.search": 2, "nearestlink.prepare": 2, "nearestlink.scan": 2,
+		"nearestlink.deepen": 2, "nearestlink.greedy": 2,
+		"synthesize": 1, "oversample.enumerate": 1, "oversample.render": 1,
+	}
+	if !reflect.DeepEqual(spans, wantSpans) {
+		t.Errorf("span names = %v\nwant %v", spans, wantSpans)
+	}
+
+	reg := hub.Registry
+	if got := reg.Counter("retry_retries_total").Value(); got != float64(report.Crawl.Retries) {
+		t.Errorf("retry_retries_total = %v, want Crawl.Retries %d", got, report.Crawl.Retries)
+	}
+	if got := reg.Counter("patchdb_stage_items_total", telemetry.L("stage", "crawl")).Value(); got != float64(report.Crawl.Downloaded) {
+		t.Errorf("crawl stage items = %v, want Crawl.Downloaded %d", got, report.Crawl.Downloaded)
+	}
+	if got := reg.Counter("crawl_quarantined_total").Value(); got != float64(len(report.Crawl.Quarantine)) {
+		t.Errorf("crawl_quarantined_total = %v, want len(Crawl.Quarantine) %d", got, len(report.Crawl.Quarantine))
 	}
 }
 
