@@ -78,7 +78,10 @@ bench:
 # bench-nearestlink sweeps the nearest-link engine up to 2k seeds x 200k
 # wild commits and writes BENCH_nearestlink.json (median ns/op of 5 runs
 # with their range, distance evals, pruned fraction, rescans, reference
-# speedup) — the perf trajectory for the hottest kernel in the repo.
+# speedup) — the perf trajectory for the hottest kernel in the repo. The
+# host drifts between sweeps by more than a row's 5 repeats show, so a
+# committed row compares with an earlier commit's row only when the
+# parent's sweep is re-run beside it, alternating the two.
 bench-nearestlink:
 	$(GO) run ./cmd/patchdb-bench -only NEARESTLINK
 

@@ -114,8 +114,8 @@ func run() error {
 	fmt.Printf("crawl: %d entries, %d with patch refs, %d downloaded, %d errors\n",
 		report.Crawl.Entries, report.Crawl.WithPatchRefs, report.Crawl.Downloaded, report.Crawl.Errors)
 	if report.Crawl.Retries > 0 || report.Crawl.Errors > 0 {
-		fmt.Printf("crawl resilience: %d retries, %d quarantined, %d breaker trips\n",
-			report.Crawl.Retries, report.Crawl.Errors, report.Crawl.BreakerTrips)
+		fmt.Printf("crawl resilience: %d retries, %d breaker trips\n",
+			report.Crawl.Retries, report.Crawl.BreakerTrips)
 	}
 	for _, q := range report.Crawl.Quarantine {
 		fmt.Printf("  quarantined: %s %s after %d attempts: %s\n", q.CVE, q.URL, q.Attempts, q.LastError)

@@ -40,15 +40,12 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
-
-	"patchdb/internal/telemetry"
 )
 
 // Analyzer is one named invariant check.
@@ -240,23 +237,18 @@ func parseDirectives(fset *token.FileSet, f *ast.File) (dirs []*ignoreDirective,
 }
 
 // UnitResult is the outcome of analyzing one package unit: the surviving
-// (post-suppression) diagnostics, the facts the unit exports for dependent
-// packages, and per-analyzer wall-clock spent — everything the incremental
-// driver caches.
+// (post-suppression) diagnostics and the facts the unit exports for
+// dependent packages — everything the incremental driver caches.
 type UnitResult struct {
 	Diagnostics []Diagnostic
 	Facts       *FactSet
-	// AnalyzerNanos records wall-clock nanoseconds per analyzer (timing is
-	// telemetry-only; it never affects diagnostics or facts).
-	AnalyzerNanos map[string]int64
 }
 
 // RunUnit executes the analyzers over one package unit with the given
 // imported facts, applies lint:ignore suppression, and returns the
-// surviving diagnostics (sorted), exported facts, and, when timed, the
-// per-analyzer timing. Malformed directives are reported under the
-// "lintdirective" check and cannot be suppressed.
-func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, timed bool) UnitResult {
+// surviving diagnostics (sorted) and exported facts. Malformed directives
+// are reported under the "lintdirective" check and cannot be suppressed.
+func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView) UnitResult {
 	var raw []Diagnostic
 	var malformed []Diagnostic
 	directives := make(map[string][]*ignoreDirective) // filename -> directives
@@ -268,9 +260,6 @@ func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, timed bool)
 	}
 
 	exports := NewFactSet()
-	nanos := make(map[string]int64, len(analyzers))
-	// A span on a nil tracer measures without recording anywhere.
-	var untraced *telemetry.Tracer
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:   a,
@@ -280,11 +269,7 @@ func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, timed bool)
 			exports:    exports,
 			directives: directives,
 		}
-		_, span := untraced.Start(context.Background(), a.Name)
 		a.Run(pass)
-		if timed {
-			nanos[a.Name] += int64(span.End())
-		}
 	}
 
 	var out []Diagnostic
@@ -315,7 +300,7 @@ func RunUnit(pkg *Package, analyzers []*Analyzer, imported FactView, timed bool)
 		}
 	}
 	SortDiagnostics(out)
-	return UnitResult{Diagnostics: out, Facts: exports, AnalyzerNanos: nanos}
+	return UnitResult{Diagnostics: out, Facts: exports}
 }
 
 // Run executes the analyzers over the packages in order, threading each
@@ -326,7 +311,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := NewFactSet()
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		res := RunUnit(pkg, analyzers, facts, false)
+		res := RunUnit(pkg, analyzers, facts)
 		facts.Merge(res.Facts)
 		out = append(out, res.Diagnostics...)
 	}

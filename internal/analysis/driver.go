@@ -15,7 +15,6 @@ import (
 
 	"patchdb/internal/atomicio"
 	"patchdb/internal/par"
-	"patchdb/internal/telemetry"
 )
 
 // cacheSchema versions the on-disk cache entry layout; bumping it orphans
@@ -35,9 +34,6 @@ type Driver struct {
 	CacheDir string
 	// Workers caps concurrent unit analyses; <= 0 means GOMAXPROCS.
 	Workers int
-	// Hub, when set, receives cache hit/miss, source-load, and per-analyzer
-	// timing counters.
-	Hub *telemetry.Hub
 }
 
 // Stats summarizes one driver run.
@@ -50,9 +46,6 @@ type Stats struct {
 	// (analyzed units plus their module-internal imports); 0 on a fully
 	// warm run.
 	SourceLoads int64
-	// AnalyzerNanos is wall-clock per analyzer across the units actually
-	// analyzed (cache hits contribute nothing — no work was done).
-	AnalyzerNanos map[string]int64
 }
 
 // String renders the one-line -stats summary.
@@ -71,12 +64,11 @@ type unit struct {
 	deps       []*unit // in-set dependencies (facts flow along these)
 	level      int
 
-	key           string
-	diags         []Diagnostic
-	facts         *FactSet
-	factsHash     string
-	hit           bool
-	analyzerNanos map[string]int64
+	key       string
+	diags     []Diagnostic
+	facts     *FactSet
+	factsHash string
+	hit       bool
 }
 
 // Run analyzes the packages matched by patterns and returns the globally
@@ -86,7 +78,7 @@ func (d *Driver) Run(cwd string, patterns ...string) ([]Diagnostic, *Stats, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &Stats{Units: len(units), AnalyzerNanos: make(map[string]int64)}
+	stats := &Stats{Units: len(units)}
 	loadsBefore := d.Loader.SourceLoads()
 	sig := analyzersSig(d.Analyzers)
 
@@ -130,13 +122,9 @@ func (d *Driver) Run(cwd string, patterns ...string) ([]Diagnostic, *Stats, erro
 	var out []Diagnostic
 	for _, u := range units {
 		out = append(out, u.diags...)
-		for name, n := range u.analyzerNanos {
-			stats.AnalyzerNanos[name] += n
-		}
 	}
 	SortDiagnostics(out)
 	stats.SourceLoads = d.Loader.SourceLoads() - loadsBefore
-	d.publish(stats)
 	return out, stats, nil
 }
 
@@ -166,11 +154,10 @@ func (d *Driver) runUnit(u *unit, sig string) error {
 	for _, dep := range trans {
 		imported.Merge(dep.facts)
 	}
-	res := RunUnit(pkg, d.Analyzers, imported, true)
+	res := RunUnit(pkg, d.Analyzers, imported)
 	u.diags = res.Diagnostics
 	u.facts = res.Facts
 	u.factsHash = res.Facts.Hash()
-	u.analyzerNanos = res.AnalyzerNanos
 
 	if d.CacheDir != "" {
 		if err := d.writeCacheEntry(u); err != nil {
@@ -308,21 +295,6 @@ func (d *Driver) diagsFromCache(cached []cacheDiag) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// publish pushes run counters to the telemetry hub.
-func (d *Driver) publish(stats *Stats) {
-	hub := d.Hub
-	if hub == nil || hub.Registry == nil {
-		return
-	}
-	reg := hub.Registry
-	reg.Counter("patchdb_lint_cache_hits_total").Add(float64(stats.CacheHits))
-	reg.Counter("patchdb_lint_cache_misses_total").Add(float64(stats.CacheMisses))
-	reg.Counter("patchdb_lint_source_loads_total").Add(float64(stats.SourceLoads))
-	for name, n := range stats.AnalyzerNanos {
-		reg.Counter("patchdb_lint_analyzer_seconds_total", telemetry.L("analyzer", name)).Add(float64(n) / 1e9)
-	}
 }
 
 // discover scans the matched directories with an imports-only parse — no

@@ -199,8 +199,6 @@ type Synthetic struct {
 // Oversampler synthesizes patch variants from full before/after file
 // snapshots.
 type Oversampler struct {
-	// ContextLines in regenerated diffs (default 3, matching git).
-	ContextLines int
 	// MaxPerPatch caps synthetic patches per natural patch (0 = all).
 	MaxPerPatch int
 	// Sides selects which versions to modify (default: both).
@@ -213,11 +211,10 @@ type Oversampler struct {
 	Rand *rand.Rand
 }
 
-func (o *Oversampler) defaults() (int, []Side, []Variant) {
-	ctx := o.ContextLines
-	if ctx <= 0 {
-		ctx = 3
-	}
+// contextLines is the context of regenerated diffs, matching git.
+const contextLines = 3
+
+func (o *Oversampler) defaults() ([]Side, []Variant) {
 	sides := o.Sides
 	if len(sides) == 0 {
 		sides = []Side{ModifyAfter, ModifyBefore}
@@ -229,7 +226,7 @@ func (o *Oversampler) defaults() (int, []Side, []Variant) {
 			variants[i] = Variant(i + 1)
 		}
 	}
-	return ctx, sides, variants
+	return sides, variants
 }
 
 // Synthesize generates artificial patches for one natural patch, given the
@@ -274,13 +271,13 @@ const batchWindow = 256
 // ctx is done no new patch starts, and SynthesizeBatch returns ctx.Err()
 // wrapped.
 func (o *Oversampler) SynthesizeBatch(ctx context.Context, n, workers int, job func(i int) Job, done func(i int, syns []*Synthetic)) error {
-	ctxLines, sides, variants := o.defaults()
+	sides, variants := o.defaults()
 	plans := make([]plan, min(n, batchWindow))
 	for lo := 0; lo < n; lo += batchWindow {
 		w := plans[:min(batchWindow, n-lo)]
 		_, span := telemetry.Start(ctx, "oversample.enumerate")
 		err := par.For(ctx, len(w), workers, func(_, k int) {
-			w[k] = enumerate(job(lo+k), ctxLines, sides, variants)
+			w[k] = enumerate(job(lo+k), sides, variants)
 		})
 		span.End()
 		if err != nil {
@@ -293,7 +290,7 @@ func (o *Oversampler) SynthesizeBatch(ctx context.Context, n, workers int, job f
 		}
 		_, span = telemetry.Start(ctx, "oversample.render")
 		err = par.For(ctx, len(w), workers, func(_, k int) {
-			done(lo+k, w[k].render(o.MaxPerPatch, ctxLines))
+			done(lo+k, w[k].render(o.MaxPerPatch))
 			w[k] = plan{}
 		})
 		span.End()
@@ -322,9 +319,9 @@ type combo struct {
 
 // enumerate lists every (file, side, if statement, variant) combination of
 // one patch, in file, side, statement and variant order.
-func enumerate(j Job, ctxLines int, sides []Side, variants []Variant) plan {
+func enumerate(j Job, sides []Side, variants []Variant) plan {
 	p := plan{Job: j}
-	base := diff.ComputePatch(j.Hash, "", j.Before, j.After, ctxLines)
+	base := diff.ComputePatch(j.Hash, "", j.Before, j.After, contextLines)
 	for _, fd := range base.Files {
 		if !fd.IsCFamily() {
 			continue
@@ -356,7 +353,7 @@ func enumerate(j Job, ctxLines int, sides []Side, variants []Variant) plan {
 
 // render applies the plan's combinations in order and re-diffs each
 // variant, keeping those that change something, up to maxPer (0 = all).
-func (p *plan) render(maxPer, ctxLines int) []*Synthetic {
+func (p *plan) render(maxPer int) []*Synthetic {
 	var out []*Synthetic
 	for _, c := range p.combos {
 		mutated, err := ApplyVariant(c.src, c.ifStmt, c.v)
@@ -366,9 +363,9 @@ func (p *plan) render(maxPer, ctxLines int) []*Synthetic {
 		var d *diff.Patch
 		variantHash := p.Hash + "-syn-" + c.side.String() + "-" + strconv.Itoa(c.ifStmt.StartLine) + "-" + strconv.Itoa(int(c.v))
 		if c.side == ModifyAfter {
-			d = diff.ComputePatch(variantHash, "", p.Before, overlay(p.After, c.fd.NewPath, mutated), ctxLines)
+			d = diff.ComputePatch(variantHash, "", p.Before, overlay(p.After, c.fd.NewPath, mutated), contextLines)
 		} else {
-			d = diff.ComputePatch(variantHash, "", overlay(p.Before, c.fd.OldPath, mutated), p.After, ctxLines)
+			d = diff.ComputePatch(variantHash, "", overlay(p.Before, c.fd.OldPath, mutated), p.After, contextLines)
 		}
 		if len(d.Files) == 0 {
 			continue

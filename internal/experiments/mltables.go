@@ -138,15 +138,7 @@ func (l *Lab) evalRNN(train *seqDataset, test *seqDataset, seed int64) (ml.Metri
 		for i, s := range test.seqs {
 			pred[i] = rnn.PredictTokens(s)
 		}
-		m := ml.Evaluate(pred, test.y)
-		agg.Precision += m.Precision / rnnRuns
-		agg.Recall += m.Recall / rnnRuns
-		agg.F1 += m.F1 / rnnRuns
-		agg.Accuracy += m.Accuracy / rnnRuns
-		agg.TP += m.TP
-		agg.FP += m.FP
-		agg.TN += m.TN
-		agg.FN += m.FN
+		accumulate(&agg, ml.Evaluate(pred, test.y), rnnRuns)
 	}
 	return agg, nil
 }

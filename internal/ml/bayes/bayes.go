@@ -1,6 +1,5 @@
-// Package bayes implements probabilistic classifiers: Gaussian naive Bayes,
-// discrete (binned) naive Bayes, and a tree-augmented naive Bayes network
-// learned with the Chow-Liu algorithm — the "Naive Bayes" and "Bayesian
+// Package bayes implements probabilistic classifiers: Gaussian naive Bayes
+// and a tree-augmented naive Bayes network learned with the Chow-Liu algorithm — the "Naive Bayes" and "Bayesian
 // Network" members of the ten-classifier ensemble in Table III.
 package bayes
 
@@ -100,12 +99,15 @@ func (g *GaussianNB) Predict(x []float64) int {
 	return ml.NonSecurity
 }
 
-// discretizer bins each feature into equal-frequency bins.
+// tanBins is the number of equal-frequency bins per feature.
+const tanBins = 4
+
+// discretizer bins each feature into tanBins equal-frequency bins.
 type discretizer struct {
 	cuts [][]float64 // per-feature ascending cut points
 }
 
-func fitDiscretizer(x [][]float64, bins int) *discretizer {
+func fitDiscretizer(x [][]float64) *discretizer {
 	dim := len(x[0])
 	d := &discretizer{cuts: make([][]float64, dim)}
 	vals := make([]float64, len(x))
@@ -116,8 +118,8 @@ func fitDiscretizer(x [][]float64, bins int) *discretizer {
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)
 		var cuts []float64
-		for b := 1; b < bins; b++ {
-			q := sorted[len(sorted)*b/bins]
+		for b := 1; b < tanBins; b++ {
+			q := sorted[len(sorted)*b/tanBins]
 			if len(cuts) == 0 || q > cuts[len(cuts)-1] {
 				cuts = append(cuts, q)
 			}
@@ -139,90 +141,11 @@ func (d *discretizer) bin(j int, v float64) int {
 
 func (d *discretizer) bins(j int) int { return len(d.cuts[j]) + 1 }
 
-// DiscreteNB is naive Bayes over equal-frequency-binned features with
-// Laplace smoothing.
-type DiscreteNB struct {
-	// Bins per feature (default 5).
-	Bins int
-
-	disc   *discretizer
-	priors [2]float64
-	// counts[c][j][b] = P(feature j in bin b | class c), smoothed.
-	counts [2][][]float64
-}
-
-var _ ml.Classifier = (*DiscreteNB)(nil)
-
-// Fit estimates the smoothed conditional bin probabilities.
-func (d *DiscreteNB) Fit(x [][]float64, y []int) error {
-	if len(x) == 0 {
-		return ml.ErrEmptyDataset
-	}
-	if d.Bins <= 1 {
-		d.Bins = 5
-	}
-	d.disc = fitDiscretizer(x, d.Bins)
-	dim := len(x[0])
-	var count [2]int
-	for c := 0; c < 2; c++ {
-		d.counts[c] = make([][]float64, dim)
-		for j := 0; j < dim; j++ {
-			d.counts[c][j] = make([]float64, d.disc.bins(j))
-		}
-	}
-	for i, row := range x {
-		c := y[i]
-		count[c]++
-		for j, v := range row {
-			d.counts[c][j][d.disc.bin(j, v)]++
-		}
-	}
-	n := len(x)
-	for c := 0; c < 2; c++ {
-		d.priors[c] = (float64(count[c]) + 1) / (float64(n) + 2)
-		for j := 0; j < dim; j++ {
-			total := float64(count[c]) + float64(len(d.counts[c][j]))
-			for b := range d.counts[c][j] {
-				d.counts[c][j][b] = (d.counts[c][j][b] + 1) / total
-			}
-		}
-	}
-	return nil
-}
-
-// Proba returns P(security|x).
-func (d *DiscreteNB) Proba(x []float64) float64 {
-	if d.disc == nil {
-		return 0
-	}
-	ll := [2]float64{math.Log(d.priors[0]), math.Log(d.priors[1])}
-	for j, v := range x {
-		b := d.disc.bin(j, v)
-		for c := 0; c < 2; c++ {
-			ll[c] += math.Log(d.counts[c][j][b])
-		}
-	}
-	m := math.Max(ll[0], ll[1])
-	e0 := math.Exp(ll[0] - m)
-	e1 := math.Exp(ll[1] - m)
-	return e1 / (e0 + e1)
-}
-
-// Predict thresholds at 0.5.
-func (d *DiscreteNB) Predict(x []float64) int {
-	if d.Proba(x) >= 0.5 {
-		return ml.Security
-	}
-	return ml.NonSecurity
-}
-
 // TAN is a tree-augmented naive Bayes network: features are binned, a
 // maximum-spanning tree over class-conditional mutual information links each
 // feature to at most one feature parent (Chow-Liu), and inference multiplies
 // the resulting conditional tables.
 type TAN struct {
-	Bins int
-
 	disc   *discretizer
 	priors [2]float64
 	parent []int // parent feature index, -1 for the root
@@ -238,10 +161,7 @@ func (t *TAN) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
-	if t.Bins <= 1 {
-		t.Bins = 4
-	}
-	t.disc = fitDiscretizer(x, t.Bins)
+	t.disc = fitDiscretizer(x)
 	dim := len(x[0])
 
 	// Bin the whole matrix once.

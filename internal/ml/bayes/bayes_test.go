@@ -75,21 +75,9 @@ func TestGaussianNBSingleClass(t *testing.T) {
 	}
 }
 
-func TestDiscreteNBSeparable(t *testing.T) {
-	x, y := blobs(600, 4)
-	d := &DiscreteNB{Bins: 6}
-	if err := d.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	xt, yt := blobs(300, 5)
-	if acc := accuracy(d, xt, yt); acc < 0.85 {
-		t.Errorf("DiscreteNB accuracy = %.2f", acc)
-	}
-}
-
 func TestTANSeparable(t *testing.T) {
 	x, y := blobs(600, 6)
-	tan := &TAN{Bins: 4}
+	tan := &TAN{}
 	if err := tan.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +89,7 @@ func TestTANSeparable(t *testing.T) {
 
 func TestTANStructureIsTree(t *testing.T) {
 	x, y := blobs(300, 8)
-	tan := &TAN{Bins: 3}
+	tan := &TAN{}
 	if err := tan.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +116,7 @@ func TestTANStructureIsTree(t *testing.T) {
 
 func TestAllRejectEmpty(t *testing.T) {
 	for name, c := range map[string]ml.Classifier{
-		"gaussian": &GaussianNB{}, "discrete": &DiscreteNB{}, "tan": &TAN{},
+		"gaussian": &GaussianNB{}, "tan": &TAN{},
 	} {
 		if err := c.Fit(nil, nil); !errors.Is(err, ml.ErrEmptyDataset) {
 			t.Errorf("%s: err = %v", name, err)
@@ -138,8 +126,8 @@ func TestAllRejectEmpty(t *testing.T) {
 
 func TestDiscretizerBins(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}}
-	d := fitDiscretizer(x, 4)
-	if got := d.bins(0); got != 4 {
+	d := fitDiscretizer(x)
+	if got := d.bins(0); got != tanBins {
 		t.Fatalf("bins = %d", got)
 	}
 	if d.bin(0, 0) != 0 {

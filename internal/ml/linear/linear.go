@@ -71,6 +71,33 @@ func sigmoid(z float64) float64 {
 	return 1 / (1 + math.Exp(-z))
 }
 
+// Training settings of the five models, fixed as the paper's evaluation
+// runs each in one configuration.
+const (
+	logisticEpochs = 200  // full-batch gradient descent steps
+	logisticLR     = 0.1  // learning rate
+	logisticL2     = 1e-4 // ridge penalty
+
+	sgdEpochs = 20
+	sgdEta0   = 0.05 // initial learning rate, scaled by 1/sqrt(t)
+	sgdL2     = 1e-4
+
+	svmEpochs = 30
+	svmLambda = 1e-4 // Pegasos regularization
+
+	smoC      = 1    // box constraint
+	smoTol    = 1e-3 // KKT tolerance
+	smoPasses = 3    // passes without a change before stopping
+	// smoMaxRows caps the training subsample so the O(n^2) loop stays
+	// tractable on large datasets.
+	smoMaxRows = 800
+
+	vpEpochs = 5
+	// vpMaxVectors caps the stored prediction vectors; the two oldest are
+	// merged by weight when the cap is hit.
+	vpMaxVectors = 200
+)
+
 func dot(w, x []float64) float64 {
 	sum := 0.0
 	for j, v := range x {
@@ -82,13 +109,6 @@ func dot(w, x []float64) float64 {
 // Logistic is L2-regularized logistic regression trained with full-batch
 // gradient descent.
 type Logistic struct {
-	// Epochs of full-batch gradient descent (default 200).
-	Epochs int
-	// LR is the learning rate (default 0.1).
-	LR float64
-	// L2 is the ridge penalty (default 1e-4).
-	L2 float64
-
 	w    []float64
 	b    float64
 	norm *standardizer
@@ -101,15 +121,6 @@ func (l *Logistic) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
-	if l.Epochs <= 0 {
-		l.Epochs = 200
-	}
-	if l.LR <= 0 {
-		l.LR = 0.1
-	}
-	if l.L2 <= 0 {
-		l.L2 = 1e-4
-	}
 	l.norm = fitStandardizer(x)
 	xs := l.norm.applyAll(x)
 	dim := len(xs[0])
@@ -117,7 +128,7 @@ func (l *Logistic) Fit(x [][]float64, y []int) error {
 	l.b = 0
 	n := float64(len(xs))
 	gw := make([]float64, dim)
-	for epoch := 0; epoch < l.Epochs; epoch++ {
+	for epoch := 0; epoch < logisticEpochs; epoch++ {
 		for j := range gw {
 			gw[j] = 0
 		}
@@ -130,9 +141,9 @@ func (l *Logistic) Fit(x [][]float64, y []int) error {
 			gb += err
 		}
 		for j := range l.w {
-			l.w[j] -= l.LR * (gw[j]/n + l.L2*l.w[j])
+			l.w[j] -= logisticLR * (gw[j]/n + logisticL2*l.w[j])
 		}
-		l.b -= l.LR * gb / n
+		l.b -= logisticLR * gb / n
 	}
 	return nil
 }
@@ -151,10 +162,7 @@ func (l *Logistic) Predict(x []float64) int { return threshold(l.Proba(x)) }
 // SGD is a logistic-loss stochastic gradient descent classifier with an
 // inverse-scaling learning rate, mirroring scikit/Weka SGD.
 type SGD struct {
-	Epochs int
-	Eta0   float64
-	L2     float64
-	Seed   int64
+	Seed int64
 
 	w    []float64
 	b    float64
@@ -168,29 +176,20 @@ func (s *SGD) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
-	if s.Epochs <= 0 {
-		s.Epochs = 20
-	}
-	if s.Eta0 <= 0 {
-		s.Eta0 = 0.05
-	}
-	if s.L2 <= 0 {
-		s.L2 = 1e-4
-	}
 	s.norm = fitStandardizer(x)
 	xs := s.norm.applyAll(x)
 	dim := len(xs[0])
 	s.w = make([]float64, dim)
 	rng := rand.New(rand.NewSource(s.Seed + 11))
 	t := 1.0
-	for epoch := 0; epoch < s.Epochs; epoch++ {
+	for epoch := 0; epoch < sgdEpochs; epoch++ {
 		for _, i := range rng.Perm(len(xs)) {
-			eta := s.Eta0 / math.Sqrt(t)
+			eta := sgdEta0 / math.Sqrt(t)
 			t++
 			row := xs[i]
 			err := sigmoid(dot(s.w, row)+s.b) - float64(y[i])
 			for j, v := range row {
-				s.w[j] -= eta * (err*v + s.L2*s.w[j])
+				s.w[j] -= eta * (err*v + sgdL2*s.w[j])
 			}
 			s.b -= eta * err
 		}
@@ -213,9 +212,7 @@ func (s *SGD) Predict(x []float64) int { return threshold(s.Proba(x)) }
 // stochastic sub-gradient algorithm. Proba is a Platt-style sigmoid over the
 // margin.
 type SVM struct {
-	Epochs int
-	Lambda float64
-	Seed   int64
+	Seed int64
 
 	w    []float64
 	b    float64
@@ -229,27 +226,21 @@ func (s *SVM) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
-	if s.Epochs <= 0 {
-		s.Epochs = 30
-	}
-	if s.Lambda <= 0 {
-		s.Lambda = 1e-4
-	}
 	s.norm = fitStandardizer(x)
 	xs := s.norm.applyAll(x)
 	dim := len(xs[0])
 	s.w = make([]float64, dim)
 	rng := rand.New(rand.NewSource(s.Seed + 17))
 	t := 1.0
-	for epoch := 0; epoch < s.Epochs; epoch++ {
+	for epoch := 0; epoch < svmEpochs; epoch++ {
 		for _, i := range rng.Perm(len(xs)) {
-			eta := 1 / (s.Lambda * t)
+			eta := 1 / (svmLambda * t)
 			t++
 			row := xs[i]
 			yi := float64(2*y[i] - 1) // {-1,+1}
 			margin := yi * (dot(s.w, row) + s.b)
 			for j := range s.w {
-				s.w[j] *= 1 - eta*s.Lambda
+				s.w[j] *= 1 - eta*svmLambda
 			}
 			if margin < 1 {
 				for j, v := range row {
@@ -290,13 +281,7 @@ func (s *SVM) Predict(x []float64) int {
 // Minimal Optimization loop (Platt's algorithm with random second-choice
 // heuristic), standing in for Weka's SMO classifier.
 type SMO struct {
-	C      float64
-	Tol    float64
-	Passes int
-	Seed   int64
-	// MaxRows caps the training subsample so the O(n^2)-ish loop stays
-	// tractable on large datasets (default 800).
-	MaxRows int
+	Seed int64
 
 	w    []float64
 	b    float64
@@ -311,22 +296,10 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
-	if s.C <= 0 {
-		s.C = 1
-	}
-	if s.Tol <= 0 {
-		s.Tol = 1e-3
-	}
-	if s.Passes <= 0 {
-		s.Passes = 3
-	}
-	if s.MaxRows <= 0 {
-		s.MaxRows = 800
-	}
 	rng := rand.New(rand.NewSource(s.Seed + 23))
 	idx := rng.Perm(len(x))
-	if len(idx) > s.MaxRows {
-		idx = idx[:s.MaxRows]
+	if len(idx) > smoMaxRows {
+		idx = idx[:smoMaxRows]
 	}
 	s.norm = fitStandardizer(x)
 	xs := make([][]float64, len(idx))
@@ -362,11 +335,11 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 	passes := 0
 	// With fewer than two rows there is no second index to pair with, so
 	// the model keeps all alphas at zero.
-	for n >= 2 && passes < s.Passes {
+	for n >= 2 && passes < smoPasses {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - ys[i]
-			if (ys[i]*ei < -s.Tol && alpha[i] < s.C) || (ys[i]*ei > s.Tol && alpha[i] > 0) {
+			if (ys[i]*ei < -smoTol && alpha[i] < smoC) || (ys[i]*ei > smoTol && alpha[i] > 0) {
 				j := rng.Intn(n - 1)
 				if j >= i {
 					j++
@@ -376,10 +349,10 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 				var lo, hi float64
 				if ys[i] != ys[j] {
 					lo = math.Max(0, aj-ai)
-					hi = math.Min(s.C, s.C+aj-ai)
+					hi = math.Min(smoC, smoC+aj-ai)
 				} else {
-					lo = math.Max(0, ai+aj-s.C)
-					hi = math.Min(s.C, ai+aj)
+					lo = math.Max(0, ai+aj-smoC)
+					hi = math.Min(smoC, ai+aj)
 				}
 				if lo == hi {
 					continue
@@ -398,9 +371,9 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 				b1 := b - ei - ys[i]*(alpha[i]-ai)*kii - ys[j]*(alpha[j]-aj)*kij
 				b2 := b - ej - ys[i]*(alpha[i]-ai)*kij - ys[j]*(alpha[j]-aj)*kjj
 				switch {
-				case alpha[i] > 0 && alpha[i] < s.C:
+				case alpha[i] > 0 && alpha[i] < smoC:
 					b = b1
-				case alpha[j] > 0 && alpha[j] < s.C:
+				case alpha[j] > 0 && alpha[j] < smoC:
 					b = b2
 				default:
 					b = (b1 + b2) / 2
@@ -445,11 +418,7 @@ func (s *SMO) Predict(x []float64) int {
 
 // VotedPerceptron implements Freund & Schapire's voted perceptron.
 type VotedPerceptron struct {
-	Epochs int
-	Seed   int64
-	// MaxVectors caps the stored prediction vectors (default 200); older
-	// vectors are merged by weight when the cap is hit.
-	MaxVectors int
+	Seed int64
 
 	vectors [][]float64
 	biases  []float64
@@ -464,12 +433,6 @@ func (v *VotedPerceptron) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
-	if v.Epochs <= 0 {
-		v.Epochs = 5
-	}
-	if v.MaxVectors <= 0 {
-		v.MaxVectors = 200
-	}
 	v.norm = fitStandardizer(x)
 	xs := v.norm.applyAll(x)
 	dim := len(xs[0])
@@ -481,7 +444,7 @@ func (v *VotedPerceptron) Fit(x [][]float64, y []int) error {
 	v.vectors = nil
 	v.biases = nil
 	v.votes = nil
-	for epoch := 0; epoch < v.Epochs; epoch++ {
+	for epoch := 0; epoch < vpEpochs; epoch++ {
 		for _, i := range rng.Perm(len(xs)) {
 			yi := float64(2*y[i] - 1)
 			if yi*(dot(w, xs[i])+b) <= 0 {
@@ -503,7 +466,7 @@ func (v *VotedPerceptron) Fit(x [][]float64, y []int) error {
 }
 
 func (v *VotedPerceptron) pushVector(w []float64, b, c float64) {
-	if len(v.vectors) >= v.MaxVectors {
+	if len(v.vectors) >= vpMaxVectors {
 		// Merge the two oldest by vote weight to bound memory.
 		w0, w1 := v.vectors[0], v.vectors[1]
 		c0, c1 := v.votes[0], v.votes[1]

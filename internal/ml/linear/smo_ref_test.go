@@ -9,23 +9,11 @@ import (
 // refSMOFit is SMO.Fit as it stood before the Gram cache: every kernel
 // value is a fresh dot product. The bit-identity tests compare against it,
 // so it must keep its operands and summation order exactly.
-func refSMOFit(s SMO, x [][]float64, y []int) ([]float64, float64) {
-	if s.C <= 0 {
-		s.C = 1
-	}
-	if s.Tol <= 0 {
-		s.Tol = 1e-3
-	}
-	if s.Passes <= 0 {
-		s.Passes = 3
-	}
-	if s.MaxRows <= 0 {
-		s.MaxRows = 800
-	}
-	rng := rand.New(rand.NewSource(s.Seed + 23))
+func refSMOFit(seed int64, x [][]float64, y []int) ([]float64, float64) {
+	rng := rand.New(rand.NewSource(seed + 23))
 	idx := rng.Perm(len(x))
-	if len(idx) > s.MaxRows {
-		idx = idx[:s.MaxRows]
+	if len(idx) > smoMaxRows {
+		idx = idx[:smoMaxRows]
 	}
 	norm := fitStandardizer(x)
 	xs := make([][]float64, len(idx))
@@ -47,11 +35,11 @@ func refSMOFit(s SMO, x [][]float64, y []int) ([]float64, float64) {
 		return sum
 	}
 	passes := 0
-	for passes < s.Passes {
+	for passes < smoPasses {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - ys[i]
-			if (ys[i]*ei < -s.Tol && alpha[i] < s.C) || (ys[i]*ei > s.Tol && alpha[i] > 0) {
+			if (ys[i]*ei < -smoTol && alpha[i] < smoC) || (ys[i]*ei > smoTol && alpha[i] > 0) {
 				j := rng.Intn(n - 1)
 				if j >= i {
 					j++
@@ -61,10 +49,10 @@ func refSMOFit(s SMO, x [][]float64, y []int) ([]float64, float64) {
 				var lo, hi float64
 				if ys[i] != ys[j] {
 					lo = math.Max(0, aj-ai)
-					hi = math.Min(s.C, s.C+aj-ai)
+					hi = math.Min(smoC, smoC+aj-ai)
 				} else {
-					lo = math.Max(0, ai+aj-s.C)
-					hi = math.Min(s.C, ai+aj)
+					lo = math.Max(0, ai+aj-smoC)
+					hi = math.Min(smoC, ai+aj)
 				}
 				if lo == hi {
 					continue
@@ -82,9 +70,9 @@ func refSMOFit(s SMO, x [][]float64, y []int) ([]float64, float64) {
 				b1 := b - ei - ys[i]*(alpha[i]-ai)*dot(xs[i], xs[i]) - ys[j]*(alpha[j]-aj)*dot(xs[i], xs[j])
 				b2 := b - ej - ys[i]*(alpha[i]-ai)*dot(xs[i], xs[j]) - ys[j]*(alpha[j]-aj)*dot(xs[j], xs[j])
 				switch {
-				case alpha[i] > 0 && alpha[i] < s.C:
+				case alpha[i] > 0 && alpha[i] < smoC:
 					b = b1
-				case alpha[j] > 0 && alpha[j] < s.C:
+				case alpha[j] > 0 && alpha[j] < smoC:
 					b = b2
 				default:
 					b = (b1 + b2) / 2
@@ -131,24 +119,28 @@ func noisyRows(n int, seed int64) ([][]float64, []int) {
 }
 
 func TestSMOBitIdenticalToReference(t *testing.T) {
+	// The subsampled case draws from the 3-dimensional, nearly separable
+	// problem: the noisy one takes far more passes over smoMaxRows rows
+	// in the reference, which recomputes every dot product.
+	nearlySeparable := func(n int, seed int64) ([][]float64, []int) { return linearly(n, seed, 0) }
 	cases := []struct {
-		name    string
-		rows    int
-		maxRows int
-		seeds   []int64
+		name  string
+		rows  int
+		data  func(int, int64) ([][]float64, []int)
+		seeds []int64
 	}{
-		{"full", 150, 0, []int64{1, 2, 3, 4, 5}},
-		{"subsampled", 400, 120, []int64{6, 7, 8}},
-		{"two rows", 2, 0, []int64{9}},
+		{"full", 150, noisyRows, []int64{1, 2, 3, 4, 5}},
+		{"subsampled", smoMaxRows + 50, nearlySeparable, []int64{6, 7}},
+		{"two rows", 2, noisyRows, []int64{9}},
 	}
 	for _, tc := range cases {
 		for _, seed := range tc.seeds {
-			x, y := noisyRows(tc.rows, seed*31)
-			s := &SMO{Seed: seed, MaxRows: tc.maxRows}
+			x, y := tc.data(tc.rows, seed*31)
+			s := &SMO{Seed: seed}
 			if err := s.Fit(x, y); err != nil {
 				t.Fatal(err)
 			}
-			w, b := refSMOFit(SMO{Seed: seed, MaxRows: tc.maxRows}, x, y)
+			w, b := refSMOFit(seed, x, y)
 			if math.Float64bits(s.b) != math.Float64bits(b) {
 				t.Errorf("%s seed %d: b = %v, reference %v", tc.name, seed, s.b, b)
 			}

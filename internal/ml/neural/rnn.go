@@ -66,27 +66,26 @@ func (v *Vocab) Encode(seq []string) []int {
 	return out
 }
 
+// The network's fixed shape and training settings.
+const (
+	rnnEmbed  = 16   // embedding width
+	rnnHidden = 24   // recurrent state width
+	rnnLR     = 0.05 // Adagrad base learning rate
+	rnnMaxLen = 160  // tokens kept of each sequence
+	rnnClip   = 5    // per-parameter gradient magnitude bound
+)
+
 // RNN is an Elman recurrent network for binary sequence classification.
 type RNN struct {
-	// Embed is the embedding width (default 16).
-	Embed int
-	// Hidden is the recurrent state width (default 24).
-	Hidden int
 	// Epochs over the training set (default 4).
 	Epochs int
-	// LR is the Adagrad base learning rate (default 0.05).
-	LR float64
-	// MaxLen truncates sequences (default 160 tokens).
-	MaxLen int
-	// Clip bounds gradient magnitude per parameter (default 5).
-	Clip float64
 	// Seed drives initialization and shuffling.
 	Seed int64
 
 	vocab *Vocab
 
-	// Weights, row-major: emb is vocab x Embed, wxh is Hidden x Embed,
-	// whh is Hidden x Hidden.
+	// Weights, row-major: emb is vocab x rnnEmbed, wxh is
+	// rnnHidden x rnnEmbed, whh is rnnHidden x rnnHidden.
 	emb, wxh, whh, bh, wout []float64
 	bout                    float64
 
@@ -151,47 +150,26 @@ func (m *memo) put(key []byte, p float64) {
 // bptt is step's scratch space, sized at the start of each fit and reused
 // by every step, so a warmed step allocates nothing.
 type bptt struct {
-	hs                     []float64 // (MaxLen+1) x Hidden states; row 0 is the zero initial state
+	hs                     []float64 // (rnnMaxLen+1) x rnnHidden states; row 0 is the zero initial state
 	dWxh, dWhh, dBh, dWout []float64
 	dh, nextDh             []float64
-	dEmb                   []float64 // vocab x Embed; only rows in touched are nonzero
+	dEmb                   []float64 // vocab x rnnEmbed; only rows in touched are nonzero
 	seen                   []bool    // vocab; seen[id] iff id is in touched
 	touched                []int
 }
 
-func newBPTT(vocab, embed, hidden, maxLen int) bptt {
+func newBPTT(vocab int) bptt {
 	return bptt{
-		hs:      make([]float64, (maxLen+1)*hidden),
-		dWxh:    make([]float64, hidden*embed),
-		dWhh:    make([]float64, hidden*hidden),
-		dBh:     make([]float64, hidden),
-		dWout:   make([]float64, hidden),
-		dh:      make([]float64, hidden),
-		nextDh:  make([]float64, hidden),
-		dEmb:    make([]float64, vocab*embed),
+		hs:      make([]float64, (rnnMaxLen+1)*rnnHidden),
+		dWxh:    make([]float64, rnnHidden*rnnEmbed),
+		dWhh:    make([]float64, rnnHidden*rnnHidden),
+		dBh:     make([]float64, rnnHidden),
+		dWout:   make([]float64, rnnHidden),
+		dh:      make([]float64, rnnHidden),
+		nextDh:  make([]float64, rnnHidden),
+		dEmb:    make([]float64, vocab*rnnEmbed),
 		seen:    make([]bool, vocab),
-		touched: make([]int, 0, min(vocab, maxLen)),
-	}
-}
-
-func (r *RNN) defaults() {
-	if r.Embed <= 0 {
-		r.Embed = 16
-	}
-	if r.Hidden <= 0 {
-		r.Hidden = 24
-	}
-	if r.Epochs <= 0 {
-		r.Epochs = 4
-	}
-	if r.LR <= 0 {
-		r.LR = 0.05
-	}
-	if r.MaxLen <= 0 {
-		r.MaxLen = 160
-	}
-	if r.Clip <= 0 {
-		r.Clip = 5
+		touched: make([]int, 0, min(vocab, rnnMaxLen)),
 	}
 }
 
@@ -220,11 +198,13 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 	if sampleW != nil && len(sampleW) != len(seqs) {
 		return fmt.Errorf("neural: %d sample weights for %d sequences", len(sampleW), len(seqs))
 	}
-	r.defaults()
+	if r.Epochs <= 0 {
+		r.Epochs = 4
+	}
 	rng := rand.New(rand.NewSource(r.Seed + 101))
 	r.vocab = BuildVocab(seqs, maxVocab)
 	r.memo = &memo{p: make(map[string]float64)}
-	v, ne, nh := r.vocab.Size(), r.Embed, r.Hidden
+	v, ne, nh := r.vocab.Size(), rnnEmbed, rnnHidden
 	r.emb = randomVector(v*ne, 0.1, rng)
 	r.wxh = randomVector(nh*ne, 0.2, rng)
 	r.whh = randomVector(nh*nh, 0.2, rng)
@@ -238,14 +218,14 @@ func (r *RNN) FitTokensWeighted(seqs [][]string, y []int, sampleW []float64) err
 	r.gBh = make([]float64, nh)
 	r.gWout = make([]float64, nh)
 	r.bout, r.gBout = 0, 0
-	r.sc = newBPTT(v, ne, nh, r.MaxLen)
+	r.sc = newBPTT(v)
 
 	encoded := make([][]int, len(seqs))
 	pos := 0
 	for i, s := range seqs {
 		ids := r.vocab.Encode(s)
-		if len(ids) > r.MaxLen {
-			ids = ids[:r.MaxLen]
+		if len(ids) > rnnMaxLen {
+			ids = ids[:rnnMaxLen]
 		}
 		encoded[i] = ids
 		pos += y[i]
@@ -313,7 +293,7 @@ func (r *RNN) step(ids []int, target, weight float64) {
 		return
 	}
 	sc := &r.sc
-	ne, nh := r.Embed, r.Hidden
+	ne, nh := rnnEmbed, rnnHidden
 	tlen := len(ids)
 	hs := sc.hs[:(tlen+1)*nh]
 	clear(hs[:nh])
@@ -375,9 +355,9 @@ func (r *RNN) step(ids []int, target, weight float64) {
 	r.adagrad(r.whh, sc.dWhh, r.gWhh)
 	r.adagrad(r.bh, sc.dBh, r.gBh)
 	r.adagrad(r.wout, sc.dWout, r.gWout)
-	gb := r.clip(dz)
+	gb := clip(dz)
 	r.gBout += gb * gb
-	r.bout -= r.LR * gb / (math.Sqrt(r.gBout) + 1e-8)
+	r.bout -= rnnLR * gb / (math.Sqrt(r.gBout) + 1e-8)
 	for _, id := range sc.touched {
 		de := sc.dEmb[id*ne:][:ne]
 		r.adagrad(r.emb[id*ne:][:ne], de, r.gEmb[id*ne:][:ne])
@@ -387,34 +367,34 @@ func (r *RNN) step(ids []int, target, weight float64) {
 	sc.touched = sc.touched[:0]
 }
 
-func (r *RNN) clip(g float64) float64 {
-	if g > r.Clip {
-		return r.Clip
+func clip(g float64) float64 {
+	if g > rnnClip {
+		return rnnClip
 	}
-	if g < -r.Clip {
-		return -r.Clip
+	if g < -rnnClip {
+		return -rnnClip
 	}
 	return g
 }
 
 func (r *RNN) adagrad(w, g, acc []float64) {
 	for j := range w {
-		gj := r.clip(g[j])
+		gj := clip(g[j])
 		acc[j] += gj * gj
-		w[j] -= r.LR * gj / (math.Sqrt(acc[j]) + 1e-8)
+		w[j] -= rnnLR * gj / (math.Sqrt(acc[j]) + 1e-8)
 	}
 }
 
 // ProbaTokens returns P(security) for a token sequence. Sequences with the
-// same vocabulary ids up to MaxLen share one forward pass per fit.
+// same vocabulary ids up to rnnMaxLen share one forward pass per fit.
 func (r *RNN) ProbaTokens(seq []string) float64 {
 	if r.vocab == nil {
 		return 0
 	}
-	if len(seq) > r.MaxLen {
-		seq = seq[:r.MaxLen]
+	if len(seq) > rnnMaxLen {
+		seq = seq[:rnnMaxLen]
 	}
-	var keyBuf [512]byte
+	var keyBuf [2 * rnnMaxLen]byte
 	key := keyBuf[:0]
 	for _, w := range seq {
 		id := r.vocab.ID(w)
@@ -423,13 +403,9 @@ func (r *RNN) ProbaTokens(seq []string) float64 {
 	if p, ok := r.memo.get(key); ok {
 		return p
 	}
-	nh := r.Hidden
-	var rows [2 * 64]float64
-	buf := rows[:]
-	if 2*nh > len(buf) {
-		buf = make([]float64, 2*nh)
-	}
-	h, next := buf[:nh], buf[nh:2*nh]
+	const nh = rnnHidden
+	var rows [2 * nh]float64
+	h, next := rows[:nh], rows[nh:]
 	for i := 0; i < len(key); i += 2 {
 		id := int(key[i]) | int(key[i+1])<<8
 		r.recur(next, r.proj[id*nh:][:nh], h)

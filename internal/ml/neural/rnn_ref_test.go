@@ -14,7 +14,7 @@ import (
 // input projection on every predicted token. The bit-identity tests train
 // it beside an RNN, so it must keep every operand and summation order.
 type refRNN struct {
-	RNN // hyperparameters only; defaults() fills them
+	RNN // Epochs and Seed only
 
 	vocab *Vocab
 
@@ -38,31 +38,33 @@ func refMatrix(rows, cols int, scale float64, rng *rand.Rand) [][]float64 {
 }
 
 func (r *refRNN) fit(seqs [][]string, y []int, sampleW []float64) {
-	r.defaults()
+	if r.Epochs <= 0 {
+		r.Epochs = 4
+	}
 	rng := rand.New(rand.NewSource(r.Seed + 101))
 	r.vocab = BuildVocab(seqs, 2000)
 	v := r.vocab.Size()
-	r.emb = refMatrix(v, r.Embed, 0.1, rng)
-	r.wxh = refMatrix(r.Hidden, r.Embed, 0.2, rng)
-	r.whh = refMatrix(r.Hidden, r.Hidden, 0.2, rng)
-	r.bh = make([]float64, r.Hidden)
-	r.wout = make([]float64, r.Hidden)
+	r.emb = refMatrix(v, rnnEmbed, 0.1, rng)
+	r.wxh = refMatrix(rnnHidden, rnnEmbed, 0.2, rng)
+	r.whh = refMatrix(rnnHidden, rnnHidden, 0.2, rng)
+	r.bh = make([]float64, rnnHidden)
+	r.wout = make([]float64, rnnHidden)
 	for j := range r.wout {
 		r.wout[j] = (rng.Float64()*2 - 1) * 0.2
 	}
-	r.gEmb = refMatrix(v, r.Embed, 0, rng)
-	r.gWxh = refMatrix(r.Hidden, r.Embed, 0, rng)
-	r.gWhh = refMatrix(r.Hidden, r.Hidden, 0, rng)
-	r.gBh = make([]float64, r.Hidden)
-	r.gWout = make([]float64, r.Hidden)
+	r.gEmb = refMatrix(v, rnnEmbed, 0, rng)
+	r.gWxh = refMatrix(rnnHidden, rnnEmbed, 0, rng)
+	r.gWhh = refMatrix(rnnHidden, rnnHidden, 0, rng)
+	r.gBh = make([]float64, rnnHidden)
+	r.gWout = make([]float64, rnnHidden)
 	r.bout, r.gBout = 0, 0
 
 	encoded := make([][]int, len(seqs))
 	pos := 0
 	for i, s := range seqs {
 		ids := r.vocab.Encode(s)
-		if len(ids) > r.MaxLen {
-			ids = ids[:r.MaxLen]
+		if len(ids) > rnnMaxLen {
+			ids = ids[:rnnMaxLen]
 		}
 		encoded[i] = ids
 		pos += y[i]
@@ -97,19 +99,19 @@ func (r *refRNN) step(ids []int, target, weight float64) {
 	}
 	tlen := len(ids)
 	hs := make([][]float64, tlen+1)
-	hs[0] = make([]float64, r.Hidden)
+	hs[0] = make([]float64, rnnHidden)
 	for t, id := range ids {
-		h := make([]float64, r.Hidden)
+		h := make([]float64, rnnHidden)
 		e := r.emb[id]
 		prev := hs[t]
-		for j := 0; j < r.Hidden; j++ {
+		for j := 0; j < rnnHidden; j++ {
 			sum := r.bh[j]
 			wx := r.wxh[j]
-			for k := 0; k < r.Embed; k++ {
+			for k := 0; k < rnnEmbed; k++ {
 				sum += wx[k] * e[k]
 			}
 			wh := r.whh[j]
-			for k := 0; k < r.Hidden; k++ {
+			for k := 0; k < rnnHidden; k++ {
 				sum += wh[k] * prev[k]
 			}
 			h[j] = math.Tanh(sum)
@@ -118,50 +120,50 @@ func (r *refRNN) step(ids []int, target, weight float64) {
 	}
 	last := hs[tlen]
 	z := r.bout
-	for j := 0; j < r.Hidden; j++ {
+	for j := 0; j < rnnHidden; j++ {
 		z += r.wout[j] * last[j]
 	}
 	p := 1 / (1 + math.Exp(-z))
 	dz := (p - target) * weight
 
-	dWout := make([]float64, r.Hidden)
-	dh := make([]float64, r.Hidden)
-	for j := 0; j < r.Hidden; j++ {
+	dWout := make([]float64, rnnHidden)
+	dh := make([]float64, rnnHidden)
+	for j := 0; j < rnnHidden; j++ {
 		dWout[j] = dz * last[j]
 		dh[j] = dz * r.wout[j]
 	}
-	dWxh := make([][]float64, r.Hidden)
-	dWhh := make([][]float64, r.Hidden)
+	dWxh := make([][]float64, rnnHidden)
+	dWhh := make([][]float64, rnnHidden)
 	for j := range dWxh {
-		dWxh[j] = make([]float64, r.Embed)
-		dWhh[j] = make([]float64, r.Hidden)
+		dWxh[j] = make([]float64, rnnEmbed)
+		dWhh[j] = make([]float64, rnnHidden)
 	}
-	dBh := make([]float64, r.Hidden)
+	dBh := make([]float64, rnnHidden)
 	dEmb := make(map[int][]float64)
 	for t := tlen - 1; t >= 0; t-- {
 		h := hs[t+1]
 		prev := hs[t]
 		e := r.emb[ids[t]]
-		dRaw := make([]float64, r.Hidden)
-		for j := 0; j < r.Hidden; j++ {
+		dRaw := make([]float64, rnnHidden)
+		for j := 0; j < rnnHidden; j++ {
 			dRaw[j] = dh[j] * (1 - h[j]*h[j])
 		}
 		de, ok := dEmb[ids[t]]
 		if !ok {
-			de = make([]float64, r.Embed)
+			de = make([]float64, rnnEmbed)
 			dEmb[ids[t]] = de
 		}
-		nextDh := make([]float64, r.Hidden)
-		for j := 0; j < r.Hidden; j++ {
+		nextDh := make([]float64, rnnHidden)
+		for j := 0; j < rnnHidden; j++ {
 			g := dRaw[j]
 			dBh[j] += g
 			wx := dWxh[j]
-			for k := 0; k < r.Embed; k++ {
+			for k := 0; k < rnnEmbed; k++ {
 				wx[k] += g * e[k]
 				de[k] += g * r.wxh[j][k]
 			}
 			wh := dWhh[j]
-			for k := 0; k < r.Hidden; k++ {
+			for k := 0; k < rnnHidden; k++ {
 				wh[k] += g * prev[k]
 				nextDh[k] += g * r.whh[j][k]
 			}
@@ -169,11 +171,11 @@ func (r *refRNN) step(ids []int, target, weight float64) {
 		dh = nextDh
 	}
 	clip := func(g float64) float64 {
-		if g > r.Clip {
-			return r.Clip
+		if g > rnnClip {
+			return rnnClip
 		}
-		if g < -r.Clip {
-			return -r.Clip
+		if g < -rnnClip {
+			return -rnnClip
 		}
 		return g
 	}
@@ -181,10 +183,10 @@ func (r *refRNN) step(ids []int, target, weight float64) {
 		for j := range w {
 			gj := clip(g[j])
 			acc[j] += gj * gj
-			w[j] -= r.LR * gj / (math.Sqrt(acc[j]) + 1e-8)
+			w[j] -= rnnLR * gj / (math.Sqrt(acc[j]) + 1e-8)
 		}
 	}
-	for j := 0; j < r.Hidden; j++ {
+	for j := 0; j < rnnHidden; j++ {
 		adagrad(r.wxh[j], dWxh[j], r.gWxh[j])
 		adagrad(r.whh[j], dWhh[j], r.gWhh[j])
 	}
@@ -192,7 +194,7 @@ func (r *refRNN) step(ids []int, target, weight float64) {
 	adagrad(r.wout, dWout, r.gWout)
 	gb := clip(dz)
 	r.gBout += gb * gb
-	r.bout -= r.LR * gb / (math.Sqrt(r.gBout) + 1e-8)
+	r.bout -= rnnLR * gb / (math.Sqrt(r.gBout) + 1e-8)
 	for id, de := range dEmb {
 		adagrad(r.emb[id], de, r.gEmb[id])
 	}
@@ -200,21 +202,21 @@ func (r *refRNN) step(ids []int, target, weight float64) {
 
 func (r *refRNN) proba(seq []string) float64 {
 	ids := r.vocab.Encode(seq)
-	if len(ids) > r.MaxLen {
-		ids = ids[:r.MaxLen]
+	if len(ids) > rnnMaxLen {
+		ids = ids[:rnnMaxLen]
 	}
-	h := make([]float64, r.Hidden)
-	next := make([]float64, r.Hidden)
+	h := make([]float64, rnnHidden)
+	next := make([]float64, rnnHidden)
 	for _, id := range ids {
 		e := r.emb[id]
-		for j := 0; j < r.Hidden; j++ {
+		for j := 0; j < rnnHidden; j++ {
 			sum := r.bh[j]
 			wx := r.wxh[j]
-			for k := 0; k < r.Embed; k++ {
+			for k := 0; k < rnnEmbed; k++ {
 				sum += wx[k] * e[k]
 			}
 			wh := r.whh[j]
-			for k := 0; k < r.Hidden; k++ {
+			for k := 0; k < rnnHidden; k++ {
 				sum += wh[k] * h[k]
 			}
 			next[j] = math.Tanh(sum)
@@ -222,7 +224,7 @@ func (r *refRNN) proba(seq []string) float64 {
 		h, next = next, h
 	}
 	z := r.bout
-	for j := 0; j < r.Hidden; j++ {
+	for j := 0; j < rnnHidden; j++ {
 		z += r.wout[j] * h[j]
 	}
 	return 1 / (1 + math.Exp(-z))
@@ -309,7 +311,7 @@ func distinctInputs(r *RNN, seqs [][]string) int {
 	seen := map[string]bool{}
 	for _, s := range seqs {
 		ids := r.vocab.Encode(s)
-		seen[fmt.Sprint(ids[:min(len(ids), r.MaxLen)])] = true
+		seen[fmt.Sprint(ids[:min(len(ids), rnnMaxLen)])] = true
 	}
 	return len(seen)
 }
@@ -327,11 +329,11 @@ func TestRNNBitIdenticalToReference(t *testing.T) {
 	long := strings.Fields(strings.Repeat("MARKER wa wb never-seen ", 60)) // 240 tokens
 	for _, seed := range []int64{1, 2, 3} {
 		seqs, y := tokenTask(120, 80, 50, seed)
-		seqs = append(seqs, nil, long, []string{"never-seen"}) // empty, > MaxLen, all unknown
+		seqs = append(seqs, nil, long, []string{"never-seen"}) // empty, > rnnMaxLen, all unknown
 		y = append(y, 0, 1, 0)
 		probe, _ := tokenTask(40, 120, 70, seed+100) // words outside the training vocabulary
 		probe = append(probe, nil, long, []string{"never-seen", "also-unknown"})
-		cases = append(cases, fitCase{fmt.Sprintf("seed %d", seed), RNN{Epochs: 2, Seed: seed, MaxLen: 64}, seqs, y, nil, probe})
+		cases = append(cases, fitCase{fmt.Sprintf("seed %d", seed), RNN{Epochs: 2, Seed: seed}, seqs, y, nil, probe})
 	}
 	seqs, y := tokenTask(100, 60, 40, 4)
 	w := make([]float64, len(seqs))
@@ -340,7 +342,7 @@ func TestRNNBitIdenticalToReference(t *testing.T) {
 		w[i] = rng.Float64() * 2
 	}
 	w[0] = 0
-	cases = append(cases, fitCase{"weighted", RNN{Epochs: 2, Seed: 6, Hidden: 10, Embed: 6}, seqs, y, w, seqs})
+	cases = append(cases, fitCase{"weighted", RNN{Epochs: 2, Seed: 6}, seqs, y, w, seqs})
 	for _, c := range cases {
 		r, ref := c.hyper, &refRNN{RNN: c.hyper}
 		checkAgainstRef(t, c.name, &r, ref, c.seqs, c.y, c.w, c.probe)
@@ -348,16 +350,15 @@ func TestRNNBitIdenticalToReference(t *testing.T) {
 }
 
 // TestRNNRefitLargerVocab fits one RNN twice, the second time on a larger
-// vocabulary and a longer MaxLen: stale scratch buffers or a stale
-// projection table show up as a mismatch or a panic.
+// vocabulary: stale scratch buffers or a stale projection table show up as
+// a mismatch or a panic.
 func TestRNNRefitLargerVocab(t *testing.T) {
 	small, ys := tokenTask(60, 20, 20, 7)
 	large, yl := tokenTask(120, 200, 60, 8)
-	hyper := RNN{Epochs: 2, Seed: 9, MaxLen: 24}
+	hyper := RNN{Epochs: 2, Seed: 9}
 	r, ref := hyper, &refRNN{RNN: hyper}
 	checkAgainstRef(t, "first fit", &r, ref, small, ys, nil, small)
 	first := r.vocab.Size()
-	r.MaxLen, ref.MaxLen = 48, 48
 	checkAgainstRef(t, "second fit", &r, ref, large, yl, nil, append(large, small...))
 	if r.vocab.Size() <= first {
 		t.Fatalf("second vocabulary has %d words, not more than the first's %d", r.vocab.Size(), first)
@@ -366,7 +367,7 @@ func TestRNNRefitLargerVocab(t *testing.T) {
 
 func TestRNNStepAllocatesNothing(t *testing.T) {
 	seqs, y := tokenTask(50, 40, 30, 10)
-	r := &RNN{Epochs: 1, Seed: 11, MaxLen: 30}
+	r := &RNN{Epochs: 1, Seed: 11}
 	if err := r.FitTokens(seqs, y); err != nil {
 		t.Fatal(err)
 	}
@@ -382,16 +383,21 @@ func TestRNNStepAllocatesNothing(t *testing.T) {
 }
 
 // TestRNNMemoSharesOneKey scores sequences that differ only in unknown
-// tokens, or only after MaxLen: one forward pass serves them all.
+// tokens, or only after rnnMaxLen: one forward pass serves them all.
 func TestRNNMemoSharesOneKey(t *testing.T) {
 	seqs, y := tokenTask(80, 40, 30, 14)
-	hyper := RNN{Epochs: 1, Seed: 15, MaxLen: 8}
+	hyper := RNN{Epochs: 1, Seed: 15}
 	r, ref := hyper, &refRNN{RNN: hyper}
 	checkAgainstRef(t, "fit", &r, ref, seqs, y, nil, nil)
 	known := seqs[0][:4]
+	var prefix []string // rnnMaxLen known tokens
+	for _, s := range seqs {
+		prefix = append(prefix, s...)
+	}
+	prefix = prefix[:rnnMaxLen:rnnMaxLen]
 	for _, group := range [][][]string{
 		{append([]string{"never-seen"}, known...), append([]string{"also-unknown"}, known...)},
-		{append(append([]string{}, seqs[1][:8]...), "MARKER"), append(append([]string{}, seqs[1][:8]...), known...)},
+		{append(prefix, "MARKER"), append(prefix, known...)},
 	} {
 		before := len(r.memo.p)
 		for i, s := range group {
@@ -487,11 +493,11 @@ func TestRNNConcurrentProba(t *testing.T) {
 
 func TestRNNMemoHitAllocatesNothing(t *testing.T) {
 	seqs, y := tokenTask(50, 40, 30, 21)
-	r := &RNN{Epochs: 1, Seed: 22, MaxLen: 300}
+	r := &RNN{Epochs: 1, Seed: 22}
 	if err := r.FitTokens(seqs, y); err != nil {
 		t.Fatal(err)
 	}
-	long := strings.Fields(strings.Repeat("MARKER wa wb never-seen ", 64)) // 256 tokens
+	long := strings.Fields(strings.Repeat("MARKER wa wb never-seen ", 64)) // 256 tokens, cut to rnnMaxLen
 	p := r.ProbaTokens(long)
 	if len(r.memo.p) != 1 {
 		t.Fatalf("memo holds %d sequences after one miss, want 1", len(r.memo.p))
@@ -523,7 +529,7 @@ func TestRNNMemoBudget(t *testing.T) {
 		{seqs[0], 0, true},
 		{seqs[1], -1, false},
 	} {
-		cost := 2*min(len(c.seq), r.MaxLen) + memoEntryBytes
+		cost := 2*min(len(c.seq), rnnMaxLen) + memoEntryBytes
 		r.memo.used = memoBudget - cost - c.spare
 		before, used := len(r.memo.p), r.memo.used
 		got, want := r.ProbaTokens(c.seq), ref.proba(c.seq)

@@ -111,7 +111,7 @@ func TestRNNOrderSensitivity(t *testing.T) {
 		return seqs, y
 	}
 	seqs, y := gen(400)
-	r := &RNN{Epochs: 25, Seed: 5, Hidden: 16, Embed: 8}
+	r := &RNN{Epochs: 25, Seed: 5}
 	if err := r.FitTokens(seqs, y); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRNNTruncation(t *testing.T) {
 	for i := range long {
 		long[i] = "x"
 	}
-	r := &RNN{Epochs: 1, Seed: 8, MaxLen: 32}
+	r := &RNN{Epochs: 1, Seed: 8}
 	if err := r.FitTokens([][]string{long, {"MARKER"}}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}

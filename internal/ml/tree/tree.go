@@ -13,6 +13,16 @@ import (
 	"patchdb/internal/par"
 )
 
+// Settings of the two fixed-configuration tree models.
+const (
+	forestMaxDepth = 12 // depth bound of each forest member
+	forestMinLeaf  = 2  // minimum samples in a forest member's leaf
+
+	repMaxDepth = 10
+	// repPruneFrac is the fraction of training data held out for pruning.
+	repPruneFrac = 0.25
+)
+
 // Tree is a CART binary decision tree with Gini impurity splits.
 type Tree struct {
 	// MaxDepth bounds tree depth (<=0 means unbounded).
@@ -184,10 +194,6 @@ func (t *Tree) Predict(x []float64) int {
 type Forest struct {
 	// Trees is the ensemble size (default 50).
 	Trees int
-	// MaxDepth bounds each tree (default 12).
-	MaxDepth int
-	// MinLeaf per tree (default 2).
-	MinLeaf int
 	// Seed drives all randomness deterministically.
 	Seed int64
 
@@ -205,12 +211,6 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 	if f.Trees <= 0 {
 		f.Trees = 50
 	}
-	if f.MaxDepth == 0 {
-		f.MaxDepth = 12
-	}
-	if f.MinLeaf <= 0 {
-		f.MinLeaf = 2
-	}
 	dim := len(x[0])
 	maxFeatures := int(math.Ceil(math.Sqrt(float64(dim))))
 
@@ -225,7 +225,7 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 			bx[i] = x[j]
 			by[i] = y[j]
 		}
-		t := &Tree{MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf, MaxFeatures: maxFeatures, Rand: rng}
+		t := &Tree{MaxDepth: forestMaxDepth, MinLeaf: forestMinLeaf, MaxFeatures: maxFeatures, Rand: rng}
 		_ = t.Fit(bx, by) // bx is non-empty by construction
 		f.members[m] = t
 	})
@@ -255,12 +255,7 @@ func (f *Forest) Predict(x []float64) int {
 // REPTree is a depth-limited CART tree followed by reduced-error pruning on
 // an internal validation split, mirroring Weka's REPTree.
 type REPTree struct {
-	MaxDepth int
-	MinLeaf  int
-	// PruneFrac is the fraction of training data held out for pruning
-	// (default 0.25).
-	PruneFrac float64
-	Seed      int64
+	Seed int64
 
 	tree *Tree
 }
@@ -272,15 +267,9 @@ func (r *REPTree) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
-	if r.PruneFrac <= 0 || r.PruneFrac >= 1 {
-		r.PruneFrac = 0.25
-	}
-	if r.MaxDepth == 0 {
-		r.MaxDepth = 10
-	}
 	rng := rand.New(rand.NewSource(r.Seed + 13))
 	order := rng.Perm(len(x))
-	cut := int(float64(len(x)) * (1 - r.PruneFrac))
+	cut := int(float64(len(x)) * (1 - repPruneFrac)) // 0.75 exactly, folded or not
 	if cut < 1 {
 		cut = len(x)
 	}
@@ -295,7 +284,7 @@ func (r *REPTree) Fit(x [][]float64, y []int) error {
 			py = append(py, y[j])
 		}
 	}
-	t := &Tree{MaxDepth: r.MaxDepth, MinLeaf: r.MinLeaf, Rand: rng}
+	t := &Tree{MaxDepth: repMaxDepth, Rand: rng}
 	if err := t.Fit(gx, gy); err != nil {
 		return err
 	}

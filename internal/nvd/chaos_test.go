@@ -1,8 +1,12 @@
 package nvd
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -302,10 +306,29 @@ func TestChaosFeedExhaustionFailsCrawl(t *testing.T) {
 // TestPatchTooLarge: an oversized patch fails permanently with a
 // descriptive error instead of being retried or buffered unboundedly.
 func TestPatchTooLarge(t *testing.T) {
-	_, base, hashes := chaosWorld(t, 2, faults.Config{})
-	crawler := fastCrawler(base, 2)
-	crawler.MaxPatchBytes = 16 // far below any real patch body
-	_, stats, err := crawler.Crawl(context.Background())
+	// Every patch body is one byte over the cap.
+	huge := bytes.Repeat([]byte("x"), maxPatchBytes+1)
+	var feed []byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/feeds/cve.json" {
+			w.Write(feed)
+			return
+		}
+		w.Write(huge)
+	}))
+	defer srv.Close()
+	hashes := []string{"abcdef1", "abcdef2"}
+	var entries []Entry
+	for i, h := range hashes {
+		entries = append(entries, Entry{ID: fmt.Sprintf("CVE-2021-%04d", i), References: []Reference{
+			{URL: GitHubCommitURL(srv.URL, "acme/huge", h), Tags: []string{"Patch"}},
+		}})
+	}
+	feed, err := json.Marshal(Feed{Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := fastCrawler(srv.URL, 2).Crawl(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

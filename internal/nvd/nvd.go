@@ -274,26 +274,14 @@ type Crawler struct {
 	RetryMaxDelay time.Duration
 	// Seed drives the deterministic retry jitter.
 	Seed int64
-	// MaxPatchBytes caps a .patch download body (0 = default 4 MiB;
-	// negative = unlimited). Oversized patches fail permanently.
-	MaxPatchBytes int64
 	// Breaker, when non-nil, replaces the crawl's own shared circuit
 	// breaker (tests tune the threshold and cooldown through this).
 	Breaker *retry.Breaker
 }
 
-const defaultMaxPatchBytes = 4 << 20
-
-func (c *Crawler) maxPatchBytes() int64 {
-	switch {
-	case c.MaxPatchBytes > 0:
-		return c.MaxPatchBytes
-	case c.MaxPatchBytes < 0:
-		return 0 // unlimited
-	default:
-		return defaultMaxPatchBytes
-	}
-}
+// maxPatchBytes caps a .patch download body. Oversized patches fail
+// permanently.
+const maxPatchBytes = 4 << 20
 
 // policy builds the retry policy every fetch of one Crawl runs under,
 // sharing a single circuit breaker, both instrumented against reg.
@@ -529,17 +517,12 @@ func (c *Crawler) fetchPatch(ctx context.Context, client *http.Client, url strin
 	if err := statusError(resp, "patch"); err != nil {
 		return nil, err
 	}
-	var body []byte
-	if limit := c.maxPatchBytes(); limit > 0 {
-		body, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
-		if err == nil && int64(len(body)) > limit {
-			return nil, retry.Permanent(fmt.Errorf("nvd: patch too large: %s exceeds the %d-byte limit", url, limit))
-		}
-	} else {
-		body, err = io.ReadAll(resp.Body)
-	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPatchBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("nvd: read patch: %w", err)
+	}
+	if len(body) > maxPatchBytes {
+		return nil, retry.Permanent(fmt.Errorf("nvd: patch too large: %s exceeds the %d-byte limit", url, maxPatchBytes))
 	}
 	p, err := diff.Parse(string(body))
 	if err != nil {

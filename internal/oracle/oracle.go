@@ -14,14 +14,9 @@ import (
 // Option configures an Oracle.
 type Option func(*Oracle)
 
-// WithAnnotators sets the number of simulated annotators (default 3).
-func WithAnnotators(n int) Option {
-	return func(o *Oracle) {
-		if n > 0 {
-			o.annotators = n
-		}
-	}
-}
+// annotators is the number of simulated researchers who vote on each
+// candidate, as in the paper.
+const annotators = 3
 
 // WithErrorRate sets the per-annotator probability of flipping a label
 // (default 0: experts are reliable after cross-checking).
@@ -36,20 +31,18 @@ func WithSeed(seed int64) Option {
 
 // Oracle verifies candidates against ground-truth labels.
 type Oracle struct {
-	mu         sync.Mutex
-	labels     map[string]bool // commit hash -> is security patch
-	annotators int
-	errorRate  float64
-	rng        *rand.Rand
-	inspected  int
+	mu        sync.Mutex
+	labels    map[string]bool // commit hash -> is security patch
+	errorRate float64
+	rng       *rand.Rand
+	inspected int
 }
 
 // New builds an oracle over ground-truth labels (commit hash -> security).
 func New(labels map[string]bool, opts ...Option) *Oracle {
 	o := &Oracle{
-		labels:     labels,
-		annotators: 3,
-		rng:        rand.New(rand.NewSource(7)),
+		labels: labels,
+		rng:    rand.New(rand.NewSource(7)),
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -69,7 +62,7 @@ func (o *Oracle) Verify(hash string) bool {
 		return truth
 	}
 	votes := 0
-	for a := 0; a < o.annotators; a++ {
+	for a := 0; a < annotators; a++ {
 		v := truth
 		if o.rng.Float64() < o.errorRate {
 			v = !v
@@ -78,7 +71,7 @@ func (o *Oracle) Verify(hash string) bool {
 			votes++
 		}
 	}
-	return votes*2 > o.annotators
+	return votes*2 > annotators
 }
 
 // Inspected returns how many candidates have been manually examined — the

@@ -42,6 +42,13 @@ const (
 	MetricBreakerRejections = "breaker_rejections_total"
 )
 
+// The backoff schedule's fixed shape: each retry's delay doubles, then is
+// spread by ±jitter of itself.
+const (
+	backoffMultiplier = 2
+	jitter            = 0.5
+)
+
 // Policy shapes how an operation is retried. The zero value is usable:
 // 4 attempts, 50ms base delay doubling up to 2s, 50% jitter, no breaker.
 type Policy struct {
@@ -53,14 +60,8 @@ type Policy struct {
 	// MaxDelay caps the exponential schedule and any Retry-After hint
 	// (0 = default 2s).
 	MaxDelay time.Duration
-	// Multiplier is the per-retry growth factor (values < 1 mean default 2).
-	Multiplier float64
-	// Jitter spreads each delay by ±Jitter fraction, derived
-	// deterministically from Seed+key+attempt (0 = default 0.5; negative
-	// disables jitter entirely).
-	Jitter float64
-	// Seed drives the jitter so a given (key, attempt) always sleeps the
-	// same duration.
+	// Seed drives the jitter, derived from Seed+key+attempt, so a given
+	// (key, attempt) always sleeps the same duration.
 	Seed int64
 	// Breaker, when non-nil, gates every attempt. An open breaker makes the
 	// policy wait for a half-open probe slot instead of failing: breaker
@@ -69,8 +70,6 @@ type Policy struct {
 	// Sleep replaces the default context-aware sleep (tests). nil = real
 	// timer sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when non-nil, observes each scheduled retry.
-	OnRetry func(key string, attempt int, err error, delay time.Duration)
 	// Registry, when non-nil, receives attempt/retry counters and latency
 	// and backoff histograms (MetricAttempts, MetricRetries,
 	// MetricAttemptSeconds, MetricBackoffSeconds).
@@ -109,9 +108,6 @@ func (p Policy) Do(ctx context.Context, key string, fn func(context.Context) err
 		}
 		p.Registry.Counter(MetricRetries).Inc()
 		p.Registry.Histogram(MetricBackoffSeconds, nil).Observe(delay.Seconds())
-		if p.OnRetry != nil {
-			p.OnRetry(key, attempt, err, delay)
-		}
 		if serr := p.sleep(ctx, delay); serr != nil {
 			return attempt, serr
 		}
@@ -147,25 +143,12 @@ func (p Policy) Delay(key string, attempt int) time.Duration {
 		base = 50 * time.Millisecond
 	}
 	maxDelay := p.maxDelay()
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	d := float64(base) * math.Pow(mult, float64(attempt-1))
+	d := float64(base) * math.Pow(backoffMultiplier, float64(attempt-1))
 	if d > float64(maxDelay) {
 		d = float64(maxDelay)
 	}
-	jitter := p.Jitter
-	switch {
-	case jitter == 0:
-		jitter = 0.5
-	case jitter < 0:
-		jitter = 0
-	}
-	if jitter > 0 {
-		u := unitFloat(hashKey(p.Seed, key, attempt))
-		d *= 1 + jitter*(2*u-1)
-	}
+	u := unitFloat(hashKey(p.Seed, key, attempt))
+	d *= 1 + jitter*(2*u-1)
 	return time.Duration(d)
 }
 

@@ -86,7 +86,7 @@ func TestDoPermanentStopsImmediately(t *testing.T) {
 
 func TestDoHonorsRetryAfter(t *testing.T) {
 	var delays []time.Duration
-	p := Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: -1, Sleep: recordingSleep(&delays)}
+	p := Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, Sleep: recordingSleep(&delays)}
 	hint := 700 * time.Millisecond
 	p.Do(context.Background(), "k", func(context.Context) error {
 		return WithRetryAfter(errors.New("429"), hint)
@@ -98,7 +98,7 @@ func TestDoHonorsRetryAfter(t *testing.T) {
 
 func TestDoCapsRetryAfterAtMaxDelay(t *testing.T) {
 	var delays []time.Duration
-	p := Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Jitter: -1, Sleep: recordingSleep(&delays)}
+	p := Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second, Sleep: recordingSleep(&delays)}
 	p.Do(context.Background(), "k", func(context.Context) error {
 		return WithRetryAfter(errors.New("429"), time.Hour)
 	})
@@ -146,12 +146,19 @@ func TestDelayDeterministicAndGrowing(t *testing.T) {
 			t.Fatalf("attempt %d: delay %s out of range", attempt, d1)
 		}
 	}
-	// Without jitter the schedule is exactly exponential and capped.
-	noJitter := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond, Jitter: -1}
-	want := []time.Duration{10, 20, 40, 60, 60}
+	// The schedule doubles up to MaxDelay (10, 20, 40, 60, 60 ms) and each
+	// delay is spread by at most ±50%; these are the jittered delays of
+	// seed 0, key "k".
+	capped := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond}
+	exp := []time.Duration{10, 20, 40, 60, 60}
+	want := []time.Duration{9497338, 12019891, 26231235, 48618342, 55600889}
 	for i, w := range want {
-		if got := noJitter.Delay("k", i+1); got != w*time.Millisecond {
-			t.Errorf("attempt %d: delay = %s, want %s", i+1, got, w*time.Millisecond)
+		got := capped.Delay("k", i+1)
+		if got != w {
+			t.Errorf("attempt %d: delay = %s, want %s", i+1, got, w)
+		}
+		if e := exp[i] * time.Millisecond; got < e/2 || got > e+e/2 {
+			t.Errorf("attempt %d: delay %s outside ±50%% of %s", i+1, got, e)
 		}
 	}
 }

@@ -125,15 +125,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// TraceID returns the span's correlation ID ("" for a nil or uncorrelated
-// span).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
-}
-
 // SetAttr attaches one attribute to the span. Values should be
 // JSON-encodable (strings, numbers, bools). A span on a nil tracer keeps
 // none, since nothing will record them.

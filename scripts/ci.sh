@@ -5,9 +5,9 @@
 # benchmark module), the custom patchdb-lint suite cold and warm, the test
 # run, the race-enabled parallel-loop, observability-correlation, build
 # telemetry and crash-safety suites, the race-enabled nearest-link engine,
-# synthesis and RNN suites, the fully-verified nearest-link engine smoke
-# sweep, and the bounded fuzz run of the decoders and the nearest-link
-# search. Exits non-zero on the first failure.
+# synthesis, RNN and retry/fault-injection suites, the fully-verified
+# nearest-link engine smoke sweep, and the bounded fuzz run of the decoders
+# and the nearest-link search. Exits non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -93,6 +93,9 @@ echo "==> verify-synth (batch synthesis and corpus generation, race-enabled)"
 
 echo "==> verify-neural (RNN inference memo and reference bit-identity, race-enabled)"
 "$GO" test -race -count=1 ./internal/ml/neural/
+
+echo "==> verify-retry (retry policy, circuit breaker and fault injector, race-enabled)"
+"$GO" test -race -count=1 ./internal/faults/ ./internal/retry/
 
 echo "==> bench-smoke (nearest-link engine, fully reference-verified)"
 "$GO" run ./cmd/patchdb-bench -only NEARESTLINK -smoke
