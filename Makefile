@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-link verify-synth verify-neural verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
+.PHONY: build fmt test vet vet-perfbench lint race fuzz-smoke bench bench-nearestlink bench-smoke bench-ledger verify verify-par verify-link verify-synth verify-neural verify-train verify-chaos verify-telemetry verify-serve verify-resume verify-obs ci clean
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,16 @@ verify-synth:
 verify-neural:
 	$(GO) test -race -count=1 ./internal/ml/neural/
 
+# verify-train runs the model suites and the baselines under the race
+# detector (the SMO support-vector list against its reference, the
+# ensemble fits and pool scoring on parallel items, ArgmaxProba's scoring),
+# then the worker-invariance test of Tables IV and VI, whose RNN fits run
+# as parallel items: the same metrics bit for bit at GOMAXPROCS 1 and 4.
+# That test trains RNNs for tens of seconds, so it runs without -race.
+verify-train:
+	$(GO) test -race -count=1 ./internal/ml/... ./internal/core/baselines/
+	$(GO) test -count=1 -run '^TestWorkerInvariance$$' ./internal/experiments/
+
 # verify-chaos runs the fault-injection suite under the race detector: the
 # injected fault classes, the retry/breaker machinery, and the end-to-end
 # chaos tests of the crawler and builder.
@@ -180,9 +190,9 @@ verify: vet lint verify-chaos verify-telemetry verify-obs verify-serve verify-re
 # runs too — build, the gofmt check, both static-analysis tiers (and vet of
 # the benchmark module, and the lint suite's warm-cache check), the plain
 # test run, the race-enabled parallel-loop, observability-correlation,
-# build-telemetry, crash-safety, nearest-link engine, synthesis and RNN
-# suites, the fully-verified engine smoke sweep, and the bounded fuzz run of
-# the decoders.
+# build-telemetry, crash-safety, nearest-link engine, synthesis, RNN and
+# training suites, the fully-verified engine smoke sweep, and the bounded
+# fuzz run of the decoders.
 ci:
 	GO=$(GO) sh scripts/ci.sh
 

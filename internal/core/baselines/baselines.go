@@ -14,6 +14,7 @@ import (
 	"patchdb/internal/ml/bayes"
 	"patchdb/internal/ml/linear"
 	"patchdb/internal/ml/tree"
+	"patchdb/internal/par"
 )
 
 // poolRows returns the pool's feature vectors, checking that they all
@@ -79,11 +80,16 @@ func TenClassifiers(seed int64) []ml.Classifier {
 
 // Uncertainty trains the ensemble on the labeled seed and returns the pool
 // indices every classifier predicts as security patches (the
-// highest-certainty consensus set).
+// highest-certainty consensus set). The ten fits run on GOMAXPROCS
+// workers, each into its own slot, and so does the scoring of the pool;
+// the errors and the hits are then read in model and row order.
 func Uncertainty(train *ml.Dataset, pool []augment.Item, seed int64) ([]int, error) {
 	models := TenClassifiers(seed)
-	for i, m := range models {
-		if err := m.Fit(train.X, train.Y); err != nil {
+	errs := make([]error, len(models))
+	// A nil ctx is never done, so neither loop can fail.
+	_ = par.For(nil, len(models), 0, func(_, i int) { errs[i] = models[i].Fit(train.X, train.Y) })
+	for i, err := range errs {
+		if err != nil {
 			return nil, fmt.Errorf("uncertainty model %d: %w", i, err)
 		}
 	}
@@ -91,16 +97,19 @@ func Uncertainty(train *ml.Dataset, pool []augment.Item, seed int64) ([]int, err
 	if err != nil {
 		return nil, fmt.Errorf("uncertainty: %w", err)
 	}
-	var out []int
-	for i, row := range rows {
-		all := true
+	hit := make([]bool, len(rows))
+	_ = par.For(nil, len(rows), 0, func(_, i int) {
+		hit[i] = true
 		for _, m := range models {
-			if m.Predict(row) != ml.Security {
-				all = false
-				break
+			if m.Predict(rows[i]) != ml.Security {
+				hit[i] = false
+				return
 			}
 		}
-		if all {
+	})
+	var out []int
+	for i, h := range hit {
+		if h {
 			out = append(out, i)
 		}
 	}

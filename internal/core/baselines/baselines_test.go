@@ -3,7 +3,10 @@ package baselines
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"patchdb/internal/core/augment"
@@ -119,8 +122,42 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := PseudoLabeling(empty, nil, 5, 1); err == nil {
 		t.Error("pseudo labeling on empty training set succeeded")
 	}
-	if _, err := Uncertainty(empty, nil, 1); err == nil {
-		t.Error("uncertainty on empty training set succeeded")
+	// Every model fails on the empty set; the first in model order is
+	// the one reported.
+	if _, err := Uncertainty(empty, nil, 1); err == nil || !strings.Contains(err.Error(), "uncertainty model 0:") {
+		t.Errorf("uncertainty on empty training set: err = %v, want model 0's error", err)
+	}
+}
+
+// TestWorkerInvariance checks that the ensemble fits and the pool scoring
+// give the same indices on one worker as on four. Pseudo labeling's forest
+// ties many pool rows, so its order shows any change in how ties break.
+func TestWorkerInvariance(t *testing.T) {
+	run := func(procs int) (pl, ub [][]int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for seed := int64(1); seed <= 3; seed++ {
+			train, pool, _ := world(seed)
+			p, err := PseudoLabeling(train, pool, 60, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := Uncertainty(train, pool, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, ub = append(pl, p), append(ub, u)
+		}
+		return pl, ub
+	}
+	pl1, ub1 := run(1)
+	pl4, ub4 := run(4)
+	for i := range pl1 {
+		if !slices.Equal(pl1[i], pl4[i]) {
+			t.Errorf("world %d: pseudo labeling %v at 1 worker, %v at 4", i+1, pl1[i], pl4[i])
+		}
+		if !slices.Equal(ub1[i], ub4[i]) {
+			t.Errorf("world %d: uncertainty %v at 1 worker, %v at 4", i+1, ub1[i], ub4[i])
+		}
 	}
 }
 

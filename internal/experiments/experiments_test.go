@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"patchdb/internal/corpus"
+	"patchdb/internal/ml"
 )
 
 var (
@@ -19,6 +22,31 @@ func sharedLab(t *testing.T) *Lab {
 	t.Helper()
 	labOnce.Do(func() { lab = NewLab(SmallScale) })
 	return lab
+}
+
+// Tables IV and VI train RNNs for seconds, so each is computed once per
+// GOMAXPROCS setting for the whole test binary. The shape tests read the
+// run at 4; TestWorkerInvariance compares it with the run at 1.
+var (
+	tableIVAt = map[int]*TableIV{}
+	tableVIAt = map[int]*TableVI{}
+)
+
+// memoAt returns cache[procs], running run on the shared lab with
+// GOMAXPROCS set to procs (and restored after) on the first call.
+func memoAt[T any](t *testing.T, cache map[int]T, procs int, run func(*Lab) (T, error)) T {
+	t.Helper()
+	if v, ok := cache[procs]; ok {
+		return v
+	}
+	l := sharedLab(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	v, err := run(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache[procs] = v
+	return v
 }
 
 func TestLabPopulations(t *testing.T) {
@@ -169,11 +197,7 @@ func TestTableIVShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RNN training")
 	}
-	l := sharedLab(t)
-	tab, err := l.RunTableIV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := memoAt(t, tableIVAt, 4, (*Lab).RunTableIV)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -202,11 +226,7 @@ func TestTableVIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RNN training")
 	}
-	l := sharedLab(t)
-	tab, err := l.RunTableVI()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := memoAt(t, tableVIAt, 4, (*Lab).RunTableVI)
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8 (2 train x 2 algo x 2 test)", len(tab.Rows))
 	}
@@ -232,6 +252,37 @@ func TestTableVIShape(t *testing.T) {
 	}
 	if s := tab.String(); !strings.Contains(s, "Random Forest") {
 		t.Error("render missing algorithm")
+	}
+}
+
+// TestWorkerInvariance checks that Tables IV and VI, whose fits run as
+// parallel items, give the same metrics bit for bit on one worker as on
+// four.
+func TestWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RNN training")
+	}
+	var got [2][]ml.Metrics
+	for k, procs := range []int{1, 4} {
+		for _, r := range memoAt(t, tableIVAt, procs, (*Lab).RunTableIV).Rows {
+			got[k] = append(got[k], r.Metrics)
+		}
+		for _, r := range memoAt(t, tableVIAt, procs, (*Lab).RunTableVI).Rows {
+			got[k] = append(got[k], r.Metrics)
+		}
+	}
+	if len(got[0]) != len(got[1]) {
+		t.Fatalf("%d rows at 1 worker, %d at 4", len(got[0]), len(got[1]))
+	}
+	bits := func(m ml.Metrics) [8]uint64 {
+		return [8]uint64{uint64(m.TP), uint64(m.FP), uint64(m.TN), uint64(m.FN),
+			math.Float64bits(m.Precision), math.Float64bits(m.Recall),
+			math.Float64bits(m.F1), math.Float64bits(m.Accuracy)}
+	}
+	for i := range got[0] {
+		if bits(got[0][i]) != bits(got[1][i]) {
+			t.Errorf("row %d: %+v at 1 worker, %+v at 4", i, got[0][i], got[1][i])
+		}
 	}
 }
 

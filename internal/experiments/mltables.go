@@ -14,6 +14,7 @@ import (
 	"patchdb/internal/ml"
 	"patchdb/internal/ml/neural"
 	"patchdb/internal/ml/tree"
+	"patchdb/internal/par"
 )
 
 // nearestLinkCandidates returns the pool indices selected by nearest link
@@ -125,22 +126,42 @@ func (l *Lab) rnnEpochs(n int) int {
 // reports.
 const rnnRuns = 2
 
-// evalRNN trains rnnRuns RNNs on train and returns their average test
-// metrics.
-func (l *Lab) evalRNN(train *seqDataset, test *seqDataset, seed int64) (ml.Metrics, error) {
-	var agg ml.Metrics
-	for r := 0; r < rnnRuns; r++ {
-		rnn := &neural.RNN{Epochs: l.rnnEpochs(len(train.seqs)), Seed: seed + int64(r)*1000}
-		if err := rnn.FitTokensWeighted(train.seqs, train.y, train.w); err != nil {
-			return ml.Metrics{}, err
+// rnnCell is one evaluation cell: the RNNs trained on train from seed and
+// scored on test. name is the dataset the cell belongs to.
+type rnnCell struct {
+	name        string
+	train, test *seqDataset
+	seed        int64
+}
+
+// evalCells trains rnnRuns RNNs per cell, every run of every cell an item
+// of one loop on GOMAXPROCS workers, and returns each cell's average test
+// metrics. The runs are accumulated in cell and run order after the loop,
+// so the averages do not depend on the worker count.
+func (l *Lab) evalCells(cells []rnnCell) ([]ml.Metrics, error) {
+	runs := make([]ml.Metrics, len(cells)*rnnRuns)
+	errs := make([]error, len(runs))
+	// A nil ctx is never done, so the loop cannot fail.
+	_ = par.For(nil, len(runs), 0, func(_, i int) {
+		c, r := cells[i/rnnRuns], i%rnnRuns
+		rnn := &neural.RNN{Epochs: l.rnnEpochs(len(c.train.seqs)), Seed: c.seed + int64(r)*1000}
+		if errs[i] = rnn.FitTokensWeighted(c.train.seqs, c.train.y, c.train.w); errs[i] != nil {
+			return
 		}
-		pred := make([]int, len(test.seqs))
-		for i, s := range test.seqs {
-			pred[i] = rnn.PredictTokens(s)
+		pred := make([]int, len(c.test.seqs))
+		for k, s := range c.test.seqs {
+			pred[k] = rnn.PredictTokens(s)
 		}
-		accumulate(&agg, ml.Evaluate(pred, test.y), rnnRuns)
+		runs[i] = ml.Evaluate(pred, c.test.y)
+	})
+	out := make([]ml.Metrics, len(cells))
+	for i, m := range runs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%s: %w", cells[i/rnnRuns].name, errs[i])
+		}
+		accumulate(&out[i/rnnRuns], m, rnnRuns)
 	}
-	return agg, nil
+	return out, nil
 }
 
 // TableIVRow is one configuration of the synthetic-patch study.
@@ -160,7 +181,8 @@ type TableIV struct {
 // RunTableIV reproduces Table IV. Each cell averages Scale.TableIVSplits
 // independent splits (synthesis is redone from each training split, as the
 // paper requires): the deltas the paper reports are smaller than
-// single-split variance at reduced scale.
+// single-split variance at reduced scale. Every cell's data is built
+// first, in order; then all cells train at once (evalCells).
 func (l *Lab) RunTableIV() (*TableIV, error) {
 	tableIVSplits := l.Scale.TableIVSplits
 	wildSec, err := l.WildSecurity()
@@ -171,15 +193,24 @@ func (l *Lab) RunTableIV() (*TableIV, error) {
 	if err != nil {
 		return nil, err
 	}
-	var t TableIV
+	allSec := append(append([]*corpus.LabeledCommit(nil), l.NVD...), wildSec...)
+	allNon := append(append([]*corpus.LabeledCommit(nil), l.NonSec...), wildNon...)
+	pairs := []struct {
+		name     string
+		sec, non []*corpus.LabeledCommit
+	}{{"NVD", l.NVD, l.NonSec}, {"NVD+Wild", allSec, allNon}}
 
-	runPair := func(name string, sec, non []*corpus.LabeledCommit) error {
-		var natMetrics, synMetrics ml.Metrics
-		var nSecTotal, nNonTotal int
+	// cells holds, per pair and split, the natural cell and then the
+	// synthetic one.
+	var cells []rnnCell
+	nSecTotal := make([]int, len(pairs))
+	nNonTotal := make([]int, len(pairs))
+	for p, pr := range pairs {
+		name := "table IV (" + pr.name + ")"
 		for split := 0; split < tableIVSplits; split++ {
 			rng := rand.New(rand.NewSource(l.Scale.Seed + 444 + int64(split)))
-			secTrain, secTest := splitCommits(sec, rng)
-			nonTrain, nonTest := splitCommits(non, rng)
+			secTrain, secTest := splitCommits(pr.sec, rng)
+			nonTrain, nonTest := splitCommits(pr.non, rng)
 
 			natural := &seqDataset{}
 			for _, lc := range secTrain {
@@ -196,12 +227,6 @@ func (l *Lab) RunTableIV() (*TableIV, error) {
 				test.append(l.tokenSeq(lc), ml.NonSecurity)
 			}
 
-			m, err := l.evalRNN(natural, test, l.Scale.Seed+int64(split))
-			if err != nil {
-				return err
-			}
-			accumulate(&natMetrics, m, tableIVSplits)
-
 			// Synthetic patches are generated solely from the training split
 			// and down-weighted so they enrich the natural distribution
 			// without dominating it.
@@ -210,31 +235,32 @@ func (l *Lab) RunTableIV() (*TableIV, error) {
 			withSyn.y = append(withSyn.y, natural.y...)
 			nSec := l.synthesizeFor(secTrain, ml.Security, 5, 0.5, withSyn)
 			nNon := l.synthesizeFor(nonTrain, ml.NonSecurity, 3, 0.5, withSyn)
-			nSecTotal += nSec / tableIVSplits
-			nNonTotal += nNon / tableIVSplits
+			nSecTotal[p] += nSec / tableIVSplits
+			nNonTotal[p] += nNon / tableIVSplits
 
-			m2, err := l.evalRNN(withSyn, test, l.Scale.Seed+int64(split))
-			if err != nil {
-				return err
-			}
-			accumulate(&synMetrics, m2, tableIVSplits)
+			seed := l.Scale.Seed + int64(split)
+			cells = append(cells, rnnCell{name, natural, test, seed}, rnnCell{name, withSyn, test, seed})
 		}
-		t.Rows = append(t.Rows, TableIVRow{Dataset: name, Synthetic: "-", Metrics: natMetrics})
+	}
+	metrics, err := l.evalCells(cells)
+	if err != nil {
+		return nil, err
+	}
+
+	var t TableIV
+	for p, pr := range pairs {
+		var natMetrics, synMetrics ml.Metrics
+		for split := 0; split < tableIVSplits; split++ {
+			c := 2 * (p*tableIVSplits + split)
+			accumulate(&natMetrics, metrics[c], tableIVSplits)
+			accumulate(&synMetrics, metrics[c+1], tableIVSplits)
+		}
+		t.Rows = append(t.Rows, TableIVRow{Dataset: pr.name, Synthetic: "-", Metrics: natMetrics})
 		t.Rows = append(t.Rows, TableIVRow{
-			Dataset:   name,
-			Synthetic: fmt.Sprintf("~%d Sec. + ~%d NonSec.", nSecTotal, nNonTotal),
+			Dataset:   pr.name,
+			Synthetic: fmt.Sprintf("~%d Sec. + ~%d NonSec.", nSecTotal[p], nNonTotal[p]),
 			Metrics:   synMetrics,
 		})
-		return nil
-	}
-
-	if err := runPair("NVD", l.NVD, l.NonSec); err != nil {
-		return nil, fmt.Errorf("table IV (NVD): %w", err)
-	}
-	allSec := append(append([]*corpus.LabeledCommit(nil), l.NVD...), wildSec...)
-	allNon := append(append([]*corpus.LabeledCommit(nil), l.NonSec...), wildNon...)
-	if err := runPair("NVD+Wild", allSec, allNon); err != nil {
-		return nil, fmt.Errorf("table IV (NVD+Wild): %w", err)
 	}
 	return &t, nil
 }
@@ -309,63 +335,84 @@ func (l *Lab) RunTableVI() (*TableVI, error) {
 		{"Wild", concat(wildSecTest), concat(wildNonTest)},
 	}
 
-	var t TableVI
-	for _, tr := range trainSets {
-		// Random Forest on the 60 statistical features.
+	// The data is built first, in order. Then each training set's forest
+	// and RNN train as the items of one loop, item 2k the forest of set
+	// k and 2k+1 its RNN, each scoring both test sets into its own slot.
+	featureSet := func(g group) *ml.Dataset {
 		ds := &ml.Dataset{}
-		for _, lc := range tr.sec {
+		for _, lc := range g.sec {
 			ds.Append(l.Features(lc), ml.Security, "")
 		}
-		for _, lc := range tr.non {
+		for _, lc := range g.non {
 			ds.Append(l.Features(lc), ml.NonSecurity, "")
 		}
-		rf := &tree.Forest{Trees: 60, Seed: l.Scale.Seed}
-		if err := rf.Fit(ds.X, ds.Y); err != nil {
-			return nil, fmt.Errorf("table VI rf: %w", err)
+		return ds
+	}
+	tokenSet := func(g group) *seqDataset {
+		ds := &seqDataset{}
+		for _, lc := range g.sec {
+			ds.append(l.tokenSeq(lc), ml.Security)
 		}
-		for _, te := range testSets {
-			test := &ml.Dataset{}
-			for _, lc := range te.sec {
-				test.Append(l.Features(lc), ml.Security, "")
-			}
-			for _, lc := range te.non {
-				test.Append(l.Features(lc), ml.NonSecurity, "")
-			}
-			t.Rows = append(t.Rows, TableVIRow{
-				TrainSet: tr.name, Algorithm: "Random Forest", TestSet: te.name,
-				Metrics: ml.EvaluateClassifier(rf, test),
-			})
+		for _, lc := range g.non {
+			ds.append(l.tokenSeq(lc), ml.NonSecurity)
 		}
+		return ds
+	}
+	var featTrain, featTest []*ml.Dataset
+	var seqTrain, seqTest []*seqDataset
+	for _, g := range trainSets {
+		featTrain = append(featTrain, featureSet(g))
+		seqTrain = append(seqTrain, tokenSet(g))
+	}
+	for _, g := range testSets {
+		featTest = append(featTest, featureSet(g))
+		seqTest = append(seqTest, tokenSet(g))
+	}
 
+	rows := make([][]TableVIRow, 2*len(trainSets))
+	errs := make([]error, len(rows))
+	// A nil ctx is never done, so the loop cannot fail.
+	_ = par.For(nil, len(rows), 0, func(_, i int) {
+		k := i / 2
+		if i%2 == 0 {
+			// Random Forest on the 60 statistical features.
+			rf := &tree.Forest{Trees: 60, Seed: l.Scale.Seed}
+			if err := rf.Fit(featTrain[k].X, featTrain[k].Y); err != nil {
+				errs[i] = fmt.Errorf("table VI rf: %w", err)
+				return
+			}
+			for te, test := range featTest {
+				rows[i] = append(rows[i], TableVIRow{
+					TrainSet: trainSets[k].name, Algorithm: "Random Forest", TestSet: testSets[te].name,
+					Metrics: ml.EvaluateClassifier(rf, test),
+				})
+			}
+			return
+		}
 		// RNN on token sequences.
-		seqTrain := &seqDataset{}
-		for _, lc := range tr.sec {
-			seqTrain.append(l.tokenSeq(lc), ml.Security)
+		train := seqTrain[k]
+		rnn := &neural.RNN{Epochs: l.rnnEpochs(len(train.seqs)), Seed: l.Scale.Seed + 2}
+		if err := rnn.FitTokens(train.seqs, train.y); err != nil {
+			errs[i] = fmt.Errorf("table VI rnn: %w", err)
+			return
 		}
-		for _, lc := range tr.non {
-			seqTrain.append(l.tokenSeq(lc), ml.NonSecurity)
-		}
-		rnn := &neural.RNN{Epochs: l.rnnEpochs(len(seqTrain.seqs)), Seed: l.Scale.Seed + 2}
-		if err := rnn.FitTokens(seqTrain.seqs, seqTrain.y); err != nil {
-			return nil, fmt.Errorf("table VI rnn: %w", err)
-		}
-		for _, te := range testSets {
-			seqTest := &seqDataset{}
-			for _, lc := range te.sec {
-				seqTest.append(l.tokenSeq(lc), ml.Security)
+		for te, test := range seqTest {
+			pred := make([]int, len(test.seqs))
+			for j, s := range test.seqs {
+				pred[j] = rnn.PredictTokens(s)
 			}
-			for _, lc := range te.non {
-				seqTest.append(l.tokenSeq(lc), ml.NonSecurity)
-			}
-			pred := make([]int, len(seqTest.seqs))
-			for i, s := range seqTest.seqs {
-				pred[i] = rnn.PredictTokens(s)
-			}
-			t.Rows = append(t.Rows, TableVIRow{
-				TrainSet: tr.name, Algorithm: "RNN", TestSet: te.name,
-				Metrics: ml.Evaluate(pred, seqTest.y),
+			rows[i] = append(rows[i], TableVIRow{
+				TrainSet: trainSets[k].name, Algorithm: "RNN", TestSet: testSets[te].name,
+				Metrics: ml.Evaluate(pred, test.y),
 			})
 		}
+	})
+	var t TableVI
+	for i, r := range rows {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		t.Rows = append(t.Rows, r...)
 	}
 	return &t, nil
 }

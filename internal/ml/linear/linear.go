@@ -8,6 +8,7 @@ package linear
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"patchdb/internal/ml"
 )
@@ -296,6 +297,22 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 {
 		return ml.ErrEmptyDataset
 	}
+	xs, ys, rng := s.rows(x, y)
+	sv, b := smoDual(xs, ys, rng)
+	s.w = make([]float64, len(xs[0]))
+	for _, k := range sv.idx {
+		for j, v := range xs[k] {
+			s.w[j] += sv.c[k] * v
+		}
+	}
+	s.b = b
+	return nil
+}
+
+// rows fits the standardizer and returns the standardized training rows
+// (a subsample of at most smoMaxRows) with their ±1 labels, and the
+// generator that drew the subsample, which the pair loop reads next.
+func (s *SMO) rows(x [][]float64, y []int) ([][]float64, []float64, *rand.Rand) {
 	rng := rand.New(rand.NewSource(s.Seed + 23))
 	idx := rng.Perm(len(x))
 	if len(idx) > smoMaxRows {
@@ -308,8 +325,40 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 		xs[k] = s.norm.apply(x[i])
 		ys[k] = float64(2*y[i] - 1)
 	}
+	return xs, ys, rng
+}
+
+// supportVectors holds SMO's dual variables: alpha, the indices whose
+// alpha is nonzero in increasing order (idx), and c[k] = alpha[k]*ys[k].
+type supportVectors struct {
+	alpha, ys, c []float64
+	idx          []int
+	// drops counts the alphas that returned to exactly 0.
+	drops int
+}
+
+// set writes alpha[k] = a and keeps c[k] and idx in step with it.
+func (sv *supportVectors) set(k int, a float64) {
+	was := sv.alpha[k] != 0
+	sv.alpha[k] = a
+	sv.c[k] = a * sv.ys[k]
+	if now := a != 0; now != was {
+		pos, _ := slices.BinarySearch(sv.idx, k)
+		if now {
+			sv.idx = slices.Insert(sv.idx, pos, k)
+		} else {
+			sv.idx = slices.Delete(sv.idx, pos, pos+1)
+			sv.drops++
+		}
+	}
+}
+
+// smoDual runs the pair loop on standardized rows xs with labels ys and
+// returns the dual solution and the bias.
+func smoDual(xs [][]float64, ys []float64, rng *rand.Rand) (*supportVectors, float64) {
 	n := len(xs)
-	alpha := make([]float64, n)
+	sv := &supportVectors{alpha: make([]float64, n), ys: ys, c: make([]float64, n)}
+	alpha := sv.alpha
 	b := 0.0
 	// gram[i*n+k] = dot(xs[i], xs[k]), computed once. The matrix is
 	// symmetric bit for bit (products commute and each dot product sums in
@@ -322,13 +371,14 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 			gram[k*n+i] = v
 		}
 	}
+	// f sums over the support vectors alone, in increasing index order:
+	// the terms with alpha[k] == 0 are the ones a full scan skips, and
+	// c[k]*g is alpha[k]*ys[k]*g as Go evaluates it, left to right.
 	f := func(i int) float64 {
 		sum := b
 		row := gram[i*n : (i+1)*n]
-		for k, g := range row {
-			if alpha[k] != 0 {
-				sum += alpha[k] * ys[k] * g
-			}
+		for _, k := range sv.idx {
+			sum += sv.c[k] * row[k]
 		}
 		return sum
 	}
@@ -362,12 +412,13 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 				if eta >= 0 {
 					continue
 				}
-				alpha[j] = aj - ys[j]*(ei-ej)/eta
-				alpha[j] = math.Min(hi, math.Max(lo, alpha[j]))
+				// The clamped alpha[j] is kept even when the step is too
+				// small to count as a change.
+				sv.set(j, math.Min(hi, math.Max(lo, aj-ys[j]*(ei-ej)/eta)))
 				if math.Abs(alpha[j]-aj) < 1e-5 {
 					continue
 				}
-				alpha[i] = ai + ys[i]*ys[j]*(aj-alpha[j])
+				sv.set(i, ai+ys[i]*ys[j]*(aj-alpha[j]))
 				b1 := b - ei - ys[i]*(alpha[i]-ai)*kii - ys[j]*(alpha[j]-aj)*kij
 				b2 := b - ej - ys[i]*(alpha[i]-ai)*kij - ys[j]*(alpha[j]-aj)*kjj
 				switch {
@@ -387,17 +438,7 @@ func (s *SMO) Fit(x [][]float64, y []int) error {
 			passes = 0
 		}
 	}
-	dim := len(xs[0])
-	s.w = make([]float64, dim)
-	for k := 0; k < n; k++ {
-		if alpha[k] != 0 {
-			for j, v := range xs[k] {
-				s.w[j] += alpha[k] * ys[k] * v
-			}
-		}
-	}
-	s.b = b
-	return nil
+	return sv, b
 }
 
 // Proba squashes the margin.

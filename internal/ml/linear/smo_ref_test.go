@@ -3,6 +3,7 @@ package linear
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -183,5 +184,43 @@ func BenchmarkSMOFit(b *testing.B) {
 		if err := benchSMO.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSMOSupportVectorsDrop fits noisy problems on which some alpha turns
+// nonzero and is later clamped back to exactly 0, so the support-vector
+// list deletes entries mid-fit, and checks the fit against the reference
+// bit for bit. The 350-row case is past the sizes where SMO's pass count
+// grows fastest.
+func TestSMOSupportVectorsDrop(t *testing.T) {
+	for _, tc := range []struct {
+		rows int
+		seed int64
+	}{{120, 11}, {350, 12}} {
+		x, y := noisyRows(tc.rows, tc.seed*31)
+		s := &SMO{Seed: tc.seed}
+		xs, ys, rng := s.rows(x, y)
+		sv, _ := smoDual(xs, ys, rng)
+		if sv.drops == 0 {
+			t.Errorf("%d rows: no alpha returned to 0, the delete path is not exercised", tc.rows)
+		}
+		for k, a := range sv.alpha {
+			if _, found := slices.BinarySearch(sv.idx, k); found != (a != 0) {
+				t.Errorf("%d rows: alpha[%d] = %v, listed = %v", tc.rows, k, a, found)
+			}
+		}
+		if err := s.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		w, b := refSMOFit(tc.seed, x, y)
+		if math.Float64bits(s.b) != math.Float64bits(b) {
+			t.Errorf("%d rows: b = %v, reference %v", tc.rows, s.b, b)
+		}
+		for j := range w {
+			if math.Float64bits(s.w[j]) != math.Float64bits(w[j]) {
+				t.Errorf("%d rows: w[%d] = %v, reference %v", tc.rows, j, s.w[j], w[j])
+			}
+		}
+		t.Logf("%d rows: %d drops, %d support vectors", tc.rows, sv.drops, len(sv.idx))
 	}
 }

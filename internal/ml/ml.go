@@ -9,6 +9,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+
+	"patchdb/internal/par"
 )
 
 // Label values for the binary security-patch identification task.
@@ -22,7 +25,10 @@ const (
 // ErrEmptyDataset is returned by Fit when there are no training rows.
 var ErrEmptyDataset = errors.New("ml: empty training dataset")
 
-// Classifier is a binary classifier over feature vectors.
+// Classifier is a binary classifier over feature vectors. Predict and
+// Proba must be safe for concurrent use once Fit has returned:
+// ArgmaxProba and the ensemble baselines score rows on several goroutines
+// at once.
 type Classifier interface {
 	// Fit trains on rows X with labels y (0 or 1).
 	Fit(x [][]float64, y []int) error
@@ -171,48 +177,29 @@ func ConfidenceInterval95(p float64, n int) float64 {
 }
 
 // ArgmaxProba returns the indices of the k rows with the highest positive
-// probability under c, in descending order (used by pseudo labeling).
+// probability under c, in descending order, ties in row order (used by
+// pseudo labeling). The rows are scored on GOMAXPROCS workers.
 func ArgmaxProba(c Classifier, rows [][]float64, k int) []int {
 	type scored struct {
 		idx int
 		p   float64
 	}
 	all := make([]scored, len(rows))
-	for i, x := range rows {
-		all[i] = scored{i, c.Proba(x)}
-	}
-	// partial selection sort via heap-free nth_element would be fine; a full
-	// sort keeps it simple at these sizes.
-	sortSlice(all, func(a, b scored) bool { return a.p > b.p })
-	if k > len(all) {
-		k = len(all)
-	}
+	// A nil ctx is never done, so the loop cannot fail.
+	_ = par.For(nil, len(rows), 0, func(_, i int) { all[i] = scored{i, c.Proba(rows[i])} })
+	slices.SortStableFunc(all, func(a, b scored) int {
+		switch {
+		case a.p > b.p:
+			return -1
+		case b.p > a.p:
+			return 1
+		}
+		return 0
+	})
+	k = min(k, len(all))
 	out := make([]int, k)
-	for i := 0; i < k; i++ {
+	for i := range out {
 		out[i] = all[i].idx
 	}
 	return out
-}
-
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	// Simple merge sort to avoid reflection-based sort.Slice in hot paths.
-	if len(s) < 2 {
-		return
-	}
-	mid := len(s) / 2
-	left := append([]T(nil), s[:mid]...)
-	right := append([]T(nil), s[mid:]...)
-	sortSlice(left, less)
-	sortSlice(right, less)
-	i, j := 0, 0
-	for k := range s {
-		switch {
-		case i < len(left) && (j >= len(right) || !less(right[j], left[i])):
-			s[k] = left[i]
-			i++
-		default:
-			s[k] = right[j]
-			j++
-		}
-	}
 }

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,16 +126,27 @@ func TestArgmaxProba(t *testing.T) {
 	}
 }
 
-func TestSortSliceProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		s := append([]float64(nil), xs...)
-		sortSlice(s, func(a, b float64) bool { return a < b })
-		for i := 1; i < len(s); i++ {
-			if s[i-1] > s[i] {
-				return false
+// TestArgmaxProbaTiesKeepRowOrder checks ArgmaxProba against a selection
+// by hand: the highest probability first, and among equal probabilities
+// the lower row index first. Probabilities come from five levels, so most
+// rows tie with others.
+func TestArgmaxProbaTiesKeepRowOrder(t *testing.T) {
+	f := func(levels []uint8, k uint8) bool {
+		rows := make([][]float64, len(levels))
+		for i, l := range levels {
+			rows[i] = []float64{float64(l%5) / 4}
+		}
+		got := ArgmaxProba(&constClassifier{}, rows, int(k))
+		want := make([]int, 0, len(rows))
+		for level := 4; level >= 0; level-- {
+			for i, l := range levels {
+				if int(l%5) == level {
+					want = append(want, i)
+				}
 			}
 		}
-		return len(s) == len(xs)
+		want = want[:min(int(k), len(want))]
+		return slices.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -5,7 +5,8 @@
 # benchmark module), the custom patchdb-lint suite cold and warm, the test
 # run, the race-enabled parallel-loop, observability-correlation, build
 # telemetry and crash-safety suites, the race-enabled nearest-link engine,
-# synthesis, RNN and retry/fault-injection suites, the fully-verified
+# synthesis, RNN, training and retry/fault-injection suites, the
+# worker-invariance test of the parallel table fits, the fully-verified
 # nearest-link engine smoke sweep, and the bounded fuzz run of the decoders
 # and the nearest-link search. Exits non-zero on the first failure.
 set -eu
@@ -93,6 +94,10 @@ echo "==> verify-synth (batch synthesis and corpus generation, race-enabled)"
 
 echo "==> verify-neural (RNN inference memo and reference bit-identity, race-enabled)"
 "$GO" test -race -count=1 ./internal/ml/neural/
+
+echo "==> verify-train (SMO, ensemble and pool scoring race-enabled; Tables IV and VI at 1 and 4 workers)"
+"$GO" test -race -count=1 ./internal/ml/... ./internal/core/baselines/
+"$GO" test -count=1 -run '^TestWorkerInvariance$' ./internal/experiments/
 
 echo "==> verify-retry (retry policy, circuit breaker and fault injector, race-enabled)"
 "$GO" test -race -count=1 ./internal/faults/ ./internal/retry/
