@@ -58,9 +58,11 @@ race:
 # (FuzzOpenManifest), and the NVD feed and Retry-After headers the crawler
 # reads, which must yield only commitURLRe downloads and CrawlStats counts
 # that add up (FuzzCrawlFeed), and nearest-link feature rows from raw
-# float64 bits, whose links must match ReferenceSearch at workers 1 and 2
-# unless both return a canonical error (FuzzSearch). A crasher fails the
-# target and is saved under its testdata/fuzz.
+# float64 bits, which must either return the canonical error
+# ReferenceSearch returns or link exactly min(M, N) rows, each at most
+# 2·sqrt(d) apart, bit-identical to ReferenceSearch at workers 1 and 2
+# (FuzzSearch). A crasher fails the target and is saved under its
+# testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/diff/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/cast/

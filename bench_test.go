@@ -139,16 +139,22 @@ func BenchmarkTableVI(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// BenchmarkAblationNormalization contrasts nearest-link hit ratios with and
-// without the paper's max-abs feature weighting (Sec. III-B-2).
-func BenchmarkAblationNormalization(b *testing.B) {
-	lab := sharedBenchLab(b)
-	seedX := lab.FeatureRows(lab.NVD)
-	pool := lab.Items(lab.SetI)
-	wildX := make([][]float64, len(pool))
+// linkAblationInputs is the nearest-link ablations' problem: the NVD
+// seed's feature rows against the Set I pool.
+func linkAblationInputs(lab *experiments.Lab) (seedX, wildX [][]float64, pool []augment.Item) {
+	seedX = lab.FeatureRows(lab.NVD)
+	pool = lab.Items(lab.SetI)
+	wildX = make([][]float64, len(pool))
 	for i, it := range pool {
 		wildX[i] = it.Features
 	}
+	return seedX, wildX, pool
+}
+
+// normalizationAblation returns the round-1 hit ratio of nearest link with
+// the paper's max-abs feature weighting and of the raw-distance greedy.
+func normalizationAblation(lab *experiments.Lab) (weighted, raw float64, err error) {
+	seedX, wildX, pool := linkAblationInputs(lab)
 	hitRatio := func(links []nearestlink.Link) float64 {
 		hits := 0
 		for _, l := range links {
@@ -158,19 +164,137 @@ func BenchmarkAblationNormalization(b *testing.B) {
 		}
 		return float64(hits) / float64(len(links))
 	}
+	links, err := nearestlink.Search(context.Background(), seedX, wildX, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return hitRatio(links), hitRatio(rawGreedyLinks(seedX, wildX)), nil
+}
+
+// knnAblation returns how many links nearest link makes and how many
+// distinct wild patches plain 1-NN selection picks.
+func knnAblation(lab *experiments.Lab) (links, picks int, err error) {
+	seedX, wildX, _ := linkAblationInputs(lab)
+	l, err := nearestlink.Search(context.Background(), seedX, wildX, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	p, err := nnPicks(seedX, wildX)
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(l), len(p), nil
+}
+
+// sqDist is the squared Euclidean distance in the engine's reference
+// accumulation order: one accumulator over ascending dimensions.
+func sqDist(a, b []float64) float64 {
+	sum := 0.0
+	for k := range a {
+		d := a[k] - b[k]
+		sum += d * d
+	}
+	return sum
+}
+
+// rawGreedyLinks is Algorithm 1 over the unweighted rows: ReferenceSearch's
+// scans and greedy loop without the max-abs weighting. It backs the
+// normalization ablation; the pipeline always weights.
+func rawGreedyLinks(security, wild [][]float64) []nearestlink.Link {
+	rowMin := func(row []float64, used []bool) (float64, int) {
+		best, bestJ := math.Inf(1), -1
+		for j, w := range wild {
+			if used != nil && used[j] {
+				continue
+			}
+			if d := sqDist(row, w); d < best {
+				best, bestJ = d, j
+			}
+		}
+		return best, bestJ
+	}
+	m := len(security)
+	u, v := make([]float64, m), make([]int, m)
+	for i, row := range security {
+		u[i], v[i] = rowMin(row, nil)
+	}
+	used := make([]bool, len(wild))
+	done := make([]bool, m)
+	var links []nearestlink.Link
+	for len(links) < min(m, len(wild)) {
+		m0 := -1
+		for i := range u {
+			if !done[i] && (m0 == -1 || u[i] < u[m0]) {
+				m0 = i
+			}
+		}
+		if m0 == -1 {
+			break
+		}
+		if n0 := v[m0]; n0 >= 0 && !used[n0] {
+			used[n0], done[m0] = true, true
+			links = append(links, nearestlink.Link{Security: m0, Wild: n0, Distance: math.Sqrt(u[m0])})
+			continue
+		}
+		// Column collision: rescan the row over the unused columns.
+		u[m0], v[m0] = rowMin(security[m0], used)
+		if v[m0] < 0 {
+			done[m0] = true
+		}
+	}
+	return links
+}
+
+// nnPicks is plain 1-nearest-neighbor selection over the weighted rows, the
+// contrast of Sec. III-B-3: each security row picks its first-index argmin
+// column, and several rows may pick the same one. It returns the distinct
+// picks in security-row order.
+func nnPicks(security, wild [][]float64) ([]int, error) {
+	w, err := nearestlink.Weights(security, wild)
+	if err != nil {
+		return nil, err
+	}
+	weigh := func(row []float64) []float64 {
+		out := make([]float64, len(row))
+		for j, v := range row {
+			out[j] = v * w[j]
+		}
+		return out
+	}
+	wld := make([][]float64, len(wild))
+	for j, row := range wild {
+		wld[j] = weigh(row)
+	}
+	seen := make(map[int]bool)
+	var picks []int
+	for _, raw := range security {
+		row := weigh(raw)
+		best, bestJ := math.Inf(1), -1
+		for j, c := range wld {
+			if d := sqDist(row, c); d < best {
+				best, bestJ = d, j
+			}
+		}
+		if bestJ >= 0 && !seen[bestJ] {
+			seen[bestJ] = true
+			picks = append(picks, bestJ)
+		}
+	}
+	return picks, nil
+}
+
+// BenchmarkAblationNormalization contrasts nearest-link hit ratios with and
+// without the paper's max-abs feature weighting (Sec. III-B-2).
+func BenchmarkAblationNormalization(b *testing.B) {
+	lab := sharedBenchLab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		normed, err := nearestlink.Search(context.Background(), seedX, wildX, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw, err := nearestlink.Search(context.Background(), seedX, wildX, &nearestlink.Options{DisableNormalization: true})
+		weighted, raw, err := normalizationAblation(lab)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("hit ratio with weighting: %.1f%%, without: %.1f%%",
-				100*hitRatio(normed), 100*hitRatio(raw))
+			b.Logf("hit ratio with weighting: %.1f%%, without: %.1f%%", 100*weighted, 100*raw)
 		}
 	}
 }
@@ -180,26 +304,37 @@ func BenchmarkAblationNormalization(b *testing.B) {
 // the contrast the paper draws in Sec. III-B-3).
 func BenchmarkAblationKNNVsNearestLink(b *testing.B) {
 	lab := sharedBenchLab(b)
-	seedX := lab.FeatureRows(lab.NVD)
-	pool := lab.Items(lab.SetI)
-	wildX := make([][]float64, len(pool))
-	for i, it := range pool {
-		wildX[i] = it.Features
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		links, err := nearestlink.Search(context.Background(), seedX, wildX, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		knn, err := nearestlink.KNNSelect(context.Background(), seedX, wildX, nil)
+		links, picks, err := knnAblation(lab)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("nearest link candidates: %d (one per seed); KNN distinct candidates: %d",
-				len(links), len(knn))
+			b.Logf("nearest link candidates: %d (one per seed); KNN distinct candidates: %d", links, picks)
 		}
+	}
+}
+
+// TestNearestLinkAblations gates the two nearest-link design choices the
+// ablation benchmarks print: weighting must raise the round-1 hit ratio
+// over raw distances, and the one-to-one links must reach more distinct
+// wild patches than 1-NN selection picks.
+func TestNearestLinkAblations(t *testing.T) {
+	lab := experiments.NewLab(experiments.SmallScale)
+	weighted, raw, err := normalizationAblation(lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if weighted <= raw {
+		t.Errorf("hit ratio with weighting %.3f, without %.3f: want weighting ahead", weighted, raw)
+	}
+	links, picks, err := knnAblation(lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if picks >= links {
+		t.Errorf("1-NN picks %d distinct patches, nearest link makes %d links: want fewer picks", picks, links)
 	}
 }
 

@@ -73,8 +73,8 @@ type BuilderConfig struct {
 	FeedNoise float64
 	// RatioThreshold is the augmentation loop's early-exit threshold: a
 	// round whose verified-security ratio falls below it ends the pool's
-	// schedule. Zero means the default (0.01); any negative value disables
-	// the early exit, so every scheduled round runs.
+	// schedule. Zero means augment.DefaultRatioThreshold (0.01); any
+	// negative value disables the early exit, so every scheduled round runs.
 	RatioThreshold float64
 	// Workers bounds the concurrency of the crawl's fetch stage, per-commit
 	// feature extraction, and the nearest link search (default: GOMAXPROCS).
@@ -153,7 +153,7 @@ func (c BuilderConfig) withDefaults() BuilderConfig {
 		c.FeedNoise = 0 // explicit disable
 	}
 	if c.RatioThreshold == 0 {
-		c.RatioThreshold = 0.01
+		c.RatioThreshold = augment.DefaultRatioThreshold
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

@@ -33,13 +33,18 @@ type Verifier interface {
 	Verify(id string) bool
 }
 
+// DefaultRatioThreshold is the early-exit threshold a zero
+// Config.RatioThreshold stands for: a round whose verified-security ratio
+// falls below 1% ends the pool's schedule.
+const DefaultRatioThreshold = 0.01
+
 // Config tunes the augmentation loop.
 type Config struct {
 	// MaxRounds bounds the number of rounds over one pool (default 3, the
 	// paper's Set I schedule).
 	MaxRounds int
 	// RatioThreshold exits the loop when the verified-security ratio of a
-	// round falls below it. Zero means the default (0.05); any negative
+	// round falls below it. Zero means DefaultRatioThreshold; any negative
 	// value disables the early exit entirely, so all MaxRounds rounds run
 	// regardless of how the ratio develops.
 	RatioThreshold float64
@@ -52,7 +57,7 @@ func (c Config) withDefaults() Config {
 		c.MaxRounds = 3
 	}
 	if c.RatioThreshold == 0 {
-		c.RatioThreshold = 0.05
+		c.RatioThreshold = DefaultRatioThreshold
 	}
 	return c
 }

@@ -166,8 +166,8 @@ func TestRunEarlyExitBelowThreshold(t *testing.T) {
 }
 
 func TestRunZeroThresholdUsesDefault(t *testing.T) {
-	// Explicit zero is the unset value and takes the 0.05 default — the
-	// all-negative world exits after one round.
+	// Explicit zero is the unset value and takes DefaultRatioThreshold —
+	// the all-negative world exits after one round.
 	seed, pool, truth := negWorld(5, 40)
 	v := &mapVerifier{truth: truth}
 	res, err := Run(context.Background(), seed, pool, v, 1, Config{MaxRounds: 4, RatioThreshold: 0})

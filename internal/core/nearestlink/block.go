@@ -16,10 +16,10 @@ import (
 // reruns it at depth listDepth for the rows certain to use up their phase-1
 // list (deepRows); the greedy phase reruns it at depth listDepth for one
 // row over the unused columns when a collision uses up a full list (a
-// rescan); KNNSelect is phase 1's best column. All of them are blockPlans
-// run through the same task body (runTask), sweep and rejection ladder
-// (scanRowTile), and every scan starts the same way: over the whole pool
-// at bound +Inf, tightened only by its own confirmations.
+// rescan). All of them are blockPlans run through the same task body
+// (runTask), sweep and rejection ladder (scanRowTile), and every scan starts
+// the same way: over the whole pool at bound +Inf, tightened only by its own
+// confirmations.
 //
 // Seed-major blocking: the plan's security rows, in scan (ascending-norm)
 // order, are grouped into blocks of blockRows. One pass over a wild column
@@ -58,12 +58,8 @@ const listDepth = 8
 
 // insertPair inserts (d, j) into the lexicographically sorted list
 // ld[:n], lj[:n] of capacity len(ld) when it ranks among the len(ld)
-// smallest pairs, and returns the new length. A +Inf distance never enters,
-// as it never wins the reference's strict-< scan.
+// smallest pairs, and returns the new length.
 func insertPair(ld []float64, lj []int, n int, d float64, j int) int {
-	if d == inf {
-		return n
-	}
 	k := n
 	for k > 0 && (d < ld[k-1] || (d == ld[k-1] && j < lj[k-1])) {
 		k--
@@ -292,9 +288,9 @@ func (e *engine) sweep(c *scanCounters, scr *blockScratch, used []bool, rows []i
 // scanRowTile runs scan-order row t (scratch slot r) over tile columns
 // [ks, ke) in direction dir, with every per-row value hoisted into locals.
 // It is the engine's only per-candidate rejection ladder; phase 1,
-// deepening, rescans and KNNSelect all reach it through sweep. The ladder stays written out in
-// this loop: Go does not inline a function of its size, and a per-candidate
-// call would cost more than the cheap stages it wraps.
+// deepening and rescans all reach it through sweep. The ladder stays
+// written out in this loop: Go does not inline a function of its size, and
+// a per-candidate call would cost more than the cheap stages it wraps.
 //
 // There is no per-candidate norm-gap test: the row's window edges carry the
 // norm bound instead. Each time a confirmation tightens the live bound, the

@@ -126,9 +126,8 @@ const (
 // error, so no order is fitted to the pool.
 type engine struct {
 	sec, wld *matrix
-	maxAbs   []float64 // raw max|a_j| over security ∪ wild; nil without normalization
+	maxAbs   []float64 // raw max|a_j| over security ∪ wild
 	maxTies  []int     // per dimension, the rows whose raw |a_j| equals maxAbs[j]
-	cleared  bool      // norms and segment norms zeroed (see maxBoundNorm)
 	secOrder []int     // scan order: security rows by (norm, index)
 	rank     []int     // original security row -> scan-order position
 	secN     []float64 // security row norms, scan order
@@ -164,14 +163,6 @@ func newEngine(sec, wld *matrix, secN, wldN []float64, workers int, buf *buffers
 		}
 	})
 	e.orderSecurity(workers, secN)
-	// Both norm orders are ascending, so their last entries are the maxima.
-	if e.wldNS[n-1] > maxBoundNorm || e.secN[sec.rows-1] > maxBoundNorm {
-		e.cleared = true
-		clear(e.wldNS)
-		clear(e.secN)
-		clear(e.wldSegs)
-		clear(e.secSegs)
-	}
 	return e
 }
 
@@ -198,16 +189,8 @@ func (e *engine) orderSecurity(workers int, secN []float64) {
 	})
 }
 
-// maxBoundNorm is the largest row norm the norm-window and segment bounds
-// are used at. Up to it no squared gap overflows, so the shading argument
-// holds. Past it a norm can overflow to +Inf while the distance it bounds
-// is finite (possible only without normalization), so newEngine zeroes
-// every norm and segment norm and only the partial-distance screens reject
-// (DESIGN.md §5.2).
-var maxBoundNorm = math.Sqrt(math.MaxFloat64) / 2
-
-// normOrder returns the row indices sorted by (norm, index). Norms are
-// finite or +Inf, never NaN, so this is a total order and any sort yields
+// normOrder returns the row indices sorted by (norm, index). Weighted norms
+// are finite, never NaN, so this is a total order and any sort yields
 // the same permutation; sorting packed keys keeps the comparisons off the
 // norms slice.
 func normOrder(norms []float64) []int {

@@ -1,7 +1,6 @@
 package nearestlink
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -27,35 +26,6 @@ func deepenedRows(t *testing.T, sec, wild [][]float64, opts Options) int {
 	return len(deepRows(e, cands))
 }
 
-// bruteKNN is KNNSelect by brute force: every row's first-index argmin of
-// the reference-order distance, deduplicated in row order. Rows without a
-// finite distance pick nothing.
-func bruteKNN(t *testing.T, sec, wild [][]float64, normalize bool) []int {
-	t.Helper()
-	if normalize {
-		w, err := Weights(sec, wild)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sec, wild = weightedRows(sec, w), weightedRows(wild, w)
-	}
-	var out []int
-	seen := map[int]bool{}
-	for _, row := range sec {
-		best, bestJ := inf, -1
-		for j, col := range wild {
-			if d := dist2(row, col); d < best {
-				best, bestJ = d, j
-			}
-		}
-		if bestJ >= 0 && !seen[bestJ] {
-			seen[bestJ] = true
-			out = append(out, bestJ)
-		}
-	}
-	return out
-}
-
 func repeatRows(row []float64, n int) [][]float64 {
 	out := make([][]float64, n)
 	for i := range out {
@@ -66,17 +36,16 @@ func repeatRows(row []float64, n int) [][]float64 {
 
 // TestCandidateLists pins the greedy phase's candidate lists on instances
 // built to reach each of their paths: a full list used up (which must
-// rescan), a short list used up (no free column left: no link, and no
-// rescan), rows whose distances overflow, and many rows deepened at once.
-// Every case must give links bit-identical to ReferenceSearch and
-// KNNSelect's brute-force picks, pop the heap once per iteration of the
-// reference's loop, and keep Stats identical at workers 1, 2 and 8.
+// rescan), a short list that holds the whole pool (collisions resolve from
+// it, and nothing rescans), and many rows deepened at once. Every case must
+// give links bit-identical to ReferenceSearch, pop the heap once per
+// iteration of the reference's loop, and keep Stats identical at workers 1,
+// 2 and 8.
 func TestCandidateLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	type tcase struct {
 		name      string
 		sec, wild [][]float64
-		noNorm    bool
 		check     func(t *testing.T, name string, st Stats, deepened int)
 	}
 	// Twelve identical rows against thirty identical columns: rows 1-11
@@ -86,12 +55,12 @@ func TestCandidateLists(t *testing.T) {
 	dup := randRows(rng, 1, 6)[0]
 	fullSec := append(repeatRows(dup, 12), randRows(rng, 5, 6)...)
 	fullWild := append(repeatRows(dup, 30), randRows(rng, 100, 6)...)
-	// A pool of five, smaller than listDepth, searched without
-	// normalization. Rows 0-2 reach only columns 0 and 1: every other
-	// distance overflows. Row 2 loses both to rows 0 and 1, so it is
-	// deepened to a short list, uses it up, and gets no link.
-	shortSec := [][]float64{{2e154}, {2e154}, {2e154}, {0}, {1}}
-	shortWild := [][]float64{{2e154}, {2.5e154}, {0}, {1}, {100}}
+	// A pool of five, smaller than listDepth. Row 2 loses its best and
+	// runner-up columns (0 and 1) to rows 0 and 1, so it is deepened to a
+	// short list of the whole pool; its collisions resolve from that list,
+	// and the last free column, 3, is its link.
+	shortSec := [][]float64{{0}, {0}, {0}, {0.5}, {1}}
+	shortWild := [][]float64{{0}, {0.125}, {0.5}, {0.75}, {1}}
 	cases := []tcase{
 		{name: "full-list-used-up", sec: fullSec, wild: fullWild,
 			check: func(t *testing.T, name string, st Stats, deepened int) {
@@ -102,7 +71,7 @@ func TestCandidateLists(t *testing.T) {
 					t.Errorf("%s: %d rows deepened, want >= 10", name, deepened)
 				}
 			}},
-		{name: "short-list", sec: shortSec, wild: shortWild, noNorm: true,
+		{name: "short-list", sec: shortSec, wild: shortWild,
 			check: func(t *testing.T, name string, st Stats, deepened int) {
 				if st.Rescans != 0 || st.SecondBestHits < 2 {
 					t.Errorf("%s: rescans %d, list hits %d; want 0 and >= 2", name, st.Rescans, st.SecondBestHits)
@@ -118,21 +87,17 @@ func TestCandidateLists(t *testing.T) {
 				}
 			}},
 	}
-	for _, c := range overflowCases() {
-		cases = append(cases, tcase{name: "overflow-" + c.name, sec: c.sec, wild: c.wild, noNorm: true})
-	}
 	for _, c := range cases {
 		var ref Stats
-		want, err := ReferenceSearch(c.sec, c.wild, &Options{DisableNormalization: c.noNorm, Stats: &ref})
+		want, err := ReferenceSearch(c.sec, c.wild, &Options{Stats: &ref})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantKNN := bruteKNN(t, c.sec, c.wild, !c.noNorm)
 		var first Stats
 		for wi, workers := range []int{1, 2, 8} {
 			name := fmt.Sprintf("%s/w=%d", c.name, workers)
 			var st Stats
-			o := Options{Workers: workers, DisableNormalization: c.noNorm, Stats: &st}
+			o := Options{Workers: workers, Stats: &st}
 			got, err := Search(bg, c.sec, c.wild, &o)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -152,14 +117,6 @@ func TestCandidateLists(t *testing.T) {
 				}
 			} else if st != first {
 				t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", name, st, first)
-			}
-			o.Stats = nil
-			knn, err := KNNSelect(bg, c.sec, c.wild, &o)
-			if err != nil {
-				t.Fatalf("%s: KNNSelect: %v", name, err)
-			}
-			if fmt.Sprint(knn) != fmt.Sprint(wantKNN) {
-				t.Errorf("%s: KNNSelect = %v, brute force %v", name, knn, wantKNN)
 			}
 		}
 	}
@@ -191,45 +148,27 @@ func spanTree(t *testing.T, spans []telemetry.SpanRecord, root string) (tree []s
 }
 
 // TestSearchPhaseSpans pins the phase spans of a search: nearestlink.search
-// has the children prepare, scan, deepen and greedy, nearestlink.knn has
-// prepare and scan, the children cover at least 95% of their parent, and
-// the tree is the same at workers 1 and 8.
+// has the children prepare, scan, deepen and greedy, the children cover at
+// least 95% of their parent, and the tree is the same at workers 1 and 8.
 func TestSearchPhaseSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sec := genGrid(rng, 300, 12)
 	wild := genGrid(rng, 20000, 12)
-	type run struct {
-		root string
-		call func(ctx context.Context, o *Options) error
-		want []string
+	var want []string
+	for _, c := range []string{"prepare", "scan", "deepen", "greedy"} {
+		want = append(want, "nearestlink.search>nearestlink."+c)
 	}
-	runs := []run{
-		{"nearestlink.search", func(ctx context.Context, o *Options) error {
-			_, err := Search(ctx, sec, wild, o)
-			return err
-		}, []string{"prepare", "scan", "deepen", "greedy"}},
-		{"nearestlink.knn", func(ctx context.Context, o *Options) error {
-			_, err := KNNSelect(ctx, sec, wild, o)
-			return err
-		}, []string{"prepare", "scan"}},
-	}
-	for _, r := range runs {
-		var want []string
-		for _, c := range r.want {
-			want = append(want, r.root+">nearestlink."+c)
+	for _, workers := range []int{1, 8} {
+		hub := telemetry.NewHub()
+		if _, err := Search(telemetry.WithHub(bg, hub), sec, wild, &Options{Workers: workers}); err != nil {
+			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 8} {
-			hub := telemetry.NewHub()
-			if err := r.call(telemetry.WithHub(bg, hub), &Options{Workers: workers}); err != nil {
-				t.Fatal(err)
-			}
-			tree, rootNS, childNS := spanTree(t, hub.Tracer.Snapshot(), r.root)
-			if fmt.Sprint(tree) != fmt.Sprint(want) {
-				t.Errorf("%s w=%d: span tree %v, want %v", r.root, workers, tree, want)
-			}
-			if float64(childNS) < 0.95*float64(rootNS) {
-				t.Errorf("%s w=%d: children cover %d of %d ns (< 95%%)", r.root, workers, childNS, rootNS)
-			}
+		tree, rootNS, childNS := spanTree(t, hub.Tracer.Snapshot(), "nearestlink.search")
+		if fmt.Sprint(tree) != fmt.Sprint(want) {
+			t.Errorf("w=%d: span tree %v, want %v", workers, tree, want)
+		}
+		if float64(childNS) < 0.95*float64(rootNS) {
+			t.Errorf("w=%d: children cover %d of %d ns (< 95%%)", workers, childNS, rootNS)
 		}
 	}
 }

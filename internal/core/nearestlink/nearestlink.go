@@ -45,12 +45,9 @@ type Link struct {
 type Options struct {
 	// Workers bounds parallelism (default: GOMAXPROCS).
 	Workers int
-	// DisableNormalization skips the max-abs weighting (ablation only; the
-	// paper always normalizes).
-	DisableNormalization bool
 	// Stats, when non-nil, is filled with search accounting (timing,
 	// pruning, heap activity) on return. The same counters go to the
-	// attributes of the call's nearestlink.search or nearestlink.knn span.
+	// attributes of the call's nearestlink.search span.
 	Stats *Stats
 }
 
@@ -65,7 +62,7 @@ func (o *Options) resolved() Options {
 	return out
 }
 
-// Stats is the accounting of one Search or KNNSelect call.
+// Stats is the accounting of one Search call.
 type Stats struct {
 	// SecurityRows and WildCols are the problem dimensions.
 	SecurityRows, WildCols int
@@ -84,15 +81,15 @@ type Stats struct {
 	HeapPops int
 	// SecondBestHits counts column collisions resolved from the cached
 	// candidate list without rescanning the row: by a later entry whose
-	// column is free, or, for a list that held every column with a finite
-	// distance, by finding that none is left.
+	// column is free, or, for a list that held every free column, by
+	// finding that none is left.
 	SecondBestHits int
 	// Rescans counts row rescans over the unused columns on column
 	// collisions (Algorithm 1 lines 10-15) that used up a full candidate
 	// list.
 	Rescans int
 	// Duration is the wall-clock time of the search: the End reading of
-	// the call's nearestlink.search or nearestlink.knn span.
+	// the call's nearestlink.search span.
 	Duration time.Duration
 }
 
@@ -230,24 +227,11 @@ func validateDims(sets ...[][]float64) error {
 
 // checkFinite returns a wrapped ErrNonFinite naming the first NaN or ±Inf
 // in row i of set s. Entry points call it from a pass they already make
-// over every value — flattening or weighting — and checkFiniteSets covers
-// the ones that make none.
+// over every value: flattening or weighting.
 func checkFinite(s, i int, row []float64) error {
 	for j, v := range row {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("%w: %s row %d column %d is %v", ErrNonFinite, setName(s), i, j, v)
-		}
-	}
-	return nil
-}
-
-// checkFiniteSets runs checkFinite over every row of every set.
-func checkFiniteSets(sets ...[][]float64) error {
-	for s, set := range sets {
-		for i, row := range set {
-			if err := checkFinite(s, i, row); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -302,10 +286,11 @@ func invert(maxAbs []float64) ([]float64, error) {
 	return w, nil
 }
 
-// prepare validates the inputs of a round or of KNNSelect, flattens them
-// into buf, and builds the engine. The copy is the pass that rejects
-// non-finite values; weighting (unless normalization is disabled) runs in
-// place on it, and the engine's stripes land in buf too.
+// prepare validates the inputs of a round, flattens them into buf, and
+// builds the engine. The copy is the pass that rejects non-finite values;
+// weighting runs in place on it, and the engine's stripes land in buf too.
+// Weighted, every |value| is at most 1 up to rounding, so every norm and
+// squared distance is finite (at most about 4·d).
 func prepare(security, wild [][]float64, o Options, buf *buffers) (*engine, error) {
 	if len(security) == 0 {
 		return nil, ErrNoSecurityPatches
@@ -320,13 +305,10 @@ func prepare(security, wild [][]float64, o Options, buf *buffers) (*engine, erro
 	if err != nil {
 		return nil, err
 	}
-	var maxAbs, w []float64
-	var ties []int
-	if !o.DisableNormalization {
-		maxAbs, ties = maxAbsFlat(o.Workers, sec, wld)
-		if w, err = invert(maxAbs); err != nil {
-			return nil, err
-		}
+	maxAbs, ties := maxAbsFlat(o.Workers, sec, wld)
+	w, err := invert(maxAbs)
+	if err != nil {
+		return nil, err
 	}
 	secN := weighNorms(o.Workers, sec, w)
 	wldN := weighNorms(o.Workers, wld, w)
@@ -409,10 +391,8 @@ func deepRows(e *engine, cands *candidates) []int {
 		c := by[j] - 1
 		return c >= 0 && (byD[j] < d || (byD[j] == d && c < i))
 	}
-	for i, n := range cands.n {
-		if n > 0 {
-			claim(i, 0)
-		}
+	for i := range cands.n {
+		claim(i, 0)
 	}
 	var second []int
 	for i, n := range cands.n {
@@ -440,10 +420,7 @@ func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([
 	links := make([]Link, 0, total)
 	u := make([]float64, m)
 	for i := range u {
-		u[i] = inf
-		if cands.n[i] > 0 {
-			u[i] = cands.d[i*listDepth]
-		}
+		u[i] = cands.d[i*listDepth] // phase 1 gives every row an entry
 	}
 	h := heapifyRowHeap(u)
 	var rescanCounters scanCounters
@@ -456,9 +433,6 @@ func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([
 		}
 		d, i := h.pop()
 		base, p := i*listDepth, cands.pos[i]
-		if p == cands.n[i] {
-			continue // every distance overflowed: no link, as in the reference
-		}
 		if j := cands.j[base+p]; !used[j] {
 			used[j] = true
 			links = append(links, Link{Security: i, Wild: e.col(j), Distance: math.Sqrt(d)})
@@ -474,8 +448,9 @@ func (e *engine) greedy(ctx context.Context, stats *Stats, cands *candidates) ([
 			continue
 		}
 		if cands.n[i] < cands.depth[i] {
-			// The list held every column with a finite distance, and all
-			// are taken: no free column is left for this row.
+			// The list held every column that was free when it was
+			// filled, and all are taken: no free column is left for this
+			// row.
 			stats.SecondBestHits++
 			continue
 		}
@@ -513,55 +488,6 @@ func forChunks(workers, n int, fn func(c, lo, hi int)) {
 	_ = par.For(nil, chunks, chunks, func(_, c int) {
 		fn(c, c*n/chunks, (c+1)*n/chunks)
 	})
-}
-
-// KNNSelect is the contrast the paper draws in Sec. III-B-3: plain 1-nearest
-// -neighbor selection where a wild patch may be chosen by multiple verified
-// patches. It returns the set of distinct selected columns (size <= M) in
-// security-row order, used by the KNN-vs-nearest-link ablation. Each row's
-// choice is its first-index argmin over the whole pool — phase 1's best
-// column. ctx is checked between scan tasks; cancellation aborts with a
-// wrapped context error. Its span nearestlink.knn has the children prepare
-// and scan.
-func KNNSelect(ctx context.Context, security, wild [][]float64, opts *Options) ([]int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := opts.resolved()
-	ctx, span := telemetry.Start(ctx, "nearestlink.knn")
-	defer span.End()
-	buf := searchBuffers.Get().(*buffers)
-	defer searchBuffers.Put(buf)
-	_, phase := telemetry.Start(ctx, "nearestlink.prepare")
-	e, err := prepare(security, wild, o, buf)
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-	m := e.sec.rows
-	stats := Stats{SecurityRows: m, WildCols: e.wld.rows}
-	_, phase = telemetry.Start(ctx, "nearestlink.scan")
-	cands, err := e.scan(ctx, o, &stats)
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[int]bool, m)
-	var out []int
-	for i := 0; i < m; i++ {
-		if cands.n[i] == 0 {
-			continue
-		}
-		if j := cands.j[i*listDepth]; !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	stats.finish(span)
-	if o.Stats != nil {
-		*o.Stats = stats
-	}
-	return out, nil
 }
 
 // weightedRows returns rows scaled by w (row-per-row allocation; used only

@@ -40,10 +40,11 @@ func TestWeightsDimensionMismatch(t *testing.T) {
 
 func TestSearchHandPicked(t *testing.T) {
 	// Two security patches; wild pool where the greedy assignment is
-	// unambiguous.
+	// unambiguous. The max-abs is a power of two, so the weighted values
+	// are exact.
 	sec := [][]float64{{0}, {10}}
-	wild := [][]float64{{9}, {1}, {50}}
-	links, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
+	wild := [][]float64{{9}, {1}, {64}}
+	links, err := Search(bg, sec, wild, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,11 @@ func TestSearchHandPicked(t *testing.T) {
 func TestSearchCollisionResolution(t *testing.T) {
 	// Both security patches are nearest to wild[0]; one must fall back to
 	// its second choice, and the pair with the smaller distance wins the
-	// contested column (greedy global-min order).
+	// contested column (greedy global-min order). The max-abs is a power
+	// of two, so weighting scales every distance exactly.
 	sec := [][]float64{{0}, {0.5}}
-	wild := [][]float64{{0.1}, {3}}
-	links, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
+	wild := [][]float64{{0.1}, {4}}
+	links, err := Search(bg, sec, wild, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestSearchUniqueness(t *testing.T) {
 func TestSearchMoreSecurityThanWild(t *testing.T) {
 	sec := [][]float64{{0}, {1}, {2}, {3}}
 	wild := [][]float64{{0}, {1}}
-	links, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
+	links, err := Search(bg, sec, wild, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +175,8 @@ func TestSearchDimensionMismatch(t *testing.T) {
 	if _, err := Search(bg, [][]float64{{1, 2}, {3, 4, 5}}, [][]float64{{1, 2}}, nil); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("security mismatch err = %v", err)
 	}
-	if _, err := KNNSelect(bg, sec, wild, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("KNNSelect err = %v, want ErrDimensionMismatch", err)
-	}
-	// Matching dims still succeed with normalization disabled too.
-	if _, err := Search(bg, sec, [][]float64{{5, 6}}, &Options{DisableNormalization: true}); err != nil {
+	// Matching dims still succeed.
+	if _, err := Search(bg, sec, [][]float64{{5, 6}}, nil); err != nil {
 		t.Errorf("valid dims err = %v", err)
 	}
 }
@@ -192,9 +191,6 @@ func TestSearchCanceled(t *testing.T) {
 	cancel()
 	if _, err := Search(ctx, sec, wild, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Search err = %v, want context.Canceled", err)
-	}
-	if _, err := KNNSelect(ctx, sec, wild, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled KNNSelect err = %v, want context.Canceled", err)
 	}
 
 	// Cancellation mid-search aborts promptly: the scan phase checks ctx
@@ -249,18 +245,10 @@ func TestSearchStats(t *testing.T) {
 		t.Errorf("links = %d", len(links))
 	}
 
-	var kst Stats
-	if _, err := KNNSelect(bg, sec, wild, &Options{Stats: &kst}); err != nil {
-		t.Fatal(err)
-	}
-	if kst.SecurityRows != 20 || kst.WildCols != 80 || kst.Duration <= 0 {
-		t.Errorf("knn stats = %+v", kst)
-	}
-
 	var tot Totals
 	tot.Add(st)
-	tot.Add(kst)
-	if tot.Searches != 2 || tot.DistanceEvals != st.DistanceEvals+kst.DistanceEvals {
+	tot.Add(st)
+	if tot.Searches != 2 || tot.DistanceEvals != 2*st.DistanceEvals {
 		t.Errorf("totals = %+v", tot)
 	}
 	if s := tot.String(); !strings.Contains(s, "searches=2") {
@@ -397,45 +385,21 @@ func TestLinksAcrossBlockShapes(t *testing.T) {
 }
 
 func TestNormalizationMatters(t *testing.T) {
-	// Dimension 1 has a huge scale (set by wild[2]); unnormalized, wild[0]'s
+	// Dimension 1 has a huge scale (set by wild[2]); unweighted, wild[0]'s
 	// small dim-1 offset (10) dominates its zero dim-0 distance and wild[1]
-	// wins. Normalized, dim-1 shrinks by 1/1000 and wild[0] wins.
+	// is the raw nearest. Weighted, dim-1 shrinks by 1/1000 and wild[0]
+	// wins.
 	sec := [][]float64{{1, 0}}
 	wild := [][]float64{{1, 10}, {2, 0}, {0, 1000}}
-	raw, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
+	if d0, d1 := dist2(sec[0], wild[0]), dist2(sec[0], wild[1]); d1 >= d0 {
+		t.Fatalf("raw distances %v, %v: want wild[1] nearest unweighted", d0, d1)
+	}
+	links, err := Search(bg, sec, wild, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, err := Search(bg, sec, wild, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[0].Wild != 1 {
-		t.Errorf("unnormalized picked %d, want 1 (raw dim-1 dominates)", raw[0].Wild)
-	}
-	if norm[0].Wild != 0 {
-		t.Errorf("normalized picked %d, want 0 (dim-1 rescaled away)", norm[0].Wild)
-	}
-}
-
-func TestKNNSelectAllowsFewer(t *testing.T) {
-	// Two security patches share the same nearest wild patch; KNN dedups to
-	// one candidate while nearest link yields two.
-	sec := [][]float64{{0}, {0.1}}
-	wild := [][]float64{{0.05}, {9}}
-	knn, err := KNNSelect(bg, sec, wild, &Options{DisableNormalization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(knn) != 1 || knn[0] != 0 {
-		t.Errorf("knn = %v, want [0]", knn)
-	}
-	links, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(links) != 2 {
-		t.Errorf("nearest link = %d links, want 2 (one-to-one)", len(links))
+	if links[0].Wild != 0 {
+		t.Errorf("weighted search picked %d, want 0 (dim-1 rescaled away)", links[0].Wild)
 	}
 }
 
@@ -446,16 +410,21 @@ func TestGreedyClosestPairAlwaysLinked(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		sec := randRows(rng, 4, 3)
 		wild := randRows(rng, 10, 3)
-		links, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
+		links, err := Search(bg, sec, wild, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Find the global minimum pair by brute force.
+		// Find the global minimum pair of the weighted rows by brute force.
+		w, err := Weights(sec, wild)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, ww := weightedRows(sec, w), weightedRows(wild, w)
 		bestD := math.Inf(1)
 		bestM, bestN := -1, -1
-		for m := range sec {
-			for n := range wild {
-				if d := dist2(sec[m], wild[n]); d < bestD {
+		for m := range ws {
+			for n := range ww {
+				if d := dist2(ws[m], ww[n]); d < bestD {
 					bestD = d
 					bestM, bestN = m, n
 				}
@@ -548,9 +517,8 @@ func TestKernelEquivalence(t *testing.T) {
 // TestSubnormalMaxAbsRejected pins the input contract for a finite
 // dimension whose largest |value| is subnormal: its max-abs weight 1/max
 // overflows to +Inf, and Inf·0 distances would leave rows without links.
-// Every normalizing entry point returns a wrapped ErrNonFinite naming the
-// dimension instead; without normalization there is no weight, and the
-// search links min(M, N) pairs.
+// Every entry point returns a wrapped ErrNonFinite naming the dimension
+// instead.
 func TestSubnormalMaxAbsRejected(t *testing.T) {
 	sec := [][]float64{{5e-324, 1}, {0, 2}}
 	wild := [][]float64{{0, 1}, {5e-324, 2}, {0, 3}}
@@ -560,10 +528,6 @@ func TestSubnormalMaxAbsRejected(t *testing.T) {
 	}{
 		{"Search", func(o *Options) error {
 			_, err := Search(bg, sec, wild, o)
-			return err
-		}},
-		{"KNNSelect", func(o *Options) error {
-			_, err := KNNSelect(bg, sec, wild, o)
 			return err
 		}},
 		{"ReferenceSearch", func(o *Options) error {
@@ -589,16 +553,12 @@ func TestSubnormalMaxAbsRejected(t *testing.T) {
 			t.Errorf("%s: error %q does not name dimension 0", e.name, err)
 		}
 	}
-	links, err := Search(bg, sec, wild, &Options{DisableNormalization: true})
-	if err != nil || len(links) != 2 {
-		t.Errorf("unnormalized: %d links, err %v; want 2 links", len(links), err)
-	}
 }
 
 // TestNonFiniteRejected pins the input contract for NaN and ±Inf features:
 // every entry point returns a wrapped ErrNonFinite naming the set, row and
-// column, with normalization on and off, instead of panicking (the engine)
-// or silently dropping links (the reference).
+// column, instead of panicking (the engine) or silently dropping links (the
+// reference).
 func TestNonFiniteRejected(t *testing.T) {
 	type entry struct {
 		name string
@@ -607,10 +567,6 @@ func TestNonFiniteRejected(t *testing.T) {
 	entries := []entry{
 		{"Search", func(sec, wild [][]float64, o *Options) error {
 			_, err := Search(bg, sec, wild, o)
-			return err
-		}},
-		{"KNNSelect", func(sec, wild [][]float64, o *Options) error {
-			_, err := KNNSelect(bg, sec, wild, o)
 			return err
 		}},
 		{"ReferenceSearch", func(sec, wild [][]float64, o *Options) error {
@@ -629,23 +585,21 @@ func TestNonFiniteRejected(t *testing.T) {
 	for _, e := range entries {
 		for _, b := range bad {
 			for set, setName := range []string{"security", "wild"} {
-				for _, disableNorm := range []bool{false, true} {
-					rng := rand.New(rand.NewSource(5))
-					sec, wild := randRows(rng, 6, 4), randRows(rng, 30, 4)
-					rows := sec
-					if set == 1 {
-						rows = wild
-					}
-					rows[3][2] = b.v
-					name := fmt.Sprintf("%s/%s/%s/norm=%v", e.name, b.name, setName, !disableNorm)
-					err := e.run(sec, wild, &Options{DisableNormalization: disableNorm})
-					if !errors.Is(err, ErrNonFinite) {
-						t.Errorf("%s: err = %v, want ErrNonFinite", name, err)
-						continue
-					}
-					if want := setName + " row 3 column 2"; !strings.Contains(err.Error(), want) {
-						t.Errorf("%s: error %q lacks %q", name, err, want)
-					}
+				rng := rand.New(rand.NewSource(5))
+				sec, wild := randRows(rng, 6, 4), randRows(rng, 30, 4)
+				rows := sec
+				if set == 1 {
+					rows = wild
+				}
+				rows[3][2] = b.v
+				name := fmt.Sprintf("%s/%s/%s", e.name, b.name, setName)
+				err := e.run(sec, wild, &Options{})
+				if !errors.Is(err, ErrNonFinite) {
+					t.Errorf("%s: err = %v, want ErrNonFinite", name, err)
+					continue
+				}
+				if want := setName + " row 3 column 2"; !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q lacks %q", name, err, want)
 				}
 			}
 		}
@@ -673,77 +627,23 @@ func TestNonFiniteRejected(t *testing.T) {
 	}
 	for _, e := range entries {
 		for _, c := range spread {
-			for _, disableNorm := range []bool{false, true} {
-				name := fmt.Sprintf("%s/spread-%s/norm=%v", e.name, c.name, !disableNorm)
-				var texts []string
-				for _, workers := range []int{1, 8} {
-					rng := rand.New(rand.NewSource(7))
-					sec, wild := randRows(rng, 40, 5), randRows(rng, 64, 5)
-					c.bad(sec, wild)
-					err := e.run(sec, wild, &Options{DisableNormalization: disableNorm, Workers: workers})
-					if !errors.Is(err, ErrNonFinite) {
-						t.Fatalf("%s w=%d: err = %v, want ErrNonFinite", name, workers, err)
-					}
-					if !strings.Contains(err.Error(), c.want) {
-						t.Errorf("%s w=%d: error %q lacks %q", name, workers, err, c.want)
-					}
-					texts = append(texts, err.Error())
+			name := fmt.Sprintf("%s/spread-%s", e.name, c.name)
+			var texts []string
+			for _, workers := range []int{1, 8} {
+				rng := rand.New(rand.NewSource(7))
+				sec, wild := randRows(rng, 40, 5), randRows(rng, 64, 5)
+				c.bad(sec, wild)
+				err := e.run(sec, wild, &Options{Workers: workers})
+				if !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("%s w=%d: err = %v, want ErrNonFinite", name, workers, err)
 				}
-				if texts[0] != texts[1] {
-					t.Errorf("%s: error text differs across workers: %q vs %q", name, texts[0], texts[1])
+				if !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s w=%d: error %q lacks %q", name, workers, err, c.want)
 				}
+				texts = append(texts, err.Error())
 			}
-		}
-	}
-}
-
-// TestKNNSelectMatchesBruteForce pins which columns KNNSelect picks: every
-// security row's first-index argmin of the reference-order distance over
-// the whole weighted pool, deduplicated in row order. Tie-heavy generators,
-// several seeds and two worker counts cover the blocked kernel's tie-break
-// paths.
-func TestKNNSelectMatchesBruteForce(t *testing.T) {
-	gens := []struct {
-		name string
-		fn   func(*rand.Rand, int, int) [][]float64
-	}{
-		{"gaussian", genGaussian},
-		{"grid", genGrid},
-		{"duplicates", genDuplicates},
-	}
-	for _, g := range gens {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			sec := g.fn(rng, 37, 9)
-			wild := g.fn(rng, 500, 9)
-			w, err := Weights(sec, wild)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws, ww := weightedRows(sec, w), weightedRows(wild, w)
-			var want []int
-			seen := map[int]bool{}
-			for _, row := range ws {
-				best, bestJ := inf, -1
-				for j, col := range ww {
-					if d := dist2(row, col); d < best {
-						best, bestJ = d, j
-					}
-				}
-				if !seen[bestJ] {
-					seen[bestJ] = true
-					want = append(want, bestJ)
-				}
-			}
-			for _, workers := range []int{1, 3} {
-				got, err := KNNSelect(bg, sec, wild, &Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("%s/seed=%d/w=%d", g.name, seed, workers)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s: KNNSelect = %v, brute force %v", name, got, want)
-				}
+			if texts[0] != texts[1] {
+				t.Errorf("%s: error text differs across workers: %q vs %q", name, texts[0], texts[1])
 			}
 		}
 	}
@@ -760,8 +660,9 @@ func randRows(rng *rand.Rand, n, d int) [][]float64 {
 	return out
 }
 
-// overflowCases are finite inputs whose squared distances, norms or segment
-// norms overflow to +Inf when searched without normalization.
+// overflowCases are finite inputs whose raw squared distances, norms or
+// segment norms overflow to +Inf. Weighting maps every value into [-1, 1],
+// so none of them overflows in the search.
 func overflowCases() []struct {
 	name      string
 	sec, wild [][]float64
@@ -780,67 +681,47 @@ func overflowCases() []struct {
 		name      string
 		sec, wild [][]float64
 	}{
-		// Every distance is +Inf: no row has a column to take.
+		// Every raw distance is +Inf.
 		{"all-overflow", [][]float64{{1e200}}, [][]float64{{-1e200}}},
 		{"all-overflow-many", scaled(4, 3, 1e200), scaled(6, 3, -1e200, 1e201)},
-		// Row 0 overflows against every column; rows 1 and 2 link.
+		// Row 0's raw distance to every column overflows.
 		{"mixed-rows", [][]float64{{1e200, 0}, {1, 1}, {2, 2}},
 			[][]float64{{-1e200, 0}, {1.5, 1}, {0, 0}, {3, 3}}},
-		// The security norm overflows, the distances do not: a +Inf norm
-		// gap must not reject the finite-norm columns.
+		// The raw security norm overflows, the raw distances do not.
 		{"overflowed-norm", [][]float64{{1e154, 1e154}},
 			[][]float64{{1e154, 0.8e154}, {1e154, 0.7e154}}},
-		// Wide, multi-scale rows: norms and segment norms overflow on both
-		// sides, and collisions force rescans.
+		// Wide, multi-scale rows: raw norms and segment norms overflow on
+		// both sides, and collisions force rescans.
 		{"mixed-scales", scaled(40, 20, 1, 1e153, 1e155, 1e200),
 			scaled(400, 20, 1, 1e153, 1e154, 1e155, -1e200)},
 	}
 }
 
-// TestOverflowDistances pins the contract for finite features whose
-// squared distances overflow: a row with no finite distance gets no link,
-// and every link is bit-identical to ReferenceSearch, for Search at
-// several worker counts. KNNSelect picks
-// each row's first-index finite argmin, or nothing for a row without one.
+// TestOverflowDistances pins the normalized-input contract on finite
+// features whose raw distances or norms overflow: weighted, every row links
+// (min(M, N) links), every distance is at most 2·sqrt(d), and the links are
+// bit-identical to ReferenceSearch at several worker counts.
 func TestOverflowDistances(t *testing.T) {
 	for _, c := range overflowCases() {
-		for _, disableNorm := range []bool{true, false} {
-			want, err := ReferenceSearch(c.sec, c.wild, &Options{DisableNormalization: disableNorm})
+		want, err := ReferenceSearch(c.sec, c.wild, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := min(len(c.sec), len(c.wild)); len(want) != n {
+			t.Fatalf("%s: reference %d links, want %d", c.name, len(want), n)
+		}
+		limit := 2 * math.Sqrt(float64(len(c.sec[0]))) * (1 + 1e-12)
+		for _, workers := range []int{1, 3} {
+			name := fmt.Sprintf("%s/w=%d", c.name, workers)
+			got, err := Search(bg, c.sec, c.wild, &Options{Workers: workers})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: Search: %v", name, err)
 			}
-			for _, workers := range []int{1, 3} {
-				name := fmt.Sprintf("%s/norm=%v/w=%d", c.name, !disableNorm, workers)
-				got, err := Search(bg, c.sec, c.wild, &Options{Workers: workers,
-					DisableNormalization: disableNorm})
-				if err != nil {
-					t.Fatalf("%s: Search: %v", name, err)
+			assertLinksIdentical(t, name, workers, want, got)
+			for _, l := range got {
+				if l.Distance > limit {
+					t.Fatalf("%s: link %+v above 2·sqrt(d) = %v", name, l, limit)
 				}
-				assertLinksIdentical(t, name+"/Search", workers, want, got)
-			}
-			if !disableNorm {
-				continue
-			}
-			var knn []int
-			seen := map[int]bool{}
-			for _, row := range c.sec {
-				best, bestJ := inf, -1
-				for j, col := range c.wild {
-					if d := dist2(row, col); d < best {
-						best, bestJ = d, j
-					}
-				}
-				if bestJ >= 0 && !seen[bestJ] {
-					seen[bestJ] = true
-					knn = append(knn, bestJ)
-				}
-			}
-			got, err := KNNSelect(bg, c.sec, c.wild, &Options{DisableNormalization: true, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(knn) {
-				t.Errorf("%s: KNNSelect = %v, brute force %v", c.name, got, knn)
 			}
 		}
 	}

@@ -45,8 +45,7 @@ func genDuplicates(rng *rand.Rand, n, d int) [][]float64 {
 // TestSearchMatchesReference is the engine's central contract: on seeded
 // random instances spanning the collision-heavy, duplicate-point, and N<M
 // regimes, Search produces links bit-identical to ReferenceSearch — same
-// pair sequence, same Float64 distance bits — at worker counts 1, 2, and 8,
-// with normalization both on and off.
+// pair sequence, same Float64 distance bits — at worker counts 1, 2, and 8.
 func TestSearchMatchesReference(t *testing.T) {
 	type gen struct {
 		name string
@@ -72,28 +71,25 @@ func TestSearchMatchesReference(t *testing.T) {
 	rescanned := false
 	for _, g := range gens {
 		for si, sh := range shapes {
-			for _, disableNorm := range []bool{false, true} {
-				seed := int64(1000*si + len(g.name))
-				rng := rand.New(rand.NewSource(seed))
-				sec := g.fn(rng, sh.m, sh.d)
-				wild := g.fn(rng, sh.n, sh.d)
-				name := fmt.Sprintf("%s/%dx%dx%d/norm=%v", g.name, sh.m, sh.n, sh.d, !disableNorm)
+			seed := int64(1000*si + len(g.name))
+			rng := rand.New(rand.NewSource(seed))
+			sec := g.fn(rng, sh.m, sh.d)
+			wild := g.fn(rng, sh.n, sh.d)
+			name := fmt.Sprintf("%s/%dx%dx%d", g.name, sh.m, sh.n, sh.d)
 
-				want, err := ReferenceSearch(sec, wild, &Options{DisableNormalization: disableNorm})
+			want, err := ReferenceSearch(sec, wild, nil)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				var st Stats
+				got, err := Search(context.Background(), sec, wild, &Options{Workers: workers, Stats: &st})
 				if err != nil {
-					t.Fatalf("%s: reference: %v", name, err)
+					t.Fatalf("%s w=%d: engine: %v", name, workers, err)
 				}
-				for _, workers := range []int{1, 2, 8} {
-					var st Stats
-					got, err := Search(context.Background(), sec, wild,
-						&Options{DisableNormalization: disableNorm, Workers: workers, Stats: &st})
-					if err != nil {
-						t.Fatalf("%s w=%d: engine: %v", name, workers, err)
-					}
-					assertLinksIdentical(t, name, workers, want, got)
-					if g.name != "gaussian" && st.Rescans > 0 && st.SecondBestHits > 0 {
-						rescanned = true
-					}
+				assertLinksIdentical(t, name, workers, want, got)
+				if g.name != "gaussian" && st.Rescans > 0 && st.SecondBestHits > 0 {
+					rescanned = true
 				}
 			}
 		}

@@ -27,17 +27,11 @@ func ReferenceSearch(security, wild [][]float64, opts *Options) ([]Link, error) 
 	o := opts.resolved()
 	rescans := 0
 
-	sec, wld := security, wild
-	if !o.DisableNormalization {
-		w, err := Weights(security, wild)
-		if err != nil {
-			return nil, err
-		}
-		sec = weightedRows(security, w)
-		wld = weightedRows(wild, w)
-	} else if err := checkFiniteSets(security, wild); err != nil {
+	w, err := Weights(security, wild)
+	if err != nil {
 		return nil, err
 	}
+	sec, wld := weightedRows(security, w), weightedRows(wild, w)
 
 	m := len(sec)
 	n := len(wld)

@@ -152,9 +152,9 @@ func (r *Rounds) Search(ctx context.Context) ([]Link, error) {
 	// fresh rescan would find: the list is the top of a free set that only
 	// shrinks afterwards, so no free column can rank between its entries.
 	// A list used up with fewer entries than it asked for held every
-	// column with a finite distance, so the row gets no link; only a full
-	// list used up is rescanned, as a one-row task of the same kernel that
-	// refills it to listDepth.
+	// column that was free when it was filled, so the row gets no link;
+	// only a full list used up is rescanned, as a one-row task of the same
+	// kernel that refills it to listDepth.
 	_, phase = telemetry.Start(ctx, "nearestlink.greedy")
 	links, err := e.greedy(ctx, &stats, cands)
 	phase.End()
@@ -195,7 +195,7 @@ func (r *Rounds) prepare() (rebuilt bool, err error) {
 		for _, j := range rm.promoted {
 			r.security = append(r.security, r.wild[row(j)])
 		}
-		if e != nil && kept > 0 && !e.cleared && e.weightsHold(gone) {
+		if e != nil && kept > 0 && e.weightsHold(gone) {
 			e.compact(r.o.Workers, rm, r.buf)
 			return false, nil
 		}
@@ -218,11 +218,8 @@ func (r *Rounds) prepare() (rebuilt bool, err error) {
 // A maximum falls exactly when the last row attaining it leaves, so each
 // gone row that attains a maximum is taken off that dimension's tie count.
 // Raw values are compared because a weighted maximum v·(1/v) need not round
-// to 1. Without normalization there are no weights to change.
+// to 1.
 func (e *engine) weightsHold(gone [][]float64) bool {
-	if e.maxAbs == nil {
-		return true
-	}
 	hold := true
 	for _, row := range gone {
 		for j, v := range row {

@@ -14,7 +14,6 @@ import (
 type roundsCase struct {
 	name      string
 	sec, wild [][]float64
-	noNorm    bool
 }
 
 // intRows draws integer-valued rows in [0, 5]: like extracted feature
@@ -44,15 +43,11 @@ func roundsCases() []roundsCase {
 	}
 	wcWild[0] = slices.Clone(wcSec[0])
 	wcWild[0][0] = 1000
-	// Without normalization, a norm above maxBoundNorm clears every norm.
-	clSec, clWild := intRows(rng, 20, 6), intRows(rng, 150, 6)
-	clWild[149][2] = 1e155
 	return []roundsCase{
 		{name: "link-shaped", sec: intRows(rng, 40, 60), wild: intRows(rng, 1500, 60)},
 		{name: "weights-change", sec: wcSec, wild: wcWild},
 		{name: "grid", sec: genGrid(rng, 60, 3), wild: genGrid(rng, 400, 3)},
-		{name: "no-normalization", sec: randRows(rng, 30, 10), wild: randRows(rng, 300, 10), noNorm: true},
-		{name: "norms-cleared", sec: clSec, wild: clWild, noNorm: true},
+		{name: "gaussian", sec: randRows(rng, 30, 10), wild: randRows(rng, 300, 10)},
 		{name: "pool-below-security", sec: intRows(rng, 50, 8), wild: intRows(rng, 80, 8)},
 	}
 }
@@ -69,7 +64,7 @@ type roundRun struct {
 // workers, and returns every round.
 func runRounds(ctx context.Context, c roundsCase, workers int) ([]roundRun, error) {
 	var st Stats
-	r := NewRounds(c.sec, c.wild, &Options{Workers: workers, DisableNormalization: c.noNorm, Stats: &st})
+	r := NewRounds(c.sec, c.wild, &Options{Workers: workers, Stats: &st})
 	defer r.Close()
 	sec, wild := c.sec, c.wild
 	var out []roundRun
@@ -110,8 +105,8 @@ func runRounds(ctx context.Context, c roundsCase, workers int) ([]roundRun, erro
 // every round, the links are bit-identical to a from-scratch Search on that
 // round's inputs and to ReferenceSearch, at workers 1, 2 and 8, and Stats
 // are identical across those worker counts. The fixtures reach a removal
-// that changes the weights, a tie-heavy grid, searches without
-// normalization, cleared norms, and a pool that shrinks below the number of
+// that changes the weights, a tie-heavy grid, Gaussian rows whose maxima
+// are each attained once, and a pool that shrinks below the number of
 // security rows.
 func TestRoundsMatchFromScratch(t *testing.T) {
 	for _, c := range roundsCases() {
@@ -126,7 +121,7 @@ func TestRoundsMatchFromScratch(t *testing.T) {
 			}
 			for k, run := range runs {
 				name := fmt.Sprintf("%s/round %d", c.name, k+1)
-				o := &Options{Workers: workers, DisableNormalization: c.noNorm}
+				o := &Options{Workers: workers}
 				want, err := ReferenceSearch(run.sec, run.wild, o)
 				if err != nil {
 					t.Fatal(err)

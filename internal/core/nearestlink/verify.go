@@ -44,17 +44,11 @@ func VerifySampled(security, wild [][]float64, links []Link, opts *Options, samp
 	}
 	o := opts.resolved()
 
-	sec, wld := security, wild
-	if !o.DisableNormalization {
-		w, err := Weights(security, wild)
-		if err != nil {
-			return 0, err
-		}
-		sec = weightedRows(security, w)
-		wld = weightedRows(wild, w)
-	} else if err := checkFiniteSets(security, wild); err != nil {
+	w, err := Weights(security, wild)
+	if err != nil {
 		return 0, err
 	}
+	sec, wld := weightedRows(security, w), weightedRows(wild, w)
 	m, n := len(sec), len(wld)
 
 	// Global invariants over the full output.

@@ -1,7 +1,7 @@
 // Package corpus synthesizes the patch populations PatchDB is built from: a
 // set of git repositories whose commits are security patches (12 pattern
 // classes, Table V) and non-security patches (features, perf/logic fixes,
-// refactorings, cleanups) in configurable mixtures. It substitutes for the
+// refactorings, cleanups) in fixed class mixtures. It substitutes for the
 // paper's 313 GitHub repositories and 6M wild commits while preserving the
 // properties the pipeline depends on: the syntactic feature structure of
 // each class, the NVD-vs-wild type-distribution discrepancy (Fig. 6), and
@@ -60,54 +60,29 @@ var DefaultWildMix = Mix{
 type NonSecMix [NumNonSecClasses]float64
 
 // DefaultNonSecMix is the composition of the cleaned non-security dataset
-// (bulk hardening weight 0: that family is wild-only, see WildHardeningRate).
+// (bulk hardening weight 0: that family is wild-only, see wildHardeningRate).
 var DefaultNonSecMix = NonSecMix{25, 20, 25, 15, 15, 0}
 
 // Config parameterizes a Generator.
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical corpora.
 	Seed int64
-	// Repos is the number of repositories commits are spread over
-	// (default 40; the paper's pipeline uses 313).
-	Repos int
-	// SecurityRate is the fraction of security patches among wild commits
-	// (default 0.08, the paper's 6-10% band).
-	SecurityRate float64
-	// NVDMix is the pattern mixture of NVD-indexed security patches.
-	NVDMix Mix
-	// WildMix is the pattern mixture of silent security patches in the wild.
-	WildMix Mix
-	// NonSec is the non-security class mixture.
-	NonSec NonSecMix
-	// WildHardeningRate is the fraction of wild non-security commits drawn
-	// from the bulk-hardening family that the cleaned training negatives do
-	// not contain (default 0.16). It models the NVD-vs-wild distribution
-	// discrepancy the paper identifies as the reason confidence-ranking
-	// augmentation baselines underperform.
-	WildHardeningRate float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Repos <= 0 {
-		c.Repos = 40
-	}
-	if c.SecurityRate <= 0 {
-		c.SecurityRate = 0.08
-	}
-	if c.NVDMix == (Mix{}) {
-		c.NVDMix = DefaultNVDMix
-	}
-	if c.WildMix == (Mix{}) {
-		c.WildMix = DefaultWildMix
-	}
-	if c.NonSec == (NonSecMix{}) {
-		c.NonSec = DefaultNonSecMix
-	}
-	if c.WildHardeningRate == 0 {
-		c.WildHardeningRate = 0.16
-	}
-	return c
-}
+const (
+	// repos is the number of repositories commits are spread over (the
+	// paper's pipeline uses 313).
+	repos = 40
+	// securityRate is the fraction of security patches among wild commits
+	// (the paper's 6-10% band).
+	securityRate = 0.08
+	// wildHardeningRate is the fraction of wild non-security commits drawn
+	// from the bulk-hardening family that the cleaned training negatives do
+	// not contain. It models the NVD-vs-wild distribution discrepancy the
+	// paper identifies as the reason confidence-ranking augmentation
+	// baselines underperform.
+	wildHardeningRate = 0.16
+)
 
 // LabeledCommit couples a generated commit with its ground truth, which the
 // verification oracle replays in place of the paper's human experts.
@@ -125,7 +100,6 @@ type LabeledCommit struct {
 
 // Generator produces labeled commits into an in-memory repository store.
 type Generator struct {
-	cfg    Config
 	rng    *rand.Rand
 	store  *gitrepo.Store
 	repos  []*gitrepo.Repo
@@ -136,14 +110,12 @@ type Generator struct {
 
 // NewGenerator creates a generator with its repository fleet.
 func NewGenerator(cfg Config) *Generator {
-	cfg = cfg.withDefaults()
 	g := &Generator{
-		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		store: gitrepo.NewStore(),
 		year:  1999,
 	}
-	for i := 0; i < cfg.Repos; i++ {
+	for i := 0; i < repos; i++ {
 		name := pick(g.rng, orgNames) + "/" + pick(g.rng, verbs) + "-" + pick(g.rng, nouns)
 		r := gitrepo.NewRepo(name + "-" + strconv.Itoa(i))
 		if err := g.store.Add(r); err == nil {
@@ -243,10 +215,10 @@ func (g *Generator) jitter(f *srcFile) {
 	}
 }
 
-// NonSecurityCommit generates one non-security commit from the configured
-// class mixture.
+// NonSecurityCommit generates one non-security commit from the class
+// mixture DefaultNonSecMix.
 func (g *Generator) NonSecurityCommit() *LabeledCommit {
-	c := NonSecClass(sampleWeights(g.rng, g.cfg.NonSec[:]) + 1)
+	c := NonSecClass(sampleWeights(g.rng, DefaultNonSecMix[:]) + 1)
 	return g.nonSecurityCommitOfClass(c)
 }
 
@@ -275,7 +247,7 @@ func (g *Generator) nonSecurityCommitOfClass(cls NonSecClass) *LabeledCommit {
 func (g *Generator) GenerateNVD(n int) []*LabeledCommit {
 	out := make([]*LabeledCommit, 0, n)
 	for i := 0; i < n; i++ {
-		lc := g.SecurityCommit(g.cfg.NVDMix)
+		lc := g.SecurityCommit(DefaultNVDMix)
 		g.cveID++
 		// The sequence number starts at 10001, so it always has the five
 		// digits CVE ids are padded to.
@@ -285,15 +257,15 @@ func (g *Generator) GenerateNVD(n int) []*LabeledCommit {
 	return out
 }
 
-// GenerateWild produces n wild commits: SecurityRate of them are silent
+// GenerateWild produces n wild commits: securityRate of them are silent
 // security patches (wild mixture), the rest non-security.
 func (g *Generator) GenerateWild(n int) []*LabeledCommit {
 	out := make([]*LabeledCommit, 0, n)
 	for i := 0; i < n; i++ {
 		switch {
-		case g.rng.Float64() < g.cfg.SecurityRate:
-			out = append(out, g.SecurityCommit(g.cfg.WildMix))
-		case g.rng.Float64() < g.cfg.WildHardeningRate:
+		case g.rng.Float64() < securityRate:
+			out = append(out, g.SecurityCommit(DefaultWildMix))
+		case g.rng.Float64() < wildHardeningRate:
 			out = append(out, g.nonSecurityCommitOfClass(NonSecHardening))
 		default:
 			out = append(out, g.NonSecurityCommit())

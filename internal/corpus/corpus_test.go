@@ -115,9 +115,9 @@ func TestGeneratedFilesParse(t *testing.T) {
 func TestMixInfluencesDistribution(t *testing.T) {
 	var onlyRedesign Mix
 	onlyRedesign[PatternRedesign-1] = 1
-	g := NewGenerator(Config{Seed: 12, NVDMix: onlyRedesign})
-	for _, lc := range g.GenerateNVD(30) {
-		if lc.Pattern != PatternRedesign {
+	g := NewGenerator(Config{Seed: 12})
+	for range 30 {
+		if lc := g.SecurityCommit(onlyRedesign); lc.Pattern != PatternRedesign {
 			t.Fatalf("pattern = %v with redesign-only mix", lc.Pattern)
 		}
 	}

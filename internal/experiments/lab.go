@@ -215,10 +215,8 @@ func (l *Lab) RunAugmentation() ([]SetRound, error) {
 			if l.augErr != nil {
 				return nil
 			}
-			res, err := augment.Run(context.Background(), seed, l.Items(pool), l.Oracle, rounds+1, augment.Config{
-				MaxRounds:      maxRounds,
-				RatioThreshold: 0.01,
-			})
+			res, err := augment.Run(context.Background(), seed, l.Items(pool), l.Oracle, rounds+1,
+				augment.Config{MaxRounds: maxRounds})
 			if err != nil {
 				l.augErr = fmt.Errorf("augmentation on %s: %w", name, err)
 				return nil

@@ -109,32 +109,32 @@ func TestNearestLinkFacade(t *testing.T) {
 }
 
 // TestNearestLinkFacadeOverflow checks the facade on finite features whose
-// squared distances or norms overflow without normalization: a row with no
-// finite distance gets no link, and the links match ReferenceSearch.
+// raw squared distances or norms overflow: weighted, every row links, and
+// the links match ReferenceSearch at workers 1 and 3.
 func TestNearestLinkFacadeOverflow(t *testing.T) {
 	cases := []struct {
 		name      string
 		sec, wild [][]float64
-		links     int
 	}{
-		{"all-overflow", [][]float64{{1e200}}, [][]float64{{-1e200}}, 0},
+		{"all-overflow", [][]float64{{1e200}}, [][]float64{{-1e200}}},
 		{"mixed-rows", [][]float64{{1e200, 0}, {1, 1}, {2, 2}},
-			[][]float64{{-1e200, 0}, {1.5, 1}, {0, 0}, {3, 3}}, 2},
+			[][]float64{{-1e200, 0}, {1.5, 1}, {0, 0}, {3, 3}}},
 		{"overflowed-norm", [][]float64{{1e154, 1e154}},
-			[][]float64{{1e154, 0.8e154}, {1e154, 0.7e154}}, 1},
+			[][]float64{{1e154, 0.8e154}, {1e154, 0.7e154}}},
 	}
 	for _, c := range cases {
-		opts := &NearestLinkOptions{DisableNormalization: true}
-		want, err := nearestlink.ReferenceSearch(c.sec, c.wild, opts)
+		want, err := nearestlink.ReferenceSearch(c.sec, c.wild, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NearestLink(context.Background(), c.sec, c.wild, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if len(got) != c.links || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: links = %v, reference %v, want %d links", c.name, got, want, c.links)
+		for _, workers := range []int{1, 3} {
+			got, err := NearestLink(context.Background(), c.sec, c.wild, &NearestLinkOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s w=%d: %v", c.name, workers, err)
+			}
+			if n := min(len(c.sec), len(c.wild)); len(got) != n || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s w=%d: links = %v, reference %v, want %d links", c.name, workers, got, want, n)
+			}
 		}
 	}
 }

@@ -8,7 +8,9 @@
 # synthesis, RNN, training and retry/fault-injection suites, the
 # worker-invariance test of the parallel table fits, the fully-verified
 # nearest-link engine smoke sweep, and the bounded fuzz run of the decoders
-# and the nearest-link search. Exits non-zero on the first failure.
+# and of the nearest-link search (every weighted input links min(M, N) rows
+# within 2·sqrt(d), bit-identical to ReferenceSearch, or returns its
+# canonical error). Exits non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
